@@ -164,6 +164,8 @@ void BPlusTree::BulkLoad(
       break;
     }
     Node* leaf = new Node(/*leaf=*/true);
+    leaf->keys.reserve(end - begin);
+    leaf->values.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       leaf->keys.push_back(sorted[i].first);
       leaf->values.push_back(sorted[i].second);
@@ -231,20 +233,14 @@ void BPlusTree::CheckInvariants() const {
   }
   CheckSubtree(root_, 1, 0, ~0ULL);
   // The leaf chain must enumerate exactly size_ entries in sorted order.
-  const Node* leaf = root_;
-  while (!leaf->is_leaf) leaf = leaf->children.front();
   size_t total = 0;
   uint64_t prev = 0;
-  bool first = true;
-  while (leaf != nullptr) {
-    for (uint64_t k : leaf->keys) {
-      OLAPIDX_CHECK(first || k >= prev);
-      prev = k;
-      first = false;
-      ++total;
-    }
-    leaf = leaf->next;
-  }
+  ForEach([&](uint64_t key, uint32_t value) {
+    (void)value;
+    OLAPIDX_CHECK(total == 0 || key >= prev);
+    prev = key;
+    ++total;
+  });
   OLAPIDX_CHECK(total == size_);
 }
 

@@ -4,8 +4,9 @@
 // are built with; under the paper's size model an index's space cost is its
 // leaf entry count, which equals the underlying view's row count.
 //
-// Views are immutable once materialized (OLAP precomputation is read-only),
-// so the tree intentionally has no delete path.
+// The tree has no delete path: a refresh only grows a view, and its
+// indexes are re-keyed by bulk-loading the merged entry sequence
+// (ViewIndex::Rekey).
 
 #ifndef OLAPIDX_ENGINE_BTREE_H_
 #define OLAPIDX_ENGINE_BTREE_H_
@@ -51,6 +52,21 @@ class BPlusTree {
       leaf = leaf->next;
     }
     return visited;
+  }
+
+  // Invokes `fn(key, value)` for every entry, in key order, walking the
+  // leaf chain from the leftmost leaf. Unlike ScanRange it does not count
+  // `btree.node_touches`: a full walk is maintenance work, not a probe.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    const Node* leaf = root_;
+    if (leaf == nullptr) return;
+    while (!leaf->is_leaf) leaf = leaf->children.front();
+    for (; leaf != nullptr; leaf = leaf->next) {
+      for (size_t i = 0; i < leaf->keys.size(); ++i) {
+        fn(leaf->keys[i], leaf->values[i]);
+      }
+    }
   }
 
   size_t size() const { return size_; }

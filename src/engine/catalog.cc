@@ -35,23 +35,27 @@ size_t Catalog::MaterializeView(AttributeSet attrs) {
     return existing->view->num_rows();
   }
   // Prefer rolling up from the smallest materialized strict superset.
-  const MaterializedView* best_parent = nullptr;
+  const Entry* best_parent = nullptr;
   for (AttributeSet parent : order_) {
     if (!attrs.IsSubsetOf(parent) || parent == attrs) continue;
-    const MaterializedView& pv = *entries_[parent.mask()].view;
-    if (best_parent == nullptr || pv.num_rows() < best_parent->num_rows()) {
-      best_parent = &pv;
+    const Entry& pe = entries_[parent.mask()];
+    if (best_parent == nullptr ||
+        pe.view->num_rows() < best_parent->view->num_rows()) {
+      best_parent = &pe;
     }
   }
   Entry& e = entries_[attrs.mask()];
   if (best_parent != nullptr) {
     e.view = std::make_unique<MaterializedView>(
-        MaterializedView::FromView(*best_parent, attrs));
+        MaterializedView::FromView(*best_parent->view, attrs));
+    // A roll-up holds the fact rows its parent holds: rows appended since
+    // a stale parent's last refresh arrive with the next refresh.
+    e.built_through = best_parent->built_through;
   } else {
     e.view = std::make_unique<MaterializedView>(
         MaterializedView::FromFactTable(*fact_, attrs));
+    e.built_through = fact_->num_rows();
   }
-  e.built_through = fact_->num_rows();
   order_.push_back(attrs);
   return e.view->num_rows();
 }
@@ -120,14 +124,15 @@ Catalog::RefreshStats Catalog::RefreshAfterAppend() {
   for (AttributeSet attrs : order_) {
     Entry& e = entries_[attrs.mask()];
     if (e.built_through >= now) continue;
-    stats.groups_touched +=
+    const MaterializedView::DeltaResult delta =
         e.view->ApplyDelta(*fact_, e.built_through, now);
+    stats.groups_touched += delta.groups_touched;
     stats.delta_rows_scanned += now - e.built_through;
     e.built_through = now;
     ++stats.views_refreshed;
-    // Indexes point into the old row order; rebuild them.
+    // Inserted groups shift the row ids the indexes hold; re-key them.
     for (ViewIndex& index : e.indexes) {
-      index = ViewIndex(*e.view, index.key());
+      index.Rekey(*e.view, delta.inserted_rows);
       ++stats.indexes_rebuilt;
       stats.index_entries_rebuilt +=
           static_cast<double>(index.num_entries());

@@ -32,8 +32,10 @@ class Catalog {
   const MaterializedView& view(AttributeSet attrs) const;
 
   // Materializes the subcube, rolling up from the smallest materialized
-  // ancestor when one exists (falling back to the fact table). No-op if
-  // already materialized. Returns the view's row count.
+  // ancestor when one exists (falling back to the fact table). A roll-up
+  // holds the fact rows its parent holds, so rows a stale parent lacks
+  // arrive with the next RefreshAfterAppend. No-op if already
+  // materialized. Returns the view's row count.
   size_t MaterializeView(AttributeSet attrs);
 
   // Builds an index on a materialized view. No-op (OK) for an exact
@@ -72,17 +74,22 @@ class Catalog {
   // ---- Incremental maintenance ----
   //
   // Each materialized structure remembers the fact-table watermark it was
-  // built through. After the caller appends rows to the fact table,
-  // RefreshAfterAppend() folds the delta into every stale view and
-  // rebuilds its indexes. The returned work statistics are what the
-  // update-aware selection extension models as maintenance cost.
+  // built through; a roll-up inherits its parent's. After the caller
+  // appends rows to the fact table, RefreshAfterAppend() merges the delta
+  // into every stale view (MaterializedView::ApplyDelta) and re-keys its
+  // indexes (ViewIndex::Rekey), each in O(size + d log d) for d delta
+  // groups, and re-encodes its column store. A refreshed view is its
+  // pre-append rows with each delta group's aggregate merged in once. The
+  // cost stays proportional to structure size; the returned work
+  // statistics are what the update-aware selection extension models as
+  // maintenance cost.
 
   struct RefreshStats {
     size_t views_refreshed = 0;
     size_t groups_touched = 0;      // view groups merged or inserted
     size_t delta_rows_scanned = 0;  // fact rows folded in, summed over views
-    size_t indexes_rebuilt = 0;
-    double index_entries_rebuilt = 0.0;
+    size_t indexes_rebuilt = 0;     // indexes re-keyed
+    double index_entries_rebuilt = 0.0;  // entries of those indexes
   };
 
   RefreshStats RefreshAfterAppend();

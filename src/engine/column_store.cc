@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
+
+#include "engine/key_codec.h"
 
 namespace olapidx {
 
@@ -119,20 +122,28 @@ ColumnStore ColumnStore::FromView(const MaterializedView& view,
   }
 
   // Row order: lexicographic over the local codes in storage-column
-  // order. View rows are distinct in their full key, so the order is
-  // total and deterministic.
+  // order, sorted as one packed uint64 per row. A local code is below its
+  // attribute's cardinality, so the view's KeyCodec widths hold it in at
+  // most 64 bits. View rows are distinct in their full key, so the packed
+  // keys are distinct and the order is total and deterministic.
   std::vector<uint32_t> row_order(n);
   std::iota(row_order.begin(), row_order.end(), uint32_t{0});
   if (options.reorder) {
-    std::sort(row_order.begin(), row_order.end(),
-              [&](uint32_t a, uint32_t b) {
-                for (size_t c : col_order) {
-                  if (local_codes[c][a] != local_codes[c][b]) {
-                    return local_codes[c][a] < local_codes[c][b];
-                  }
-                }
-                return false;
-              });
+    std::vector<int> storage_attrs;
+    for (size_t c : col_order) storage_attrs.push_back(attr_list[c]);
+    const KeyCodec codec(view.schema(), storage_attrs);
+    std::vector<std::pair<uint64_t, uint32_t>> keyed(n);
+    for (size_t r = 0; r < n; ++r) {
+      uint64_t key = 0;
+      for (size_t i = 0; i < num_cols; ++i) {
+        key |= codec.Encode(static_cast<int>(i), local_codes[col_order[i]][r]);
+      }
+      keyed[r] = {key, static_cast<uint32_t>(r)};
+    }
+    std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    for (size_t r = 0; r < n; ++r) row_order[r] = keyed[r].second;
   }
 
   // Encode each column in the new row order: RLE when the runs pay for

@@ -10,8 +10,10 @@
 //  2. Attribute-frequency sort: columns are ordered by ascending
 //     distinct-value count (ties by ascending attribute id) and the view's
 //     rows are re-sorted lexicographically under that column order over
-//     the local codes. Leading low-cardinality columns then consist of a
-//     handful of giant runs; the k-th column has at most
+//     the local codes, packed into one uint64 sort key per row (a local
+//     code fits its attribute's KeyCodec width, and the view's KeyCodec
+//     bounds the widths' sum by 64). Leading low-cardinality columns then
+//     consist of a handful of giant runs; the k-th column has at most
 //     prod_{j<=k} distinct_j runs — minimized by putting the smallest
 //     distinct counts first.
 //  3. Per-column encoding: run-length (one {local value, run length} pair
@@ -27,13 +29,14 @@
 // The store is a *second representation* of the view: the row-store
 // MaterializedView keeps working unchanged (roll-ups, deltas, indexes),
 // and the executor's scan path reads whichever representation the catalog
-// says is attached. Scan() decodes sequentially with per-run — not
-// per-row — dictionary translation, which is where the batched executor's
-// decode amortization comes from. Note the store's row order differs from
-// the view's: scans visit the same set of rows in a different order, so
-// per-group float accumulation can differ from the row store in the last
-// ulp (exact-measure cubes, e.g. dyadic measures, are bit-identical; see
-// column_store_test).
+// says is attached; a refresh re-encodes it from the refreshed view
+// (Catalog::RefreshAfterAppend). Scan() decodes sequentially with
+// per-run — not per-row — dictionary translation, which is where the
+// batched executor's decode amortization comes from. Note the store's row
+// order differs from the view's: scans visit the same set of rows in a
+// different order, so per-group float accumulation can differ from the
+// row store in the last ulp (exact-measure cubes, e.g. dyadic measures,
+// are bit-identical; see column_store_test).
 
 #ifndef OLAPIDX_ENGINE_COLUMN_STORE_H_
 #define OLAPIDX_ENGINE_COLUMN_STORE_H_

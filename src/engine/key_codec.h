@@ -25,13 +25,19 @@ class KeyCodec {
   int num_attrs() const { return static_cast<int>(attr_order_.size()); }
   int total_bits() const { return total_bits_; }
 
+  // Places `value` at key position `i`; a key is the OR of one Encode per
+  // position, so callers holding values elsewhere need no `dims` vector.
+  uint64_t Encode(int i, uint32_t value) const {
+    return static_cast<uint64_t>(value) << shifts_[static_cast<size_t>(i)];
+  }
+
   // Encodes the key attributes of one row; `dims[a]` is the value of
   // attribute a (indexed by attribute id, not key position).
   uint64_t EncodeRow(const std::vector<uint32_t>& dims) const {
     uint64_t key = 0;
     for (size_t i = 0; i < attr_order_.size(); ++i) {
-      key |= static_cast<uint64_t>(dims[static_cast<size_t>(attr_order_[i])])
-             << shifts_[i];
+      key |= Encode(static_cast<int>(i),
+                    dims[static_cast<size_t>(attr_order_[i])]);
     }
     return key;
   }

@@ -1,11 +1,36 @@
 #include "engine/materialized_view.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <unordered_map>
 
 #include "engine/key_codec.h"
 
 namespace olapidx {
+
+namespace {
+
+// `old` with insertions: the j-th inserted element, `inserted(j)`, lands
+// before old element `insert_at[j]` (ascending). The result has no spare
+// capacity.
+template <typename T, typename InsertedFn>
+std::vector<T> MergeInserts(const std::vector<T>& old,
+                            const std::vector<size_t>& insert_at,
+                            InsertedFn&& inserted) {
+  std::vector<T> grown;
+  grown.reserve(old.size() + insert_at.size());
+  auto from = old.begin();
+  for (size_t j = 0; j < insert_at.size(); ++j) {
+    auto upto = old.begin() + static_cast<ptrdiff_t>(insert_at[j]);
+    grown.insert(grown.end(), from, upto);
+    grown.push_back(inserted(j));
+    from = upto;
+  }
+  grown.insert(grown.end(), from, old.end());
+  return grown;
+}
+
+}  // namespace
 
 MaterializedView::MaterializedView(const CubeSchema& schema,
                                    AttributeSet attrs)
@@ -76,94 +101,70 @@ std::vector<uint32_t> MaterializedView::RowKey(size_t row) const {
   return key;
 }
 
-size_t MaterializedView::ApplyDelta(const FactTable& fact, size_t begin_row,
-                                    size_t end_row) {
+uint64_t MaterializedView::KeyAt(const KeyCodec& codec, size_t row) const {
+  uint64_t key = 0;
+  for (int i = 0; i < codec.num_attrs(); ++i) {
+    key |= codec.Encode(
+        i, dim(row, codec.attr_order()[static_cast<size_t>(i)]));
+  }
+  return key;
+}
+
+MaterializedView::DeltaResult MaterializedView::ApplyDelta(
+    const FactTable& fact, size_t begin_row, size_t end_row) {
   OLAPIDX_CHECK(begin_row <= end_row);
   OLAPIDX_CHECK(end_row <= fact.num_rows());
-  if (begin_row == end_row) return 0;
+  // The delta's groups, aggregated in fact-row order and sorted by key.
+  MaterializedView delta(schema_, attrs_);
+  delta.Aggregate(
+      end_row - begin_row,
+      [&](size_t r, int a) { return fact.dim(begin_row + r, a); },
+      [&](size_t r) {
+        return AggregateState::OfMeasure(fact.measure(begin_row + r));
+      });
 
-  // Aggregate the delta.
-  KeyCodec codec(schema_, attr_list_);
-  std::unordered_map<uint64_t, AggregateState> delta;
-  std::vector<uint32_t> dims(
-      static_cast<size_t>(schema_.num_dimensions()), 0);
-  for (size_t r = begin_row; r < end_row; ++r) {
-    for (int a : attr_list_) {
-      dims[static_cast<size_t>(a)] = fact.dim(r, a);
-    }
-    delta[codec.EncodeRow(dims)].Merge(
-        AggregateState::OfMeasure(fact.measure(r)));
-  }
-
-  // Merge existing groups in place; collect genuinely new keys.
-  size_t touched = 0;
-  std::vector<uint64_t> new_keys;
-  for (auto& [key, state] : delta) {
-    // Binary search over the sorted rows via the encoded key.
-    size_t lo = 0, hi = num_rows();
-    bool found = false;
+  // Locate each delta group among the sorted rows. Keys ascend, so each
+  // search starts where the previous one stopped.
+  const KeyCodec codec(schema_, attr_list_);
+  std::vector<size_t> insert_at;   // per new group: rows before it
+  std::vector<size_t> new_groups;  // per new group: its row in `delta`
+  size_t lo = 0;
+  for (size_t g = 0; g < delta.num_rows(); ++g) {
+    const uint64_t key = delta.KeyAt(codec, g);
+    size_t hi = num_rows();
     while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      std::vector<uint32_t> dims_mid(
-          static_cast<size_t>(schema_.num_dimensions()), 0);
-      for (int a : attr_list_) {
-        dims_mid[static_cast<size_t>(a)] = dim(mid, a);
-      }
-      uint64_t mid_key = codec.EncodeRow(dims_mid);
-      if (mid_key == key) {
-        states_[mid].Merge(state);
-        found = true;
-        ++touched;
-        break;
-      }
-      if (mid_key < key) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (KeyAt(codec, mid) < key) {
         lo = mid + 1;
       } else {
         hi = mid;
       }
     }
-    if (!found) new_keys.push_back(key);
+    if (lo < num_rows() && KeyAt(codec, lo) == key) {
+      states_[lo].Merge(delta.states_[g]);
+    } else {
+      insert_at.push_back(lo);
+      new_groups.push_back(g);
+    }
   }
 
-  if (!new_keys.empty()) {
-    // Append the new groups, then re-sort all rows by key.
-    std::sort(new_keys.begin(), new_keys.end());
-    for (uint64_t key : new_keys) {
-      for (size_t i = 0; i < attr_list_.size(); ++i) {
-        columns_[i].push_back(codec.Decode(key, static_cast<int>(i)));
-      }
-      states_.push_back(delta.find(key)->second);
-      ++touched;
-    }
-    std::vector<size_t> order(num_rows());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    auto key_of = [&](size_t row) {
-      std::vector<uint32_t> dims_row(
-          static_cast<size_t>(schema_.num_dimensions()), 0);
-      for (int a : attr_list_) {
-        dims_row[static_cast<size_t>(a)] = dim(row, a);
-      }
-      return codec.EncodeRow(dims_row);
-    };
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return key_of(a) < key_of(b);
+  // Merge the new groups into the sorted rows.
+  DeltaResult result;
+  result.groups_touched = delta.num_rows();
+  if (new_groups.empty()) return result;
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    columns_[i] = MergeInserts(columns_[i], insert_at, [&](size_t j) {
+      return delta.columns_[i][new_groups[j]];
     });
-    std::vector<std::vector<uint32_t>> new_columns(columns_.size());
-    std::vector<AggregateState> new_states;
-    new_states.reserve(states_.size());
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      new_columns[i].reserve(columns_[i].size());
-    }
-    for (size_t row : order) {
-      for (size_t i = 0; i < columns_.size(); ++i) {
-        new_columns[i].push_back(columns_[i][row]);
-      }
-      new_states.push_back(states_[row]);
-    }
-    columns_ = std::move(new_columns);
-    states_ = std::move(new_states);
   }
-  return touched;
+  states_ = MergeInserts(states_, insert_at, [&](size_t j) {
+    return delta.states_[new_groups[j]];
+  });
+  result.inserted_rows.resize(new_groups.size());
+  for (size_t j = 0; j < new_groups.size(); ++j) {
+    result.inserted_rows[j] = static_cast<uint32_t>(insert_at[j] + j);
+  }
+  return result;
 }
 
 }  // namespace olapidx

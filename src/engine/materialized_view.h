@@ -2,7 +2,8 @@
 // (SUM/COUNT/MIN/MAX of the measure) of the fact table grouped by a set of
 // dimensions, stored columnar and sorted by the (ascending-attribute-id)
 // group-by key. Supports roll-up construction from any ancestor view and
-// in-place incremental refresh from appended fact rows.
+// incremental refresh from appended fact rows: the sorted delta groups
+// merge into the sorted rows in one linear pass.
 
 #ifndef OLAPIDX_ENGINE_MATERIALIZED_VIEW_H_
 #define OLAPIDX_ENGINE_MATERIALIZED_VIEW_H_
@@ -15,6 +16,8 @@
 #include "lattice/attribute_set.h"
 
 namespace olapidx {
+
+class KeyCodec;
 
 class MaterializedView {
  public:
@@ -55,12 +58,25 @@ class MaterializedView {
   // All group-by attribute values of one row, in ascending attribute order.
   std::vector<uint32_t> RowKey(size_t row) const;
 
+  // Row `row`'s key under `codec`, whose attributes must be in attrs().
+  uint64_t KeyAt(const KeyCodec& codec, size_t row) const;
+
+  struct DeltaResult {
+    size_t groups_touched = 0;  // groups merged into or inserted
+    // Row ids, in the refreshed view, of the inserted groups (ascending).
+    std::vector<uint32_t> inserted_rows;
+  };
+
   // Incremental refresh: folds fact rows [begin_row, end_row) into this
-  // view (merging into existing groups, inserting new ones, keeping rows
-  // sorted). Returns the number of groups that were added or changed.
-  // The caller must rebuild any indexes on this view afterwards.
-  size_t ApplyDelta(const FactTable& fact, size_t begin_row,
-                    size_t end_row);
+  // view in O(num_rows() + d log d) for d delta groups, plus one pass over
+  // the delta's fact rows. The delta is aggregated
+  // per group in fact-row order, and each group's aggregate is merged once
+  // into the existing group of its key; groups new to the view are merged
+  // into the sorted rows in one linear pass. Row ids of existing groups
+  // shift past the inserted ones, so indexes on this view must be re-keyed
+  // (ViewIndex::Rekey) afterwards.
+  DeltaResult ApplyDelta(const FactTable& fact, size_t begin_row,
+                         size_t end_row);
 
  private:
   MaterializedView(const CubeSchema& schema, AttributeSet attrs);

@@ -1,6 +1,7 @@
 #include "engine/view_index.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace olapidx {
 
@@ -12,16 +13,50 @@ ViewIndex::ViewIndex(const MaterializedView& view, IndexKey key, int fanout)
   OLAPIDX_CHECK(key_.AsSet().IsSubsetOf(view.attrs()));
   std::vector<std::pair<uint64_t, uint32_t>> entries;
   entries.reserve(view.num_rows());
-  std::vector<uint32_t> dims(
-      static_cast<size_t>(view.schema().num_dimensions()), 0);
   for (size_t r = 0; r < view.num_rows(); ++r) {
-    for (int a : key_.attrs()) {
-      dims[static_cast<size_t>(a)] = view.dim(r, a);
-    }
-    entries.emplace_back(codec_.EncodeRow(dims),
-                         static_cast<uint32_t>(r));
+    entries.emplace_back(view.KeyAt(codec_, r), static_cast<uint32_t>(r));
   }
   std::sort(entries.begin(), entries.end());
+  tree_.BulkLoad(entries);
+}
+
+void ViewIndex::Rekey(const MaterializedView& view,
+                      const std::vector<uint32_t>& inserted_rows) {
+  const size_t old_rows = tree_.size();
+  OLAPIDX_CHECK(old_rows + inserted_rows.size() == view.num_rows());
+  std::vector<std::pair<uint64_t, uint32_t>> added;
+  added.reserve(inserted_rows.size());
+  for (uint32_t row : inserted_rows) {
+    added.emplace_back(view.KeyAt(codec_, row), row);
+  }
+  std::sort(added.begin(), added.end());
+
+  // Old row r moves past every inserted row placed before it: the j-th
+  // inserted row (ascending) had inserted_rows[j] - j old rows before it.
+  std::vector<uint32_t> moved(old_rows);
+  size_t passed = 0;
+  for (size_t r = 0; r < old_rows; ++r) {
+    while (passed < inserted_rows.size() &&
+           inserted_rows[passed] - passed <= r) {
+      ++passed;
+    }
+    moved[r] = static_cast<uint32_t>(r + passed);
+  }
+
+  // The remap preserves row order, so the old entries stay sorted by
+  // (key, row) and one merge with the added entries orders them all.
+  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  entries.reserve(old_rows + added.size());
+  auto next = added.begin();
+  tree_.ForEach([&](uint64_t key, uint32_t row) {
+    const std::pair<uint64_t, uint32_t> entry(key, moved[row]);
+    for (; next != added.end() && *next < entry; ++next) {
+      entries.push_back(*next);
+    }
+    entries.push_back(entry);
+  });
+  entries.insert(entries.end(), next, added.end());
+  tree_ = BPlusTree(tree_.fanout());
   tree_.BulkLoad(entries);
 }
 

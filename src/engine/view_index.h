@@ -1,7 +1,9 @@
 // ViewIndex: a B+tree index over a materialized view, keyed by an ordered
 // attribute permutation (or subsequence) — the physical realization of the
 // paper's I_{X1..Xk}(V) structures. Supports prefix scans: all view rows
-// whose first t key attributes equal the given values.
+// whose first t key attributes equal the given values. Entries are sorted
+// by (key, row id); after a refresh the index is re-keyed in one linear
+// merge rather than rebuilt.
 
 #ifndef OLAPIDX_ENGINE_VIEW_INDEX_H_
 #define OLAPIDX_ENGINE_VIEW_INDEX_H_
@@ -21,6 +23,14 @@ class ViewIndex {
   // Builds the index over `view` (bulk-loaded). `key` attributes must be a
   // subset of the view's attributes.
   ViewIndex(const MaterializedView& view, IndexKey key, int fanout = 64);
+
+  // Re-keys the index after `view` absorbed a delta
+  // (MaterializedView::ApplyDelta reported `inserted_rows`): existing
+  // entries keep their keys and their row ids shift past the inserted
+  // rows, whose entries are merged in. O(entries + d log d) for d inserted
+  // rows; yields the same tree as ViewIndex(view, key(), fanout).
+  void Rekey(const MaterializedView& view,
+             const std::vector<uint32_t>& inserted_rows);
 
   const IndexKey& key() const { return key_; }
   size_t num_entries() const { return tree_.size(); }

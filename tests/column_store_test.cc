@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -172,6 +175,131 @@ TEST(ColumnStoreTest, ReorderingReducesTotalRuns) {
     if (sorted.NumRuns(a) == min_distinct) found_leading = true;
   }
   EXPECT_TRUE(found_leading);
+}
+
+// ---------------------------------------------------------------------------
+// Row order, pinned against a column-by-column comparator sort.
+// ---------------------------------------------------------------------------
+
+// The view row ids in the order FromView must store them, computed with a
+// comparator over the local codes column by column (the packed uint64 key
+// FromView sorts on must agree with it): frequency-ranked local codes
+// (ties by global code), columns by ascending distinct count (ties by
+// attribute id), rows lexicographic over the local codes in that order.
+std::vector<uint32_t> ComparatorRowOrder(const MaterializedView& view,
+                                         bool reorder,
+                                         std::vector<size_t>* distinct_out) {
+  const std::vector<int> attrs = view.attrs().ToVector();
+  const size_t n = view.num_rows();
+  std::vector<std::vector<uint32_t>> local(attrs.size());
+  std::vector<size_t> distinct(attrs.size());
+  for (size_t c = 0; c < attrs.size(); ++c) {
+    std::map<uint32_t, uint64_t> freq;
+    for (size_t r = 0; r < n; ++r) ++freq[view.dim(r, attrs[c])];
+    std::vector<uint32_t> present;
+    for (const auto& [code, count] : freq) present.push_back(code);
+    if (reorder) {
+      std::stable_sort(present.begin(), present.end(),
+                       [&](uint32_t a, uint32_t b) {
+                         return freq[a] > freq[b];
+                       });
+    }
+    std::map<uint32_t, uint32_t> to_local;
+    for (size_t i = 0; i < present.size(); ++i) {
+      to_local[present[i]] = static_cast<uint32_t>(i);
+    }
+    for (size_t r = 0; r < n; ++r) {
+      local[c].push_back(to_local[view.dim(r, attrs[c])]);
+    }
+    distinct[c] = present.size();
+  }
+  std::vector<size_t> col_order(attrs.size());
+  std::iota(col_order.begin(), col_order.end(), size_t{0});
+  std::stable_sort(col_order.begin(), col_order.end(),
+                   [&](size_t a, size_t b) {
+                     return distinct[a] < distinct[b];
+                   });
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  if (reorder) {
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      for (size_t c : col_order) {
+        if (local[c][a] != local[c][b]) return local[c][a] < local[c][b];
+      }
+      return false;
+    });
+  }
+  if (distinct_out != nullptr) *distinct_out = distinct;
+  return order;
+}
+
+// The view row ids in the order the store holds them.
+std::vector<uint32_t> StoreRowOrder(const ColumnStore& store,
+                                    const MaterializedView& view) {
+  const std::vector<int> attrs = view.attrs().ToVector();
+  std::map<std::vector<uint32_t>, uint32_t> row_of;
+  for (size_t r = 0; r < view.num_rows(); ++r) {
+    row_of.emplace(view.RowKey(r), static_cast<uint32_t>(r));
+  }
+  std::vector<uint32_t> order;
+  store.Scan([&](size_t r, const uint32_t* dims, const AggregateState& st) {
+    (void)r;
+    (void)st;
+    std::vector<uint32_t> key;
+    for (int a : attrs) key.push_back(dims[static_cast<size_t>(a)]);
+    order.push_back(row_of.at(key));
+  });
+  return order;
+}
+
+int BitsFor(size_t distinct) {
+  int bits = 0;
+  while ((size_t{1} << bits) < distinct) ++bits;
+  return bits;
+}
+
+TEST(ColumnStoreTest, RowOrderMatchesComparatorSort) {
+  FactTable uniform = GenerateUniformFacts(TestSchema(), 3000, /*seed=*/41);
+  FactTable zipf = GenerateZipfFacts(TestSchema(), 3000, 1.1, /*seed=*/43);
+  for (const FactTable* fact : {&uniform, &zipf}) {
+    for (uint32_t mask = 1; mask < 16; ++mask) {
+      const MaterializedView view =
+          MaterializedView::FromFactTable(*fact, AttributeSet::FromMask(mask));
+      for (bool reorder : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "mask " << mask << " reorder "
+                                          << reorder);
+        const ColumnStore store =
+            ColumnStore::FromView(view, ColumnStoreOptions{reorder});
+        EXPECT_EQ(StoreRowOrder(store, view),
+                  ComparatorRowOrder(view, reorder, nullptr));
+      }
+    }
+  }
+}
+
+// Eight 256-value attributes with more than 128 values each in the view:
+// the local codes take exactly 64 bits, so the packed sort key uses its
+// top bit.
+TEST(ColumnStoreTest, RowOrderMatchesComparatorSortAtSixtyFourBits) {
+  std::vector<Dimension> dims;
+  for (int i = 0; i < 8; ++i) {
+    dims.push_back(Dimension{"x" + std::to_string(i), 256});
+  }
+  const CubeSchema schema(dims);
+  FactTable fact = GenerateUniformFacts(schema, 600, /*seed=*/47);
+  const MaterializedView view =
+      MaterializedView::FromFactTable(fact, AttributeSet::FromMask(0xff));
+  for (bool reorder : {true, false}) {
+    std::vector<size_t> distinct;
+    const std::vector<uint32_t> expected =
+        ComparatorRowOrder(view, reorder, &distinct);
+    int bits = 0;
+    for (size_t d : distinct) bits += BitsFor(d);
+    ASSERT_EQ(bits, 64);
+    const ColumnStore store =
+        ColumnStore::FromView(view, ColumnStoreOptions{reorder});
+    EXPECT_EQ(StoreRowOrder(store, view), expected);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ TEST(KeyCodecTest, RoundTrips) {
   EXPECT_EQ(codec.Decode(key, 1), 999u);  // a
   EXPECT_EQ(codec.Decode(key, 2), 49u);   // b
   EXPECT_EQ(codec.total_bits(), 2 + 10 + 6);
+  // Per-position Encode composes to the same key.
+  EXPECT_EQ(codec.Encode(0, 2) | codec.Encode(1, 999) | codec.Encode(2, 49),
+            key);
 }
 
 TEST(KeyCodecTest, OrderPreservedLexicographically) {

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "data/fact_generator.h"
 #include "engine/executor.h"
@@ -12,6 +18,115 @@
 
 namespace olapidx {
 namespace {
+
+bool BitEq(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool StatesBitEq(const AggregateState& a, const AggregateState& b) {
+  return BitEq(a.sum, b.sum) && a.count == b.count && BitEq(a.min, b.min) &&
+         BitEq(a.max, b.max);
+}
+
+// ---------------------------------------------------------------------------
+// The bit-exact refresh oracle.
+// ---------------------------------------------------------------------------
+
+// A refreshed view is its pre-append self with each delta group's
+// aggregate (the group's fact rows folded in row order) merged in once,
+// and groups new to the view inserted in key order. Sums compare by bits.
+void ExpectViewIsPreAppendPlusDelta(const MaterializedView& before,
+                                    const MaterializedView& after,
+                                    const FactTable& fact,
+                                    size_t begin_row) {
+  const std::vector<int> attrs = before.attrs().ToVector();
+  std::map<std::vector<uint32_t>, AggregateState> delta;
+  for (size_t r = begin_row; r < fact.num_rows(); ++r) {
+    std::vector<uint32_t> key;
+    for (int a : attrs) key.push_back(fact.dim(r, a));
+    delta[key].Merge(AggregateState::OfMeasure(fact.measure(r)));
+  }
+  std::map<std::vector<uint32_t>, AggregateState> expected;
+  for (size_t r = 0; r < before.num_rows(); ++r) {
+    expected.emplace(before.RowKey(r), before.aggregate(r));
+  }
+  for (const auto& [key, state] : delta) {
+    auto [it, inserted] = expected.emplace(key, state);
+    if (!inserted) it->second.Merge(state);
+  }
+  ASSERT_EQ(after.num_rows(), expected.size());
+  size_t row = 0;
+  for (const auto& [key, state] : expected) {
+    ASSERT_EQ(after.RowKey(row), key) << "row " << row;
+    EXPECT_TRUE(StatesBitEq(after.aggregate(row), state)) << "row " << row;
+    ++row;
+  }
+}
+
+std::vector<std::pair<uint64_t, uint32_t>> LeafEntries(
+    const BPlusTree& tree) {
+  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  tree.ForEach([&](uint64_t key, uint32_t row) {
+    entries.emplace_back(key, row);
+  });
+  return entries;
+}
+
+// A re-keyed index is the tree a from-scratch build over the refreshed
+// view gives.
+void ExpectIndexIsRebuild(const ViewIndex& index,
+                          const MaterializedView& view) {
+  index.tree().CheckInvariants();
+  const ViewIndex rebuilt(view, index.key());
+  EXPECT_EQ(index.tree().height(), rebuilt.tree().height());
+  EXPECT_EQ(LeafEntries(index.tree()), LeafEntries(rebuilt.tree()));
+}
+
+// A refreshed column store is the encoding of the refreshed view.
+void ExpectStoreIsEncodingOf(const ColumnStore& store,
+                             const MaterializedView& view) {
+  const ColumnStore fresh =
+      ColumnStore::FromView(view, ColumnStoreOptions{store.reordered()});
+  ASSERT_EQ(store.num_rows(), fresh.num_rows());
+  EXPECT_EQ(store.CompressedBytes(), fresh.CompressedBytes());
+  for (int a : view.attrs().ToVector()) {
+    EXPECT_EQ(store.NumRuns(a), fresh.NumRuns(a));
+    EXPECT_EQ(store.ColumnBytes(a), fresh.ColumnBytes(a));
+    for (size_t r = 0; r < store.num_rows(); ++r) {
+      ASSERT_EQ(store.dim(r, a), fresh.dim(r, a)) << "row " << r;
+    }
+  }
+  for (size_t r = 0; r < store.num_rows(); ++r) {
+    ASSERT_TRUE(StatesBitEq(store.aggregate(r), fresh.aggregate(r)))
+        << "row " << r;
+  }
+}
+
+// Refreshes `catalog`, whose views all hold fact rows [0, begin_row), and
+// checks every view, index and column store against the oracle.
+Catalog::RefreshStats RefreshAndCheck(Catalog& catalog,
+                                      const FactTable& fact,
+                                      size_t begin_row) {
+  std::vector<MaterializedView> before;
+  for (AttributeSet attrs : catalog.materialized_views()) {
+    before.push_back(catalog.view(attrs));
+  }
+  const Catalog::RefreshStats stats = catalog.RefreshAfterAppend();
+  for (size_t v = 0; v < before.size(); ++v) {
+    const AttributeSet attrs = catalog.materialized_views()[v];
+    SCOPED_TRACE(attrs.ToString(fact.schema().names()));
+    const MaterializedView& view = catalog.view(attrs);
+    ExpectViewIsPreAppendPlusDelta(before[v], view, fact, begin_row);
+    for (const ViewIndex& index : catalog.indexes(attrs)) {
+      SCOPED_TRACE(index.key().ToString(fact.schema().names()));
+      ExpectIndexIsRebuild(index, view);
+    }
+    if (const ColumnStore* store = catalog.column_store(attrs)) {
+      ExpectStoreIsEncodingOf(*store, view);
+    }
+  }
+  return stats;
+}
 
 CubeSchema SmallSchema() {
   return CubeSchema(
@@ -134,11 +249,20 @@ TEST_P(RefreshStressTest, ManyRandomBatches) {
   catalog.MaterializeView(AttributeSet::Of({0, 2}));
   catalog.MaterializeView(AttributeSet::Of({1}));
   catalog.BuildIndex(AttributeSet::Of({0, 2}), IndexKey({2, 0}));
+  // Keys that are strict subsets of the view: duplicate index keys.
+  catalog.BuildIndex(AttributeSet::Of({0, 1, 2}), IndexKey({1}));
+  catalog.BuildIndex(AttributeSet::Of({0, 1, 2}), IndexKey({2, 0}));
+  ASSERT_TRUE(catalog.CompressView(AttributeSet::Of({0, 1, 2})).ok());
+  ASSERT_TRUE(catalog
+                  .CompressView(AttributeSet::Of({0, 2}),
+                                ColumnStoreOptions{/*reorder=*/false})
+                  .ok());
 
   for (int cycle = 0; cycle < 8; ++cycle) {
+    const size_t begin_row = fact.num_rows();
     AppendRandomRows(fact, 1 + rng.NextBounded(150),
                      seed * 131 + static_cast<uint64_t>(cycle));
-    catalog.RefreshAfterAppend();
+    RefreshAndCheck(catalog, fact, begin_row);
   }
   for (AttributeSet attrs : catalog.materialized_views()) {
     MaterializedView rebuilt =
@@ -152,7 +276,7 @@ TEST_P(RefreshStressTest, ManyRandomBatches) {
       ASSERT_EQ(refreshed.aggregate(r).count, rebuilt.aggregate(r).count);
     }
   }
-  // Indexes were rebuilt each cycle; validate the surviving one.
+  // Indexes were re-keyed each cycle; validate the surviving one.
   const ViewIndex& index = catalog.indexes(AttributeSet::Of({0, 2}))[0];
   index.tree().CheckInvariants();
   EXPECT_EQ(index.num_entries(),
@@ -161,6 +285,151 @@ TEST_P(RefreshStressTest, ManyRandomBatches) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RefreshStressTest,
                          ::testing::Range<uint64_t>(1, 11));
+
+// Appends `rows` rows whose attribute 0 lies in [a_lo, a_hi); the other
+// attributes and the measure are uniform as in AppendRandomRows.
+void AppendRowsWithAIn(FactTable& fact, size_t rows, uint32_t a_lo,
+                       uint32_t a_hi, uint64_t seed) {
+  Pcg32 rng(seed);
+  const CubeSchema& schema = fact.schema();
+  std::vector<uint32_t> dims(static_cast<size_t>(schema.num_dimensions()));
+  for (size_t r = 0; r < rows; ++r) {
+    dims[0] = a_lo + rng.NextBounded(a_hi - a_lo);
+    for (int a = 1; a < schema.num_dimensions(); ++a) {
+      dims[static_cast<size_t>(a)] = rng.NextBounded(
+          static_cast<uint32_t>(schema.dimension(a).cardinality));
+    }
+    fact.Append(dims, 1.0 + rng.NextDouble() * 9.0);
+  }
+}
+
+// Each delta shape the merge distinguishes, against the bit-exact oracle:
+// keys before the first row, after the last row, interleaved, already
+// present (nothing inserted), and an empty delta.
+TEST(RefreshTest, EveryDeltaShapeMatchesOracle) {
+  FactTable fact(SmallSchema());
+  AppendRowsWithAIn(fact, 300, 4, 8, /*seed=*/21);
+  Catalog catalog(&fact);
+  catalog.MaterializeView(AttributeSet::Of({0, 1, 2}));
+  catalog.MaterializeView(AttributeSet::Of({0, 1}));
+  catalog.MaterializeView(AttributeSet::Of({0}));
+  catalog.BuildIndex(AttributeSet::Of({0, 1, 2}), IndexKey({0, 1, 2}));
+  catalog.BuildIndex(AttributeSet::Of({0, 1, 2}), IndexKey({2}));
+  catalog.BuildIndex(AttributeSet::Of({0, 1}), IndexKey({1, 0}));
+  catalog.BuildIndex(AttributeSet::Of({0}), IndexKey({0}));
+  ASSERT_EQ(catalog.CompressAllViews(), 3u);
+  const AttributeSet a = AttributeSet::Of({0});
+
+  {
+    SCOPED_TRACE("before the first row");
+    const size_t begin = fact.num_rows();
+    AppendRowsWithAIn(fact, 40, 0, 2, /*seed=*/22);
+    RefreshAndCheck(catalog, fact, begin);
+    EXPECT_EQ(catalog.view(a).dim(0, 0), 0u);
+  }
+  {
+    SCOPED_TRACE("after the last row");
+    const size_t begin = fact.num_rows();
+    AppendRowsWithAIn(fact, 40, 10, 12, /*seed=*/23);
+    RefreshAndCheck(catalog, fact, begin);
+    EXPECT_EQ(catalog.view(a).dim(catalog.view(a).num_rows() - 1, 0), 11u);
+  }
+  {
+    SCOPED_TRACE("interleaved");
+    const size_t begin = fact.num_rows();
+    AppendRowsWithAIn(fact, 60, 0, 12, /*seed=*/24);
+    RefreshAndCheck(catalog, fact, begin);
+  }
+  {
+    SCOPED_TRACE("existing keys only");
+    std::vector<size_t> rows_before;
+    for (AttributeSet attrs : catalog.materialized_views()) {
+      rows_before.push_back(catalog.view(attrs).num_rows());
+    }
+    const size_t begin = fact.num_rows();
+    for (size_t r = 0; r < 50; ++r) {
+      fact.Append(fact.RowDims(r * 7), 2.5);
+    }
+    const Catalog::RefreshStats stats = RefreshAndCheck(catalog, fact, begin);
+    EXPECT_EQ(stats.views_refreshed, 3u);
+    EXPECT_GT(stats.groups_touched, 0u);
+    for (size_t v = 0; v < rows_before.size(); ++v) {
+      EXPECT_EQ(catalog.view(catalog.materialized_views()[v]).num_rows(),
+                rows_before[v]);
+    }
+  }
+  {
+    SCOPED_TRACE("empty delta");
+    const Catalog::RefreshStats stats =
+        RefreshAndCheck(catalog, fact, fact.num_rows());
+    EXPECT_EQ(stats.views_refreshed, 0u);
+    EXPECT_EQ(stats.groups_touched, 0u);
+  }
+}
+
+TEST(RefreshTest, ApplyDeltaReportsInsertedRows) {
+  FactTable fact(SmallSchema());
+  AppendRowsWithAIn(fact, 200, 3, 9, /*seed=*/31);
+  MaterializedView view =
+      MaterializedView::FromFactTable(fact, AttributeSet::Of({0, 1}));
+  const MaterializedView before = view;
+
+  // An empty delta changes nothing.
+  MaterializedView::DeltaResult none =
+      view.ApplyDelta(fact, fact.num_rows(), fact.num_rows());
+  EXPECT_EQ(none.groups_touched, 0u);
+  EXPECT_TRUE(none.inserted_rows.empty());
+
+  const size_t begin = fact.num_rows();
+  AppendRowsWithAIn(fact, 80, 0, 12, /*seed=*/32);
+  const MaterializedView::DeltaResult delta =
+      view.ApplyDelta(fact, begin, fact.num_rows());
+  ExpectViewIsPreAppendPlusDelta(before, view, fact, begin);
+  ASSERT_EQ(view.num_rows(), before.num_rows() + delta.inserted_rows.size());
+  EXPECT_TRUE(std::is_sorted(delta.inserted_rows.begin(),
+                             delta.inserted_rows.end()));
+  // Exactly the reported rows hold keys the view did not have before.
+  std::map<std::vector<uint32_t>, size_t> old_keys;
+  for (size_t r = 0; r < before.num_rows(); ++r) {
+    old_keys.emplace(before.RowKey(r), r);
+  }
+  std::vector<uint32_t> new_rows;
+  for (size_t r = 0; r < view.num_rows(); ++r) {
+    if (old_keys.count(view.RowKey(r)) == 0) {
+      new_rows.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  EXPECT_EQ(delta.inserted_rows, new_rows);
+  EXPECT_GE(delta.groups_touched, new_rows.size());
+}
+
+// A view rolled up from a stale parent holds only the parent's rows; the
+// next refresh must fold in the rows the parent was missing.
+TEST(RefreshTest, RollUpFromStaleParentCatchesUp) {
+  FactTable fact = GenerateUniformFacts(SmallSchema(), 400, /*seed=*/13);
+  Catalog catalog(&fact);
+  const AttributeSet ab = AttributeSet::Of({0, 1});
+  const AttributeSet a = AttributeSet::Of({0});
+  catalog.MaterializeView(ab);
+  std::vector<uint32_t> dims = {3, 4, 2};
+  for (int r = 0; r < 50; ++r) fact.Append(dims, 10.0);
+  catalog.MaterializeView(a);  // rolls up from the stale {a,b}
+  Catalog::RefreshStats stats = catalog.RefreshAfterAppend();
+  EXPECT_EQ(stats.views_refreshed, 2u);
+  EXPECT_EQ(stats.delta_rows_scanned, 100u);
+  for (AttributeSet attrs : {ab, a}) {
+    const MaterializedView rebuilt =
+        MaterializedView::FromFactTable(fact, attrs);
+    const MaterializedView& refreshed = catalog.view(attrs);
+    ASSERT_EQ(refreshed.num_rows(), rebuilt.num_rows());
+    for (size_t r = 0; r < rebuilt.num_rows(); ++r) {
+      EXPECT_EQ(refreshed.RowKey(r), rebuilt.RowKey(r));
+      EXPECT_EQ(refreshed.aggregate(r).count, rebuilt.aggregate(r).count);
+      EXPECT_NEAR(refreshed.aggregate(r).sum, rebuilt.aggregate(r).sum,
+                  1e-9);
+    }
+  }
+}
 
 TEST(RefreshTest, WorkScalesWithStructureSize) {
   // The refresh cost of a structure is Ω(delta) plus index-rebuild work
