@@ -263,9 +263,9 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
           rows * (static_cast<uint64_t>(schema.num_dimensions()) * 4 + 8);
     } else if (group.plan.index == nullptr && columnar) {
       const ColumnStore* store = catalog_->column_store(group.plan.view);
-      store->Scan([&](size_t r, const uint32_t* dims,
+      // No predicates, every attribute: each member filters the full scan.
+      store->Scan([&](size_t, const uint32_t* dims,
                       const AggregateState& state) {
-        (void)r;
         for (Member& m : members) {
           bool match = true;
           for (const DimPred& p : m.dim_preds) {

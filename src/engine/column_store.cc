@@ -1,6 +1,7 @@
 #include "engine/column_store.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <numeric>
 #include <utility>
 
@@ -42,20 +43,24 @@ int BitsFor(size_t distinct) {
 }  // namespace
 
 uint32_t ColumnStore::Column::LocalAt(size_t row) const {
-  if (encoding == Encoding::kRle) {
-    // Last run whose start is <= row.
-    size_t run = static_cast<size_t>(
-        std::upper_bound(rle.starts.begin(), rle.starts.end(),
-                         static_cast<uint32_t>(row)) -
-        rle.starts.begin()) - 1;
-    return rle.values[run];
+  if (encoding == Encoding::kPacked) return PackedAt(row);
+  return rle.values[RunAt(*this, 0, row)];
+}
+
+size_t ColumnStore::RunAt(const Column& col, size_t from, size_t row) {
+  const std::vector<uint32_t>& starts = col.rle.starts;
+  // A forward scan usually enters the next run; a skip searches the rest.
+  const size_t next = from + 1;
+  if (next < starts.size() && starts[next] <= row &&
+      (next + 1 == starts.size() || row < starts[next + 1])) {
+    return next;
   }
-  size_t bit = row * static_cast<size_t>(bits);
-  size_t word = bit >> 6;
-  int shift = static_cast<int>(bit & 63);
-  uint64_t v = packed[word] >> shift;
-  if (shift + bits > 64) v |= packed[word + 1] << (64 - shift);
-  return static_cast<uint32_t>(v & ((uint64_t{1} << bits) - 1));
+  // Last run whose start is <= row.
+  return static_cast<size_t>(
+             std::upper_bound(starts.begin() + static_cast<ptrdiff_t>(from),
+                              starts.end(), static_cast<uint32_t>(row)) -
+             starts.begin()) -
+         1;
 }
 
 size_t ColumnStore::Column::PayloadBytes() const {
@@ -210,53 +215,54 @@ uint32_t ColumnStore::dim(size_t row, int attr) const {
   return col.local_to_global[col.LocalAt(row)];
 }
 
-AggregateState ColumnStore::aggregate(size_t row) const {
-  OLAPIDX_DCHECK(row < num_rows_);
-  const size_t word = row >> 6;
-  const uint64_t below = single_bits_[word] & ((uint64_t{1} << (row & 63)) - 1);
-  const size_t singles_before =
-      single_rank_[word] + static_cast<size_t>(__builtin_popcountll(below));
-  if (IsSingleton(row)) {
-    return AggregateState::OfMeasure(single_sums_[singles_before]);
+ColumnStore::ScanPlan ColumnStore::PlanScan(
+    const std::vector<Predicate>& predicates, AttributeSet decode) const {
+  OLAPIDX_CHECK(decode.IsSubsetOf(attrs_));
+  ScanPlan plan;
+  if (num_rows_ == 0) return plan;
+  // Predicates in storage order, so the RLE columns with the fewest runs
+  // narrow the ranges first.
+  std::vector<std::pair<size_t, uint32_t>> by_column;  // (column, local)
+  for (const Predicate& p : predicates) {
+    OLAPIDX_CHECK(attrs_.Contains(p.attr));
+    const size_t c =
+        static_cast<size_t>(column_of_[static_cast<size_t>(p.attr)]);
+    const std::vector<uint32_t>& dict = columns_[c].local_to_global;
+    const auto it = std::find(dict.begin(), dict.end(), p.value);
+    if (it == dict.end()) return plan;  // value absent: no row matches
+    by_column.emplace_back(c, static_cast<uint32_t>(it - dict.begin()));
   }
-  return full_states_[row - singles_before];
-}
+  std::sort(by_column.begin(), by_column.end());
 
-ColumnStore::ScanState::ScanState(const ColumnStore& s)
-    : store(s),
-      dims(static_cast<size_t>(s.num_dimensions_), 0),
-      run_index(s.columns_.size(), 0),
-      run_end(s.columns_.size(), 0) {}
-
-void ColumnStore::ScanState::Advance(size_t row) {
-  for (size_t c = 0; c < store.columns_.size(); ++c) {
-    const Column& col = store.columns_[c];
-    if (col.encoding == Encoding::kRle) {
-      if (row >= run_end[c]) {
-        // Entering the next run: one dictionary translation per run, not
-        // per row — the decode amortization the batched scans rely on.
-        size_t run = row == 0 ? 0 : run_index[c] + 1;
-        run_index[c] = run;
-        run_end[c] = run + 1 < col.rle.starts.size()
-                         ? col.rle.starts[run + 1]
-                         : store.num_rows_;
-        dims[static_cast<size_t>(col.attr)] =
-            col.local_to_global[col.rle.values[run]];
-      }
-    } else {
-      dims[static_cast<size_t>(col.attr)] =
-          col.local_to_global[col.LocalAt(row)];
+  plan.ranges.emplace_back(0, num_rows_);
+  for (const auto& [c, local] : by_column) {
+    const Column& col = columns_[c];
+    if (col.encoding == Encoding::kPacked) {
+      plan.packed_checks.emplace_back(&col, local);
+      continue;
     }
+    // Intersect the ranges with the column's runs of `local`.
+    std::vector<std::pair<size_t, size_t>> narrowed;
+    size_t run = 0;
+    for (const auto& [first, last] : plan.ranges) {
+      for (run = RunAt(col, run, first);
+           run < col.rle.num_runs() && col.rle.starts[run] < last; ++run) {
+        if (col.rle.values[run] != local) continue;
+        narrowed.emplace_back(std::max<size_t>(first, col.rle.starts[run]),
+                              std::min(last, RunEnd(col, run)));
+      }
+      --run;  // the last run seen may also hold the next range's start
+    }
+    plan.ranges = std::move(narrowed);
+    if (plan.ranges.empty()) return plan;
   }
-  const size_t word = row >> 6;
-  if (store.IsSingleton(row)) {
-    state = AggregateState::OfMeasure(store.single_sums_[next_single]);
-    ++next_single;
-  } else {
-    state = store.full_states_[next_full];
-    ++next_full;
+
+  for (const Column& col : columns_) {
+    if (!decode.Contains(col.attr)) continue;
+    (col.encoding == Encoding::kRle ? plan.rle_decode : plan.packed_decode)
+        .push_back(&col);
   }
-  (void)word;
+  return plan;
 }
 
 size_t ColumnStore::ColumnBytes(int attr) const {
@@ -282,6 +288,12 @@ size_t ColumnStore::CompressedBytes() const {
 size_t ColumnStore::RowStoreBytes(const MaterializedView& view) {
   return view.num_rows() *
          (view.attrs().ToVector().size() * 4 + sizeof(AggregateState));
+}
+
+bool ColumnStore::IsRunLength(int attr) const {
+  const int c = column_of_[static_cast<size_t>(attr)];
+  OLAPIDX_CHECK(c >= 0);
+  return columns_[static_cast<size_t>(c)].encoding == Encoding::kRle;
 }
 
 size_t ColumnStore::NumRuns(int attr) const {

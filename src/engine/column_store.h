@@ -30,18 +30,22 @@
 // MaterializedView keeps working unchanged (roll-ups, deltas, indexes),
 // and the executor's scan path reads whichever representation the catalog
 // says is attached; a refresh re-encodes it from the refreshed view
-// (Catalog::RefreshAfterAppend). Scan() decodes sequentially with
-// per-run — not per-row — dictionary translation, which is where the
-// batched executor's decode amortization comes from. Note the store's row
-// order differs from the view's: scans visit the same set of rows in a
-// different order, so per-group float accumulation can differ from the
-// row store in the last ulp (exact-measure cubes, e.g. dyadic measures,
-// are bit-identical; see column_store_test).
+// (Catalog::RefreshAfterAppend). Scan() is selection-first: equality
+// predicates run on local codes before anything is decoded, RLE predicate
+// columns skip whole runs, and only the requested columns of matching
+// rows are decoded, with one dictionary translation per run of an RLE
+// column. Note the store's row order differs from the view's: scans visit
+// the same set of rows in a different order, so per-group float
+// accumulation can differ from the row store in the last ulp
+// (exact-measure cubes, e.g. dyadic measures, are bit-identical; see
+// column_store_test).
 
 #ifndef OLAPIDX_ENGINE_COLUMN_STORE_H_
 #define OLAPIDX_ENGINE_COLUMN_STORE_H_
 
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "engine/materialized_view.h"
@@ -90,24 +94,49 @@ class ColumnStore {
   size_t num_rows() const { return num_rows_; }
   bool reordered() const { return reordered_; }
 
-  // ---- Sequential scan (the hot path) ----
+  // One equality predicate of a scan: attribute `attr` (in attrs())
+  // holds the global code `value`.
+  struct Predicate {
+    int attr;
+    uint32_t value;
+  };
+
+  // ---- Scan (the hot path) ----
   //
-  // fn(row, dims, state): `dims` is indexed by attribute id and holds the
-  // current row's *global* dimension codes for every attribute of the
-  // view; `state` is the row's reconstructed AggregateState. Dictionary
-  // translation happens once per run for RLE columns.
+  // Visits the rows that satisfy every predicate, in ascending storage
+  // order, calling fn(row, dims, state): `dims` is indexed by attribute id
+  // and holds the row's *global* codes of the `decode` attributes (other
+  // entries are unspecified); `state` is the row's reconstructed
+  // AggregateState. Each predicate value maps to its local code once (a
+  // value absent from the column matches no row); the matching runs of
+  // RLE predicate columns intersect into row ranges, and packed predicate
+  // columns compare local codes within them. Only matching rows are
+  // decoded.
+  template <typename Fn>
+  void Scan(const std::vector<Predicate>& predicates, AttributeSet decode,
+            Fn&& fn) const;
+
+  // Every row, every attribute decoded.
   template <typename Fn>
   void Scan(Fn&& fn) const {
-    ScanState cursor(*this);
-    for (size_t r = 0; r < num_rows_; ++r) {
-      cursor.Advance(r);
-      fn(r, cursor.dims.data(), cursor.state);
-    }
+    Scan({}, attrs_, std::forward<Fn>(fn));
   }
 
   // ---- Random access (tests, spot checks; O(log runs) for RLE) ----
-  uint32_t dim(size_t row, int attr) const;       // global code
-  AggregateState aggregate(size_t row) const;     // bit-exact reconstruction
+  uint32_t dim(size_t row, int attr) const;  // global code
+  // Bit-exact reconstruction, through the singleton rank directory.
+  AggregateState aggregate(size_t row) const {
+    OLAPIDX_DCHECK(row < num_rows_);
+    const size_t word = row >> 6;
+    const uint64_t bit = uint64_t{1} << (row & 63);
+    const size_t singles_before =
+        single_rank_[word] +
+        static_cast<size_t>(std::popcount(single_bits_[word] & (bit - 1)));
+    if ((single_bits_[word] & bit) != 0) {
+      return AggregateState::OfMeasure(single_sums_[singles_before]);
+    }
+    return full_states_[row - singles_before];
+  }
 
   // ---- Size accounting ----
   // Compressed payload: column encodings + local dictionaries + aggregate
@@ -121,6 +150,8 @@ class ColumnStore {
   // Compressed bytes of the aggregate plane.
   size_t AggregateBytes() const;
   size_t NumRuns(int attr) const;
+  // Whether `attr`'s column is run-length encoded (else bit-packed).
+  bool IsRunLength(int attr) const;
 
  private:
   ColumnStore() = default;
@@ -140,32 +171,38 @@ class ColumnStore {
     int bits = 0;
 
     uint32_t LocalAt(size_t row) const;
+    // Local code of row `row` of a kPacked column.
+    uint32_t PackedAt(size_t row) const {
+      const size_t bit = row * static_cast<size_t>(bits);
+      const size_t word = bit >> 6;
+      const int shift = static_cast<int>(bit & 63);
+      uint64_t v = packed[word] >> shift;
+      if (shift + bits > 64) v |= packed[word + 1] << (64 - shift);
+      return static_cast<uint32_t>(v & ((uint64_t{1} << bits) - 1));
+    }
     size_t PayloadBytes() const;
   };
 
-  // Per-row sequential decoder shared by Scan(); kept out of the template
-  // so the per-column cursor logic lives in the .cc.
-  struct ScanState {
-    explicit ScanState(const ColumnStore& store);
-    void Advance(size_t row);
-
-    const ColumnStore& store;
-    std::vector<uint32_t> dims;  // by attribute id
-    // Per column (store order): index of the current run and the row at
-    // which it ends (RLE columns only).
-    std::vector<size_t> run_index;
-    std::vector<size_t> run_end;
-    // Aggregate plane cursors.
-    size_t next_single = 0;
-    size_t next_full = 0;
-    AggregateState state;
+  // What one Scan reads, resolved once per scan by PlanScan.
+  struct ScanPlan {
+    // Row ranges [first, second) in which every RLE predicate holds,
+    // ascending and disjoint; empty when no row can match.
+    std::vector<std::pair<size_t, size_t>> ranges;
+    // Packed predicate columns and the local code each must hold.
+    std::vector<std::pair<const Column*, uint32_t>> packed_checks;
+    // Columns to decode, by encoding.
+    std::vector<const Column*> rle_decode;
+    std::vector<const Column*> packed_decode;
   };
+  ScanPlan PlanScan(const std::vector<Predicate>& predicates,
+                    AttributeSet decode) const;
 
-  uint32_t LocalToGlobal(const Column& c, uint32_t local) const {
-    return c.local_to_global[local];
-  }
-  bool IsSingleton(size_t row) const {
-    return (single_bits_[row >> 6] >> (row & 63)) & 1;
+  // Index of the run of RLE column `col` holding `row`, searching forward
+  // from run `from` (the run of an earlier row).
+  static size_t RunAt(const Column& col, size_t from, size_t row);
+  size_t RunEnd(const Column& col, size_t run) const {
+    return run + 1 < col.rle.starts.size() ? col.rle.starts[run + 1]
+                                           : num_rows_;
   }
 
   AttributeSet attrs_;
@@ -184,6 +221,44 @@ class ColumnStore {
   std::vector<double> single_sums_;       // one per singleton row
   std::vector<AggregateState> full_states_;  // one per non-singleton row
 };
+
+template <typename Fn>
+void ColumnStore::Scan(const std::vector<Predicate>& predicates,
+                       AttributeSet decode, Fn&& fn) const {
+  const ScanPlan plan = PlanScan(predicates, decode);
+  std::vector<uint32_t> dims(static_cast<size_t>(num_dimensions_), 0);
+  // Forward-only cursor per decoded RLE column: its current run and the
+  // row that run ends at (0 before the first matching row, so that row
+  // seeks from run 0).
+  std::vector<size_t> run(plan.rle_decode.size(), 0);
+  std::vector<size_t> run_end(plan.rle_decode.size(), 0);
+  for (const auto& [first, last] : plan.ranges) {
+    for (size_t r = first; r < last; ++r) {
+      bool match = true;
+      for (const auto& [col, local] : plan.packed_checks) {
+        if (col->PackedAt(r) != local) {
+          match = false;
+          break;
+        }
+      }
+      if (!match) continue;
+      for (size_t k = 0; k < plan.rle_decode.size(); ++k) {
+        if (r < run_end[k]) continue;
+        // Entering another run: one dictionary translation per run.
+        const Column& col = *plan.rle_decode[k];
+        run[k] = RunAt(col, run[k], r);
+        run_end[k] = RunEnd(col, run[k]);
+        dims[static_cast<size_t>(col.attr)] =
+            col.local_to_global[col.rle.values[run[k]]];
+      }
+      for (const Column* col : plan.packed_decode) {
+        dims[static_cast<size_t>(col->attr)] =
+            col->local_to_global[col->PackedAt(r)];
+      }
+      fn(r, static_cast<const uint32_t*>(dims.data()), aggregate(r));
+    }
+  }
+}
 
 }  // namespace olapidx
 

@@ -128,15 +128,19 @@ GroupedResult Executor::Execute(
         sizeof(AggregateState);
     if (store != nullptr) {
       used_columnar = true;
-      store->Scan([&](size_t r, const uint32_t* dims,
+      std::vector<ColumnStore::Predicate> preds;
+      preds.reserve(sel_attrs.size());
+      for (size_t i = 0; i < sel_attrs.size(); ++i) {
+        preds.push_back({sel_attrs[i], selection_values[i]});
+      }
+      // Only matching rows are visited, but the scan's cost is still the
+      // view's row count: the paper's measure.
+      store->Scan(preds, query.group_by(),
+                  [&](size_t, const uint32_t* dims,
                       const AggregateState& state) {
-        (void)r;
-        ++rows_processed;
-        for (int a : sel_attrs) {
-          if (dims[a] != sel_value[static_cast<size_t>(a)]) return;
-        }
-        acc.AddDims(dims, state);
-      });
+                    acc.AddDims(dims, state);
+                  });
+      rows_processed = store->num_rows();
       bytes_scanned = store->CompressedBytes();
     } else {
       std::vector<SelPred> preds;

@@ -6,6 +6,7 @@
 #ifndef OLAPIDX_ENGINE_EXECUTOR_H_
 #define OLAPIDX_ENGINE_EXECUTOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -51,12 +52,61 @@ struct PlannedAccess {
 // stable sort front.
 PlannedAccess PlanAccess(const Catalog& catalog, const SliceQuery& query);
 
-// A group-by result: one row per group, sorted by group key. Carries the
-// full distributive aggregate state per group; `sums` mirrors the SUM
-// values for convenience, and Value(row, kind) answers any AggregateKind.
+// The group keys of a GroupedResult, row-major in one flat array: row r's
+// values, parallel to group_attrs, are the `width` values starting at
+// r * width. keys[r] is a view of one row.
+class ResultKeys {
+ public:
+  class Row {
+   public:
+    using const_iterator = const uint32_t*;
+    using iterator = const_iterator;
+
+    Row(const uint32_t* data, size_t size) : data_(data), size_(size) {}
+
+    const uint32_t* data() const { return data_; }
+    size_t size() const { return size_; }
+    uint32_t operator[](size_t i) const { return data_[i]; }
+    const uint32_t* begin() const { return data_; }
+    const uint32_t* end() const { return data_ + size_; }
+
+    friend bool operator==(const Row& a, const Row& b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+   private:
+    const uint32_t* data_;
+    size_t size_;
+  };
+
+  ResultKeys() = default;
+  // `rows` rows of `width` zeroed values.
+  ResultKeys(size_t width, size_t rows)
+      : width_(width), rows_(rows), values_(width * rows, 0) {}
+
+  size_t size() const { return rows_; }
+  Row operator[](size_t row) const {
+    return Row(values_.data() + row * width_, width_);
+  }
+  uint32_t* mutable_row(size_t row) { return values_.data() + row * width_; }
+
+  // The row count is compared apart from the values, which a zero width
+  // leaves empty for any number of rows.
+  friend bool operator==(const ResultKeys& a, const ResultKeys& b) = default;
+
+ private:
+  size_t width_ = 0;
+  size_t rows_ = 0;
+  std::vector<uint32_t> values_;
+};
+
+// A group-by result: one row per group, sorted by group key, with the
+// keys row-major in one flat array. Carries the full distributive
+// aggregate state per group; `sums` mirrors the SUM values for
+// convenience, and Value(row, kind) answers any AggregateKind.
 struct GroupedResult {
   std::vector<int> group_attrs;             // ascending attribute ids
-  std::vector<std::vector<uint32_t>> keys;  // [row] parallel to group_attrs
+  ResultKeys keys;                          // [row] parallel to group_attrs
   std::vector<double> sums;
   std::vector<AggregateState> aggregates;   // parallel to keys
 

@@ -1,5 +1,6 @@
-// GroupAccumulator: accumulates (group key → aggregate state) pairs and
-// emits a GroupedResult sorted by encoded group key. Shared by the serial
+// GroupAccumulator: accumulates (group key → aggregate state) pairs in a
+// GroupTable and emits a GroupedResult sorted by encoded group key, its
+// keys decoded row-major into one flat array. Shared by the serial
 // Executor and the BatchExecutor so both produce byte-identical results —
 // the per-group merge order is the row visit order, so two scans of the
 // same storage in the same order agree bitwise.
@@ -7,12 +8,11 @@
 #ifndef OLAPIDX_ENGINE_GROUP_ACCUMULATOR_H_
 #define OLAPIDX_ENGINE_GROUP_ACCUMULATOR_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/executor.h"
+#include "engine/group_table.h"
 #include "engine/key_codec.h"
 
 namespace olapidx {
@@ -29,7 +29,7 @@ class GroupAccumulator {
     for (size_t i = 0; i < attrs_.size(); ++i) {
       scratch_[i] = value_of(attrs_[i]);
     }
-    groups_[codec_.EncodePrefix(scratch_)].Merge(state);
+    groups_.Merge(codec_.EncodePrefix(scratch_), state);
   }
 
   // Hoisted-column variant: `cols[i]` is the raw column of group-by
@@ -41,7 +41,7 @@ class GroupAccumulator {
     for (size_t i = 0; i < attrs_.size(); ++i) {
       scratch_[i] = cols[i][row];
     }
-    groups_[codec_.EncodePrefix(scratch_)].Merge(state);
+    groups_.Merge(codec_.EncodePrefix(scratch_), state);
   }
 
   // Decoded-row variant for columnar scans: `dims` is indexed by
@@ -51,40 +51,32 @@ class GroupAccumulator {
     for (size_t i = 0; i < attrs_.size(); ++i) {
       scratch_[i] = dims[static_cast<size_t>(attrs_[i])];
     }
-    groups_[codec_.EncodePrefix(scratch_)].Merge(state);
+    groups_.Merge(codec_.EncodePrefix(scratch_), state);
   }
 
   GroupedResult Finish() const {
     GroupedResult out;
     out.group_attrs = attrs_;
-    // Sort (key, state) pairs once instead of sorting keys and re-probing
-    // the hash map per key — Finish dominates large-rollup queries.
-    std::vector<std::pair<uint64_t, const AggregateState*>> entries;
-    entries.reserve(groups_.size());
-    for (const auto& [key, state] : groups_) {
-      entries.emplace_back(key, &state);
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    out.keys.reserve(entries.size());
-    out.sums.reserve(entries.size());
-    out.aggregates.reserve(entries.size());
-    for (const auto& [key, state] : entries) {
-      std::vector<uint32_t> row(attrs_.size());
-      for (size_t i = 0; i < attrs_.size(); ++i) {
-        row[i] = codec_.Decode(key, static_cast<int>(i));
+    const size_t width = attrs_.size();
+    out.keys = ResultKeys(width, groups_.size());
+    out.sums.reserve(groups_.size());
+    out.aggregates.reserve(groups_.size());
+    size_t row = 0;
+    groups_.Emit([&](uint64_t key, const AggregateState& state) {
+      uint32_t* values = out.keys.mutable_row(row++);
+      for (size_t i = 0; i < width; ++i) {
+        values[i] = codec_.Decode(key, static_cast<int>(i));
       }
-      out.keys.push_back(std::move(row));
-      out.sums.push_back(state->sum);
-      out.aggregates.push_back(*state);
-    }
+      out.sums.push_back(state.sum);
+      out.aggregates.push_back(state);
+    });
     return out;
   }
 
  private:
   std::vector<int> attrs_;
   KeyCodec codec_;
-  std::unordered_map<uint64_t, AggregateState> groups_;
+  GroupTable groups_;
   std::vector<uint32_t> scratch_;
 };
 

@@ -1,9 +1,8 @@
 #include "engine/materialized_view.h"
 
-#include <algorithm>
 #include <cstddef>
-#include <unordered_map>
 
+#include "engine/group_table.h"
 #include "engine/key_codec.h"
 
 namespace olapidx {
@@ -46,32 +45,23 @@ MaterializedView::MaterializedView(const CubeSchema& schema,
 template <typename DimFn, typename StateFn>
 void MaterializedView::Aggregate(size_t rows, DimFn&& dim_of,
                                  StateFn&& state_of) {
-  KeyCodec codec(schema_, attr_list_);
-  std::unordered_map<uint64_t, AggregateState> groups;
-  groups.reserve(rows);
-  std::vector<uint32_t> dims(
-      static_cast<size_t>(schema_.num_dimensions()), 0);
+  const KeyCodec codec(schema_, attr_list_);
+  GroupTable groups;
   for (size_t r = 0; r < rows; ++r) {
-    for (int a : attr_list_) {
-      dims[static_cast<size_t>(a)] = dim_of(r, a);
+    uint64_t key = 0;
+    for (size_t i = 0; i < attr_list_.size(); ++i) {
+      key |= codec.Encode(static_cast<int>(i), dim_of(r, attr_list_[i]));
     }
-    groups[codec.EncodeRow(dims)].Merge(state_of(r));
+    groups.Merge(key, state_of(r));
   }
-  std::vector<uint64_t> keys;
-  keys.reserve(groups.size());
-  for (const auto& [key, state] : groups) {
-    (void)state;
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  for (auto& col : columns_) col.reserve(keys.size());
-  states_.reserve(keys.size());
-  for (uint64_t key : keys) {
+  for (auto& col : columns_) col.reserve(groups.size());
+  states_.reserve(groups.size());
+  groups.Emit([&](uint64_t key, const AggregateState& state) {
     for (size_t i = 0; i < attr_list_.size(); ++i) {
       columns_[i].push_back(codec.Decode(key, static_cast<int>(i)));
     }
-    states_.push_back(groups.find(key)->second);
-  }
+    states_.push_back(state);
+  });
 }
 
 MaterializedView MaterializedView::FromFactTable(const FactTable& fact,

@@ -303,6 +303,200 @@ TEST(ColumnStoreTest, RowOrderMatchesComparatorSortAtSixtyFourBits) {
 }
 
 // ---------------------------------------------------------------------------
+// Selection-first scan vs. a full scan filtered afterwards.
+// ---------------------------------------------------------------------------
+
+// One row a scan visits: its storage row, the decoded attributes' codes
+// (in ascending attribute order) and its state.
+struct Visit {
+  size_t row;
+  std::vector<uint32_t> dims;
+  AggregateState state;
+};
+
+// The oracle: every storage row in order, read by random access, kept if
+// it satisfies every predicate.
+std::vector<Visit> FilteredFullScan(
+    const ColumnStore& store,
+    const std::vector<ColumnStore::Predicate>& predicates,
+    AttributeSet decode) {
+  std::vector<Visit> visits;
+  for (size_t r = 0; r < store.num_rows(); ++r) {
+    bool match = true;
+    for (const ColumnStore::Predicate& p : predicates) {
+      if (store.dim(r, p.attr) != p.value) match = false;
+    }
+    if (!match) continue;
+    Visit v{r, {}, store.aggregate(r)};
+    for (int a : decode.ToVector()) v.dims.push_back(store.dim(r, a));
+    visits.push_back(std::move(v));
+  }
+  return visits;
+}
+
+std::vector<Visit> SelectionFirstScan(
+    const ColumnStore& store,
+    const std::vector<ColumnStore::Predicate>& predicates,
+    AttributeSet decode) {
+  std::vector<Visit> visits;
+  store.Scan(predicates, decode,
+             [&](size_t r, const uint32_t* dims, const AggregateState& st) {
+               Visit v{r, {}, st};
+               for (int a : decode.ToVector()) {
+                 v.dims.push_back(dims[static_cast<size_t>(a)]);
+               }
+               visits.push_back(std::move(v));
+             });
+  return visits;
+}
+
+void ExpectSameVisits(const std::vector<Visit>& actual,
+                      const std::vector<Visit>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(actual[i].row, expected[i].row) << "visit " << i;
+    ASSERT_EQ(actual[i].dims, expected[i].dims) << "visit " << i;
+    ASSERT_TRUE(StatesBitEq(actual[i].state, expected[i].state))
+        << "visit " << i;
+  }
+}
+
+// Skewed rows whose dimension values never reach the last code of their
+// domain, so every column's dictionary lacks an in-domain value.
+FactTable FactsMissingLastCodes(const CubeSchema& schema, size_t rows,
+                                uint64_t seed) {
+  FactTable fact(schema);
+  Pcg32 rng(seed);
+  std::vector<uint32_t> dims(static_cast<size_t>(schema.num_dimensions()));
+  for (size_t r = 0; r < rows; ++r) {
+    for (int a = 0; a < schema.num_dimensions(); ++a) {
+      const uint32_t domain =
+          static_cast<uint32_t>(schema.dimension(a).cardinality) - 1;
+      // Squaring a uniform draw skews values toward 0: long runs up front.
+      const uint32_t u = rng.NextBounded(domain * domain);
+      uint32_t v = 0;
+      while ((v + 1) * (v + 1) <= u) ++v;
+      dims[static_cast<size_t>(a)] = v;
+    }
+    fact.Append(dims, static_cast<double>(rng.NextBounded(1000)) / 7.0);
+  }
+  return fact;
+}
+
+TEST(ColumnStoreTest, SelectionFirstScanMatchesFilteredFullScan) {
+  const CubeSchema schema = TestSchema();
+  const FactTable fact = FactsMissingLastCodes(schema, 3000, /*seed=*/61);
+  Pcg32 rng(67);
+  bool saw_rle_predicate = false;
+  bool saw_packed_predicate = false;
+  bool saw_absent_value = false;
+  for (uint32_t mask : {0x1u, 0x3u, 0x7u, 0xbu, 0xfu}) {
+    const AttributeSet attrs = AttributeSet::FromMask(mask);
+    const MaterializedView view = MaterializedView::FromFactTable(fact, attrs);
+    for (bool reorder : {true, false}) {
+      const ColumnStore store =
+          ColumnStore::FromView(view, ColumnStoreOptions{reorder});
+      // Every predicate set (none, some, all columns), each with values of
+      // a random row, once more with one value absent from its column, and
+      // every decode set.
+      for (AttributeSet selection : attrs.Subsets()) {
+        for (int variant = 0; variant < 3; ++variant) {
+          const size_t row = rng.NextBounded(
+              static_cast<uint32_t>(store.num_rows()));
+          std::vector<ColumnStore::Predicate> predicates;
+          for (int a : selection.ToVector()) {
+            predicates.push_back({a, store.dim(row, a)});
+            (store.IsRunLength(a) ? saw_rle_predicate
+                                  : saw_packed_predicate) = true;
+          }
+          if (variant == 2 && !predicates.empty()) {
+            predicates.back().value = static_cast<uint32_t>(
+                schema.dimension(predicates.back().attr).cardinality - 1);
+            saw_absent_value = true;
+          }
+          for (AttributeSet decode : attrs.Subsets()) {
+            SCOPED_TRACE(::testing::Message()
+                         << "view " << mask << " reorder " << reorder
+                         << " selection " << selection.mask() << " variant "
+                         << variant << " decode " << decode.mask());
+            const std::vector<Visit> expected =
+                FilteredFullScan(store, predicates, decode);
+            ExpectSameVisits(SelectionFirstScan(store, predicates, decode),
+                             expected);
+            if (variant == 2 && !predicates.empty()) {
+              EXPECT_TRUE(expected.empty());
+            }
+            if (variant < 2 && selection == attrs) {
+              EXPECT_EQ(expected.size(), 1u);  // the full key picks one row
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_rle_predicate);
+  EXPECT_TRUE(saw_packed_predicate);
+  EXPECT_TRUE(saw_absent_value);
+}
+
+TEST(ColumnStoreTest, SelectionFirstScanClipsRunsToRanges) {
+  // Without reordering the store keeps the view's (a, b, c, d) order, and
+  // b's run of 3 spans the a = 0 | 1 | 2 boundaries: a predicate on b must
+  // only keep the part of that run inside a's matching range.
+  const CubeSchema schema = TestSchema();
+  FactTable fact(schema);
+  const std::vector<std::pair<uint32_t, uint32_t>> ab = {
+      {0, 0}, {0, 3}, {1, 3}, {2, 3}, {2, 5}};
+  for (const auto& [a, b] : ab) {
+    for (uint32_t c = 0; c < 4; ++c) {
+      for (uint32_t d = 0; d < 9; ++d) {
+        fact.Append({a, b, c, d}, 0.5 + a + b + c + d);
+      }
+    }
+  }
+  const MaterializedView view =
+      MaterializedView::FromFactTable(fact, AttributeSet::Of({0, 1, 2, 3}));
+  for (bool reorder : {false, true}) {
+    const ColumnStore store =
+        ColumnStore::FromView(view, ColumnStoreOptions{reorder});
+    if (!reorder) {
+      ASSERT_TRUE(store.IsRunLength(0));
+      ASSERT_TRUE(store.IsRunLength(1));
+      ASSERT_EQ(store.NumRuns(1), 3u);
+    }
+    for (AttributeSet selection : store.attrs().Subsets()) {
+      for (size_t row = 0; row < store.num_rows(); row += 7) {
+        std::vector<ColumnStore::Predicate> predicates;
+        for (int a : selection.ToVector()) {
+          predicates.push_back({a, store.dim(row, a)});
+        }
+        SCOPED_TRACE(::testing::Message() << "reorder " << reorder
+                                          << " selection " << selection.mask()
+                                          << " row " << row);
+        ExpectSameVisits(SelectionFirstScan(store, predicates, store.attrs()),
+                         FilteredFullScan(store, predicates, store.attrs()));
+      }
+    }
+  }
+}
+
+TEST(ColumnStoreTest, SelectionFirstScanOfEmptyStore) {
+  const FactTable fact(TestSchema());
+  const MaterializedView view =
+      MaterializedView::FromFactTable(fact, AttributeSet::Of({0, 1}));
+  const ColumnStore store = ColumnStore::FromView(view);
+  size_t visits = 0;
+  store.Scan({{0, 0}}, store.attrs(),
+             [&](size_t, const uint32_t*, const AggregateState&) {
+               ++visits;
+             });
+  store.Scan([&](size_t, const uint32_t*, const AggregateState&) {
+    ++visits;
+  });
+  EXPECT_EQ(visits, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Executor over the compressed store.
 // ---------------------------------------------------------------------------
 

@@ -1,10 +1,17 @@
 #include "engine/materialized_view.h"
 
+#include <algorithm>
+#include <cstring>
 #include <map>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "data/fact_generator.h"
+#include "engine/key_codec.h"
 
 namespace olapidx {
 namespace {
@@ -105,6 +112,142 @@ TEST(MaterializedViewTest, SumsPreserveTotal) {
     double view_total = 0.0;
     for (size_t r = 0; r < v.num_rows(); ++r) view_total += v.sum(r);
     EXPECT_NEAR(view_total, total, 1e-6) << "mask " << mask;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bit-exact oracle: the unordered_map + sort aggregation views used before
+// GroupTable, merging in row order from AggregateState{}.
+// ---------------------------------------------------------------------------
+
+using KeyedStates = std::vector<std::pair<uint64_t, AggregateState>>;
+
+bool StatesBitEq(const AggregateState& a, const AggregateState& b) {
+  return std::memcmp(&a.sum, &b.sum, sizeof(double)) == 0 &&
+         a.count == b.count &&
+         std::memcmp(&a.min, &b.min, sizeof(double)) == 0 &&
+         std::memcmp(&a.max, &b.max, sizeof(double)) == 0;
+}
+
+// Groups rows [0, rows) by `codec`'s attributes in row order; the result
+// is sorted by key.
+template <typename DimFn, typename StateFn>
+KeyedStates OracleAggregate(const KeyCodec& codec, size_t rows,
+                            DimFn&& dim_of, StateFn&& state_of) {
+  std::unordered_map<uint64_t, AggregateState> groups;
+  for (size_t r = 0; r < rows; ++r) {
+    uint64_t key = 0;
+    for (int i = 0; i < codec.num_attrs(); ++i) {
+      key |= codec.Encode(i, dim_of(r, codec.attr_order()[
+                                          static_cast<size_t>(i)]));
+    }
+    groups[key].Merge(state_of(r));
+  }
+  KeyedStates out(groups.begin(), groups.end());
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  return out;
+}
+
+void ExpectViewEquals(const MaterializedView& view, const KeyCodec& codec,
+                      const KeyedStates& expected) {
+  ASSERT_EQ(view.num_rows(), expected.size());
+  for (size_t r = 0; r < view.num_rows(); ++r) {
+    ASSERT_EQ(view.KeyAt(codec, r), expected[r].first) << "row " << r;
+    ASSERT_TRUE(StatesBitEq(view.aggregate(r), expected[r].second))
+        << "row " << r;
+  }
+}
+
+// Zipf-skewed rows (so groups repeat) with fractional measures, a few of
+// them -0.0.
+FactTable OracleFacts(size_t rows, uint64_t seed) {
+  const CubeSchema schema({Dimension{"a", 12}, Dimension{"b", 7},
+                           Dimension{"c", 4}, Dimension{"d", 9}});
+  const FactTable skewed = GenerateZipfFacts(schema, rows, 1.1, seed);
+  FactTable fact(schema);
+  Pcg32 rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const double measure =
+        rng.NextBounded(16) == 0
+            ? -0.0
+            : static_cast<double>(rng.NextBounded(100000)) / 3.0;
+    fact.Append(skewed.RowDims(r), measure);
+  }
+  return fact;
+}
+
+TEST(MaterializedViewTest, FromFactTableMatchesOracleBitExactly) {
+  const FactTable fact = OracleFacts(3000, 51);
+  for (uint32_t mask = 0; mask < 16; ++mask) {
+    SCOPED_TRACE(::testing::Message() << "mask " << mask);
+    const AttributeSet attrs = AttributeSet::FromMask(mask);
+    const KeyCodec codec(fact.schema(), attrs.ToVector());
+    ExpectViewEquals(
+        MaterializedView::FromFactTable(fact, attrs), codec,
+        OracleAggregate(
+            codec, fact.num_rows(),
+            [&](size_t r, int a) { return fact.dim(r, a); },
+            [&](size_t r) {
+              return AggregateState::OfMeasure(fact.measure(r));
+            }));
+  }
+}
+
+TEST(MaterializedViewTest, FromViewMatchesOracleBitExactly) {
+  const FactTable fact = OracleFacts(3000, 53);
+  for (uint32_t parent_mask : {0xfu, 0xdu, 0x6u}) {
+    const MaterializedView parent = MaterializedView::FromFactTable(
+        fact, AttributeSet::FromMask(parent_mask));
+    for (AttributeSet attrs :
+         AttributeSet::FromMask(parent_mask).Subsets()) {
+      SCOPED_TRACE(::testing::Message() << "parent " << parent_mask
+                                        << " child " << attrs.mask());
+      const KeyCodec codec(fact.schema(), attrs.ToVector());
+      ExpectViewEquals(
+          MaterializedView::FromView(parent, attrs), codec,
+          OracleAggregate(
+              codec, parent.num_rows(),
+              [&](size_t r, int a) { return parent.dim(r, a); },
+              [&](size_t r) { return parent.aggregate(r); }));
+    }
+  }
+}
+
+TEST(MaterializedViewTest, ApplyDeltaMatchesOracleBitExactly) {
+  const FactTable fact = OracleFacts(4000, 57);
+  for (uint32_t mask = 0; mask < 16; ++mask) {
+    for (size_t split : {size_t{0}, size_t{1}, size_t{2500}, size_t{3999}}) {
+      SCOPED_TRACE(::testing::Message() << "mask " << mask << " split "
+                                        << split);
+      const AttributeSet attrs = AttributeSet::FromMask(mask);
+      const KeyCodec codec(fact.schema(), attrs.ToVector());
+      FactTable head(fact.schema());
+      for (size_t r = 0; r < split; ++r) {
+        head.Append(fact.RowDims(r), fact.measure(r));
+      }
+      MaterializedView view = MaterializedView::FromFactTable(head, attrs);
+      // Oracle: the delta's groups aggregated in fact-row order, each
+      // merged once into the existing group of its key or inserted.
+      std::map<uint64_t, AggregateState> expected;
+      for (size_t r = 0; r < view.num_rows(); ++r) {
+        expected.emplace(view.KeyAt(codec, r), view.aggregate(r));
+      }
+      const KeyedStates delta = OracleAggregate(
+          codec, fact.num_rows() - split,
+          [&](size_t r, int a) { return fact.dim(split + r, a); },
+          [&](size_t r) {
+            return AggregateState::OfMeasure(fact.measure(split + r));
+          });
+      for (const auto& [key, state] : delta) {
+        auto [it, inserted] = expected.emplace(key, state);
+        if (!inserted) it->second.Merge(state);
+      }
+      view.ApplyDelta(fact, split, fact.num_rows());
+      ExpectViewEquals(view, codec,
+                       KeyedStates(expected.begin(), expected.end()));
+    }
   }
 }
 

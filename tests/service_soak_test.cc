@@ -150,8 +150,14 @@ TEST(ServiceSoakTest, ConcurrentRequestsObservationsAndEpochs) {
 #endif
   // Final epoch closes with faults disarmed: the shifted distribution
   // must trigger a re-selection by now if none happened under fire.
+  // Drift compares an epoch with the one before it and reads 0 when
+  // either is empty, and on a loaded host the whole observation stream
+  // can land in one epoch. So each round first closes a baseline epoch of
+  // the early shape, then an epoch of the shifted one.
   (void)service.AdvanceEpoch();
   for (int i = 0; i < 3 && service.Stats().reselections == 0; ++i) {
+    for (int j = 0; j < 50; ++j) (void)service.Observe(Q(0b0011), 1.0);
+    (void)service.AdvanceEpoch();
     for (int j = 0; j < 50; ++j) {
       (void)service.Observe(Q(0b1100, 0b0010), 8.0);
     }
