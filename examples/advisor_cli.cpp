@@ -52,12 +52,12 @@
 // --zipf-queries), and the recommendation is printed as level vectors
 // plus index dimension orders. --sparse composes with --hierarchy: the
 // workload-pruned hierarchical build (--top-queries/--query-mass/
-// --max-views apply) with compressed cost columns and the streaming edge
-// sink, the only way past lattices whose dense census overflows. The
-// flat-cube inputs (--dims, --csv, --sizes, --workload, --out,
-// --dump-sizes, --checkpoint, --resume, --replay) do not apply in this
-// mode; --algorithm, --budget, --raw-penalty, --maintenance, --threads,
-// --deadline-ms, --max-stages, --metrics-json, and --trace-json all do.
+// --max-views apply), the only way past lattices whose dense census
+// overflows. The flat-cube inputs (--dims, --csv, --sizes, --workload,
+// --out, --dump-sizes, --checkpoint, --resume, --replay) do not apply in
+// this mode; --algorithm, --budget, --raw-penalty, --maintenance,
+// --threads, --deadline-ms, --max-stages, --metrics-json, and --trace-json
+// all do.
 //
 // Dimension sizes come from --sizes (olapidx-sizes v1 file), from the
 // analytical model given --rows, or — with --csv — measured from the data

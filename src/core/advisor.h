@@ -146,9 +146,8 @@ class Advisor {
 
   // Workload-pruned construction for 12–20 dimension cubes (see
   // core/sparse_cube_graph.h): prunes queries/views/indexes before any
-  // edge exists and stores compressed cost columns. Recommendations and
-  // plans cover the *retained* query set; sparse_stats() reports what was
-  // pruned.
+  // edge exists. Recommendations and plans cover the *retained* query set;
+  // sparse_stats() reports what was pruned.
   static StatusOr<Advisor> CreateSparse(
       const CubeSchema& schema, const ViewSizes& sizes,
       const Workload& workload, const SparseCubeGraphOptions& options = {});

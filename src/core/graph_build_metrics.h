@@ -30,19 +30,10 @@ struct BuildStats {
   uint64_t enumerate_micros = 0;
   uint64_t finalize_micros = 0;
   uint64_t total_micros = 0;
-  // Allocation accounting (not RSS): bytes of EdgeRuns emitted across all
-  // shards (buffered at once in buffered mode, total streamed in streaming
-  // mode), bytes of the finalized per-view cost tables, Finalize()'s
-  // scratch high-water (class-id maps, query stamps, transient prototype
-  // expansion), the sum of the shards' spill-buffer high-waters (streaming
-  // mode only), and the modeled peak. Buffered: Finalize() holds the
-  // counting-sorted run copy alongside either the draining shard batches
-  // or the growing cost tables + scratch, whichever is larger. Streaming:
-  // the sink's tracked high-water plus the shard windows.
-  uint64_t edge_run_bytes = 0;
-  uint64_t cost_table_bytes = 0;
-  uint64_t finalize_scratch_bytes = 0;
-  uint64_t sink_shard_bytes = 0;
+  // Modeled peak allocation (not RSS), the larger of two phases: while
+  // edges stream in, the edge sink's state plus the shards' spill windows;
+  // while Finalize() converts that state into the cost tables, the sink
+  // state and the tables alone.
   uint64_t peak_bytes = 0;
 };
 

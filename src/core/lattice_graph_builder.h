@@ -3,10 +3,10 @@
 // the hierarchical lattice (hierarchy/hierarchical_graph.cc). The paper's
 // Section 5 algorithms are lattice-agnostic, and so is this builder: it
 // owns the phase sequence (structures → queries → sharded parallel edge
-// enumeration → deterministic merge → Finalize), the hoisted view-size
-// table, the EdgeRun buffering, the index-edge pruning rule, and the
-// graph_build.* instrumentation, while a LatticeProvider supplies the
-// lattice-specific pieces.
+// enumeration streamed into the graph's edge sink → Finalize), the hoisted
+// view-size table, the per-shard EdgeRun spill windows, the index-edge
+// pruning rule, and the graph_build.* instrumentation, while a
+// LatticeProvider supplies the lattice-specific pieces.
 //
 // LatticeProvider concept (duck-typed; see CubeLatticeProvider in
 // core/cube_graph.cc and HierarchicalLatticeProvider in
@@ -30,7 +30,7 @@
 //   uint32_t IndexColumnClass(Ctx& ctx, uint32_t v) const;
 //       // 0 iff v has no indexes; otherwise a non-zero id (< 2^20) such that
 //       // queries sharing it have bit-identical index-cost columns at v
-//       // (EdgeRun::col_class — lets Finalize() expand one prototype column
+//       // (EdgeRun::col_class — lets the graph store one prototype column
 //       // per class instead of one per query)
 //   void     ForEachIndexCostClass(Ctx& ctx, uint32_t v,
 //                                  const double* view_size, Emit&& emit) const;
@@ -79,16 +79,15 @@ struct LatticeGraphOptions {
   // hard-coded |C|/|E| path bit for bit. The model is read concurrently
   // from worker threads and must outlive the build.
   const CostModel* cost_model = nullptr;
-  // Streaming spill window: when > 0, each enumeration shard flushes its
-  // EdgeRun buffer into the graph's streaming sink
-  // (QueryViewGraph::ConsumeEdgeRuns) at the first query boundary past
-  // this many buffered bytes, so peak build memory is bounded by the
-  // accumulated per-view tables plus (window × shards) instead of every
-  // run at once. 0 keeps the historical buffer-everything path. Both
-  // settings produce bit-identical graphs for any thread count (the
-  // sink's merge is order-independent; the equivalence tests pin this).
-  size_t sink_window_bytes = 0;
 };
+
+// Streaming spill window: each enumeration shard flushes its EdgeRun
+// buffer into the graph's edge sink (QueryViewGraph::ConsumeEdgeRuns) at
+// the first query boundary past this many buffered bytes, so peak build
+// memory is bounded by the accumulated per-view tables plus (window ×
+// shards) instead of every run at once. The graph does not depend on it:
+// the sink's merge is order-independent.
+inline constexpr size_t kSinkWindowBytes = size_t{1} << 18;
 
 namespace lattice_build {
 
@@ -163,10 +162,10 @@ void WalkPrefixClasses(uint32_t view_mask, int m, int r, uint32_t sel,
 // problem and never fails.
 //
 // Edge enumeration: queries partitioned into contiguous chunks, one run
-// buffer per chunk. Chunk boundaries depend only on (|W|, thread count) and
-// each run's content only on its query, so the merged edge set — and,
-// because Finalize() min-merges labels per (view, query, index) slot — the
-// finalized graph is identical for every thread count.
+// buffer per chunk, spilled into the sink at query boundaries. Each run's
+// content depends only on its query, and the sink min-merges labels per
+// (view, query, index) slot whatever the flush order, so the finalized
+// graph is identical for every thread count.
 //
 // Index-edge pruning rule (THE one place it lives; both the flat and the
 // hierarchical path inherit it from here, and the retained reference
@@ -227,29 +226,23 @@ void BuildLatticeGraph(const Provider& provider,
   if (options.num_threads > 0) local_pool.emplace(options.num_threads);
   ThreadPool& pool = local_pool ? *local_pool : ThreadPool::Shared();
   const size_t num_chunks = pool.num_threads();
-  const bool streaming = options.sink_window_bytes > 0;
-  if (streaming) g.BeginStreamingEdges();
-  std::vector<std::vector<EdgeRun>> shard(num_chunks);
   struct ChunkCounters {
     uint64_t view_pairs = 0;
     uint64_t prefix_classes = 0;
     uint64_t index_edges = 0;
     uint64_t perms_skipped = 0;
-    uint64_t flushed_bytes = 0;  // total EdgeRun bytes streamed to the sink
-    uint64_t max_buffered = 0;   // this shard's buffer high-water
+    uint64_t max_buffered = 0;  // this shard's spill-buffer high-water
   };
   std::vector<ChunkCounters> counters(num_chunks);
   {
     OLAPIDX_TRACE_SPAN("graph_build.edges");
     pool.ParallelFor(nq, [&](size_t begin, size_t end, size_t chunk) {
-      std::vector<EdgeRun>& runs = shard[chunk];
+      std::vector<EdgeRun> runs;
       ChunkCounters& cc = counters[chunk];
       auto ctx = provider.MakeQueryContext();
       auto flush = [&] {
-        const uint64_t bytes =
-            static_cast<uint64_t>(runs.size()) * sizeof(EdgeRun);
-        cc.max_buffered = std::max(cc.max_buffered, bytes);
-        cc.flushed_bytes += bytes;
+        cc.max_buffered = std::max<uint64_t>(
+            cc.max_buffered, runs.size() * sizeof(EdgeRun));
         g.ConsumeEdgeRuns(runs);  // drains; capacity kept for reuse
       };
       for (size_t qi = begin; qi < end; ++qi) {
@@ -280,27 +273,18 @@ void BuildLatticeGraph(const Provider& provider,
         });
         // Spill only between queries: the sink requires a query's runs for
         // a view to arrive in one batch.
-        if (streaming &&
-            runs.size() * sizeof(EdgeRun) >= options.sink_window_bytes) {
-          flush();
-        }
+        if (runs.size() * sizeof(EdgeRun) >= kSinkWindowBytes) flush();
       }
-      if (streaming && !runs.empty()) flush();
+      if (!runs.empty()) flush();
     });
   }
-  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    if (streaming) {
-      stats.edge_run_bytes += counters[chunk].flushed_bytes;
-      stats.sink_shard_bytes += counters[chunk].max_buffered;
-    } else {
-      stats.edge_run_bytes +=
-          static_cast<uint64_t>(shard[chunk].size()) * sizeof(EdgeRun);
-      g.AddEdgeRuns(std::move(shard[chunk]));
-    }
-    stats.view_pairs += counters[chunk].view_pairs;
-    stats.prefix_classes += counters[chunk].prefix_classes;
-    stats.index_edges += counters[chunk].index_edges;
-    stats.perms_skipped += counters[chunk].perms_skipped;
+  uint64_t shard_window_bytes = 0;
+  for (const ChunkCounters& cc : counters) {
+    shard_window_bytes += cc.max_buffered;
+    stats.view_pairs += cc.view_pairs;
+    stats.prefix_classes += cc.prefix_classes;
+    stats.index_edges += cc.index_edges;
+    stats.perms_skipped += cc.perms_skipped;
   }
   stats.enumerate_micros = lattice_build::MicrosSince(build_start);
 
@@ -315,24 +299,12 @@ void BuildLatticeGraph(const Provider& provider,
   stats.structures = g.num_structures();
   stats.queries = g.num_queries();
   stats.total_micros = lattice_build::MicrosSince(build_start);
-  stats.cost_table_bytes = g.CostTableBytes();
-  stats.finalize_scratch_bytes = g.FinalizeScratchBytes();
-  if (streaming) {
-    // The sink tracked its own high-water (accumulated tables, in-flight
-    // batches, and the Finalize conversion); add the other shards' spill
-    // windows, which live outside the sink. One window is double-counted
-    // (the in-flight batch at the sink's peak moment) — conservative.
-    stats.peak_bytes = g.StreamingPeakBytes() + stats.sink_shard_bytes;
-  } else {
-    // Peak allocation model: Finalize() keeps the counting-sorted run copy
-    // (edge_run_bytes) alive while either draining the shard batches
-    // (another edge_run_bytes, freed incrementally) or writing the cost
-    // tables plus its dedup/prototype scratch, whichever dominates.
-    stats.peak_bytes =
-        stats.edge_run_bytes +
-        std::max(stats.edge_run_bytes,
-                 stats.cost_table_bytes + stats.finalize_scratch_bytes);
-  }
+  // While edges stream in, the shards' spill windows live beside the sink
+  // state (one window is double-counted: the batch in flight at the sink's
+  // peak moment — conservative); the shards free them before Finalize()
+  // converts the state into the tables.
+  stats.peak_bytes = std::max(g.IngestPeakBytes() + shard_window_bytes,
+                              g.FinalizePeakBytes());
   graph_build_metrics::RecordBuild(stats);
   if (stats_out != nullptr) *stats_out = stats;
 }

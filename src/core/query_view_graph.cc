@@ -9,24 +9,31 @@
 
 namespace olapidx {
 
-// The streaming sink: per-view accumulation state that ConsumeEdgeRuns()
-// scatters shard buffers into, replacing the buffered run_batches_ path.
-// Everything here is order-independent — duplicate labels min-merge and
-// each class prototype belongs to its lowest query id — so the finalized
-// tables are bit-identical to the buffered merge for any flush order.
+// The edge sink: per-view accumulation state that ConsumeEdgeRuns()
+// scatters run buffers into. Everything here is order-independent —
+// duplicate labels min-merge and each class prototype belongs to its lowest
+// query id — so the finalized tables are the same for any flush order.
 struct QueryViewGraph::StreamView {
-  // Parallel per-(query, view) entries — the future ViewQueries /
-  // view-cost / column-class arrays, appended in arrival order and sorted
-  // once in FinalizeStreaming().
-  std::vector<uint32_t> entry_query;
-  std::vector<double> entry_cost;   // view-edge (scan) cost, min-merged
-  std::vector<int32_t> entry_slot;  // class slot, -1 = no index edges
-  // One slot per distinct column class seen at this view.
-  std::vector<uint64_t> slot_key;
-  std::vector<uint32_t> slot_owner;  // lowest query seen in the class
-  std::vector<double> slot_protos;   // [slot * num_indexes + k], min-merged
+  // One per (query, view) pair: the future ViewQueries / view-cost /
+  // column arrays, appended in arrival order and sorted in Finalize().
+  struct Entry {
+    uint32_t query;
+    int32_t slot;  // class slot, -1 = no index edges
+    double cost;   // view-edge (scan) cost, min-merged
+  };
+  // One per distinct column class seen at this view, plus one per
+  // (query, view) pair of unshared (col_class 0) runs.
+  struct Slot {
+    uint32_t col_class;  // 0 = unshared
+    uint32_t owner;      // lowest query seen in the class
+  };
+  std::vector<Entry> entries;
+  std::vector<Slot> slots;
+  std::vector<double> slot_protos;  // [slot * num_indexes + k], min-merged
 };
 
+// Sizes are charged as logical bytes: the array elements above, plus
+// sizeof(StreamView) per view for the vector bookkeeping.
 struct QueryViewGraph::StreamState {
   std::mutex mu;
   std::vector<StreamView> views;
@@ -34,18 +41,7 @@ struct QueryViewGraph::StreamState {
   uint64_t peak_bytes = 0;   // high-water incl. in-flight batches
 };
 
-namespace {
-
-// Logical bytes charged per streaming entry / class slot (the parallel
-// array elements above; vector bookkeeping is covered by the per-view
-// sizeof(StreamView) charge).
-constexpr uint64_t kStreamEntryBytes =
-    sizeof(uint32_t) + sizeof(double) + sizeof(int32_t);
-constexpr uint64_t kStreamSlotBytes = sizeof(uint64_t) + sizeof(uint32_t);
-
-}  // namespace
-
-QueryViewGraph::QueryViewGraph() = default;
+QueryViewGraph::QueryViewGraph() : stream_(std::make_unique<StreamState>()) {}
 QueryViewGraph::QueryViewGraph(QueryViewGraph&&) noexcept = default;
 QueryViewGraph& QueryViewGraph::operator=(QueryViewGraph&&) noexcept =
     default;
@@ -145,7 +141,8 @@ void QueryViewGraph::AddViewEdge(uint32_t query, uint32_t view, double cost) {
   OLAPIDX_CHECK(query < num_queries());
   OLAPIDX_CHECK(view < num_views());
   OLAPIDX_CHECK(cost >= 0.0);
-  pending_.push_back(PendingEdge{query, view, StructureRef::kNoIndex, cost});
+  pending_.push_back(EdgeRun{query, view, StructureRef::kNoIndex,
+                             StructureRef::kNoIndex, cost});
 }
 
 void QueryViewGraph::AddIndexEdge(uint32_t query, uint32_t view,
@@ -155,7 +152,18 @@ void QueryViewGraph::AddIndexEdge(uint32_t query, uint32_t view,
   OLAPIDX_CHECK(view < num_views());
   OLAPIDX_CHECK(index >= 0 && index < num_indexes(view));
   OLAPIDX_CHECK(cost >= 0.0);
-  pending_.push_back(PendingEdge{query, view, index, cost});
+  // The next index of the last edge's (query, view) at the same cost
+  // extends that edge's run: the reference builders emit whole prefix
+  // classes this way.
+  if (!pending_.empty()) {
+    EdgeRun& last = pending_.back();
+    if (last.query == query && last.view == view &&
+        last.index_end == index && last.cost == cost) {
+      ++last.index_end;
+      return;
+    }
+  }
+  pending_.push_back(EdgeRun{query, view, index, index + 1, cost});
 }
 
 void QueryViewGraph::ValidateRun(const EdgeRun& run) const {
@@ -165,404 +173,185 @@ void QueryViewGraph::ValidateRun(const EdgeRun& run) const {
   if (run.index_begin != StructureRef::kNoIndex) {
     OLAPIDX_CHECK(run.index_begin >= 0 && run.index_begin < run.index_end &&
                   run.index_end <= num_indexes(run.view));
-    // Class ids index dense scratch in Finalize(); keep them small. The
-    // cube builders use (selection ∩ view) + 1, which reaches 2^n at the
-    // kMaxDimensions = 20 ceiling the sparse path supports.
+    // Class ids are small dense integers: the cube builders use
+    // (selection ∩ view) + 1, which reaches 2^n at the kMaxDimensions = 20
+    // ceiling the sparse path supports.
     OLAPIDX_CHECK(run.col_class <= (1u << 20));
   }
 }
 
-void QueryViewGraph::AddIndexEdgeRun(uint32_t query, uint32_t view,
-                                     int32_t index_begin, int32_t index_end,
-                                     double cost) {
-  OLAPIDX_CHECK(!finalized_);
-  EdgeRun run{query, view, index_begin, index_end, cost};
-  OLAPIDX_CHECK(index_begin != StructureRef::kNoIndex);
-  ValidateRun(run);
-  loose_runs_.push_back(run);
-}
-
-void QueryViewGraph::AddEdgeRuns(std::vector<EdgeRun> runs) {
-  OLAPIDX_CHECK(!finalized_);
-  OLAPIDX_CHECK(stream_ == nullptr);  // buffered and streaming are exclusive
-  for (const EdgeRun& run : runs) {
-    ValidateRun(run);
-  }
-  run_batches_.push_back(std::move(runs));
-}
-
-void QueryViewGraph::BeginStreamingEdges() {
-  OLAPIDX_CHECK(!finalized_);
-  OLAPIDX_CHECK(stream_ == nullptr);
-  OLAPIDX_CHECK(pending_.empty() && loose_runs_.empty() &&
-                run_batches_.empty());
-  stream_ = std::make_unique<StreamState>();
-  stream_->views.resize(views_.size());
-  stream_->state_bytes =
-      static_cast<uint64_t>(views_.size()) * sizeof(StreamView);
-  stream_->peak_bytes = stream_->state_bytes;
-}
-
 void QueryViewGraph::ConsumeEdgeRuns(std::vector<EdgeRun>& runs) {
+  using Entry = StreamView::Entry;
+  using Slot = StreamView::Slot;
   OLAPIDX_CHECK(!finalized_);
-  OLAPIDX_CHECK(stream_ != nullptr);
   for (const EdgeRun& run : runs) ValidateRun(run);
   StreamState& st = *stream_;
   std::lock_guard<std::mutex> lock(st.mu);
+  if (st.views.size() < views_.size()) {
+    st.state_bytes += (views_.size() - st.views.size()) * sizeof(StreamView);
+    st.views.resize(views_.size());
+  }
   st.peak_bytes =
       std::max(st.peak_bytes,
                st.state_bytes + runs.size() * sizeof(EdgeRun));
   for (const EdgeRun& r : runs) {
     StreamView& sv = st.views[r.view];
-    // Within one batch a view's entries arrive in ascending query order
-    // (shards walk their query range in order), so "same query as the
-    // last entry" is exactly "another run of the current (query, view)".
-    const bool same_query =
-        !sv.entry_query.empty() && sv.entry_query.back() == r.query;
+    // Within one batch a view's entries arrive in ascending query order,
+    // so "same query as the last entry" is exactly "another run of the
+    // current (query, view)".
+    Entry* last = sv.entries.empty() || sv.entries.back().query != r.query
+                      ? nullptr
+                      : &sv.entries.back();
     if (r.index_begin == StructureRef::kNoIndex) {
-      if (same_query) {
-        double& slot = sv.entry_cost.back();
-        slot = std::min(slot, r.cost);
+      if (last != nullptr) {
+        last->cost = std::min(last->cost, r.cost);
       } else {
-        sv.entry_query.push_back(r.query);
-        sv.entry_cost.push_back(r.cost);
-        sv.entry_slot.push_back(-1);
-        st.state_bytes += kStreamEntryBytes;
+        sv.entries.push_back(Entry{r.query, -1, r.cost});
+        st.state_bytes += sizeof(Entry);
       }
       continue;
     }
-    const uint64_t key = r.col_class != 0
-                             ? static_cast<uint64_t>(r.col_class)
-                             : ((uint64_t{1} << 32) | r.query);
-    // Distinct classes per view are few; a linear probe beats a per-view
-    // hash map here.
-    const uint32_t nslots = static_cast<uint32_t>(sv.slot_key.size());
-    uint32_t slot = nslots;
-    for (uint32_t s = 0; s < nslots; ++s) {
-      if (sv.slot_key[s] == key) {
-        slot = s;
-        break;
+    const size_t ni = views_[r.view].index_spaces.size();
+    uint32_t slot;
+    if (last != nullptr && last->slot >= 0) {
+      // A later run of this (query, view): one query has one class per
+      // view, so its slot — and its owner — are already settled.
+      slot = static_cast<uint32_t>(last->slot);
+      OLAPIDX_DCHECK(sv.slots[slot].col_class == r.col_class);
+    } else {
+      // Distinct classes per view are few; a linear probe beats a per-view
+      // hash map here. Unshared runs always open a slot of their own.
+      const uint32_t nslots = static_cast<uint32_t>(sv.slots.size());
+      slot = nslots;
+      if (r.col_class != 0) {
+        for (uint32_t s = 0; s < nslots; ++s) {
+          if (sv.slots[s].col_class == r.col_class) {
+            slot = s;
+            break;
+          }
+        }
+      }
+      if (slot == nslots) {
+        sv.slots.push_back(Slot{r.col_class, r.query});
+        sv.slot_protos.resize(sv.slot_protos.size() + ni, kInfiniteCost);
+        st.state_bytes += sizeof(Slot) + ni * sizeof(double);
+      } else if (r.query < sv.slots[slot].owner) {
+        // A lower query id claims the class: its runs, not the old
+        // owner's, define the prototype, whatever the arrival order.
+        sv.slots[slot].owner = r.query;
+        std::fill_n(sv.slot_protos.begin() +
+                        static_cast<std::ptrdiff_t>(slot * ni),
+                    ni, kInfiniteCost);
+      }
+      if (last != nullptr) {
+        last->slot = static_cast<int32_t>(slot);
+      } else {
+        sv.entries.push_back(
+            Entry{r.query, static_cast<int32_t>(slot), kInfiniteCost});
+        st.state_bytes += sizeof(Entry);
       }
     }
-    const size_t ni = views_[r.view].index_spaces.size();
-    if (slot == nslots) {
-      sv.slot_key.push_back(key);
-      sv.slot_owner.push_back(r.query);
-      sv.slot_protos.resize(sv.slot_protos.size() + ni, kInfiniteCost);
-      st.state_bytes += kStreamSlotBytes + ni * sizeof(double);
-    } else if (r.query < sv.slot_owner[slot]) {
-      // A lower query id claims the class: its runs, not the old owner's,
-      // define the prototype (in the buffered path arrival order is
-      // globally ascending by query, making the lowest query the class's
-      // first-seen owner — this keeps the two paths bit-identical).
-      sv.slot_owner[slot] = r.query;
-      std::fill_n(sv.slot_protos.begin() +
-                      static_cast<std::ptrdiff_t>(slot * ni),
-                  ni, kInfiniteCost);
-    }
-    if (r.query == sv.slot_owner[slot]) {
+    if (r.query == sv.slots[slot].owner) {
       double* row = sv.slot_protos.data() + static_cast<size_t>(slot) * ni;
       for (int32_t k = r.index_begin; k < r.index_end; ++k) {
         double& c = row[static_cast<size_t>(k)];
         c = std::min(c, r.cost);
       }
     }
-    if (same_query) {
-      OLAPIDX_DCHECK(sv.entry_slot.back() == -1 ||
-                     sv.entry_slot.back() == static_cast<int32_t>(slot));
-      sv.entry_slot.back() = static_cast<int32_t>(slot);
-    } else {
-      sv.entry_query.push_back(r.query);
-      sv.entry_cost.push_back(kInfiniteCost);
-      sv.entry_slot.push_back(static_cast<int32_t>(slot));
-      st.state_bytes += kStreamEntryBytes;
-    }
   }
   st.peak_bytes = std::max(st.peak_bytes, st.state_bytes);
   runs.clear();
 }
 
-uint64_t QueryViewGraph::StreamingPeakBytes() const {
-  return stream_ != nullptr ? stream_->peak_bytes : streaming_peak_bytes_;
-}
-
 void QueryViewGraph::Finalize() {
+  using Entry = StreamView::Entry;
   OLAPIDX_CHECK(!finalized_);
-  if (stream_ != nullptr) {
-    FinalizeStreaming();
-    return;
+  // Hand-built edges may come in any order; the sink wants each (query,
+  // view)'s runs adjacent, which ordering by query guarantees. The
+  // reference builders already emit in query order.
+  auto by_query = [](const EdgeRun& a, const EdgeRun& b) {
+    return a.query < b.query;
+  };
+  if (!std::is_sorted(pending_.begin(), pending_.end(), by_query)) {
+    std::sort(pending_.begin(), pending_.end(), by_query);
   }
-  // Bucket every edge group by view with one counting-sort pass instead of
-  // a global stable_sort: O(E) and shard-merge-friendly. Edge order within
-  // a bucket is irrelevant to the result — duplicate labels are resolved
-  // by min, and the per-view query list is sorted explicitly below — so
-  // pending edges, loose runs, and shard batches can simply be scattered
-  // in arrival order.
-  const size_t nv = views_.size();
-  std::vector<size_t> count(nv, 0);
-  for (const PendingEdge& e : pending_) ++count[e.view];
-  for (const EdgeRun& r : loose_runs_) ++count[r.view];
-  for (const auto& batch : run_batches_) {
-    for (const EdgeRun& r : batch) ++count[r.view];
-  }
-  std::vector<size_t> offset(nv + 1, 0);
-  for (size_t v = 0; v < nv; ++v) offset[v + 1] = offset[v] + count[v];
-  std::vector<EdgeRun> by_view(offset[nv]);
-  {
-    std::vector<size_t> cur(offset.begin(),
-                            offset.begin() + static_cast<std::ptrdiff_t>(nv));
-    for (const PendingEdge& e : pending_) {
-      by_view[cur[e.view]++] =
-          EdgeRun{e.query, e.view, e.index,
-                  e.index == StructureRef::kNoIndex ? StructureRef::kNoIndex
-                                                    : e.index + 1,
-                  e.cost};
-    }
-    pending_.clear();
-    pending_.shrink_to_fit();
-    for (const EdgeRun& r : loose_runs_) by_view[cur[r.view]++] = r;
-    loose_runs_.clear();
-    loose_runs_.shrink_to_fit();
-    for (auto& batch : run_batches_) {
-      for (const EdgeRun& r : batch) by_view[cur[r.view]++] = r;
-      batch.clear();
-      batch.shrink_to_fit();
-    }
-    run_batches_.clear();
-    run_batches_.shrink_to_fit();
-  }
-  // Per-view: distinct touched queries (epoch-stamped scratch, no hashing),
-  // then dense cost tables with min-merged duplicates (the graph is a
-  // multigraph), built via per-column-class prototypes.
-  // Column-class dedup scratch. A run's key is its explicit col_class when
-  // non-zero (runs promising an identical index-cost column, e.g. the cube
-  // builder's per-view selection mask), else ncol + query (no sharing).
-  uint32_t ncol = 1;
-  for (const EdgeRun& r : by_view) {
-    if (r.index_begin != StructureRef::kNoIndex) {
-      ncol = std::max(ncol, r.col_class + 1);
-    }
-  }
-  const size_t nkeys = ncol + queries_.size();
-  std::vector<uint32_t> stamp(queries_.size(), 0);
-  std::vector<uint32_t> pos_of(queries_.size(), 0);
-  std::vector<uint32_t> col_stamp(nkeys, 0);
-  std::vector<uint32_t> col_pid(nkeys, 0);
-  std::vector<uint32_t> col_owner(nkeys, 0);
-  std::vector<double> protos;
-  std::vector<int32_t> pid_of_pos;
-  // Scratch accounting for the build-peak model: the dedup arrays above
-  // live for the whole pass; in dense mode each view additionally holds a
-  // transient prototype table (in compressed mode the prototypes *are* the
-  // result and count as cost-table bytes instead).
-  finalize_scratch_bytes_ =
-      queries_.size() * (2 * sizeof(uint32_t)) +
-      nkeys * (3 * sizeof(uint32_t));
-  uint64_t transient_max = 0;
-  uint32_t epoch = 0;
-  for (uint32_t v = 0; v < nv; ++v) {
-    const size_t b = offset[v];
-    const size_t e = offset[v + 1];
-    if (b == e) continue;
-    ++epoch;
-    ViewData& vd = views_[v];
-    for (size_t i = b; i < e; ++i) {
-      uint32_t q = by_view[i].query;
-      if (stamp[q] != epoch) {
-        stamp[q] = epoch;
-        vd.queries.push_back(q);
-      }
-    }
-    std::sort(vd.queries.begin(), vd.queries.end());
-    for (uint32_t pos = 0; pos < vd.queries.size(); ++pos) {
-      pos_of[vd.queries[pos]] = pos;
-    }
-    const size_t nq = vd.queries.size();
-    const size_t ni = vd.index_spaces.size();
-    vd.view_cost.assign(nq, kInfiniteCost);
-    // Pass A: view-edge costs, and one prototype id per distinct column
-    // class (first query seen becomes the class's owner).
-    uint32_t ndist = 0;
-    for (size_t i = b; i < e; ++i) {
-      const EdgeRun& r = by_view[i];
-      if (r.index_begin == StructureRef::kNoIndex) {
-        double& slot = vd.view_cost[pos_of[r.query]];
-        slot = std::min(slot, r.cost);
-        continue;
-      }
-      const size_t key =
-          r.col_class != 0 ? r.col_class : ncol + r.query;
-      if (col_stamp[key] != epoch) {
-        col_stamp[key] = epoch;
-        col_pid[key] = ndist++;
-        col_owner[key] = r.query;
-      }
-    }
-    // Pass B: expand only each class owner's runs into its prototype
-    // column (a run is one contiguous slice of it), and map every touched
-    // query position to its prototype.
-    protos.assign(static_cast<size_t>(ndist) * ni, kInfiniteCost);
-    pid_of_pos.assign(nq, -1);
-    for (size_t i = b; i < e; ++i) {
-      const EdgeRun& r = by_view[i];
-      if (r.index_begin == StructureRef::kNoIndex) continue;
-      const size_t key =
-          r.col_class != 0 ? r.col_class : ncol + r.query;
-      const uint32_t pid = col_pid[key];
-      pid_of_pos[pos_of[r.query]] = static_cast<int32_t>(pid);
-      if (r.query == col_owner[key]) {
-        double* row = protos.data() + static_cast<size_t>(pid) * ni;
-        for (int32_t k = r.index_begin; k < r.index_end; ++k) {
-          double& slot = row[static_cast<size_t>(k)];
-          slot = std::min(slot, r.cost);
-        }
-      }
-    }
-    if (compressed_) {
-      // Sparse mode keeps the prototypes themselves; IndexCostAt resolves
-      // pos → pid → prototype on demand. The moved-from scratch vectors
-      // are re-assigned at the top of the next view's iteration.
-      vd.col_protos = std::move(protos);
-      vd.col_of_pos = std::move(pid_of_pos);
-      continue;
-    }
-    transient_max = std::max<uint64_t>(
-        transient_max, protos.size() * sizeof(double) +
-                           pid_of_pos.size() * sizeof(int32_t));
-    // Pass C: the k-major table, written sequentially row by row; the
-    // prototype reads for one k touch at most ndist cache lines. This
-    // ordering is what makes large builds cheap — scattering each run
-    // straight into k-major order pays a full cache line (and often a TLB
-    // fill) per covered index, ~18M strided writes at dimension 7.
-    vd.index_cost.resize(ni * nq);
-    double* table = vd.index_cost.data();
-    for (size_t k = 0; k < ni; ++k) {
-      double* dst = table + k * nq;
-      for (size_t pos = 0; pos < nq; ++pos) {
-        const int32_t pid = pid_of_pos[pos];
-        dst[pos] = pid < 0 ? kInfiniteCost
-                           : protos[static_cast<size_t>(pid) * ni + k];
-      }
-    }
-  }
-  by_view.clear();
-  by_view.shrink_to_fit();
-  finalize_scratch_bytes_ += transient_max;
-  BuildQueryViews();
-  finalized_ = true;
-}
+  ConsumeEdgeRuns(pending_);
+  pending_ = {};
 
-void QueryViewGraph::FinalizeStreaming() {
   StreamState& st = *stream_;
-  OLAPIDX_CHECK(pending_.empty() && loose_runs_.empty() &&
-                run_batches_.empty());
-  const size_t nv = views_.size();
-  std::vector<uint32_t> perm;       // entry sort permutation
-  std::vector<uint32_t> slot_perm;  // slot-by-owner sort permutation
-  std::vector<int32_t> pid_of_slot;
-  std::vector<double> protos;
-  std::vector<int32_t> pos_pid;
+  ingest_peak_bytes_ = st.peak_bytes;
   uint64_t running = st.state_bytes;  // sink state + finished tables
-  uint64_t scratch_max = 0;
-  for (uint32_t v = 0; v < nv; ++v) {
+  uint64_t peak = running;
+  std::vector<uint32_t> slot_of_col;  // slots sorted by owner
+  std::vector<uint32_t> col_of_slot;
+  for (uint32_t v = 0; v < num_views(); ++v) {
     StreamView& sv = st.views[v];
     ViewData& vd = views_[v];
-    const size_t ne = sv.entry_query.size();
-    const size_t nslots = sv.slot_key.size();
+    const size_t nslots = sv.slots.size();
     const size_t ni = vd.index_spaces.size();
-    const uint64_t sv_bytes = ne * kStreamEntryBytes +
-                              nslots * kStreamSlotBytes +
-                              sv.slot_protos.size() * sizeof(double);
-    if (ne != 0) {
-      // Entries arrived in per-batch query order; sort globally and merge
-      // the (rare outside tests) duplicates a multi-batch query produces.
-      perm.resize(ne);
-      std::iota(perm.begin(), perm.end(), 0u);
-      std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-        return sv.entry_query[a] < sv.entry_query[b];
-      });
-      // Prototype ids in the buffered path follow first appearance in
-      // ascending-query arrival order, i.e. ascending class owner; sorting
-      // slots by owner reproduces that numbering exactly.
-      slot_perm.resize(nslots);
-      std::iota(slot_perm.begin(), slot_perm.end(), 0u);
-      std::stable_sort(slot_perm.begin(), slot_perm.end(),
-                       [&](uint32_t a, uint32_t b) {
-                         return sv.slot_owner[a] < sv.slot_owner[b];
-                       });
-      pid_of_slot.assign(nslots, -1);
-      for (size_t i = 0; i < nslots; ++i) {
-        pid_of_slot[slot_perm[i]] = static_cast<int32_t>(i);
-      }
-      protos.assign(nslots * ni, kInfiniteCost);
-      for (size_t s = 0; s < nslots; ++s) {
-        std::copy_n(sv.slot_protos.begin() +
-                        static_cast<std::ptrdiff_t>(s * ni),
-                    ni,
-                    protos.begin() +
-                        static_cast<std::ptrdiff_t>(
-                            static_cast<size_t>(pid_of_slot[s]) * ni));
-      }
-      vd.queries.reserve(ne);
-      vd.view_cost.reserve(ne);
-      pos_pid.clear();
-      pos_pid.reserve(ne);
-      for (uint32_t idx : perm) {
-        const uint32_t q = sv.entry_query[idx];
-        const double cost = sv.entry_cost[idx];
-        const int32_t slot = sv.entry_slot[idx];
-        const int32_t pid = slot < 0 ? -1 : pid_of_slot[static_cast<size_t>(
-                                                slot)];
-        if (!vd.queries.empty() && vd.queries.back() == q) {
-          vd.view_cost.back() = std::min(vd.view_cost.back(), cost);
-          if (pid >= 0) pos_pid.back() = pid;
-          continue;
-        }
-        vd.queries.push_back(q);
-        vd.view_cost.push_back(cost);
-        pos_pid.push_back(pid);
-      }
-      const size_t nq = vd.queries.size();
-      uint64_t transient = 0;
-      if (compressed_) {
-        vd.col_protos = std::move(protos);
-        vd.col_of_pos = std::move(pos_pid);
-        protos = {};
-        pos_pid = {};
-      } else {
-        vd.index_cost.resize(ni * nq);
-        double* table = vd.index_cost.data();
-        for (size_t k = 0; k < ni; ++k) {
-          double* dst = table + k * nq;
-          for (size_t pos = 0; pos < nq; ++pos) {
-            const int32_t pid = pos_pid[pos];
-            dst[pos] = pid < 0 ? kInfiniteCost
-                               : protos[static_cast<size_t>(pid) * ni + k];
-          }
-        }
-        transient = protos.size() * sizeof(double) +
-                    pos_pid.size() * sizeof(int32_t);
-      }
-      const uint64_t table_bytes =
-          (vd.view_cost.size() + vd.index_cost.size() +
-           vd.col_protos.size()) *
-              sizeof(double) +
-          vd.queries.size() * sizeof(uint32_t) +
-          vd.col_of_pos.size() * sizeof(int32_t);
-      running += table_bytes;
-      const uint64_t scratch =
-          transient + (perm.size() + slot_perm.size()) * sizeof(uint32_t) +
-          pid_of_slot.size() * sizeof(int32_t);
-      scratch_max = std::max(scratch_max, scratch);
-      st.peak_bytes = std::max(st.peak_bytes, running + scratch);
+    if (sv.entries.empty()) continue;  // every slot hangs off an entry
+    // Number the columns by ascending class owner, so the layout — and the
+    // fingerprint — does not depend on the flush order. The all-+inf
+    // column, if needed, comes last.
+    slot_of_col.resize(nslots);
+    std::iota(slot_of_col.begin(), slot_of_col.end(), 0u);
+    std::sort(slot_of_col.begin(), slot_of_col.end(),
+              [&](uint32_t a, uint32_t b) {
+                return sv.slots[a].owner < sv.slots[b].owner;
+              });
+    col_of_slot.resize(nslots);
+    for (size_t c = 0; c < nslots; ++c) {
+      col_of_slot[slot_of_col[c]] = static_cast<uint32_t>(c);
     }
-    // Free this view's sink state before moving on — the conversion never
-    // holds more than one view's worth of both representations.
+    const uint32_t inf_col = static_cast<uint32_t>(nslots);
+    // Entries → the per-position arrays. Entries arrived in per-batch
+    // query order; sort globally and merge the duplicates a query split
+    // across batches leaves behind.
+    std::sort(sv.entries.begin(), sv.entries.end(),
+              [](const Entry& a, const Entry& b) { return a.query < b.query; });
+    vd.queries.reserve(sv.entries.size());
+    vd.view_cost.reserve(sv.entries.size());
+    vd.col_of_pos.reserve(sv.entries.size());
+    for (const Entry& e : sv.entries) {
+      const uint32_t col =
+          e.slot < 0 ? inf_col : col_of_slot[static_cast<size_t>(e.slot)];
+      if (!vd.queries.empty() && vd.queries.back() == e.query) {
+        vd.view_cost.back() = std::min(vd.view_cost.back(), e.cost);
+        if (e.slot >= 0) vd.col_of_pos.back() = col;
+        continue;
+      }
+      vd.queries.push_back(e.query);
+      vd.view_cost.push_back(e.cost);
+      vd.col_of_pos.push_back(col);
+    }
+    running += vd.view_cost.size() * sizeof(double) +
+               (vd.queries.size() + vd.col_of_pos.size()) * sizeof(uint32_t);
+    peak = std::max(peak, running + 2 * nslots * sizeof(uint32_t));
+    // Free each part of the sink state as soon as it is converted, so the
+    // conversion never holds both forms of more than one part.
+    running -= sv.entries.size() * sizeof(Entry);
+    sv.entries = {};
+    // Slot prototypes → the k-major table, written row by row: row k
+    // gathers element k of every slot, at most #classes cache lines.
+    const bool needs_inf =
+        std::find(vd.col_of_pos.begin(), vd.col_of_pos.end(), inf_col) !=
+        vd.col_of_pos.end();
+    vd.num_cols = nslots + (needs_inf ? 1 : 0);
+    vd.col_protos.resize(ni * vd.num_cols);
+    double* dst = vd.col_protos.data();
+    for (size_t k = 0; k < ni; ++k) {
+      for (size_t c = 0; c < nslots; ++c) {
+        *dst++ = sv.slot_protos[static_cast<size_t>(slot_of_col[c]) * ni + k];
+      }
+      if (needs_inf) *dst++ = kInfiniteCost;
+    }
+    running += vd.col_protos.size() * sizeof(double);
+    peak = std::max(peak, running + nslots * sizeof(uint32_t));
+    running -= nslots * sizeof(StreamView::Slot) +
+               sv.slot_protos.size() * sizeof(double);
     sv = StreamView{};
-    running -= sv_bytes;
   }
-  finalize_scratch_bytes_ = scratch_max;
-  streaming_peak_bytes_ = st.peak_bytes;
+  finalize_peak_bytes_ = peak;
   stream_.reset();
   BuildQueryViews();
   finalized_ = true;
@@ -581,8 +370,7 @@ void QueryViewGraph::BuildQueryViews() {
 
 namespace {
 
-// FNV-1a over 64-bit words: 8x fewer multiplies than the byte-wise form,
-// which matters when hashing a dim-7 dense graph's ~100 MB of cost tables.
+// FNV-1a over 64-bit words: 8x fewer multiplies than the byte-wise form.
 inline uint64_t MixWord(uint64_t h, uint64_t word) {
   h ^= word;
   return h * 0x100000001b3ULL;
@@ -620,7 +408,6 @@ uint64_t QueryViewGraph::Fingerprint() const {
   h = MixWord(h, num_views());
   h = MixWord(h, num_queries());
   h = MixWord(h, num_structures_);
-  h = MixWord(h, compressed_ ? 1u : 0u);
   for (const QueryData& q : queries_) {
     h = MixDouble(h, q.default_cost);
     h = MixDouble(h, q.frequency);
@@ -632,7 +419,6 @@ uint64_t QueryViewGraph::Fingerprint() const {
     h = MixDoubleSpan(h, vd.index_maintenance);
     h = MixSpan(h, vd.queries);
     h = MixDoubleSpan(h, vd.view_cost);
-    h = MixDoubleSpan(h, vd.index_cost);
     h = MixDoubleSpan(h, vd.col_protos);
     h = MixSpan(h, vd.col_of_pos);
   }
@@ -643,11 +429,8 @@ uint64_t QueryViewGraph::Fingerprint() const {
 uint64_t QueryViewGraph::CostTableBytes() const {
   uint64_t bytes = 0;
   for (const ViewData& vd : views_) {
-    bytes += (vd.index_cost.size() + vd.view_cost.size() +
-              vd.col_protos.size()) *
-             sizeof(double);
-    bytes += vd.col_of_pos.size() * sizeof(int32_t);
-    bytes += vd.queries.size() * sizeof(uint32_t);
+    bytes += (vd.col_protos.size() + vd.view_cost.size()) * sizeof(double);
+    bytes += (vd.col_of_pos.size() + vd.queries.size()) * sizeof(uint32_t);
   }
   return bytes;
 }

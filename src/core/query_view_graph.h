@@ -56,10 +56,10 @@ struct EdgeRun {
   double cost = 0.0;
   // Column-equivalence class id, a small dense integer. Within one view,
   // index runs carrying the same non-zero col_class promise the *same*
-  // dense index-cost column (the cube builder uses selection-mask ∩ view
-  // + 1: query cost depends only on that intersection), so Finalize()
-  // expands one prototype per class instead of one column per query. 0
-  // means "no sharing" — the run only contributes to its own query.
+  // index-cost column (the cube builder uses selection-mask ∩ view + 1:
+  // query cost depends only on that intersection), so the graph stores one
+  // prototype column per class instead of one column per query. 0 means
+  // "no sharing" — the run only contributes to its own query.
   uint32_t col_class = 0;
 };
 
@@ -68,7 +68,7 @@ class QueryViewGraph {
   static constexpr double kInfiniteCost =
       std::numeric_limits<double>::infinity();
 
-  // Out of line: the streaming sink state is an incomplete type here.
+  // Out of line: the edge sink state is an incomplete type here.
   QueryViewGraph();
   QueryViewGraph(QueryViewGraph&&) noexcept;
   QueryViewGraph& operator=(QueryViewGraph&&) noexcept;
@@ -113,45 +113,33 @@ class QueryViewGraph {
   // Cost of answering `query` from `view` with its `index`-th index.
   void AddIndexEdge(uint32_t query, uint32_t view, int32_t index,
                     double cost);
-  // One cost for every index k ∈ [index_begin, index_end) of `view`.
-  void AddIndexEdgeRun(uint32_t query, uint32_t view, int32_t index_begin,
-                       int32_t index_end, double cost);
-  // Appends a whole shard buffer of runs (view edges use
-  // index_begin == kNoIndex). Batches are kept intact and merged by
-  // Finalize(); each is validated here and freed as soon as its runs have
-  // been scattered into the per-view tables.
-  void AddEdgeRuns(std::vector<EdgeRun> runs);
 
-  // ---- Streaming construction (bounded-memory builder path) ----
+  // ---- The edge sink ----
   //
-  // BeginStreamingEdges() switches edge ingestion from buffer-everything
-  // (AddEdgeRuns + Finalize merge) to a bounded sink: ConsumeEdgeRuns()
-  // drains each shard buffer straight into per-view accumulation state —
-  // the future query lists, view-cost columns, and per-class prototype
-  // columns — so peak memory during construction is the finished tables
-  // plus the in-flight shard windows, not every EdgeRun at once. The
+  // Every edge reaches the graph through ConsumeEdgeRuns(), which drains a
+  // buffer of runs straight into per-view accumulation state — the future
+  // query lists, view-cost columns, and per-class prototype columns — so
+  // peak memory during construction is the finished tables plus the
+  // in-flight buffers, not every EdgeRun at once. The builders call it
+  // from their enumeration shards; the per-edge calls above append to a
+  // pending buffer that Finalize() sorts by query and feeds through the
+  // same sink, so hand-built edges may arrive in any order. The
   // accumulation is order-independent (duplicate labels min-merge; each
   // class's prototype is owned by its lowest query id and rebuilt if a
-  // lower owner arrives), so any flush interleaving finalizes into a graph
-  // bit-identical to the buffered path — the equivalence tests pin this.
+  // lower owner arrives), so every flush interleaving finalizes into the
+  // same graph.
   //
   // Contract: call after every AddView / AddIndexes* / AddQuery and before
-  // Finalize(); a query's runs for one view must all arrive within a
-  // single ConsumeEdgeRuns() call (the builder flushes only at query
-  // boundaries). Streaming and buffered ingestion are mutually exclusive.
-  void BeginStreamingEdges();
-  bool streaming_edges() const { return stream_ != nullptr; }
-  // Thread-safe; drains and clears `runs`, keeping its capacity for reuse.
+  // Finalize(). Within one call, each view's runs appear in ascending query
+  // order, and a query's runs for one view all arrive in a single call
+  // (the builders flush only at query boundaries). Thread-safe; drains and
+  // clears `runs`, keeping its capacity for reuse.
   void ConsumeEdgeRuns(std::vector<EdgeRun>& runs);
-  // High-water mark (bytes) of the sink state, including in-flight batches
-  // and the Finalize() conversion into the final tables. 0 in buffered
-  // mode.
-  uint64_t StreamingPeakBytes() const;
-
-  // Scratch high-water of the last Finalize(): class-id dedup maps, query
-  // stamps, and the per-view transient prototype expansion — the part of
-  // the true build peak graph_build.peak_bytes historically missed.
-  uint64_t FinalizeScratchBytes() const { return finalize_scratch_bytes_; }
+  // High-water marks (bytes) of the sink, valid after Finalize(): while
+  // taking in edges (accumulated state plus the batch being consumed), and
+  // while Finalize() converts that state into the final tables.
+  uint64_t IngestPeakBytes() const { return ingest_peak_bytes_; }
+  uint64_t FinalizePeakBytes() const { return finalize_peak_bytes_; }
 
   // Optional maintenance (refresh) cost charged once when the structure is
   // selected; the algorithms maximize benefit *net* of maintenance. The
@@ -167,22 +155,9 @@ class QueryViewGraph {
                      .index_maintenance[static_cast<size_t>(s.index)];
   }
 
-  // Sparse storage mode: keep one prototype cost column per column class
-  // plus a position→class map instead of expanding the dense k-major
-  // index-cost table in Finalize(). IndexCostAt() then resolves through
-  // one extra indirection but returns bit-identical values — the dense
-  // table is itself expanded from exactly these prototypes. Memory drops
-  // from O(ni · nq) to O(ni · #classes + nq) doubles per view, which is
-  // what makes dimension 12–20 builds fit in memory. Must be called
-  // before Finalize().
-  void SetCompressedCostColumns(bool on = true) {
-    OLAPIDX_CHECK(!finalized_);
-    compressed_ = on;
-  }
-  bool compressed_cost_columns() const { return compressed_; }
-
-  // Compacts edges into per-view dense cost tables. Must be called exactly
-  // once, before any algorithm runs.
+  // Drains the pending per-edge buffer through the sink and converts the
+  // sink state into the per-view cost tables. Must be called exactly once,
+  // before any algorithm runs.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -191,19 +166,18 @@ class QueryViewGraph {
   // costs, query default costs and frequencies, and every finalized cost
   // table, mixed word-at-a-time (FNV-1a over the 64-bit bit patterns, so
   // it is bit-exact across platforms for identical doubles). Two graphs
-  // built from the same schema, sizes, workload, and options — in the same
-  // storage mode (dense vs compressed columns) — hash identically; any
-  // drift in inputs changes the fingerprint. Checkpoints are stamped with
+  // built from the same schema, sizes, workload, and options hash
+  // identically, whatever the thread count; any drift in inputs — or in
+  // the table layout — changes the fingerprint. Checkpoints are stamped with
   // this value so a resume against a different graph is rejected instead
   // of silently resolving picks against the wrong costs. Requires
   // finalized(); never returns 0 (0 is the "no fingerprint" sentinel in
   // checkpoint files).
   uint64_t Fingerprint() const;
 
-  // Bytes held by the finalized per-view cost tables (dense k-major tables
-  // or compressed prototypes, view-cost columns, and query lists). The
-  // dominant term of the graph's resident footprint; feeds the
-  // graph_build.peak_bytes gauge.
+  // Bytes held by the finalized per-view cost tables (prototype columns,
+  // position→column maps, view-cost columns, and query lists). The
+  // dominant term of the graph's resident footprint.
   uint64_t CostTableBytes() const;
 
   // ---- Introspection ----
@@ -279,20 +253,12 @@ class QueryViewGraph {
   double ViewCostAt(uint32_t v, size_t pos) const {
     return views_[v].view_cost[pos];
   }
-  // Cost of answering ViewQueries(v)[pos] from v with index k. Dense mode
-  // reads the k-major table; compressed mode resolves pos → column class →
-  // prototype, yielding the same double (the dense table is expanded from
-  // the prototypes).
+  // Cost of answering ViewQueries(v)[pos] from v with index k: one gather
+  // from row k of the view's k-major prototype table.
   double IndexCostAt(uint32_t v, int32_t k, size_t pos) const {
     const ViewData& vd = views_[v];
-    if (!vd.index_cost.empty()) {
-      return vd.index_cost[static_cast<size_t>(k) * vd.queries.size() + pos];
-    }
-    const int32_t pid = vd.col_of_pos.empty() ? -1 : vd.col_of_pos[pos];
-    return pid < 0 ? kInfiniteCost
-                   : vd.col_protos[static_cast<size_t>(pid) *
-                                       vd.index_spaces.size() +
-                                   static_cast<size_t>(k)];
+    return vd.col_protos[static_cast<size_t>(k) * vd.num_cols +
+                         vd.col_of_pos[pos]];
   }
 
  private:
@@ -307,32 +273,25 @@ class QueryViewGraph {
     std::vector<double> index_spaces;
     std::vector<double> index_maintenance;
     // Populated by Finalize():
-    std::vector<uint32_t> queries;   // queries with any edge to this view
-    std::vector<double> view_cost;   // parallel to `queries`
-    std::vector<double> index_cost;  // dense mode: [k * queries.size() + pos]
-    // Compressed mode (index_cost stays empty): one prototype column per
-    // distinct column class, pid-major [pid * num_indexes + k], plus the
-    // position→class map (-1 = no index edges for that query).
+    std::vector<uint32_t> queries;  // queries with any edge to this view
+    std::vector<double> view_cost;  // parallel to `queries`
+    // One prototype column per distinct column class, stored k-major as
+    // col_protos[k * num_cols + col], and the position→column map
+    // (parallel to `queries`). Positions without index edges share a final
+    // all-+inf column, present only when some position needs it.
     std::vector<double> col_protos;
-    std::vector<int32_t> col_of_pos;
+    std::vector<uint32_t> col_of_pos;
+    size_t num_cols = 0;
   };
   struct QueryData {
     std::string name;
     double default_cost = 0.0;
     double frequency = 1.0;
   };
-  struct PendingEdge {
-    uint32_t query;
-    uint32_t view;
-    int32_t index;  // StructureRef::kNoIndex for a view edge
-    double cost;
-  };
-
   struct StreamView;
   struct StreamState;
 
   void ValidateRun(const EdgeRun& run) const;
-  void FinalizeStreaming();
   void BuildQueryViews();
 
   std::vector<ViewData> views_;
@@ -340,15 +299,12 @@ class QueryViewGraph {
   std::vector<std::string> attr_names_;             // for lazy index names
   std::function<std::string(uint32_t, int32_t)> index_namer_;
   std::vector<std::vector<uint32_t>> query_views_;  // built by Finalize()
-  std::vector<PendingEdge> pending_;
-  std::vector<EdgeRun> loose_runs_;                 // AddIndexEdgeRun
-  std::vector<std::vector<EdgeRun>> run_batches_;   // AddEdgeRuns shards
-  std::unique_ptr<StreamState> stream_;             // BeginStreamingEdges
-  uint64_t streaming_peak_bytes_ = 0;
-  uint64_t finalize_scratch_bytes_ = 0;
+  std::vector<EdgeRun> pending_;                    // AddViewEdge/AddIndexEdge
+  std::unique_ptr<StreamState> stream_;             // freed by Finalize()
+  uint64_t ingest_peak_bytes_ = 0;
+  uint64_t finalize_peak_bytes_ = 0;
   uint32_t num_structures_ = 0;
   bool finalized_ = false;
-  bool compressed_ = false;
 };
 
 }  // namespace olapidx

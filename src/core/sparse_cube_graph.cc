@@ -60,7 +60,6 @@ struct SparseLatticeProvider {
 
   void InitGraph(QueryViewGraph& g) const {
     g.SetNameDictionary(schema->names());
-    if (options->compress_cost_columns) g.SetCompressedCostColumns();
   }
 
   void AddStructures(QueryViewGraph& g, uint32_t v, double size,
@@ -290,7 +289,6 @@ StatusOr<SparseCubeGraph> TryBuildSparseCubeGraph(
   build.maintenance_per_row = options.maintenance_per_row;
   build.num_threads = options.num_threads;
   build.cost_model = options.cost_model.get();
-  build.sink_window_bytes = options.sink_window_bytes;
   BuildLatticeGraph(provider, build, out.graph, &stats.build);
 
   graph_build_metrics::SparseStats metric;

@@ -24,10 +24,10 @@
 //      candidate family preserves exactly the per-query best costs the
 //      full m! family would offer, at O(|W|) keys per view.
 //
-// The graph is stored with compressed cost columns (one prototype column
-// per column class; see QueryViewGraph::SetCompressedCostColumns), so the
-// per-view tables stay proportional to the number of *distinct* columns,
-// not queries × indexes.
+// Like every query-view graph, it stores one prototype cost column per
+// column class (see QueryViewGraph::IndexCostAt), so the per-view tables
+// stay proportional to the number of *distinct* columns, not queries ×
+// indexes.
 //
 // When nothing is pruned — full query set, query_mass = 1, no caps, and
 // every view within max_fat_dim — the result is bit-identical to
@@ -69,18 +69,6 @@ struct SparseCubeGraphOptions {
   // candidate index family instead of all m! fat indexes. Must be ≤ 8
   // (the fat-enumeration limit).
   int max_fat_dim = 6;
-
-  // Store compressed (prototype) cost columns instead of dense k-major
-  // tables. Off only for A/B comparisons; the values are identical.
-  bool compress_cost_columns = true;
-
-  // Streaming spill window per enumeration shard (bytes of buffered edge
-  // runs); see LatticeGraphOptions::sink_window_bytes. The default streams
-  // — peak build memory is bounded by the finished compressed tables plus
-  // a few hundred KiB per shard instead of scaling with retained-view ×
-  // class count. 0 buffers everything (the historical path); both settings
-  // build bit-identical graphs.
-  size_t sink_window_bytes = size_t{1} << 18;
 
   // Same meaning as in CubeGraphOptions.
   double default_query_cost = 0.0;

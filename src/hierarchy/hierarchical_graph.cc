@@ -747,7 +747,6 @@ struct SparseHierarchicalLatticeProvider {
   void InitGraph(QueryViewGraph& g) const {
     g.SetIndexNamer(
         MakeIndexNamer(*schema, *lattice, true, *view_ids, *orders));
-    if (options->compress_cost_columns) g.SetCompressedCostColumns();
   }
 
   void AddStructures(QueryViewGraph& g, uint32_t v, double size,
@@ -1130,7 +1129,6 @@ StatusOr<SparseHierarchicalCubeGraph> TryBuildSparseHierarchicalCubeGraph(
   build.maintenance_per_row = options.maintenance_per_row;
   build.num_threads = options.num_threads;
   build.cost_model = options.cost_model.get();
-  build.sink_window_bytes = options.sink_window_bytes;
   BuildLatticeGraph(provider, build, out.graph, &stats.build);
   out.index_orders = std::move(orders);
 

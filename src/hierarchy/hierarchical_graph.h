@@ -58,8 +58,8 @@ struct HierarchicalGraphOptions {
 // explicit size ceilings — the hierarchy counterpart of the flat n > 8
 // fat-index guard:
 //  * kMaxHierarchicalViews: every index-edge column class is keyed by a
-//    view id and indexes dense Finalize() scratch, so ids must stay below
-//    2^20 (see QueryViewGraph::EdgeRun::col_class).
+//    view id, and the graph accepts class ids only up to 2^20 (see
+//    EdgeRun::col_class).
 //  * kMaxHierarchicalStructures: ceiling on views + indexes, bounding the
 //    graph's memory before construction starts.
 inline constexpr uint64_t kMaxHierarchicalViews = (uint64_t{1} << 20) - 1;
@@ -158,9 +158,6 @@ struct SparseHierarchicalGraphOptions {
   // Views with more *active* dimensions than this get the candidate
   // family. Must be in [0, 8] (the fat-enumeration limit).
   int max_fat_dim = 6;
-  bool compress_cost_columns = true;
-  // See SparseCubeGraphOptions::sink_window_bytes; 0 buffers.
-  size_t sink_window_bytes = size_t{1} << 18;
   // See HierarchicalGraphOptions for the rest.
   double default_query_cost = 0.0;
   double raw_scan_penalty = 1.0;

@@ -145,7 +145,7 @@ StatusOr<Advisor> AdvisorService::BuildAdvisor(const Workload& workload,
   }
   // Graceful degradation: dense build impossible (dimension limits) or its
   // cost tables would bust the memory ceiling — fall back to the
-  // workload-pruned sparse build with compressed cost columns.
+  // workload-pruned sparse build.
   *degraded = true;
   OLAPIDX_METRIC_COUNTER(degraded_builds, "service.degraded_builds");
   degraded_builds.Add(1);

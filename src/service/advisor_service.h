@@ -74,7 +74,10 @@ struct ServiceOptions {
   // Degraded path: sparse, workload-pruned build used when the dense build
   // fails or its cost tables would exceed memory_ceiling_bytes, paired
   // with beam-capped selection (degraded_beam_width) so the run finishes
-  // within the re-selection deadline.
+  // within the re-selection deadline. Dense graphs store one cost column
+  // per column class, like sparse ones, so the ceiling binds late: the
+  // dim-8 dense build of all 3^8 slice queries peaks near 210 MiB, and the
+  // n > 8 dimension limit usually triggers the fallback first.
   SparseCubeGraphOptions sparse;
   size_t degraded_beam_width = 16;
   uint64_t memory_ceiling_bytes = 1ull << 30;

@@ -4,9 +4,10 @@
 // HierarchicalAdvisor. Try the dense hierarchical build first; if it is
 // impossible (lattice over the size ceilings, too many dimensions for fat
 // enumeration) or its cost tables would exceed the memory ceiling, fall
-// back to the workload-pruned sparse hierarchical build with compressed
-// cost columns. `*degraded` reports which path was taken, and degraded
-// builds bump the same service.degraded_builds counter.
+// back to the workload-pruned sparse hierarchical build. Dense and sparse
+// graphs store the same per-class cost columns, so the ceiling binds only
+// for very large lattices. `*degraded` reports which path was taken, and
+// degraded builds bump the same service.degraded_builds counter.
 
 #ifndef OLAPIDX_SERVICE_HIERARCHICAL_DEGRADE_H_
 #define OLAPIDX_SERVICE_HIERARCHICAL_DEGRADE_H_
@@ -22,7 +23,7 @@ namespace olapidx {
 struct HierarchicalDegradeOptions {
   // Dense build attempted first.
   HierarchicalGraphOptions dense;
-  // Sparse fallback (pruning knobs, streaming sink window).
+  // Sparse fallback (pruning knobs).
   SparseHierarchicalGraphOptions sparse;
   // Dense cost tables above this fall through to the sparse rung (same
   // default as ServiceOptions::memory_ceiling_bytes).

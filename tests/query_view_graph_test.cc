@@ -1,8 +1,18 @@
 #include "core/query_view_graph.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <map>
+#include <set>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace olapidx {
 namespace {
@@ -127,8 +137,12 @@ TEST(QueryViewGraphTest, IndexEdgeRunExpandsToEveryIndexInRange) {
                    IndexKey({1, 0})},
                4.0);
   uint32_t q = g.AddQuery("Q", 10.0);
-  g.AddViewEdge(q, v, 4.0);
-  g.AddIndexEdgeRun(q, v, 1, 3, 2.0);  // indexes 1 and 2, not 0 or 3
+  std::vector<EdgeRun> runs = {
+      EdgeRun{q, v, StructureRef::kNoIndex, StructureRef::kNoIndex, 4.0},
+      EdgeRun{q, v, 1, 3, 2.0},  // indexes 1 and 2, not 0 or 3
+  };
+  g.ConsumeEdgeRuns(runs);
+  EXPECT_TRUE(runs.empty());
   g.Finalize();
   ASSERT_EQ(g.ViewQueries(v).size(), 1u);
   EXPECT_EQ(g.ViewCostAt(v, 0), 4.0);
@@ -167,7 +181,7 @@ TEST(QueryViewGraphTest, FinalizeMergesDuplicateAndOutOfOrderEdges) {
 }
 
 TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
-  // The same edges delivered as two AddEdgeRuns shard batches (as the
+  // The same edges delivered as two ConsumeEdgeRuns shard batches (as the
   // parallel builder does) and as direct calls must finalize identically.
   auto build_direct = [] {
     QueryViewGraph g;
@@ -179,9 +193,10 @@ TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
     g.AddQuery("Q1", 10.0);
     g.AddViewEdge(0, v0, 1.0);
     g.AddViewEdge(0, v1, 2.0);
-    g.AddIndexEdgeRun(0, v1, 0, 2, 0.5);
+    g.AddIndexEdge(0, v1, 0, 0.5);
+    g.AddIndexEdge(0, v1, 1, 0.5);
     g.AddViewEdge(1, v1, 2.0);
-    g.AddIndexEdgeRun(1, v1, 1, 2, 0.25);
+    g.AddIndexEdge(1, v1, 1, 0.25);
     g.Finalize();
     return g;
   };
@@ -193,15 +208,17 @@ TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
     g.AddIndexes(v1, {IndexKey({0}), IndexKey({1})}, 2.0);
     g.AddQuery("Q0", 10.0);
     g.AddQuery("Q1", 10.0);
-    g.AddEdgeRuns({
+    std::vector<EdgeRun> second = {
+        EdgeRun{1, v1, StructureRef::kNoIndex, StructureRef::kNoIndex, 2.0},
+        EdgeRun{1, v1, 1, 2, 0.25},
+    };
+    std::vector<EdgeRun> first = {
         EdgeRun{0, v0, StructureRef::kNoIndex, StructureRef::kNoIndex, 1.0},
         EdgeRun{0, v1, StructureRef::kNoIndex, StructureRef::kNoIndex, 2.0},
         EdgeRun{0, v1, 0, 2, 0.5},
-    });
-    g.AddEdgeRuns({
-        EdgeRun{1, v1, StructureRef::kNoIndex, StructureRef::kNoIndex, 2.0},
-        EdgeRun{1, v1, 1, 2, 0.25},
-    });
+    };
+    g.ConsumeEdgeRuns(second);  // shards may flush in any order
+    g.ConsumeEdgeRuns(first);
     g.Finalize();
     return g;
   };
@@ -235,7 +252,242 @@ TEST(QueryViewGraphDeathTest, BadRunRangeRejected) {
   uint32_t v = g.AddView("V", 1.0);
   g.AddIndexes(v, {IndexKey({0})}, 1.0);
   uint32_t q = g.AddQuery("Q", 1.0);
-  EXPECT_DEATH(g.AddIndexEdgeRun(q, v, 0, 2, 1.0), "CHECK");
+  std::vector<EdgeRun> runs = {EdgeRun{q, v, 0, 2, 1.0}};
+  EXPECT_DEATH(g.ConsumeEdgeRuns(runs), "CHECK");
+}
+
+// ---- An independent oracle for the edge sink ----
+//
+// A random graph's edges, ingested per edge (AddViewEdge / AddIndexEdge in
+// shuffled order) and as ConsumeEdgeRuns batches split at query boundaries
+// (shuffled, from 1, 2 and 8 threads), must finalize to exactly the
+// per-(query, view, index) minimum costs a std::map computes from the same
+// runs. Batched runs carry column classes drawn from per-(view, class)
+// prototype columns, so every col_class promise holds.
+
+struct RandomEdges {
+  std::vector<int32_t> num_indexes;  // per view
+  uint32_t num_queries = 0;
+  // Each query's runs, in a shuffled order.
+  std::vector<std::vector<EdgeRun>> runs_of_query;
+  // (query, view, index or kNoIndex) -> cheapest label.
+  std::map<std::tuple<uint32_t, uint32_t, int32_t>, double> min_cost;
+};
+
+double RandomCost(Pcg32& rng) {
+  return 1.0 + static_cast<double>(rng.NextBounded(64)) / 8.0;
+}
+
+template <typename T>
+void Shuffle(std::vector<T>& items, Pcg32& rng) {
+  for (size_t i = items.size(); i > 1; --i) {
+    std::swap(items[i - 1],
+              items[rng.NextBounded(static_cast<uint32_t>(i))]);
+  }
+}
+
+RandomEdges MakeRandomEdges(uint64_t seed) {
+  Pcg32 rng(seed);
+  RandomEdges out;
+  const uint32_t nv = 2 + rng.NextBounded(6);
+  out.num_queries = 4 + rng.NextBounded(40);
+  // Per view: its index count, and per class (id c + 1) a prototype
+  // column; +inf marks an index the class has no edge to. A view with
+  // indexes but no classes has no index edges at all.
+  std::vector<std::vector<std::vector<double>>> protos(nv);
+  for (uint32_t v = 0; v < nv; ++v) {
+    const int32_t ni =
+        rng.NextBounded(4) == 0 ? 0
+                                : 1 + static_cast<int32_t>(rng.NextBounded(12));
+    out.num_indexes.push_back(ni);
+    const uint32_t nclasses =
+        ni == 0 || rng.NextBounded(4) == 0 ? 0 : 1 + rng.NextBounded(5);
+    for (uint32_t c = 0; c < nclasses; ++c) {
+      std::vector<double> col(static_cast<size_t>(ni));
+      for (double& x : col) {
+        x = rng.NextBounded(3) == 0 ? QueryViewGraph::kInfiniteCost
+                                    : RandomCost(rng);
+      }
+      protos[v].push_back(std::move(col));
+    }
+  }
+  out.runs_of_query.resize(out.num_queries);
+  for (uint32_t q = 0; q < out.num_queries; ++q) {
+    std::vector<EdgeRun>& runs = out.runs_of_query[q];
+    for (uint32_t v = 0; v < nv; ++v) {
+      if (rng.NextBounded(3) == 0) continue;  // q has no edge to v
+      const bool view_edge = rng.NextBounded(5) != 0;
+      const bool index_edges = !protos[v].empty() && rng.NextBounded(4) != 0;
+      if (view_edge) {
+        // One to three labels; the cheapest must win.
+        for (uint32_t n = 1 + rng.NextBounded(3); n > 0; --n) {
+          runs.push_back(EdgeRun{q, v, StructureRef::kNoIndex,
+                                 StructureRef::kNoIndex, RandomCost(rng)});
+        }
+      }
+      if (!index_edges) continue;
+      const uint32_t c = rng.NextBounded(
+          static_cast<uint32_t>(protos[v].size()));
+      const std::vector<double>& col = protos[v][c];
+      const int32_t ni = out.num_indexes[v];
+      // Cover the column's finite entries with runs of equal cost, split
+      // at random, plus dearer duplicates that must lose.
+      for (int32_t b = 0; b < ni;) {
+        if (std::isinf(col[static_cast<size_t>(b)])) {
+          ++b;
+          continue;
+        }
+        int32_t e = b + 1;
+        while (e < ni && col[static_cast<size_t>(e)] ==
+                             col[static_cast<size_t>(b)] &&
+               rng.NextBounded(4) != 0) {
+          ++e;
+        }
+        const double cost = col[static_cast<size_t>(b)];
+        runs.push_back(EdgeRun{q, v, b, e, cost, c + 1});
+        if (rng.NextBounded(3) == 0) {
+          runs.push_back(EdgeRun{q, v, b, e, cost + 1.0, c + 1});
+        }
+        b = e;
+      }
+    }
+    Shuffle(runs, rng);
+    for (const EdgeRun& r : runs) {
+      const int32_t b = r.index_begin;
+      const int32_t e = b == StructureRef::kNoIndex ? b + 1 : r.index_end;
+      for (int32_t k = b; k < e; ++k) {
+        auto [it, fresh] = out.min_cost.try_emplace({q, r.view, k}, r.cost);
+        if (!fresh) it->second = std::min(it->second, r.cost);
+      }
+    }
+  }
+  return out;
+}
+
+// A graph with RandomEdges' views, indexes and queries, and no edges yet.
+void AddStructures(const RandomEdges& edges, QueryViewGraph& g) {
+  for (size_t v = 0; v < edges.num_indexes.size(); ++v) {
+    const uint32_t gv = g.AddView("V" + std::to_string(v), 1.0);
+    for (int32_t k = 0; k < edges.num_indexes[v]; ++k) {
+      g.AddIndex(gv, "I" + std::to_string(k), 1.0);
+    }
+  }
+  for (uint32_t q = 0; q < edges.num_queries; ++q) {
+    g.AddQuery("Q" + std::to_string(q), 100.0);
+  }
+}
+
+QueryViewGraph IngestPerEdge(const RandomEdges& edges, Pcg32& rng) {
+  QueryViewGraph g;
+  AddStructures(edges, g);
+  std::vector<EdgeRun> singles;
+  for (const std::vector<EdgeRun>& runs : edges.runs_of_query) {
+    for (const EdgeRun& r : runs) {
+      if (r.index_begin == StructureRef::kNoIndex) {
+        singles.push_back(r);
+        continue;
+      }
+      for (int32_t k = r.index_begin; k < r.index_end; ++k) {
+        singles.push_back(EdgeRun{r.query, r.view, k, k + 1, r.cost});
+      }
+    }
+  }
+  Shuffle(singles, rng);
+  for (const EdgeRun& r : singles) {
+    if (r.index_begin == StructureRef::kNoIndex) {
+      g.AddViewEdge(r.query, r.view, r.cost);
+    } else {
+      g.AddIndexEdge(r.query, r.view, r.index_begin, r.cost);
+    }
+  }
+  g.Finalize();
+  return g;
+}
+
+QueryViewGraph IngestBatches(const RandomEdges& edges, size_t threads,
+                             Pcg32& rng) {
+  QueryViewGraph g;
+  AddStructures(edges, g);
+  // Batches of consecutive queries, consumed in a shuffled order.
+  std::vector<std::vector<EdgeRun>> batches;
+  for (uint32_t q = 0; q < edges.num_queries;) {
+    const uint32_t end =
+        std::min(edges.num_queries, q + 1 + rng.NextBounded(4));
+    std::vector<EdgeRun>& batch = batches.emplace_back();
+    for (; q < end; ++q) {
+      const std::vector<EdgeRun>& runs = edges.runs_of_query[q];
+      batch.insert(batch.end(), runs.begin(), runs.end());
+    }
+  }
+  Shuffle(batches, rng);
+  std::atomic<size_t> next{0};
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      for (size_t i = next++; i < batches.size(); i = next++) {
+        g.ConsumeEdgeRuns(batches[i]);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  g.Finalize();
+  return g;
+}
+
+void ExpectMatchesOracle(const QueryViewGraph& g, const RandomEdges& edges,
+                         const std::string& label) {
+  SCOPED_TRACE(label);
+  const uint32_t nv = static_cast<uint32_t>(edges.num_indexes.size());
+  std::vector<std::set<uint32_t>> queries_of(nv);
+  std::vector<std::set<uint32_t>> views_of(edges.num_queries);
+  for (const auto& [key, cost] : edges.min_cost) {
+    queries_of[std::get<1>(key)].insert(std::get<0>(key));
+    views_of[std::get<0>(key)].insert(std::get<1>(key));
+  }
+  auto expected = [&](uint32_t q, uint32_t v, int32_t k) {
+    auto it = edges.min_cost.find({q, v, k});
+    return it == edges.min_cost.end() ? QueryViewGraph::kInfiniteCost
+                                      : it->second;
+  };
+  for (uint32_t q = 0; q < edges.num_queries; ++q) {
+    ASSERT_EQ(g.QueryViews(q), std::vector<uint32_t>(views_of[q].begin(),
+                                                     views_of[q].end()))
+        << "query " << q;
+  }
+  for (uint32_t v = 0; v < nv; ++v) {
+    const std::vector<uint32_t>& queries = g.ViewQueries(v);
+    ASSERT_EQ(queries, std::vector<uint32_t>(queries_of[v].begin(),
+                                             queries_of[v].end()))
+        << "view " << v;
+    for (size_t pos = 0; pos < queries.size(); ++pos) {
+      const uint32_t q = queries[pos];
+      ASSERT_EQ(g.ViewCostAt(v, pos), expected(q, v, StructureRef::kNoIndex))
+          << "view " << v << " query " << q;
+      for (int32_t k = 0; k < g.num_indexes(v); ++k) {
+        ASSERT_EQ(g.IndexCostAt(v, k, pos), expected(q, v, k))
+            << "view " << v << " query " << q << " index " << k;
+      }
+    }
+  }
+}
+
+TEST(EdgeSinkOracleTest, RandomRunsMatchMinCostMap) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const RandomEdges edges = MakeRandomEdges(seed);
+    Pcg32 rng(seed * 7919);
+    const std::string at = "seed=" + std::to_string(seed);
+    ExpectMatchesOracle(IngestPerEdge(edges, rng), edges, at + " per-edge");
+    // Every flush order lays the tables out alike, so the fingerprints
+    // agree too.
+    uint64_t fingerprint = 0;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      QueryViewGraph g = IngestBatches(edges, threads, rng);
+      const std::string label = at + " threads=" + std::to_string(threads);
+      ExpectMatchesOracle(g, edges, label);
+      if (fingerprint == 0) fingerprint = g.Fingerprint();
+      EXPECT_EQ(g.Fingerprint(), fingerprint) << label;
+    }
+  }
 }
 
 }  // namespace

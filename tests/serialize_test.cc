@@ -278,6 +278,38 @@ TEST_F(SerializeTest, AdvisorRejectsCheckpointFromDifferentGraph) {
       << accepted.status.ToString();
 }
 
+TEST_F(SerializeTest, CheckpointFromEarlierCostTableLayoutRejected) {
+  // What the advisor above wrote after one 1-greedy stage when dense graphs
+  // still stored a full k × queries cost table and the fingerprint hashed
+  // a storage-mode word. The costs are the same; their layout, and so the
+  // fingerprint, is not — the resume must be refused, not trusted.
+  constexpr char kEarlierLayoutCheckpoint[] =
+      "olapidx-checkpoint v1\n"
+      "algorithm 1-greedy\n"
+      "budget 25000000\n"
+      "graph 2d24fa145db52dfc\n"
+      "stages 1\n"
+      "pick 11999999 view none\n";
+  CubeLattice lattice(schema_);
+  CubeGraphOptions opts;
+  opts.raw_scan_penalty = 2.0;
+  Advisor advisor(schema_, TpcdPaperSizes(), AllSliceQueries(lattice),
+                  opts);
+  // Golden: a change to the cost-table layout must update this on purpose.
+  EXPECT_EQ(advisor.graph_fingerprint(), 0x3decc85cf2de0139ull);
+
+  StatusOr<SelectionCheckpoint> earlier =
+      ParseCheckpoint(kEarlierLayoutCheckpoint, schema_);
+  ASSERT_TRUE(earlier.ok()) << earlier.status().ToString();
+  AdvisorConfig config;
+  config.algorithm = Algorithm::kOneGreedy;
+  config.space_budget = kTpcdExampleBudget;
+  config.resume = &*earlier;
+  Recommendation rejected = advisor.Recommend(config);
+  EXPECT_EQ(rejected.status.code(), StatusCode::kFailedPrecondition)
+      << rejected.status.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // "olapidx-costmodel v1" (cost/calibrated_cost_model.h).
 // ---------------------------------------------------------------------------

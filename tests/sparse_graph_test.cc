@@ -118,25 +118,6 @@ TEST(SparseGraphEquivalenceTest, UnprunedFullWorkloadMatchesDense) {
   }
 }
 
-TEST(SparseGraphEquivalenceTest, CompressedColumnsInvisibleThroughAccessors) {
-  SyntheticCube cube = UniformSyntheticCube(5, 80, 0.05);
-  CubeLattice lattice(cube.schema);
-  Workload workload = ZipfSliceQueries(lattice, 1.1, 7);
-  SparseCubeGraphOptions compressed = UnprunedOptions(5, 1.5);
-  SparseCubeGraphOptions dense_cols = compressed;
-  dense_cols.compress_cost_columns = false;
-  StatusOr<SparseCubeGraph> a =
-      TryBuildSparseCubeGraph(cube.schema, cube.sizes, workload, compressed);
-  StatusOr<SparseCubeGraph> b =
-      TryBuildSparseCubeGraph(cube.schema, cube.sizes, workload, dense_cols);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(a->cube.graph.compressed_cost_columns());
-  EXPECT_FALSE(b->cube.graph.compressed_cost_columns());
-  // Compression trades the k-major table for prototype columns.
-  EXPECT_LT(a->cube.graph.CostTableBytes(), b->cube.graph.CostTableBytes());
-  ExpectIdenticalGraphs(a->cube, b->cube, "compressed vs dense columns");
-}
-
 TEST(SparseGraphEquivalenceTest, CandidateFamiliesPreserveBestCosts) {
   // Force candidate families everywhere (max_fat_dim = 0 keeps only the
   // apex fat) and compare each query's best reachable cost against the

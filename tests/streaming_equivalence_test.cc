@@ -1,9 +1,8 @@
-// Differential tests for the streaming edge-run sink
-// (LatticeGraphOptions::sink_window_bytes): a build that spills and
-// merges bounded windows must produce a graph *bit-identical* to the
-// buffered build (window = 0) for every window size, thread count,
-// index family, and cost-column layout — the sink reorders only when it
-// can prove the merge restores the canonical order. Also the unpruned
+// Differential tests for the streaming edge-run sink: the enumeration
+// shards spill their windows into the sink in whatever order the threads
+// finish, so a build must produce a graph *bit-identical* to the
+// single-threaded build — same accessor values and same fingerprint — for
+// every thread count and index family. Also the unpruned
 // sparse-hierarchical contract: with nothing pruned,
 // TryBuildSparseHierarchicalCubeGraph must reproduce
 // TryBuildHierarchicalCubeGraph exactly on random multi-level schemas.
@@ -61,11 +60,7 @@ void ExpectIdenticalQvg(const QueryViewGraph& a, const QueryViewGraph& b,
   ASSERT_EQ(a.DefaultTotalCost(), b.DefaultTotalCost());
 }
 
-// Sink windows to sweep: buffered baseline, a pathologically tiny window
-// that forces a flush nearly every run, and the production default.
-const size_t kWindows[] = {0, size_t{1} << 10, size_t{1} << 18};
-
-TEST(StreamingEquivalenceTest, FlatSparseMatchesBufferedAcrossWindows) {
+TEST(StreamingEquivalenceTest, FlatSparseIdenticalAcrossThreadCounts) {
   // 12 dimensions with the default max_fat_dim = 6: narrow views carry
   // fat index families, wide views carry workload-derived candidate
   // families, so both ForEachIndexCostClass branches stream.
@@ -73,33 +68,28 @@ TEST(StreamingEquivalenceTest, FlatSparseMatchesBufferedAcrossWindows) {
   CubeLattice lattice(cube.schema);
   Workload workload = SampledZipfSliceQueries(lattice, 1.1, 150, 7);
 
-  SparseCubeGraphOptions buffered;
-  buffered.raw_scan_penalty = 2.0;
-  buffered.sink_window_bytes = 0;
+  SparseCubeGraphOptions serial;
+  serial.raw_scan_penalty = 2.0;
+  serial.num_threads = 1;
   StatusOr<SparseCubeGraph> baseline =
-      TryBuildSparseCubeGraph(cube.schema, cube.sizes, workload, buffered);
+      TryBuildSparseCubeGraph(cube.schema, cube.sizes, workload, serial);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   EXPECT_GT(baseline->stats.candidate_views, 0u);
   EXPECT_GT(baseline->stats.fat_views, 0u);
 
-  for (size_t window : kWindows) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (bool compress : {true, false}) {
-        SparseCubeGraphOptions options = buffered;
-        options.sink_window_bytes = window;
-        options.num_threads = threads;
-        options.compress_cost_columns = compress;
-        StatusOr<SparseCubeGraph> run = TryBuildSparseCubeGraph(
-            cube.schema, cube.sizes, workload, options);
-        ASSERT_TRUE(run.ok()) << run.status().ToString();
-        ExpectIdenticalQvg(run->cube.graph, baseline->cube.graph,
-                           "window=" + std::to_string(window) +
-                               " threads=" + std::to_string(threads) +
-                               " compress=" + std::to_string(compress));
-        ASSERT_EQ(run->cube.view_attrs, baseline->cube.view_attrs);
-        ASSERT_EQ(run->cube.index_keys, baseline->cube.index_keys);
-      }
-    }
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    SparseCubeGraphOptions options = serial;
+    options.num_threads = threads;
+    StatusOr<SparseCubeGraph> run =
+        TryBuildSparseCubeGraph(cube.schema, cube.sizes, workload, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const std::string label = "threads=" + std::to_string(threads);
+    ExpectIdenticalQvg(run->cube.graph, baseline->cube.graph, label);
+    EXPECT_EQ(run->cube.graph.Fingerprint(),
+              baseline->cube.graph.Fingerprint())
+        << label;
+    ASSERT_EQ(run->cube.view_attrs, baseline->cube.view_attrs);
+    ASSERT_EQ(run->cube.index_keys, baseline->cube.index_keys);
   }
 }
 
@@ -117,32 +107,30 @@ HierarchicalSchema ThreeLevelSchema() {
                               HierarchyLevel{"month", 12}}}});
 }
 
-TEST(StreamingEquivalenceTest, HierarchicalSparseMatchesBufferedAcrossWindows) {
+TEST(StreamingEquivalenceTest, HierarchicalSparseIdenticalAcrossThreadCounts) {
   HierarchicalSchema schema = ThreeLevelSchema();
   std::vector<WeightedHQuery> workload =
       SampledZipfHWorkload(schema, 120, 1.1, 5);
 
-  SparseHierarchicalGraphOptions buffered;
-  buffered.raw_scan_penalty = 2.0;
-  buffered.sink_window_bytes = 0;
+  SparseHierarchicalGraphOptions serial;
+  serial.raw_scan_penalty = 2.0;
+  serial.num_threads = 1;
   StatusOr<SparseHierarchicalCubeGraph> baseline =
-      TryBuildSparseHierarchicalCubeGraph(schema, 1e6, workload, buffered);
+      TryBuildSparseHierarchicalCubeGraph(schema, 1e6, workload, serial);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  for (size_t window : kWindows) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      SparseHierarchicalGraphOptions options = buffered;
-      options.sink_window_bytes = window;
-      options.num_threads = threads;
-      StatusOr<SparseHierarchicalCubeGraph> run =
-          TryBuildSparseHierarchicalCubeGraph(schema, 1e6, workload,
-                                              options);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      ASSERT_EQ(run->hgraph.view_levels, baseline->hgraph.view_levels);
-      ExpectIdenticalQvg(run->hgraph.graph, baseline->hgraph.graph,
-                         "window=" + std::to_string(window) +
-                             " threads=" + std::to_string(threads));
-    }
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    SparseHierarchicalGraphOptions options = serial;
+    options.num_threads = threads;
+    StatusOr<SparseHierarchicalCubeGraph> run =
+        TryBuildSparseHierarchicalCubeGraph(schema, 1e6, workload, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const std::string label = "threads=" + std::to_string(threads);
+    ASSERT_EQ(run->hgraph.view_levels, baseline->hgraph.view_levels);
+    ExpectIdenticalQvg(run->hgraph.graph, baseline->hgraph.graph, label);
+    EXPECT_EQ(run->hgraph.graph.Fingerprint(),
+              baseline->hgraph.graph.Fingerprint())
+        << label;
   }
 }
 
