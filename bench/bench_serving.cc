@@ -257,8 +257,9 @@ double CompressionRatio(const Catalog& catalog, uint64_t* compressed_out,
          static_cast<double>(std::max<uint64_t>(1, row));
 }
 
-// The paper's TPC-D lattice, compressed — the acceptance target for the
-// Kaser & Lemire reordering (also pinned by column_store_test).
+// The paper's TPC-D lattice, compressed in the views' own row order — the
+// store's acceptance target, below half of row storage (also pinned by
+// column_store_test).
 double TpcdCompressionRatio() {
   FactTable fact = GenerateTpcdScaledFacts(TpcdScaledConfig{});
   Catalog catalog(&fact);

@@ -204,11 +204,17 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
                           catalog_->column_store(group.plan.view) != nullptr;
     const MaterializedView* view =
         group.plan.use_raw ? nullptr : &catalog_->view(group.plan.view);
+    // The shared scan has one row order; each member's ordered group-by
+    // prefix follows from its own group-by and selection.
+    const std::vector<int> scan_order = ScanOrder(group.plan);
     for (size_t mi = task.member_begin; mi < task.member_end; ++mi) {
       const size_t i = group.members[mi];
       const SliceQuery& query = queries[i];
       const std::vector<int> sel_attrs = query.selection().ToVector();
-      Member m{i, GroupAccumulator(schema, query.group_by()), {}, {}, {}};
+      const size_t prefix = OrderedGroupPrefix(scan_order, query.group_by(),
+                                               query.selection());
+      Member m{i, GroupAccumulator(schema, query.group_by(), prefix), {}, {},
+               {}};
       if (columnar) {
         for (size_t k = 0; k < sel_attrs.size(); ++k) {
           m.dim_preds.push_back({sel_attrs[k], selection_values[i][k]});

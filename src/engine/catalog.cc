@@ -89,24 +89,22 @@ const std::vector<ViewIndex>& Catalog::indexes(AttributeSet attrs) const {
   return e->indexes;
 }
 
-Status Catalog::CompressView(AttributeSet attrs,
-                             const ColumnStoreOptions& options) {
+Status Catalog::CompressView(AttributeSet attrs) {
   Entry* e = Find(attrs);
   if (e == nullptr) {
     return Status::FailedPrecondition(
         "cannot compress unmaterialized view '" +
         attrs.ToString(schema().names()) + "'");
   }
-  e->column_store = std::make_unique<ColumnStore>(
-      ColumnStore::FromView(*e->view, options));
-  e->column_store_options = options;
+  e->column_store =
+      std::make_unique<ColumnStore>(ColumnStore::FromView(*e->view));
   return Status::Ok();
 }
 
-size_t Catalog::CompressAllViews(const ColumnStoreOptions& options) {
+size_t Catalog::CompressAllViews() {
   size_t built = 0;
   for (AttributeSet attrs : order_) {
-    OLAPIDX_CHECK(CompressView(attrs, options).ok());
+    OLAPIDX_CHECK(CompressView(attrs).ok());
     ++built;
   }
   return built;
@@ -137,10 +135,11 @@ Catalog::RefreshStats Catalog::RefreshAfterAppend() {
       stats.index_entries_rebuilt +=
           static_cast<double>(index.num_entries());
     }
-    // A columnar store is a snapshot of the view's rows; re-encode it.
+    // A columnar store holds the view's rows in the view's order;
+    // re-encode it in one pass.
     if (e.column_store != nullptr) {
-      e.column_store = std::make_unique<ColumnStore>(
-          ColumnStore::FromView(*e.view, e.column_store_options));
+      e.column_store =
+          std::make_unique<ColumnStore>(ColumnStore::FromView(*e.view));
     }
   }
   return stats;

@@ -61,10 +61,9 @@ class Catalog {
 
   // Builds (or rebuilds) the columnar store for a materialized view.
   // Fails with FailedPrecondition when the view is not materialized.
-  Status CompressView(AttributeSet attrs,
-                      const ColumnStoreOptions& options = {});
+  Status CompressView(AttributeSet attrs);
   // Compresses every materialized view; returns how many were built.
-  size_t CompressAllViews(const ColumnStoreOptions& options = {});
+  size_t CompressAllViews();
   // The view's columnar store, or nullptr when none is attached.
   const ColumnStore* column_store(AttributeSet attrs) const;
 
@@ -100,7 +99,6 @@ class Catalog {
     std::vector<ViewIndex> indexes;
     // Optional compressed columnar representation (see CompressView).
     std::unique_ptr<ColumnStore> column_store;
-    ColumnStoreOptions column_store_options;
     // Fact rows incorporated into this view so far.
     size_t built_through = 0;
   };

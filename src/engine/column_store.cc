@@ -1,24 +1,44 @@
 #include "engine/column_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
-#include <numeric>
 #include <utility>
-
-#include "engine/key_codec.h"
 
 namespace olapidx {
 
-RleColumn RleEncode(const std::vector<uint32_t>& column) {
+namespace {
+
+int BitsFor(size_t distinct) {
+  int bits = 1;
+  while ((size_t{1} << bits) < distinct) ++bits;
+  return bits;
+}
+
+// A state one double reconstructs: one fact row, with sum, min and max
+// equal bit for bit (a -0.0 measure sums to +0.0 but keeps min -0.0).
+bool IsSingleton(const AggregateState& st) {
+  return st.count == 1 &&
+         std::bit_cast<uint64_t>(st.min) == std::bit_cast<uint64_t>(st.sum) &&
+         std::bit_cast<uint64_t>(st.max) == std::bit_cast<uint64_t>(st.sum);
+}
+
+RleColumn EncodeRuns(const uint32_t* column, size_t n) {
   RleColumn out;
-  out.num_rows = column.size();
-  for (size_t r = 0; r < column.size(); ++r) {
+  out.num_rows = n;
+  for (size_t r = 0; r < n; ++r) {
     if (out.values.empty() || column[r] != out.values.back()) {
       out.values.push_back(column[r]);
       out.starts.push_back(static_cast<uint32_t>(r));
     }
   }
   return out;
+}
+
+}  // namespace
+
+RleColumn RleEncode(const std::vector<uint32_t>& column) {
+  return EncodeRuns(column.data(), column.size());
 }
 
 std::vector<uint32_t> RleDecode(const RleColumn& rle) {
@@ -31,16 +51,6 @@ std::vector<uint32_t> RleDecode(const RleColumn& rle) {
   }
   return out;
 }
-
-namespace {
-
-int BitsFor(size_t distinct) {
-  int bits = 1;
-  while ((size_t{1} << bits) < distinct) ++bits;
-  return bits;
-}
-
-}  // namespace
 
 uint32_t ColumnStore::Column::LocalAt(size_t row) const {
   if (encoding == Encoding::kPacked) return PackedAt(row);
@@ -68,140 +78,82 @@ size_t ColumnStore::Column::PayloadBytes() const {
                                     : packed.size() * 8;
 }
 
-ColumnStore ColumnStore::FromView(const MaterializedView& view,
-                                  const ColumnStoreOptions& options) {
+ColumnStore ColumnStore::FromView(const MaterializedView& view) {
   ColumnStore store;
   store.attrs_ = view.attrs();
   store.num_rows_ = view.num_rows();
-  store.reordered_ = options.reorder;
   store.num_dimensions_ = view.schema().num_dimensions();
-  const std::vector<int> attr_list = view.attrs().ToVector();
   const size_t n = view.num_rows();
-  const size_t num_cols = attr_list.size();
 
-  // Per-attribute value frequencies and the frequency-ranked local
-  // dictionaries (identity recode when reordering is off).
-  std::vector<std::vector<uint32_t>> local_codes(num_cols);
-  std::vector<std::vector<uint32_t>> local_to_global(num_cols);
-  std::vector<size_t> distinct(num_cols, 0);
-  for (size_t c = 0; c < num_cols; ++c) {
-    const int attr = attr_list[c];
-    uint32_t max_code = 0;
-    for (size_t r = 0; r < n; ++r) {
-      max_code = std::max(max_code, view.dim(r, attr));
-    }
-    std::vector<uint64_t> freq(static_cast<size_t>(max_code) + 1, 0);
-    for (size_t r = 0; r < n; ++r) ++freq[view.dim(r, attr)];
-    std::vector<uint32_t> present;
-    for (uint32_t code = 0; code <= max_code; ++code) {
-      if (freq[code] > 0) present.push_back(code);
-    }
-    distinct[c] = present.size();
-    if (options.reorder) {
-      std::stable_sort(present.begin(), present.end(),
-                       [&](uint32_t a, uint32_t b) {
-                         return freq[a] > freq[b];  // ties keep code order
-                       });
-    }
-    std::vector<uint32_t> global_to_local(
-        static_cast<size_t>(max_code) + 1, 0);
-    for (size_t i = 0; i < present.size(); ++i) {
-      global_to_local[present[i]] = static_cast<uint32_t>(i);
-    }
-    local_to_global[c] = std::move(present);
-    local_codes[c].resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      local_codes[c][r] = global_to_local[view.dim(r, attr)];
-    }
-  }
-
-  // Column storage order: ascending distinct count (ties by attribute
-  // id), so the leading sort columns have the fewest possible runs.
-  std::vector<size_t> col_order(num_cols);
-  std::iota(col_order.begin(), col_order.end(), size_t{0});
-  if (options.reorder) {
-    std::stable_sort(col_order.begin(), col_order.end(),
-                     [&](size_t a, size_t b) {
-                       return distinct[a] < distinct[b];
-                     });
-  }
-
-  // Row order: lexicographic over the local codes in storage-column
-  // order, sorted as one packed uint64 per row. A local code is below its
-  // attribute's cardinality, so the view's KeyCodec widths hold it in at
-  // most 64 bits. View rows are distinct in their full key, so the packed
-  // keys are distinct and the order is total and deterministic.
-  std::vector<uint32_t> row_order(n);
-  std::iota(row_order.begin(), row_order.end(), uint32_t{0});
-  if (options.reorder) {
-    std::vector<int> storage_attrs;
-    for (size_t c : col_order) storage_attrs.push_back(attr_list[c]);
-    const KeyCodec codec(view.schema(), storage_attrs);
-    std::vector<std::pair<uint64_t, uint32_t>> keyed(n);
-    for (size_t r = 0; r < n; ++r) {
-      uint64_t key = 0;
-      for (size_t i = 0; i < num_cols; ++i) {
-        key |= codec.Encode(static_cast<int>(i), local_codes[col_order[i]][r]);
-      }
-      keyed[r] = {key, static_cast<uint32_t>(r)};
-    }
-    std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
-      return a.first < b.first;
-    });
-    for (size_t r = 0; r < n; ++r) row_order[r] = keyed[r].second;
-  }
-
-  // Encode each column in the new row order: RLE when the runs pay for
-  // themselves, bit-packed literals otherwise.
+  // Each column in view row order: the dictionary of its present values,
+  // then RLE when the runs pay for themselves, bit-packed local codes
+  // otherwise.
   store.column_of_.assign(static_cast<size_t>(store.num_dimensions_), -1);
-  for (size_t c : col_order) {
+  for (int attr : view.attrs().ToVector()) {
+    const uint32_t* values = view.column_data(attr);
     Column col;
-    col.attr = attr_list[c];
-    col.local_to_global = std::move(local_to_global[c]);
-    std::vector<uint32_t> ordered(n);
-    for (size_t r = 0; r < n; ++r) {
-      ordered[r] = local_codes[c][row_order[r]];
+    col.attr = attr;
+    // A present value's local code is its rank among the present values.
+    const uint32_t max_code =
+        n == 0 ? 0 : *std::max_element(values, values + n);
+    std::vector<uint32_t> local_of(static_cast<size_t>(max_code) + 1, 0);
+    for (size_t r = 0; r < n; ++r) local_of[values[r]] = 1;
+    for (size_t code = 0; code < local_of.size(); ++code) {
+      if (local_of[code] == 0) continue;
+      local_of[code] = static_cast<uint32_t>(col.local_to_global.size());
+      col.local_to_global.push_back(static_cast<uint32_t>(code));
     }
-    RleColumn rle = RleEncode(ordered);
-    col.bits = BitsFor(std::max<size_t>(distinct[c], 2));
-    const size_t packed_bytes = ((n * static_cast<size_t>(col.bits) + 63) / 64) * 8;
-    if (rle.PayloadBytes() <= packed_bytes) {
+    // The recode is a bijection, so local runs are the global runs.
+    size_t runs = n > 0 ? 1 : 0;
+    for (size_t r = 1; r < n; ++r) {
+      if (values[r] != values[r - 1]) ++runs;
+    }
+    col.bits = BitsFor(std::max<size_t>(col.local_to_global.size(), 2));
+    const size_t packed_words = (n * static_cast<size_t>(col.bits) + 63) / 64;
+    // A run and a packed word both take 8 bytes.
+    if (runs <= packed_words) {
       col.encoding = Encoding::kRle;
-      col.rle = std::move(rle);
+      col.rle = EncodeRuns(values, n);
+      for (uint32_t& v : col.rle.values) v = local_of[v];
     } else {
       col.encoding = Encoding::kPacked;
-      col.packed.assign((n * static_cast<size_t>(col.bits) + 63) / 64, 0);
+      col.packed.assign(packed_words, 0);
       for (size_t r = 0; r < n; ++r) {
-        size_t bit = r * static_cast<size_t>(col.bits);
-        size_t word = bit >> 6;
-        int shift = static_cast<int>(bit & 63);
-        col.packed[word] |= static_cast<uint64_t>(ordered[r]) << shift;
+        const uint64_t local = local_of[values[r]];
+        const size_t bit = r * static_cast<size_t>(col.bits);
+        const size_t word = bit >> 6;
+        const int shift = static_cast<int>(bit & 63);
+        col.packed[word] |= local << shift;
         if (shift + col.bits > 64) {
-          col.packed[word + 1] |=
-              static_cast<uint64_t>(ordered[r]) >> (64 - shift);
+          col.packed[word + 1] |= local >> (64 - shift);
         }
       }
     }
-    store.column_of_[static_cast<size_t>(col.attr)] =
+    store.column_of_[static_cast<size_t>(attr)] =
         static_cast<int>(store.columns_.size());
     store.columns_.push_back(std::move(col));
   }
 
   // Aggregate plane: bitmap of single-fact-row groups (whole state
   // reconstructible from one double), rank directory per 64-row word,
-  // full states for the rest.
+  // full states for the rest, each payload allocated at its exact size.
+  const AggregateState* states = view.aggregate_data();
+  const size_t singles =
+      static_cast<size_t>(std::count_if(states, states + n, IsSingleton));
   store.single_bits_.assign((n + 63) / 64, 0);
   store.single_rank_.assign((n + 63) / 64, 0);
-  uint32_t singles = 0;
+  store.single_sums_.reserve(singles);
+  store.full_states_.reserve(n - singles);
   for (size_t r = 0; r < n; ++r) {
-    if ((r & 63) == 0) store.single_rank_[r >> 6] = singles;
-    const AggregateState& st = view.aggregate(row_order[r]);
-    if (st.count == 1 && st.min == st.sum && st.max == st.sum) {
+    if ((r & 63) == 0) {
+      store.single_rank_[r >> 6] =
+          static_cast<uint32_t>(store.single_sums_.size());
+    }
+    if (IsSingleton(states[r])) {
       store.single_bits_[r >> 6] |= uint64_t{1} << (r & 63);
-      store.single_sums_.push_back(st.sum);
-      ++singles;
+      store.single_sums_.push_back(states[r].sum);
     } else {
-      store.full_states_.push_back(st);
+      store.full_states_.push_back(states[r]);
     }
   }
   return store;
@@ -220,16 +172,16 @@ ColumnStore::ScanPlan ColumnStore::PlanScan(
   OLAPIDX_CHECK(decode.IsSubsetOf(attrs_));
   ScanPlan plan;
   if (num_rows_ == 0) return plan;
-  // Predicates in storage order, so the RLE columns with the fewest runs
-  // narrow the ranges first.
+  // Predicates in column order: the view's leading key columns have the
+  // fewest runs, so they narrow the ranges first.
   std::vector<std::pair<size_t, uint32_t>> by_column;  // (column, local)
   for (const Predicate& p : predicates) {
     OLAPIDX_CHECK(attrs_.Contains(p.attr));
     const size_t c =
         static_cast<size_t>(column_of_[static_cast<size_t>(p.attr)]);
     const std::vector<uint32_t>& dict = columns_[c].local_to_global;
-    const auto it = std::find(dict.begin(), dict.end(), p.value);
-    if (it == dict.end()) return plan;  // value absent: no row matches
+    const auto it = std::lower_bound(dict.begin(), dict.end(), p.value);
+    if (it == dict.end() || *it != p.value) return plan;  // absent: no match
     by_column.emplace_back(c, static_cast<uint32_t>(it - dict.begin()));
   }
   std::sort(by_column.begin(), by_column.end());
@@ -262,6 +214,9 @@ ColumnStore::ScanPlan ColumnStore::PlanScan(
     (col.encoding == Encoding::kRle ? plan.rle_decode : plan.packed_decode)
         .push_back(&col);
   }
+  plan.dims.assign(static_cast<size_t>(num_dimensions_), 0);
+  plan.run.assign(plan.rle_decode.size(), 0);
+  plan.run_end.assign(plan.rle_decode.size(), 0);
   return plan;
 }
 

@@ -1,30 +1,24 @@
 // ColumnStore: a compressed columnar representation of a materialized
 // view, built for throughput-grade scan serving.
 //
-// Layout (Kaser & Lemire-style attribute/value reordering, PAPERS.md):
+// Layout:
 //
-//  1. Per-column value recode: each attribute gets a local dictionary that
-//     ranks its values by descending frequency in the view (ties by
-//     ascending global code), so hot values get small local codes and
-//     cluster together under the sort below.
-//  2. Attribute-frequency sort: columns are ordered by ascending
-//     distinct-value count (ties by ascending attribute id) and the view's
-//     rows are re-sorted lexicographically under that column order over
-//     the local codes, packed into one uint64 sort key per row (a local
-//     code fits its attribute's KeyCodec width, and the view's KeyCodec
-//     bounds the widths' sum by 64). Leading low-cardinality columns then
-//     consist of a handful of giant runs; the k-th column has at most
-//     prod_{j<=k} distinct_j runs — minimized by putting the smallest
-//     distinct counts first.
-//  3. Per-column encoding: run-length (one {local value, run length} pair
+//  1. Row order: storage row r is view row r. The store keeps the view's
+//     key order (ascending attribute id, most significant first), so the
+//     leading key columns arrive in long runs and a refresh re-encodes the
+//     refreshed view in one linear pass, with no sort.
+//  2. Per-column dictionary: an attribute's values present in the view,
+//     ascending; a row stores its value's rank in it (its local code), so
+//     a predicate finds its local code by binary search.
+//  3. Per-column encoding: run-length (one {local value, run start} pair
 //     per run) when the runs pay for themselves, otherwise bit-packed
 //     literals at ceil(log2(distinct)) bits per row. The choice is purely
 //     size-driven and invisible through the accessors.
 //  4. Aggregate compression: groups that aggregate a single fact row
 //     (count == 1, the common case in sparse cubes) have
-//     sum == min == max, so one double reconstructs the whole
-//     AggregateState bit-exactly; a bitmap marks them and only
-//     multi-row groups store the full 32-byte state.
+//     sum == min == max bit for bit, so one double reconstructs the whole
+//     AggregateState bit-exactly; a bitmap marks them and only multi-row
+//     groups store the full 32-byte state.
 //
 // The store is a *second representation* of the view: the row-store
 // MaterializedView keeps working unchanged (roll-ups, deltas, indexes),
@@ -34,11 +28,10 @@
 // predicates run on local codes before anything is decoded, RLE predicate
 // columns skip whole runs, and only the requested columns of matching
 // rows are decoded, with one dictionary translation per run of an RLE
-// column. Note the store's row order differs from the view's: scans visit
-// the same set of rows in a different order, so per-group float
-// accumulation can differ from the row store in the last ulp
-// (exact-measure cubes, e.g. dyadic measures, are bit-identical; see
-// column_store_test).
+// column. A scan visits the matching rows in view row order, exactly as a
+// row-store scan does, so per-group float accumulation over the store is
+// bit-identical to the row store's (column_store_test pins it with
+// fractional measures).
 
 #ifndef OLAPIDX_ENGINE_COLUMN_STORE_H_
 #define OLAPIDX_ENGINE_COLUMN_STORE_H_
@@ -77,22 +70,12 @@ std::vector<uint32_t> RleDecode(const RleColumn& rle);
 // The store.
 // ---------------------------------------------------------------------------
 
-struct ColumnStoreOptions {
-  // Apply the attribute-frequency sort (ascending-distinct column order +
-  // frequency value recode + row re-sort). Off keeps the view's row order,
-  // which still RLE-compresses the leading key columns (the view is key
-  // sorted) but leaves the trailing ones incompressible.
-  bool reorder = true;
-};
-
 class ColumnStore {
  public:
-  static ColumnStore FromView(const MaterializedView& view,
-                              const ColumnStoreOptions& options = {});
+  static ColumnStore FromView(const MaterializedView& view);
 
   AttributeSet attrs() const { return attrs_; }
   size_t num_rows() const { return num_rows_; }
-  bool reordered() const { return reordered_; }
 
   // One equality predicate of a scan: attribute `attr` (in attrs())
   // holds the global code `value`.
@@ -103,15 +86,15 @@ class ColumnStore {
 
   // ---- Scan (the hot path) ----
   //
-  // Visits the rows that satisfy every predicate, in ascending storage
-  // order, calling fn(row, dims, state): `dims` is indexed by attribute id
-  // and holds the row's *global* codes of the `decode` attributes (other
-  // entries are unspecified); `state` is the row's reconstructed
-  // AggregateState. Each predicate value maps to its local code once (a
-  // value absent from the column matches no row); the matching runs of
-  // RLE predicate columns intersect into row ranges, and packed predicate
-  // columns compare local codes within them. Only matching rows are
-  // decoded.
+  // Visits the rows that satisfy every predicate, in ascending row order
+  // (the view's), calling fn(row, dims, state): `dims` is indexed by
+  // attribute id and holds the row's *global* codes of the `decode`
+  // attributes (other entries are unspecified); `state` is the row's
+  // reconstructed AggregateState. Each predicate value maps to its local
+  // code once (a value absent from the column matches no row); the
+  // matching runs of RLE predicate columns intersect into row ranges, and
+  // packed predicate columns compare local codes within them. Only
+  // matching rows are decoded.
   template <typename Fn>
   void Scan(const std::vector<Predicate>& predicates, AttributeSet decode,
             Fn&& fn) const;
@@ -161,7 +144,7 @@ class ColumnStore {
   struct Column {
     int attr = 0;
     Encoding encoding = Encoding::kRle;
-    // Local → global code, frequency-ranked.
+    // Local → global code: the column's present values, ascending.
     std::vector<uint32_t> local_to_global;
     // kRle payload.
     RleColumn rle;
@@ -183,7 +166,8 @@ class ColumnStore {
     size_t PayloadBytes() const;
   };
 
-  // What one Scan reads, resolved once per scan by PlanScan.
+  // What one Scan reads, resolved once per scan by PlanScan, and the
+  // scan's cursor state, sized there too.
   struct ScanPlan {
     // Row ranges [first, second) in which every RLE predicate holds,
     // ascending and disjoint; empty when no row can match.
@@ -193,6 +177,13 @@ class ColumnStore {
     // Columns to decode, by encoding.
     std::vector<const Column*> rle_decode;
     std::vector<const Column*> packed_decode;
+    // The current row's global codes, indexed by attribute id.
+    std::vector<uint32_t> dims;
+    // Forward-only cursor per decoded RLE column: its current run and the
+    // row that run ends at (0 before the first matching row, so that row
+    // seeks from run 0).
+    std::vector<size_t> run;
+    std::vector<size_t> run_end;
   };
   ScanPlan PlanScan(const std::vector<Predicate>& predicates,
                     AttributeSet decode) const;
@@ -207,9 +198,8 @@ class ColumnStore {
 
   AttributeSet attrs_;
   size_t num_rows_ = 0;
-  bool reordered_ = false;
   int num_dimensions_ = 0;
-  // Columns in storage (sort-priority) order.
+  // Columns in ascending attribute order (the view's key order).
   std::vector<Column> columns_;
   // attr id → position in columns_, or -1.
   std::vector<int> column_of_;
@@ -225,13 +215,10 @@ class ColumnStore {
 template <typename Fn>
 void ColumnStore::Scan(const std::vector<Predicate>& predicates,
                        AttributeSet decode, Fn&& fn) const {
-  const ScanPlan plan = PlanScan(predicates, decode);
-  std::vector<uint32_t> dims(static_cast<size_t>(num_dimensions_), 0);
-  // Forward-only cursor per decoded RLE column: its current run and the
-  // row that run ends at (0 before the first matching row, so that row
-  // seeks from run 0).
-  std::vector<size_t> run(plan.rle_decode.size(), 0);
-  std::vector<size_t> run_end(plan.rle_decode.size(), 0);
+  ScanPlan plan = PlanScan(predicates, decode);
+  std::vector<uint32_t>& dims = plan.dims;
+  std::vector<size_t>& run = plan.run;
+  std::vector<size_t>& run_end = plan.run_end;
   for (const auto& [first, last] : plan.ranges) {
     for (size_t r = first; r < last; ++r) {
       bool match = true;

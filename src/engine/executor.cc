@@ -62,6 +62,12 @@ PlannedAccess PlanAccess(const Catalog& catalog, const SliceQuery& query) {
   return plan;
 }
 
+std::vector<int> ScanOrder(const PlannedAccess& plan) {
+  if (plan.use_raw) return {};
+  if (plan.index != nullptr) return plan.index->key().attrs();
+  return plan.view.ToVector();
+}
+
 Executor::Executor(const Catalog* catalog) : catalog_(catalog) {
   OLAPIDX_CHECK(catalog != nullptr);
 }
@@ -88,7 +94,9 @@ GroupedResult Executor::Execute(
   // Selection predicates and group-by columns are resolved to raw column
   // pointers once per query, not once per row — the scan loops below
   // touch no per-row indirection beyond the columns themselves.
-  GroupAccumulator acc(schema, query.group_by());
+  GroupAccumulator acc(schema, query.group_by(),
+                       OrderedGroupPrefix(ScanOrder(plan), query.group_by(),
+                                          query.selection()));
   uint64_t rows_processed = 0;
   uint64_t bytes_scanned = 0;
   bool used_columnar = false;

@@ -52,6 +52,12 @@ struct PlannedAccess {
 // stable sort front.
 PlannedAccess PlanAccess(const Catalog& catalog, const SliceQuery& query);
 
+// The attributes a plan's scan visits rows in lexicographic order of: the
+// view's attributes for a view scan (row store and column store alike),
+// the index key for a probe, none for a raw scan. OrderedGroupPrefix
+// turns it into a query's ordered group-by prefix.
+std::vector<int> ScanOrder(const PlannedAccess& plan);
+
 // The group keys of a GroupedResult, row-major in one flat array: row r's
 // values, parallel to group_attrs, are the `width` values starting at
 // r * width. keys[r] is a view of one row.

@@ -10,6 +10,9 @@
 // its key in visit order, so a group's float sums are a left fold in row
 // order. Emit() sorts the group ids by key once (keys are distinct, so the
 // order is unique) and hands the groups out in ascending key order.
+// Clear() empties the table in time proportional to its groups, so a
+// GroupAccumulator can aggregate one sorted segment of rows at a time in
+// one table.
 
 #ifndef OLAPIDX_ENGINE_GROUP_TABLE_H_
 #define OLAPIDX_ENGINE_GROUP_TABLE_H_
@@ -36,6 +39,7 @@ class GroupTable {
   void Merge(uint64_t key, const AggregateState& state) {
     size_t slot = Hash(key) & mask_;
     for (uint32_t id = slots_[slot]; id != kEmpty; id = slots_[slot]) {
+      OLAPIDX_DCHECK(id < keys_.size());  // no slot outlives Clear()
       if (keys_[id] == key) {
         states_[id].Merge(state);
         return;
@@ -51,6 +55,19 @@ class GroupTable {
     keys_.push_back(key);
     states_.emplace_back();
     states_.back().Merge(state);
+  }
+
+  // Removes every group in O(groups), not O(slots): each group's slot is
+  // found along its probe sequence and emptied. The slot array keeps its
+  // size, so a table refilled after Clear() does not grow again.
+  void Clear() {
+    for (size_t id = 0; id < keys_.size(); ++id) {
+      size_t slot = Hash(keys_[id]) & mask_;
+      while (slots_[slot] != id) slot = (slot + 1) & mask_;
+      slots_[slot] = kEmpty;
+    }
+    keys_.clear();
+    states_.clear();
   }
 
   // Calls fn(key, state) once per group, in ascending key order.

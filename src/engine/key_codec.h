@@ -51,6 +51,10 @@ class KeyCodec {
   std::pair<uint64_t, uint64_t> PrefixRange(
       const std::vector<uint32_t>& values) const;
 
+  // Bit offset of key position `i`'s least-significant bit: a key shifted
+  // right by shift(i) keeps positions 0..i.
+  int shift(int i) const { return shifts_[static_cast<size_t>(i)]; }
+
   // Decodes position `i` (in key order) out of an encoded key.
   uint32_t Decode(uint64_t key, int i) const {
     return static_cast<uint32_t>((key >> shifts_[static_cast<size_t>(i)]) &

@@ -117,9 +117,8 @@ TEST_F(BatchExecutorTest, DeterministicAcrossThreadCounts) {
 }
 
 TEST_F(BatchExecutorTest, CompressedBatchMatchesSerialRowStore) {
-  // Integer measures: every partial sum is exactly representable, so the
-  // columnar store's different row order still produces bit-identical
-  // sums (the dyadic-exact pinning idiom).
+  // Integer measures, views the fixture's queries partly miss (raw scans
+  // ride along).
   CubeSchema schema = TestSchema();
   FactTable fact(schema);
   Pcg32 rng(47);
@@ -149,6 +148,52 @@ TEST_F(BatchExecutorTest, CompressedBatchMatchesSerialRowStore) {
     any_columnar = any_columnar || stats[i].used_columnar;
   }
   EXPECT_TRUE(any_columnar);
+}
+
+TEST_F(BatchExecutorTest, ColumnarBatchMatchesSerialRowStoreBitForBit) {
+  // Fractional measures: the store keeps the view's row order, so a
+  // shared columnar scan folds every group in the row store's order. The
+  // batch covers every group-by and selection of a 4-dim view, each
+  // twice (coalesced), several members per shared scan, each member with
+  // its own ordered group-by prefix.
+  const AttributeSet view = AttributeSet::Of({0, 1, 2, 3});
+  Catalog catalog(&fact_);
+  catalog.MaterializeView(view);
+  catalog.MaterializeView(AttributeSet::Of({0, 1, 2}));
+  catalog.CompressAllViews();
+  std::vector<SliceQuery> queries;
+  std::vector<std::vector<uint32_t>> values;
+  Pcg32 rng(53);
+  for (AttributeSet selection : view.Subsets()) {
+    for (AttributeSet group : view.Minus(selection).Subsets()) {
+      const size_t row =
+          rng.NextBounded(static_cast<uint32_t>(fact_.num_rows()));
+      std::vector<uint32_t> sel;
+      for (int a : selection.ToVector()) sel.push_back(fact_.dim(row, a));
+      for (int copy = 0; copy < 2; ++copy) {
+        queries.emplace_back(group, selection);
+        values.push_back(sel);
+      }
+    }
+  }
+
+  Executor serial(&catalog);
+  serial.set_use_column_store(false);
+  BatchExecutor batch(&catalog, 2);
+  std::vector<ExecutionStats> stats;
+  BatchStats bstats;
+  const std::vector<GroupedResult> results =
+      batch.ExecuteBatch(queries, values, &stats, &bstats);
+  ASSERT_EQ(results.size(), queries.size());
+  EXPECT_LT(bstats.unique_queries, bstats.queries);
+  EXPECT_GT(bstats.columnar_scans, 0u);
+  size_t columnar = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE(queries[i].ToString(TestSchema().names()));
+    ExpectBitIdentical(results[i], serial.Execute(queries[i], values[i]));
+    if (stats[i].used_columnar) ++columnar;
+  }
+  EXPECT_GT(columnar, queries.size() / 2);
 }
 
 TEST_F(BatchExecutorTest, IdenticalRequestsCoalesce) {

@@ -136,6 +136,39 @@ TEST(GroupTableTest, SixtyFourBitKeys) {
   }));
 }
 
+TEST(GroupTableTest, ClearEmptiesTheTableForReuse) {
+  // A cleared table holds no group, and a refill aggregates exactly as a
+  // fresh table does: no slot of an earlier group survives to capture a
+  // later key. Each fill replays the previous fill's rows backwards, so
+  // the group seen last comes first and probes toward its old slot, then
+  // adds fresh rows over fewer keys. The first fill grows the table many
+  // times over; the refills reuse its slot array.
+  GroupTable table;
+  Groups previous;
+  for (uint64_t fill = 0; fill < 4; ++fill) {
+    SCOPED_TRACE(::testing::Message() << "fill " << fill);
+    Groups input(previous.rbegin(), previous.rend());
+    const uint64_t groups = fill == 0 ? 5000 : 40 >> fill;
+    const Groups fresh = RandomInput(3 * groups, fill + 11, [&](Pcg32& rng) {
+      return (rng.NextBounded(static_cast<uint32_t>(groups)) + fill * 7) *
+             0x9E3779B97F4A7C15u;
+    });
+    input.insert(input.end(), fresh.begin(), fresh.end());
+    for (const auto& [key, state] : input) table.Merge(key, state);
+    Groups out;
+    table.Emit([&](uint64_t key, const AggregateState& state) {
+      out.emplace_back(key, state);
+    });
+    ExpectSameGroups(out, OracleGroups(input));
+    table.Clear();
+    EXPECT_EQ(table.size(), 0u);
+    size_t emitted = 0;
+    table.Emit([&](uint64_t, const AggregateState&) { ++emitted; });
+    EXPECT_EQ(emitted, 0u);
+    previous = fresh;
+  }
+}
+
 TEST(GroupTableTest, EmptyKeyIsOneGroup) {
   // Group-by ∅: every row lands in the key-0 group, and no rows means no
   // group at all.

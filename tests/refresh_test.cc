@@ -85,8 +85,7 @@ void ExpectIndexIsRebuild(const ViewIndex& index,
 // A refreshed column store is the encoding of the refreshed view.
 void ExpectStoreIsEncodingOf(const ColumnStore& store,
                              const MaterializedView& view) {
-  const ColumnStore fresh =
-      ColumnStore::FromView(view, ColumnStoreOptions{store.reordered()});
+  const ColumnStore fresh = ColumnStore::FromView(view);
   ASSERT_EQ(store.num_rows(), fresh.num_rows());
   EXPECT_EQ(store.CompressedBytes(), fresh.CompressedBytes());
   for (int a : view.attrs().ToVector()) {
@@ -253,10 +252,7 @@ TEST_P(RefreshStressTest, ManyRandomBatches) {
   catalog.BuildIndex(AttributeSet::Of({0, 1, 2}), IndexKey({1}));
   catalog.BuildIndex(AttributeSet::Of({0, 1, 2}), IndexKey({2, 0}));
   ASSERT_TRUE(catalog.CompressView(AttributeSet::Of({0, 1, 2})).ok());
-  ASSERT_TRUE(catalog
-                  .CompressView(AttributeSet::Of({0, 2}),
-                                ColumnStoreOptions{/*reorder=*/false})
-                  .ok());
+  ASSERT_TRUE(catalog.CompressView(AttributeSet::Of({0, 2})).ok());
 
   for (int cycle = 0; cycle < 8; ++cycle) {
     const size_t begin_row = fact.num_rows();
