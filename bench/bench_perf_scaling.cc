@@ -182,11 +182,11 @@ BENCHMARK(BM_BTreeInsert)->Range(1 << 10, 1 << 16);
 void BM_BTreeBulkLoad(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Pcg32 rng(1);
-  std::vector<std::pair<uint64_t, uint32_t>> entries(n);
+  std::vector<KeyRow> entries(n);
   for (size_t i = 0; i < n; ++i) {
     entries[i] = {rng.Next(), static_cast<uint32_t>(i)};
   }
-  std::sort(entries.begin(), entries.end());
+  RadixSortByKey(entries);
   for (auto _ : state) {
     BPlusTree tree;
     tree.BulkLoad(entries);

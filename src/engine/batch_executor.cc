@@ -55,6 +55,7 @@ struct TaskPhysical {
   uint64_t rows_decoded = 0;
   uint64_t bytes_scanned = 0;
   bool columnar = false;
+  uint64_t sorted_members = 0;  // members aggregated on the sort path
 };
 
 void AppendBytes(std::string* key, const void* data, size_t n) {
@@ -199,22 +200,23 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
     // Hoist each member's predicates and group-by columns once.
     std::vector<Member> members;
     members.reserve(task.member_end - task.member_begin);
-    const bool columnar = !group.plan.use_raw && group.plan.index == nullptr &&
-                          use_column_store_ &&
-                          catalog_->column_store(group.plan.view) != nullptr;
+    const ColumnStore* store =
+        !group.plan.use_raw && group.plan.index == nullptr &&
+                use_column_store_
+            ? catalog_->column_store(group.plan.view)
+            : nullptr;
+    const bool columnar = store != nullptr;
     const MaterializedView* view =
         group.plan.use_raw ? nullptr : &catalog_->view(group.plan.view);
-    // The shared scan has one row order; each member's ordered group-by
-    // prefix follows from its own group-by and selection.
-    const std::vector<int> scan_order = ScanOrder(group.plan);
     for (size_t mi = task.member_begin; mi < task.member_end; ++mi) {
       const size_t i = group.members[mi];
       const SliceQuery& query = queries[i];
       const std::vector<int> sel_attrs = query.selection().ToVector();
-      const size_t prefix = OrderedGroupPrefix(scan_order, query.group_by(),
-                                               query.selection());
-      Member m{i, GroupAccumulator(schema, query.group_by(), prefix), {}, {},
+      // The shared scan has one row order and one row bound; each member's
+      // path and ordered group-by prefix follow from its own query.
+      Member m{i, AccumulatorFor(*catalog_, group.plan, store, query), {}, {},
                {}};
+      if (m.acc.sorts()) ++phys.sorted_members;
       if (columnar) {
         for (size_t k = 0; k < sel_attrs.size(); ++k) {
           m.dim_preds.push_back({sel_attrs[k], selection_values[i][k]});
@@ -267,10 +269,9 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
       rows = n;
       phys.bytes_scanned =
           rows * (static_cast<uint64_t>(schema.num_dimensions()) * 4 + 8);
-    } else if (group.plan.index == nullptr && columnar) {
-      const ColumnStore* store = catalog_->column_store(group.plan.view);
+    } else if (columnar) {
       // No predicates, every attribute: each member filters the full scan.
-      store->Scan([&](size_t, const uint32_t* dims,
+      store->Scan([&](size_t r, const uint32_t* dims,
                       const AggregateState& state) {
         for (Member& m : members) {
           bool match = true;
@@ -281,7 +282,7 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
             }
           }
           if (!match) continue;
-          m.acc.AddDims(dims, state);
+          m.acc.AddDims(r, dims, state);
         }
       });
       rows = store->num_rows();
@@ -384,7 +385,9 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
   }
 
   // ---- Accounting (one registry update per batch) and notification. ----
+  uint64_t sorted_members = 0;
   for (size_t t = 0; t < tasks.size(); ++t) {
+    sorted_members += physical[t].sorted_members;
     if (groups[tasks[t].group].plan.index != nullptr) {
       ++local_batch.probe_groups;
     } else {
@@ -405,6 +408,7 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
   OLAPIDX_METRIC_COUNTER(probe_groups, "executor.batch.probe_groups");
   OLAPIDX_METRIC_COUNTER(rows_decoded, "executor.batch.rows_decoded");
   OLAPIDX_METRIC_COUNTER(columnar, "executor.batch.columnar_scans");
+  OLAPIDX_METRIC_COUNTER(sorted, "executor.batch.aggregations_sorted");
   batches.Add(1);
   batch_queries.Add(local_batch.queries);
   unique_queries.Add(local_batch.unique_queries);
@@ -412,6 +416,7 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
   probe_groups.Add(local_batch.probe_groups);
   rows_decoded.Add(local_batch.rows_decoded);
   columnar.Add(local_batch.columnar_scans);
+  sorted.Add(sorted_members);
 
   if (observer_) {
     for (size_t i = 0; i < num_queries; ++i) {

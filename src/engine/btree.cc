@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 
 #include "common/metrics.h"
 
@@ -130,12 +131,11 @@ void BPlusTree::Insert(uint64_t key, uint32_t value) {
   ++size_;
 }
 
-void BPlusTree::BulkLoad(
-    const std::vector<std::pair<uint64_t, uint32_t>>& sorted) {
+void BPlusTree::BulkLoad(const std::vector<KeyRow>& sorted) {
   OLAPIDX_CHECK(root_ == nullptr);
   OLAPIDX_CHECK(std::is_sorted(
       sorted.begin(), sorted.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; }));
+      [](const KeyRow& a, const KeyRow& b) { return a.key < b.key; }));
   if (sorted.empty()) return;
   OLAPIDX_METRIC_COUNTER(bulk_entries, "btree.bulk_load_entries");
   bulk_entries.Add(sorted.size());
@@ -157,8 +157,8 @@ void BPlusTree::BulkLoad(
       prev->keys.pop_back();
       prev->values.pop_back();
       Node* leaf = new Node(/*leaf=*/true);
-      leaf->keys = {k, sorted[begin].first};
-      leaf->values = {v, sorted[begin].second};
+      leaf->keys = {k, sorted[begin].key};
+      leaf->values = {v, sorted[begin].row};
       level.back().node->next = leaf;
       level.push_back(Entry{leaf, leaf->keys.front()});
       break;
@@ -167,8 +167,8 @@ void BPlusTree::BulkLoad(
     leaf->keys.reserve(end - begin);
     leaf->values.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      leaf->keys.push_back(sorted[i].first);
-      leaf->values.push_back(sorted[i].second);
+      leaf->keys.push_back(sorted[i].key);
+      leaf->values.push_back(sorted[i].row);
     }
     if (!level.empty()) level.back().node->next = leaf;
     level.push_back(Entry{leaf, leaf->keys.front()});

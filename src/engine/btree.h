@@ -12,10 +12,10 @@
 #define OLAPIDX_ENGINE_BTREE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "engine/key_sort.h"
 
 namespace olapidx {
 
@@ -32,9 +32,9 @@ class BPlusTree {
 
   void Insert(uint64_t key, uint32_t value);
 
-  // Builds the tree bottom-up from entries sorted by key (duplicates
-  // allowed). The tree must be empty.
-  void BulkLoad(const std::vector<std::pair<uint64_t, uint32_t>>& sorted);
+  // Builds the tree bottom-up from (key, value) entries sorted by key
+  // (duplicates allowed). The tree must be empty.
+  void BulkLoad(const std::vector<KeyRow>& sorted);
 
   // Invokes `fn(key, value)` for every entry with lo <= key <= hi, in key
   // order. Returns the number of entries visited (i.e. in range).

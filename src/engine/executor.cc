@@ -94,9 +94,11 @@ GroupedResult Executor::Execute(
   // Selection predicates and group-by columns are resolved to raw column
   // pointers once per query, not once per row — the scan loops below
   // touch no per-row indirection beyond the columns themselves.
-  GroupAccumulator acc(schema, query.group_by(),
-                       OrderedGroupPrefix(ScanOrder(plan), query.group_by(),
-                                          query.selection()));
+  const ColumnStore* store =
+      !plan.use_raw && plan.index == nullptr && use_column_store_
+          ? catalog_->column_store(plan.view)
+          : nullptr;
+  GroupAccumulator acc = AccumulatorFor(*catalog_, plan, store, query);
   uint64_t rows_processed = 0;
   uint64_t bytes_scanned = 0;
   bool used_columnar = false;
@@ -129,8 +131,6 @@ GroupedResult Executor::Execute(
                     (static_cast<uint64_t>(schema.num_dimensions()) * 4 + 8);
   } else if (plan.index == nullptr) {
     const MaterializedView& view = catalog_->view(plan.view);
-    const ColumnStore* store =
-        use_column_store_ ? catalog_->column_store(plan.view) : nullptr;
     const uint64_t row_bytes =
         static_cast<uint64_t>(view.attrs().ToVector().size()) * 4 +
         sizeof(AggregateState);
@@ -144,9 +144,9 @@ GroupedResult Executor::Execute(
       // Only matching rows are visited, but the scan's cost is still the
       // view's row count: the paper's measure.
       store->Scan(preds, query.group_by(),
-                  [&](size_t, const uint32_t* dims,
+                  [&](size_t r, const uint32_t* dims,
                       const AggregateState& state) {
-                    acc.AddDims(dims, state);
+                    acc.AddDims(r, dims, state);
                   });
       rows_processed = store->num_rows();
       bytes_scanned = store->CompressedBytes();
@@ -213,6 +213,13 @@ GroupedResult Executor::Execute(
   // the chosen access path (raw scan vs. view scan vs. index probe).
   OLAPIDX_METRIC_COUNTER(queries, "executor.queries");
   queries.Add(1);
+  if (acc.sorts()) {
+    OLAPIDX_METRIC_COUNTER(sorted, "executor.aggregations_sorted");
+    sorted.Add(1);
+  } else {
+    OLAPIDX_METRIC_COUNTER(hashed, "executor.aggregations_hashed");
+    hashed.Add(1);
+  }
   if (plan.use_raw) {
     OLAPIDX_METRIC_COUNTER(raw_plans, "executor.plans_raw");
     OLAPIDX_METRIC_COUNTER(raw_rows, "executor.rows_raw_scanned");
@@ -331,6 +338,10 @@ GroupedResult Executor::ExecuteNaive(
   OLAPIDX_CHECK(selection_values.size() == sel_attrs.size());
   GroupAccumulator acc(schema, query.group_by());
   const FactTable& fact = catalog_->fact();
+  std::vector<const uint32_t*> gcols;
+  for (int a : query.group_by().ToVector()) {
+    gcols.push_back(fact.column_data(a));
+  }
   for (size_t r = 0; r < fact.num_rows(); ++r) {
     bool match = true;
     for (size_t i = 0; i < sel_attrs.size(); ++i) {
@@ -340,8 +351,7 @@ GroupedResult Executor::ExecuteNaive(
       }
     }
     if (!match) continue;
-    acc.Add([&](int a) { return fact.dim(r, a); },
-            AggregateState::OfMeasure(fact.measure(r)));
+    acc.AddRow(gcols.data(), r, AggregateState::OfMeasure(fact.measure(r)));
   }
   return acc.Finish();
 }

@@ -1,7 +1,8 @@
 // GroupTable: the engine's group-by hash table, mapping packed KeyCodec
-// keys to distributive aggregate states. Query answering
-// (GroupAccumulator) and view construction (MaterializedView) both
-// aggregate through it.
+// keys to distributive aggregate states, and SortsGroups(), the rule that
+// sends a wide group-by to the sort path instead (FoldSortedRuns). Query
+// answering (GroupAccumulator) and view construction (MaterializedView)
+// both aggregate through them.
 //
 // Open addressing with linear probing over a power-of-two slot array kept
 // at most half full, probed from a mixing hash of the key. A slot holds a
@@ -9,23 +10,23 @@
 // order. A new group starts as AggregateState{} and merges every state of
 // its key in visit order, so a group's float sums are a left fold in row
 // order. Emit() sorts the group ids by key once (keys are distinct, so the
-// order is unique) and hands the groups out in ascending key order.
-// Clear() empties the table in time proportional to its groups, so a
-// GroupAccumulator can aggregate one sorted segment of rows at a time in
-// one table.
+// order is unique; from kKeySortRadixMin groups through RadixSortByKey)
+// and hands the groups out in ascending key order. Clear() empties the
+// table in time proportional to its groups, so a GroupAccumulator can
+// aggregate one sorted segment of rows at a time in one table.
 
 #ifndef OLAPIDX_ENGINE_GROUP_TABLE_H_
 #define OLAPIDX_ENGINE_GROUP_TABLE_H_
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "common/check.h"
+#include "cost/analytical_model.h"
 #include "engine/aggregate_state.h"
+#include "engine/key_sort.h"
 
 namespace olapidx {
 
@@ -79,25 +80,25 @@ class GroupTable {
       for (size_t id = 0; id < n; ++id) fn(keys_[id], states_[id]);
       return;
     }
-    for (const Entry& e : SortedEntries()) fn(e.key, states_[e.id]);
+    std::vector<KeyRow> entries(n);
+    for (size_t id = 0; id < n; ++id) {
+      entries[id] = KeyRow{keys_[id], static_cast<uint32_t>(id)};
+    }
+    if (n < kKeySortRadixMin) {
+      // Distinct keys have one order, so the unstable std::sort finds it,
+      // faster than the kernel's small-input std::stable_sort. A segmented
+      // accumulator emits many such small tables.
+      std::sort(entries.begin(), entries.end(),
+                [](const KeyRow& a, const KeyRow& b) { return a.key < b.key; });
+    } else {
+      RadixSortByKey(entries);
+    }
+    for (const KeyRow& e : entries) fn(e.key, states_[e.row]);
   }
 
  private:
   static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
   static constexpr size_t kMinSlots = 16;
-  // Below this many groups Emit() uses std::sort. The radix sort's fixed
-  // cost (zeroing and prefix-summing 2^kRadixBits counters per pass) beats
-  // std::sort's n log n only from about 1,800 groups of 54-bit keys on
-  // (measured on a Xeon core; at 250k groups radix takes ~13 ms, std::sort
-  // ~30 ms).
-  static constexpr size_t kRadixMinGroups = 2048;
-  static constexpr int kRadixBits = 11;
-
-  struct Entry {
-    uint64_t key;
-    uint32_t id;
-  };
-
   // Murmur3's 64-bit finalizer: every key bit reaches the low slot bits,
   // so keys differing only in their high bits do not collide.
   static uint64_t Hash(uint64_t key) {
@@ -123,60 +124,68 @@ class GroupTable {
     }
   }
 
-  // (key, id) of every group in ascending key order: LSD radix sort over
-  // the bits the keys use, kRadixBits per pass, skipping digits all keys
-  // share.
-  std::vector<Entry> SortedEntries() const {
-    const size_t n = keys_.size();
-    std::vector<Entry> entries(n);
-    for (size_t id = 0; id < n; ++id) {
-      entries[id] = Entry{keys_[id], static_cast<uint32_t>(id)};
-    }
-    if (n < kRadixMinGroups) {
-      std::sort(entries.begin(), entries.end(),
-                [](const Entry& a, const Entry& b) { return a.key < b.key; });
-      return entries;
-    }
-    uint64_t used_bits = 0;
-    for (uint64_t key : keys_) used_bits |= key;
-    constexpr size_t kBuckets = size_t{1} << kRadixBits;
-    const int passes =
-        (static_cast<int>(std::bit_width(used_bits)) + kRadixBits - 1) /
-        kRadixBits;
-    std::vector<std::array<size_t, kBuckets>> counts(
-        static_cast<size_t>(passes));
-    for (auto& c : counts) c.fill(0);
-    for (uint64_t key : keys_) {
-      for (int p = 0; p < passes; ++p) {
-        ++counts[static_cast<size_t>(p)][Digit(key, p)];
-      }
-    }
-    std::vector<Entry> scratch(n);
-    for (int p = 0; p < passes; ++p) {
-      std::array<size_t, kBuckets>& count = counts[static_cast<size_t>(p)];
-      if (count[Digit(entries[0].key, p)] == n) continue;
-      size_t offset = 0;
-      for (size_t& c : count) {
-        const size_t bucket = c;
-        c = offset;
-        offset += bucket;
-      }
-      for (const Entry& e : entries) scratch[count[Digit(e.key, p)]++] = e;
-      entries.swap(scratch);
-    }
-    return entries;
-  }
-
-  static size_t Digit(uint64_t key, int pass) {
-    return static_cast<size_t>((key >> (pass * kRadixBits)) &
-                               ((uint64_t{1} << kRadixBits) - 1));
-  }
-
   size_t mask_ = 0;
   std::vector<uint32_t> slots_;
   std::vector<uint64_t> keys_;
   std::vector<AggregateState> states_;
 };
+
+// ---------------------------------------------------------------------------
+// The sort path.
+// ---------------------------------------------------------------------------
+
+// A group-by whose groups are almost as many as its rows pays the table a
+// probe and a new group for nearly every row, then sorts every group in
+// Emit() anyway. Such a group-by keeps one (key, row) pair per row
+// instead, sorts the pairs stably by key (RadixSortByKey) and folds each
+// key's run from AggregateState{}, in visit order: the same left fold the
+// table computes, so both paths give bit-identical groups.
+//
+// SortsGroups() chooses the path from a group-by's key domain and a bound
+// on the rows fed to it: the sort path when at least kSortGroupsMinRows
+// rows may arrive and the expected groups (ExpectedDistinct) reach
+// 1/kSortGroupsMaxRowsPerGroup of them. A pair holds a 32-bit row id, so
+// a larger bound hashes. The constants come from a one-core crossover of
+// the two paths over row-store states and 40-bit keys: at 4,096 rows the
+// sort path took 0.59x the hash path's time at 1.6 rows per group and
+// 0.79x at 4.1, but 1.27x at 6.0; at 2,048 rows it won only below ~2.3
+// rows per group, and at 1,024 never (the radix sort's fixed cost is 2^11
+// counters per pass). On serve-cold's 250k-row base view it halves
+// g{d1..d7}, 249,842 groups.
+inline constexpr double kSortGroupsMinRows = 4096;
+inline constexpr double kSortGroupsMaxRowsPerGroup = 4;
+
+inline bool SortsGroups(double domain, double rows) {
+  return rows >= kSortGroupsMinRows &&
+         rows <= std::numeric_limits<uint32_t>::max() &&
+         ExpectedDistinct(domain, rows) * kSortGroupsMaxRowsPerGroup >= rows;
+}
+
+// The number of distinct keys in `sorted`, whose pairs are sorted by key.
+inline size_t CountSortedKeys(const std::vector<KeyRow>& sorted) {
+  size_t keys = 0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (i == 0 || sorted[i].key != sorted[i - 1].key) ++keys;
+  }
+  return keys;
+}
+
+// Calls emit(key, state) once per distinct key of `sorted` (pairs sorted
+// stably by key), in ascending key order: `state` is AggregateState{}
+// merged with state_of(row) for each of the key's pairs, in their order.
+template <typename StateFn, typename EmitFn>
+void FoldSortedRuns(const std::vector<KeyRow>& sorted, StateFn&& state_of,
+                    EmitFn&& emit) {
+  const size_t n = sorted.size();
+  for (size_t i = 0; i < n;) {
+    const uint64_t key = sorted[i].key;
+    AggregateState state;
+    do {
+      state.Merge(state_of(sorted[i].row));
+    } while (++i < n && sorted[i].key == key);
+    emit(key, state);
+  }
+}
 
 }  // namespace olapidx
 

@@ -46,22 +46,37 @@ template <typename DimFn, typename StateFn>
 void MaterializedView::Aggregate(size_t rows, DimFn&& dim_of,
                                  StateFn&& state_of) {
   const KeyCodec codec(schema_, attr_list_);
-  GroupTable groups;
-  for (size_t r = 0; r < rows; ++r) {
+  const auto key_of = [&](size_t r) {
     uint64_t key = 0;
     for (size_t i = 0; i < attr_list_.size(); ++i) {
       key |= codec.Encode(static_cast<int>(i), dim_of(r, attr_list_[i]));
     }
-    groups.Merge(key, state_of(r));
-  }
-  for (auto& col : columns_) col.reserve(groups.size());
-  states_.reserve(groups.size());
-  groups.Emit([&](uint64_t key, const AggregateState& state) {
+    return key;
+  };
+  const auto size = [&](size_t groups) {
+    for (auto& col : columns_) col.reserve(groups);
+    states_.reserve(groups);
+  };
+  const auto append = [&](uint64_t key, const AggregateState& state) {
     for (size_t i = 0; i < attr_list_.size(); ++i) {
       columns_[i].push_back(codec.Decode(key, static_cast<int>(i)));
     }
     states_.push_back(state);
-  });
+  };
+  if (SortsGroups(schema_.DomainSize(attrs_), static_cast<double>(rows))) {
+    std::vector<KeyRow> sorted(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      sorted[r] = KeyRow{key_of(r), static_cast<uint32_t>(r)};
+    }
+    RadixSortByKey(sorted);
+    size(CountSortedKeys(sorted));
+    FoldSortedRuns(sorted, state_of, append);
+    return;
+  }
+  GroupTable groups;
+  for (size_t r = 0; r < rows; ++r) groups.Merge(key_of(r), state_of(r));
+  size(groups.size());
+  groups.Emit(append);
 }
 
 MaterializedView MaterializedView::FromFactTable(const FactTable& fact,

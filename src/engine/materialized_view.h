@@ -1,9 +1,12 @@
 // MaterializedView: a precomputed subcube — the distributive aggregates
 // (SUM/COUNT/MIN/MAX of the measure) of the fact table grouped by a set of
 // dimensions, stored columnar and sorted by the (ascending-attribute-id)
-// group-by key. Every construction aggregates through a GroupTable, in
-// source-row order. Supports roll-up construction from any ancestor view
-// and incremental refresh from appended fact rows: the sorted delta groups
+// group-by key. Every construction aggregates in source-row order, through
+// a GroupTable or, when SortsGroups() says the groups are almost as many
+// as the source rows (a base view built from the facts), by sorting
+// (key, row) pairs stably and folding each key's run; both give the same
+// bits. Supports roll-up construction from any ancestor view and
+// incremental refresh from appended fact rows: the sorted delta groups
 // merge into the sorted rows in one linear pass.
 
 #ifndef OLAPIDX_ENGINE_MATERIALIZED_VIEW_H_

@@ -1,6 +1,5 @@
 #include "engine/view_index.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace olapidx {
@@ -11,12 +10,13 @@ ViewIndex::ViewIndex(const MaterializedView& view, IndexKey key, int fanout)
       tree_(fanout) {
   OLAPIDX_CHECK(!key_.empty());
   OLAPIDX_CHECK(key_.AsSet().IsSubsetOf(view.attrs()));
-  std::vector<std::pair<uint64_t, uint32_t>> entries;
-  entries.reserve(view.num_rows());
+  // Rows enter in ascending order, so the stable sort by key leaves the
+  // entries in (key, row) order.
+  std::vector<KeyRow> entries(view.num_rows());
   for (size_t r = 0; r < view.num_rows(); ++r) {
-    entries.emplace_back(view.KeyAt(codec_, r), static_cast<uint32_t>(r));
+    entries[r] = KeyRow{view.KeyAt(codec_, r), static_cast<uint32_t>(r)};
   }
-  std::sort(entries.begin(), entries.end());
+  RadixSortByKey(entries);
   tree_.BulkLoad(entries);
 }
 
@@ -24,12 +24,13 @@ void ViewIndex::Rekey(const MaterializedView& view,
                       const std::vector<uint32_t>& inserted_rows) {
   const size_t old_rows = tree_.size();
   OLAPIDX_CHECK(old_rows + inserted_rows.size() == view.num_rows());
-  std::vector<std::pair<uint64_t, uint32_t>> added;
+  // inserted_rows ascend, so the added entries sort into (key, row) order.
+  std::vector<KeyRow> added;
   added.reserve(inserted_rows.size());
   for (uint32_t row : inserted_rows) {
-    added.emplace_back(view.KeyAt(codec_, row), row);
+    added.push_back(KeyRow{view.KeyAt(codec_, row), row});
   }
-  std::sort(added.begin(), added.end());
+  RadixSortByKey(added);
 
   // Old row r moves past every inserted row placed before it: the j-th
   // inserted row (ascending) had inserted_rows[j] - j old rows before it.
@@ -45,12 +46,15 @@ void ViewIndex::Rekey(const MaterializedView& view,
 
   // The remap preserves row order, so the old entries stay sorted by
   // (key, row) and one merge with the added entries orders them all.
-  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  const auto before = [](const KeyRow& a, const KeyRow& b) {
+    return a.key < b.key || (a.key == b.key && a.row < b.row);
+  };
+  std::vector<KeyRow> entries;
   entries.reserve(old_rows + added.size());
   auto next = added.begin();
   tree_.ForEach([&](uint64_t key, uint32_t row) {
-    const std::pair<uint64_t, uint32_t> entry(key, moved[row]);
-    for (; next != added.end() && *next < entry; ++next) {
+    const KeyRow entry{key, moved[row]};
+    for (; next != added.end() && before(*next, entry); ++next) {
       entries.push_back(*next);
     }
     entries.push_back(entry);

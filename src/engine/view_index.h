@@ -2,8 +2,10 @@
 // attribute permutation (or subsequence) — the physical realization of the
 // paper's I_{X1..Xk}(V) structures. Supports prefix scans: all view rows
 // whose first t key attributes equal the given values. Entries are sorted
-// by (key, row id); after a refresh the index is re-keyed in one linear
-// merge rather than rebuilt.
+// by (key, row id): a bulk load feeds (key, row) pairs in ascending row
+// order to the stable RadixSortByKey (key_sort.h), which leaves equal keys
+// in row order. After a refresh the index is re-keyed in one linear merge
+// rather than rebuilt.
 
 #ifndef OLAPIDX_ENGINE_VIEW_INDEX_H_
 #define OLAPIDX_ENGINE_VIEW_INDEX_H_

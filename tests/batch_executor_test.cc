@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "data/fact_generator.h"
+#include "engine/group_table.h"
 
 namespace olapidx {
 namespace {
@@ -283,6 +284,62 @@ TEST_F(BatchExecutorTest, SerialExecuteNotifiesObserverToo) {
   GroupedResult out;
   ASSERT_TRUE(serial_.TryExecute(queries_[1], values_[1], &out).ok());
   EXPECT_EQ(notified, 2);
+}
+
+TEST(BatchExecutorSortPathTest, WideGroupBysMatchSerialAtAnyThreadCount) {
+  // A ~7,700-row base view: its no-selection group-bys of four or five
+  // attributes take the sort path, narrower and selective ones the hash
+  // path, in the same shared scans. Fractional measures, over the row
+  // store and over the column store.
+  const CubeSchema schema({Dimension{"a", 16}, Dimension{"b", 12},
+                           Dimension{"c", 10}, Dimension{"d", 8},
+                           Dimension{"e", 6}});
+  const FactTable uniform = GenerateUniformFacts(schema, 8000, /*seed=*/67);
+  FactTable fact(schema);
+  Pcg32 rng(71);
+  for (size_t r = 0; r < uniform.num_rows(); ++r) {
+    fact.Append(uniform.RowDims(r),
+                static_cast<double>(rng.NextBounded(100000)) / 7.0);
+  }
+  const AttributeSet base = schema.AllAttributes();
+  Catalog catalog(&fact);
+  catalog.MaterializeView(base);
+  catalog.CompressAllViews();
+  const double rows = static_cast<double>(catalog.view(base).num_rows());
+  std::vector<SliceQuery> queries;
+  std::vector<std::vector<uint32_t>> values;
+  size_t sorted = 0;
+  for (AttributeSet group_by : base.Subsets()) {
+    if (group_by.ToVector().size() < 3) continue;
+    if (SortsGroups(schema.DomainSize(group_by), rows)) ++sorted;
+    queries.emplace_back(group_by, AttributeSet());
+    values.emplace_back();
+  }
+  queries.emplace_back(AttributeSet::Of({0, 1, 2, 3}), AttributeSet::Of({4}));
+  values.push_back({fact.dim(0, 4)});
+  queries.push_back(queries.front());  // coalesced
+  values.push_back(values.front());
+  ASSERT_GT(sorted, 0u);
+  ASSERT_LT(sorted, queries.size());
+
+  for (bool columnar : {false, true}) {
+    SCOPED_TRACE(columnar ? "column store" : "row store");
+    Executor serial(&catalog);
+    serial.set_use_column_store(columnar);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads");
+      BatchExecutor batch(&catalog, threads);
+      batch.set_use_column_store(columnar);
+      const std::vector<GroupedResult> results =
+          batch.ExecuteBatch(queries, values);
+      ASSERT_EQ(results.size(), queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        SCOPED_TRACE(queries[i].ToString(schema.names()));
+        ExpectBitIdentical(results[i],
+                           serial.Execute(queries[i], values[i]));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -77,13 +79,13 @@ TEST(BPlusTreeTest, DuplicateKeys) {
 }
 
 TEST(BPlusTreeTest, BulkLoadMatchesInserts) {
-  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  std::vector<KeyRow> entries;
   Pcg32 rng(3);
   for (uint32_t i = 0; i < 1'000; ++i) {
     entries.emplace_back(rng.NextBounded(500), i);
   }
   std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const auto& a, const auto& b) { return a.key < b.key; });
   BPlusTree bulk(/*fanout=*/8);
   bulk.BulkLoad(entries);
   bulk.CheckInvariants();
@@ -103,7 +105,7 @@ TEST(BPlusTreeTest, BulkLoadMatchesInserts) {
 
 TEST(BPlusTreeTest, BulkLoadSingletonTailRebalanced) {
   // fanout 4, 5 entries: naive chunking would leave a 1-entry final leaf.
-  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  std::vector<KeyRow> entries;
   for (uint32_t i = 0; i < 5; ++i) entries.emplace_back(i, i);
   BPlusTree t(/*fanout=*/4);
   t.BulkLoad(entries);
@@ -114,7 +116,7 @@ TEST(BPlusTreeTest, BulkLoadSingletonTailRebalanced) {
 }
 
 TEST(BPlusTreeTest, InsertAfterBulkLoad) {
-  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  std::vector<KeyRow> entries;
   for (uint32_t i = 0; i < 200; ++i) entries.emplace_back(i * 3, i);
   BPlusTree t(/*fanout=*/8);
   t.BulkLoad(entries);
@@ -211,7 +213,7 @@ TEST(BPlusTreeDeathTest, TinyFanoutRejected) {
 
 TEST(BPlusTreeDeathTest, BulkLoadRequiresSorted) {
   BPlusTree t;
-  std::vector<std::pair<uint64_t, uint32_t>> unsorted = {{5, 0}, {1, 1}};
+  std::vector<KeyRow> unsorted = {{5, 0}, {1, 1}};
   EXPECT_DEATH(t.BulkLoad(unsorted), "CHECK");
 }
 

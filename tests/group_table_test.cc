@@ -148,7 +148,7 @@ TEST(GroupTableTest, ClearEmptiesTheTableForReuse) {
   for (uint64_t fill = 0; fill < 4; ++fill) {
     SCOPED_TRACE(::testing::Message() << "fill " << fill);
     Groups input(previous.rbegin(), previous.rend());
-    const uint64_t groups = fill == 0 ? 5000 : 40 >> fill;
+    const uint64_t groups = fill == 0 ? 5000 : uint64_t{40} >> fill;
     const Groups fresh = RandomInput(3 * groups, fill + 11, [&](Pcg32& rng) {
       return (rng.NextBounded(static_cast<uint32_t>(groups)) + fill * 7) *
              0x9E3779B97F4A7C15u;
@@ -218,7 +218,7 @@ void ExpectAccumulatorMatchesOracle(const CubeSchema& schema,
     }
     const AggregateState state = AggregateState::OfMeasure(
         static_cast<double>(rng.NextBounded(1000)) / 3.0);
-    acc.AddDims(dims.data(), state);
+    acc.AddDims(r, dims.data(), state);
     input.emplace_back(codec.EncodeRow(dims), state);
   }
   const GroupedResult result = acc.Finish();
@@ -268,7 +268,8 @@ TEST(GroupTableTest, ResultKeysTellApartRowCountsAtWidthZero) {
   const CubeSchema schema({Dimension{"a", 4}});
   GroupAccumulator none(schema, AttributeSet());
   GroupAccumulator one(schema, AttributeSet());
-  one.AddDims(std::vector<uint32_t>{2}.data(), AggregateState::OfMeasure(1.0));
+  one.AddDims(0, std::vector<uint32_t>{2}.data(),
+              AggregateState::OfMeasure(1.0));
   const GroupedResult empty = none.Finish();
   const GroupedResult total = one.Finish();
   EXPECT_EQ(empty.keys.size(), 0u);

@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "data/fact_generator.h"
+#include "engine/group_table.h"
 #include "engine/key_codec.h"
 
 namespace olapidx {
@@ -249,6 +250,60 @@ TEST(MaterializedViewTest, ApplyDeltaMatchesOracleBitExactly) {
                        KeyedStates(expected.begin(), expected.end()));
     }
   }
+}
+
+// Views wide enough for SortsGroups: 8,000 uniform facts over 92,160
+// keys give a ~7,700-row base view, so the wide views built from the
+// facts and the wide roll-ups of the base view take the sort path, the
+// narrow ones the hash path. Both must match the oracle bit for bit.
+TEST(MaterializedViewTest, SortPathMatchesOracleBitExactly) {
+  const CubeSchema schema({Dimension{"a", 16}, Dimension{"b", 12},
+                           Dimension{"c", 10}, Dimension{"d", 8},
+                           Dimension{"e", 6}});
+  const FactTable uniform = GenerateUniformFacts(schema, 8000, /*seed=*/59);
+  FactTable fact(schema);
+  Pcg32 rng(61);
+  for (size_t r = 0; r < uniform.num_rows(); ++r) {
+    const double measure =
+        rng.NextBounded(16) == 0
+            ? -0.0
+            : static_cast<double>(rng.NextBounded(100000)) / 3.0;
+    fact.Append(uniform.RowDims(r), measure);
+  }
+  const AttributeSet base = schema.AllAttributes();
+  const MaterializedView parent = MaterializedView::FromFactTable(fact, base);
+  ASSERT_GE(parent.num_rows(), 4096u);
+  size_t sorted_from_facts = 0;
+  size_t sorted_from_parent = 0;
+  for (AttributeSet attrs : base.Subsets()) {
+    SCOPED_TRACE(::testing::Message() << "view " << attrs.mask());
+    const KeyCodec codec(schema, attrs.ToVector());
+    const double domain = schema.DomainSize(attrs);
+    if (SortsGroups(domain, static_cast<double>(fact.num_rows()))) {
+      ++sorted_from_facts;
+    }
+    if (SortsGroups(domain, static_cast<double>(parent.num_rows()))) {
+      ++sorted_from_parent;
+    }
+    ExpectViewEquals(
+        MaterializedView::FromFactTable(fact, attrs), codec,
+        OracleAggregate(
+            codec, fact.num_rows(),
+            [&](size_t r, int a) { return fact.dim(r, a); },
+            [&](size_t r) {
+              return AggregateState::OfMeasure(fact.measure(r));
+            }));
+    ExpectViewEquals(
+        MaterializedView::FromView(parent, attrs), codec,
+        OracleAggregate(
+            codec, parent.num_rows(),
+            [&](size_t r, int a) { return parent.dim(r, a); },
+            [&](size_t r) { return parent.aggregate(r); }));
+  }
+  EXPECT_GT(sorted_from_facts, 0u);
+  EXPECT_LT(sorted_from_facts, 32u);
+  EXPECT_GT(sorted_from_parent, 0u);
+  EXPECT_LT(sorted_from_parent, 32u);
 }
 
 TEST(MaterializedViewDeathTest, RollupRequiresSubset) {

@@ -1,11 +1,15 @@
-// Segment-at-a-time aggregation against the hash-every-group path: a
-// GroupAccumulator told its input's ordered group-by prefix
-// (OrderedGroupPrefix) must give the result of a prefix-0 accumulator fed
-// the same rows, bit for bit. Random schemas of 4–6 dimensions with
-// fractional and -0.0 measures; every materialized view, every group-by
-// and selection; rows in each order the engine visits them: view order
+// Segment-at-a-time aggregation and the sort path against the
+// hash-every-group path: a GroupAccumulator told its input's ordered
+// group-by prefix (OrderedGroupPrefix), and one that sorts (key, row)
+// pairs and re-reads each row's state from the plan's storage, must each
+// give the result of a prefix-0 accumulator fed the same rows, bit for
+// bit. Random schemas of 4–6 dimensions with fractional and -0.0
+// measures; every materialized view, every group-by and selection; rows in
+// each order the engine visits them: fact order for a raw scan, view order
 // over the row store and over the column store, and index-key order
-// through ViewIndex::ScanPrefix for random, permuted and partial keys.
+// through ViewIndex::ScanPrefix for random, permuted and partial keys. SortsGroups, the rule choosing
+// the sort path, is checked at its boundaries and, on a view of over 4,096
+// rows, picks sorting itself.
 
 #include "engine/group_accumulator.h"
 
@@ -17,6 +21,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "cost/analytical_model.h"
+#include "engine/catalog.h"
 #include "engine/column_store.h"
 #include "engine/materialized_view.h"
 #include "engine/view_index.h"
@@ -90,7 +96,7 @@ TEST(OrderedAggregationTest, PrefixOfEmptyGroupByAndRawScan) {
 }
 
 // ---------------------------------------------------------------------------
-// Segmented against unsegmented, over every visit order.
+// Segmented and sorted against unsegmented, over every visit order.
 // ---------------------------------------------------------------------------
 
 // A schema of 4–6 dimensions with 2–6 values each, so groups repeat.
@@ -144,22 +150,33 @@ struct Coverage {
 };
 
 // Feeds the rows `visit` yields to an accumulator told
-// OrderedGroupPrefix(scan_order, ...) and to a prefix-0 one, and compares
-// their results.
+// OrderedGroupPrefix(scan_order, ...), to a sort-path one reading states
+// from `states` and to a prefix-0 one, and compares the first two results
+// with the last.
 template <typename Visit>
-void ExpectOrderedMatchesUnordered(const CubeSchema& schema,
-                                   const std::vector<int>& scan_order,
-                                   AttributeSet group_by,
-                                   AttributeSet selection, Visit&& visit,
-                                   Coverage& coverage) {
+void ExpectPathsMatchUnordered(const CubeSchema& schema,
+                               const std::vector<int>& scan_order,
+                               AttributeSet group_by, AttributeSet selection,
+                               RowStates states, Visit&& visit,
+                               Coverage& coverage) {
   const size_t prefix = OrderedGroupPrefix(scan_order, group_by, selection);
   GroupAccumulator ordered(schema, group_by, prefix);
+  GroupAccumulator sorted(schema, group_by, states);
   GroupAccumulator unordered(schema, group_by);
-  visit([&](const uint32_t* dims, const AggregateState& state) {
-    ordered.AddDims(dims, state);
-    unordered.AddDims(dims, state);
+  visit([&](size_t row, const uint32_t* dims, const AggregateState& state) {
+    ordered.AddDims(row, dims, state);
+    sorted.AddDims(row, dims, state);
+    unordered.AddDims(row, dims, state);
   });
-  ExpectSameResult(ordered.Finish(), unordered.Finish());
+  const GroupedResult expected = unordered.Finish();
+  {
+    SCOPED_TRACE("segmented");
+    ExpectSameResult(ordered.Finish(), expected);
+  }
+  {
+    SCOPED_TRACE("sorted");
+    ExpectSameResult(sorted.Finish(), expected);
+  }
   ++coverage.cases;
   if (prefix > 0) ++coverage.ordered;
   if (prefix > 0 && prefix < group_by.ToVector().size()) {
@@ -213,11 +230,14 @@ void CheckSchema(uint64_t seed, Coverage& coverage) {
                      << selection.mask());
         {
           SCOPED_TRACE("row store, view order");
-          ExpectOrderedMatchesUnordered(
+          ExpectPathsMatchUnordered(
               schema, view_order, group_by, selection,
+              RowStates(view.aggregate_data()),
               [&](auto&& feed) {
                 for (size_t r = 0; r < view.num_rows(); ++r) {
-                  if (row_matches(r)) feed(row_dims(r), view.aggregate(r));
+                  if (row_matches(r)) {
+                    feed(r, row_dims(r), view.aggregate(r));
+                  }
                 }
               },
               coverage);
@@ -228,14 +248,36 @@ void CheckSchema(uint64_t seed, Coverage& coverage) {
           for (int a : selection.ToVector()) {
             predicates.push_back({a, sel_value[static_cast<size_t>(a)]});
           }
-          ExpectOrderedMatchesUnordered(
-              schema, view_order, group_by, selection,
+          ExpectPathsMatchUnordered(
+              schema, view_order, group_by, selection, RowStates(&store),
               [&](auto&& feed) {
                 store.Scan(predicates, group_by,
-                           [&](size_t, const uint32_t* scanned,
+                           [&](size_t r, const uint32_t* scanned,
                                const AggregateState& state) {
-                             feed(scanned, state);
+                             feed(r, scanned, state);
                            });
+              },
+              coverage);
+        }
+        if (view_attrs == all) {
+          // A raw scan: fact rows in order, each state a single measure,
+          // -0.0 among them.
+          SCOPED_TRACE("raw scan, fact order");
+          ExpectPathsMatchUnordered(
+              schema, {}, group_by, selection,
+              RowStates(fact.measure_data()),
+              [&](auto&& feed) {
+                for (size_t r = 0; r < fact.num_rows(); ++r) {
+                  bool match = true;
+                  for (int a : selection.ToVector()) {
+                    match = match && fact.dim(r, a) ==
+                                         sel_value[static_cast<size_t>(a)];
+                  }
+                  if (!match) continue;
+                  const std::vector<uint32_t> fact_dims = fact.RowDims(r);
+                  feed(r, fact_dims.data(),
+                       AggregateState::OfMeasure(fact.measure(r)));
+                }
               },
               coverage);
         }
@@ -249,11 +291,12 @@ void CheckSchema(uint64_t seed, Coverage& coverage) {
             prefix_values.push_back(sel_value[static_cast<size_t>(a)]);
           }
           const size_t before = coverage.ordered;
-          ExpectOrderedMatchesUnordered(
+          ExpectPathsMatchUnordered(
               schema, index.key().attrs(), group_by, selection,
+              RowStates(view.aggregate_data()),
               [&](auto&& feed) {
                 index.ScanPrefix(prefix_values, [&](uint32_t r) {
-                  if (row_matches(r)) feed(row_dims(r), view.aggregate(r));
+                  if (row_matches(r)) feed(r, row_dims(r), view.aggregate(r));
                 });
               },
               coverage);
@@ -264,6 +307,7 @@ void CheckSchema(uint64_t seed, Coverage& coverage) {
   }
 }
 
+// Both the segmented and the sort path, in every visit order.
 TEST(OrderedAggregationTest, SegmentedMatchesUnorderedInEveryVisitOrder) {
   Coverage coverage;
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -285,12 +329,117 @@ TEST(OrderedAggregationTest, DescendingSegmentIsCaughtInDebugBuilds) {
   EXPECT_DEBUG_DEATH(
       {
         GroupAccumulator acc(schema, group_by, 1);
-        acc.AddDims(std::vector<uint32_t>{2, 0}.data(),
+        acc.AddDims(0, std::vector<uint32_t>{2, 0}.data(),
                     AggregateState::OfMeasure(1.0));
-        acc.AddDims(std::vector<uint32_t>{1, 0}.data(),
+        acc.AddDims(1, std::vector<uint32_t>{1, 0}.data(),
                     AggregateState::OfMeasure(1.0));
       },
       "segment > segment_");
+}
+
+// ---------------------------------------------------------------------------
+// The rule that picks the sort path.
+// ---------------------------------------------------------------------------
+
+TEST(OrderedAggregationTest, SortsGroupsAtItsBoundaries) {
+  // The row floor: below 4,096 rows fed, the hash path runs however wide
+  // the group-by.
+  EXPECT_FALSE(SortsGroups(1e12, 4095));
+  EXPECT_TRUE(SortsGroups(1e12, 4096));
+  // The domain-to-rows ratio: 4,096 rows over 1,044 keys expect fewer
+  // than 1,024 groups, a quarter of the rows; over 1,046 keys, more.
+  EXPECT_LT(ExpectedDistinct(1044, 4096), 1024.0);
+  EXPECT_FALSE(SortsGroups(1044, 4096));
+  EXPECT_GT(ExpectedDistinct(1046, 4096), 1024.0);
+  EXPECT_TRUE(SortsGroups(1046, 4096));
+  // A domain of exactly a quarter of the rows cannot expect that many
+  // groups.
+  EXPECT_FALSE(SortsGroups(62'500, 250'000));
+  // Group-by ∅ is one group.
+  EXPECT_FALSE(SortsGroups(1, 1e6));
+  // Row ids past 32 bits do not fit a (key, row) pair.
+  EXPECT_TRUE(SortsGroups(1e19, 4294967295.0));
+  EXPECT_FALSE(SortsGroups(1e19, 4294967296.0));
+  // serve-cold's cube: its base view, built from 250k facts, sorts; the
+  // {d1,d6} roll-up (domain 18,000) and a 250-row delta hash.
+  EXPECT_TRUE(SortsGroups(100.0 * 200 * 50 * 80 * 120 * 60 * 90 * 40,
+                          250'000));
+  EXPECT_FALSE(SortsGroups(200.0 * 90, 250'000));
+  EXPECT_FALSE(SortsGroups(100.0 * 200 * 50 * 80 * 120 * 60 * 90 * 40, 250));
+}
+
+// On a view of over 4,096 rows AccumulatorFor's own choice sorts the wide
+// group-bys, and the sort path matches the hash path in view order over
+// both stores and in the key order of a permuted fat index and of a
+// partial one (a probe with an empty prefix visits every row).
+TEST(OrderedAggregationTest, RuleSortsWideGroupBysOfALargeView) {
+  const CubeSchema schema({Dimension{"a", 16}, Dimension{"b", 12},
+                           Dimension{"c", 10}, Dimension{"d", 8},
+                           Dimension{"e", 6}});
+  Pcg32 rng(7);
+  const FactTable fact = RandomFacts(schema, 6000, rng);
+  const AttributeSet base = schema.AllAttributes();
+  Catalog catalog(&fact);
+  catalog.MaterializeView(base);
+  ASSERT_TRUE(catalog.BuildIndex(base, IndexKey({4, 3, 2, 1, 0})).ok());
+  ASSERT_TRUE(catalog.BuildIndex(base, IndexKey({2, 4})).ok());
+  ASSERT_TRUE(catalog.CompressView(base).ok());
+  const MaterializedView& view = catalog.view(base);
+  const ColumnStore* store = catalog.column_store(base);
+  ASSERT_GE(view.num_rows(), 4096u);
+  const double rows = static_cast<double>(view.num_rows());
+  std::vector<uint32_t> dims(5);
+  const auto row_dims = [&](size_t r) {
+    for (int a = 0; a < 5; ++a) dims[static_cast<size_t>(a)] = view.dim(r, a);
+    return static_cast<const uint32_t*>(dims.data());
+  };
+  size_t sorted_cases = 0;
+  for (AttributeSet group_by : base.Subsets()) {
+    SCOPED_TRACE(::testing::Message() << "group-by " << group_by.mask());
+    const SliceQuery query(group_by, AttributeSet());
+    const bool sorts = SortsGroups(schema.DomainSize(group_by), rows);
+    if (sorts) ++sorted_cases;
+    const PlannedAccess scan{false, base, nullptr, AttributeSet(), rows};
+    {
+      SCOPED_TRACE("row store, view order");
+      GroupAccumulator acc = AccumulatorFor(catalog, scan, nullptr, query);
+      GroupAccumulator hashed(schema, group_by);
+      EXPECT_EQ(acc.sorts(), sorts);
+      for (size_t r = 0; r < view.num_rows(); ++r) {
+        acc.AddDims(r, row_dims(r), view.aggregate(r));
+        hashed.AddDims(r, row_dims(r), view.aggregate(r));
+      }
+      ExpectSameResult(acc.Finish(), hashed.Finish());
+    }
+    {
+      SCOPED_TRACE("column store, view order");
+      GroupAccumulator acc = AccumulatorFor(catalog, scan, store, query);
+      GroupAccumulator hashed(schema, group_by);
+      EXPECT_EQ(acc.sorts(), sorts);
+      store->Scan([&](size_t r, const uint32_t* scanned,
+                      const AggregateState& state) {
+        acc.AddDims(r, scanned, state);
+        hashed.AddDims(r, scanned, state);
+      });
+      ExpectSameResult(acc.Finish(), hashed.Finish());
+    }
+    for (const ViewIndex& index : catalog.indexes(base)) {
+      SCOPED_TRACE("index " + index.key().ToString(schema.names()));
+      const PlannedAccess probe{false, base, &index, AttributeSet(), rows};
+      GroupAccumulator acc = AccumulatorFor(catalog, probe, nullptr, query);
+      GroupAccumulator hashed(schema, group_by);
+      EXPECT_EQ(acc.sorts(), sorts);
+      index.ScanPrefix({}, [&](uint32_t r) {
+        acc.AddDims(r, row_dims(r), view.aggregate(r));
+        hashed.AddDims(r, row_dims(r), view.aggregate(r));
+      });
+      ExpectSameResult(acc.Finish(), hashed.Finish());
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Wide group-bys sorted and narrow ones hashed.
+  EXPECT_GT(sorted_cases, 0u);
+  EXPECT_LT(sorted_cases, 32u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "data/fact_generator.h"
 
 namespace olapidx {
@@ -78,6 +82,68 @@ TEST(ViewIndexTest, FatIndexKeysAreUnique) {
     first = false;
   });
   EXPECT_EQ(n, view.num_rows());
+}
+
+// The (key, row) entries of `index` over `view`, sorted by std::sort.
+std::vector<std::pair<uint64_t, uint32_t>> SortedEntries(
+    const MaterializedView& view, const ViewIndex& index) {
+  const KeyCodec codec(view.schema(), index.key().attrs());
+  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  for (size_t r = 0; r < view.num_rows(); ++r) {
+    entries.emplace_back(view.KeyAt(codec, r), static_cast<uint32_t>(r));
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+void ExpectLeavesInSortedOrder(const MaterializedView& view,
+                               const ViewIndex& index) {
+  index.tree().CheckInvariants();
+  std::vector<std::pair<uint64_t, uint32_t>> leaves;
+  index.tree().ForEach(
+      [&](uint64_t key, uint32_t row) { leaves.emplace_back(key, row); });
+  ASSERT_EQ(leaves, SortedEntries(view, index));
+}
+
+TEST(ViewIndexTest, BulkLoadAndRekeyGiveTheSortedEntryOrder) {
+  // Every key of a 4-dim view: all 64 ordered subsequences of its
+  // attributes. Partial keys repeat key values, whose rows must ascend. The
+  // view's ~2,300 rows put the bulk load's sort on its radix path; a
+  // refresh then re-keys every index.
+  const CubeSchema schema({Dimension{"a", 12}, Dimension{"b", 10},
+                           Dimension{"c", 8}, Dimension{"d", 6}});
+  const FactTable all = GenerateUniformFacts(schema, 3600, /*seed=*/12);
+  FactTable fact(schema);
+  for (size_t r = 0; r < 3000; ++r) fact.Append(all.RowDims(r), 1.0);
+  MaterializedView view =
+      MaterializedView::FromFactTable(fact, AttributeSet::FromMask(0xf));
+  ASSERT_GE(view.num_rows(), 2048u);
+  std::vector<IndexKey> keys;
+  for (AttributeSet subset : AttributeSet::FromMask(0xf).Subsets()) {
+    std::vector<int> attrs = subset.ToVector();
+    if (attrs.empty()) continue;
+    do {
+      keys.emplace_back(attrs);
+    } while (std::next_permutation(attrs.begin(), attrs.end()));
+  }
+  ASSERT_EQ(keys.size(), 64u);
+  std::vector<ViewIndex> indexes;
+  for (const IndexKey& key : keys) {
+    SCOPED_TRACE(key.ToString(schema.names()));
+    indexes.emplace_back(view, key);
+    ExpectLeavesInSortedOrder(view, indexes.back());
+  }
+  for (size_t r = 3000; r < all.num_rows(); ++r) {
+    fact.Append(all.RowDims(r), 1.0);
+  }
+  const MaterializedView::DeltaResult delta =
+      view.ApplyDelta(fact, 3000, fact.num_rows());
+  ASSERT_FALSE(delta.inserted_rows.empty());
+  for (ViewIndex& index : indexes) {
+    SCOPED_TRACE(index.key().ToString(schema.names()));
+    index.Rekey(view, delta.inserted_rows);
+    ExpectLeavesInSortedOrder(view, index);
+  }
 }
 
 TEST(ViewIndexDeathTest, KeyMustUseViewAttributes) {
