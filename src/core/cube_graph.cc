@@ -1,157 +1,9 @@
 #include "core/cube_graph.h"
 
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "core/lattice_graph_builder.h"
-
 namespace olapidx {
-
-namespace {
-
-// The flat-cube LatticeProvider: views are attribute-set masks (graph view
-// id == lattice ViewId == mask), a query's answering views are the
-// supersets of A ∪ B, and index costs come from the paper's
-// c(Q,V,J) = |C| / |E| with E the maximal selection-only key prefix.
-// This is the one-level-per-dimension special case of the generic path —
-// the hierarchical provider in hierarchy/hierarchical_graph.cc degenerates
-// to exactly this graph when every dimension has a single level.
-struct CubeLatticeProvider {
-  const CubeSchema* schema;
-  const ViewSizes* sizes;
-  const Workload* workload;
-  const CubeGraphOptions* options;
-  const CubeLattice* lattice;
-  CubeGraph* out;
-
-  struct Ctx {
-    const SliceQuery* query = nullptr;
-    uint32_t sel = 0;
-    AttributeSet full;
-  };
-
-  uint32_t num_views() const { return lattice->num_views(); }
-  uint32_t BaseView() const { return lattice->BaseView(); }
-  double ViewSizeOf(uint32_t v) const {
-    return sizes->SizeOf(AttributeSet::FromMask(v));
-  }
-
-  void InitGraph(QueryViewGraph& g) const {
-    g.SetNameDictionary(schema->names());
-  }
-
-  void AddStructures(QueryViewGraph& g, uint32_t v, double size,
-                     double maintenance) const {
-    AttributeSet attrs = lattice->AttrsOf(v);
-    uint32_t gv = g.AddView(attrs.ToString(schema->names()), size);
-    OLAPIDX_CHECK(gv == v);
-    out->view_attrs.push_back(attrs);
-    if (maintenance > 0.0) g.SetViewMaintenance(gv, maintenance);
-    std::vector<IndexKey> keys = options->fat_indexes_only
-                                     ? lattice->FatIndexes(v)
-                                     : lattice->AllIndexes(v);
-    g.AddIndexes(gv, keys, size, maintenance);
-    out->index_keys.push_back(std::move(keys));
-  }
-
-  size_t num_queries() const { return workload->queries().size(); }
-
-  void AddQuery(QueryViewGraph& g, size_t qi, double default_cost) const {
-    const WeightedQuery& wq = workload->queries()[qi];
-    g.AddQuery(wq.query.ToString(schema->names()), default_cost,
-               wq.frequency);
-    out->queries.push_back(wq.query);
-  }
-
-  Ctx MakeQueryContext() const {
-    Ctx ctx;
-    ctx.full = AttributeSet::Full(schema->num_dimensions());
-    return ctx;
-  }
-
-  void BeginQuery(Ctx& ctx, size_t qi) const {
-    ctx.query = &workload->queries()[qi].query;
-    ctx.sel = ctx.query->selection().mask();
-  }
-
-  template <typename Visit>
-  void ForEachAnsweringView(Ctx& ctx, Visit&& visit) const {
-    for (AttributeSet cset :
-         ctx.query->AllAttributes().SupersetsWithin(ctx.full)) {
-      visit(cset.mask());
-    }
-  }
-
-  uint32_t IndexColumnClass(const Ctx& ctx, uint32_t v) const {
-    if (v == 0) return 0;  // the apex view has no indexes
-    // A query's index costs from view C depend only on B ∩ C (every prefix
-    // E is a subset of C), so queries agreeing on that intersection share
-    // one dense column; tag runs with it so Finalize() expands each
-    // distinct column once per view.
-    return (ctx.sel & v) + 1;
-  }
-
-  template <typename Emit>
-  void ForEachIndexCostClass(const Ctx& ctx, uint32_t v,
-                             const double* view_size, Emit&& emit) const {
-    const int m = AttributeSet::FromMask(v).size();
-    auto cost_emit = [&](int64_t rb, int64_t re, uint32_t prefix) {
-      emit(rb, re, view_size[prefix]);  // |E| rows; the builder applies the model
-    };
-    if (options->fat_indexes_only) {
-      WalkPrefixClasses(v, m, m, ctx.sel, 0, cost_emit);
-    } else {
-      int64_t offset = 0;
-      int64_t arrangements = 1;
-      for (int r = 1; r <= m; ++r) {
-        arrangements *= m - (r - 1);  // A(m, r)
-        WalkPrefixClasses(v, m, r, ctx.sel, offset, cost_emit);
-        offset += arrangements;
-      }
-    }
-  }
-};
-
-}  // namespace
-
-StatusOr<CubeGraph> TryBuildCubeGraph(const CubeSchema& schema,
-                                      const ViewSizes& sizes,
-                                      const Workload& workload,
-                                      const CubeGraphOptions& options) {
-  OLAPIDX_CHECK(sizes.num_dimensions() == schema.num_dimensions());
-  OLAPIDX_CHECK(sizes.Complete());
-  OLAPIDX_CHECK(options.raw_scan_penalty >= 1.0);
-  const int n = schema.num_dimensions();
-  if (options.fat_indexes_only && n > 8) {
-    return Status::InvalidArgument(
-        "fat-index cube graphs support at most 8 dimensions (got n = " +
-        std::to_string(n) + "; a dim-8 base view already has 8! = 40320 "
-        "fat indexes)");
-  }
-  if (!options.fat_indexes_only && n > 6) {
-    return Status::InvalidArgument(
-        "all-ordered-subset (fat-index-pruning ablation) cube graphs "
-        "support at most 6 dimensions (got n = " +
-        std::to_string(n) + ")");
-  }
-
-  CubeLattice lattice(schema);
-  CubeGraph out;
-  out.view_attrs.reserve(lattice.num_views());
-  out.index_keys.reserve(lattice.num_views());
-
-  CubeLatticeProvider provider{&schema,  &sizes,   &workload,
-                               &options, &lattice, &out};
-  LatticeGraphOptions build;
-  build.default_query_cost = options.default_query_cost;
-  build.raw_scan_penalty = options.raw_scan_penalty;
-  build.maintenance_per_row = options.maintenance_per_row;
-  build.num_threads = options.num_threads;
-  build.cost_model = options.cost_model.get();
-  BuildLatticeGraph(provider, build, out.graph);
-  return out;
-}
 
 CubeGraph BuildCubeGraph(const CubeSchema& schema, const ViewSizes& sizes,
                          const Workload& workload,

@@ -28,14 +28,14 @@ struct CubeGraphOptions {
   // index (the ablation showing the pruning is lossless).
   bool fat_indexes_only = true;
 
-  // The default cost T_i of answering a query from raw data. If <= 0, it is
-  // raw_scan_penalty × (base view size).
+  // The default cost T_i of answering a query from raw data. If 0, it is
+  // raw_scan_penalty × (base view size). Must be non-negative.
   double default_query_cost = 0.0;
 
   // Update-aware extension: maintenance cost charged per row of each
   // selected structure (refreshing a materialized subcube or B-tree after
   // base-data updates costs work proportional to its size). 0 reproduces
-  // the paper's space-only model exactly.
+  // the paper's space-only model exactly. Must be non-negative.
   double maintenance_per_row = 0.0;
 
   // Multiplier on the base view's size used for the default cost. The
@@ -43,7 +43,7 @@ struct CubeGraphOptions {
   // from it costs join work on top of the scan; any penalty > 1 makes
   // materializing the base cube worthwhile (as in every trace in the
   // paper), and the final query costs are penalty-invariant once every
-  // query's chosen plan beats raw.
+  // query's chosen plan beats raw. Must be >= 1.
   double raw_scan_penalty = 1.0;
 
   // Threads for the edge-enumeration phase of the fast builder. 0 uses the
@@ -76,11 +76,16 @@ struct CubeGraph {
 // prefix-equivalence class (the cost c(Q,V,J) = |C|/|E| depends only on the
 // set E, the maximal selection-only prefix) and emitted as contiguous rank
 // runs, and queries are partitioned across a thread pool with per-shard
-// run buffers merged deterministically. The machinery is the generic
-// provider-parameterized BuildLatticeGraph (core/lattice_graph_builder.h),
-// shared with the hierarchical builder; this entry point supplies the flat
-// 2^n-lattice provider. Returns InvalidArgument for n > 8
-// with fat_indexes_only (n > 6 for the ablation) instead of aborting.
+// run buffers merged deterministically. This is the identity plan of the
+// flat build pipeline, defined beside its pruned plan in
+// core/sparse_cube_graph.cc: it keeps every query, every view (graph view
+// id = attribute mask) and the canonical index family, and runs none of
+// the pruning passes of TryBuildSparseCubeGraph. The machinery is the
+// generic BuildLatticeGraph (core/lattice_graph_builder.h), shared with the
+// hierarchical builder. Returns InvalidArgument for n > 8 with
+// fat_indexes_only (n > 6 for the ablation), raw_scan_penalty < 1, or a
+// negative maintenance_per_row or default_query_cost (NaN included)
+// instead of aborting.
 StatusOr<CubeGraph> TryBuildCubeGraph(const CubeSchema& schema,
                                       const ViewSizes& sizes,
                                       const Workload& workload,

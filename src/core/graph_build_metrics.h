@@ -1,8 +1,10 @@
-// Instrumentation for cube-graph construction (core/cube_graph.cc), in the
-// style of core/selection_metrics.h: the fast builder accumulates plain
-// per-shard counters in its hot loops and folds them into the process-wide
-// registry once per build, so the enumeration path gains no atomics.
-// Everything is a no-op under OLAPIDX_METRICS=OFF.
+// Instrumentation for query-view graph construction
+// (core/lattice_graph_builder.h), in the style of core/selection_metrics.h:
+// the fast builder accumulates plain per-shard counters in its hot loops
+// and folds them into the process-wide registry once per build, so the
+// enumeration path gains no atomics.
+// Everything is a no-op under OLAPIDX_METRICS=OFF. A pruned build's
+// graph_build.sparse.* totals are recorded by core/pruning_policy.cc.
 
 #ifndef OLAPIDX_CORE_GRAPH_BUILD_METRICS_H_
 #define OLAPIDX_CORE_GRAPH_BUILD_METRICS_H_
@@ -67,45 +69,6 @@ struct BuildStats {
   // a sparse build of the same instance can be compared by reading it
   // after each.
   peak_bytes.Set(static_cast<int64_t>(stats.peak_bytes));
-}
-
-// One sparse build's pruning totals (core/pruning_policy.h consumers:
-// the flat and hierarchical sparse builders).
-struct SparseStats {
-  uint64_t workload_queries = 0;
-  uint64_t retained_queries = 0;
-  // Retained frequency mass in permille of the workload total (gauges are
-  // integral).
-  uint64_t retained_mass_permille = 0;
-  uint64_t retained_views = 0;
-  // Superset-cone views the max_views cap excluded (0 when the cap did
-  // not bind; a lower bound when the post-cap sweep was truncated).
-  uint64_t views_dropped = 0;
-  // Views whose index family was derived from the workload (too many
-  // attributes for full fat-index enumeration) vs full fat families.
-  uint64_t candidate_views = 0;
-  uint64_t candidate_indexes = 0;
-};
-
-[[gnu::noinline]] inline void RecordSparseBuild(const SparseStats& stats) {
-  OLAPIDX_METRIC_COUNTER(builds, "graph_build.sparse.builds");
-  OLAPIDX_METRIC_COUNTER(workload_q, "graph_build.sparse.workload_queries");
-  OLAPIDX_METRIC_COUNTER(retained_q, "graph_build.sparse.retained_queries");
-  OLAPIDX_METRIC_COUNTER(dropped_q, "graph_build.sparse.dropped_queries");
-  OLAPIDX_METRIC_COUNTER(retained_v, "graph_build.sparse.retained_views");
-  OLAPIDX_METRIC_COUNTER(dropped_v, "graph_build.sparse.views_dropped");
-  OLAPIDX_METRIC_COUNTER(candidate_v, "graph_build.sparse.candidate_views");
-  OLAPIDX_METRIC_COUNTER(candidate_i, "graph_build.sparse.candidate_indexes");
-  OLAPIDX_METRIC_GAUGE(mass, "graph_build.sparse.retained_mass_permille");
-  builds.Add(1);
-  workload_q.Add(stats.workload_queries);
-  retained_q.Add(stats.retained_queries);
-  dropped_q.Add(stats.workload_queries - stats.retained_queries);
-  retained_v.Add(stats.retained_views);
-  dropped_v.Add(stats.views_dropped);
-  candidate_v.Add(stats.candidate_views);
-  candidate_i.Add(stats.candidate_indexes);
-  mass.Set(static_cast<int64_t>(stats.retained_mass_permille));
 }
 
 }  // namespace olapidx::graph_build_metrics

@@ -1,6 +1,6 @@
 // The generic, provider-parameterized query-view graph builder — the single
-// fast construction path shared by the flat cube (core/cube_graph.cc) and
-// the hierarchical lattice (hierarchy/hierarchical_graph.cc). The paper's
+// fast construction path shared by the flat cube (core/sparse_cube_graph.cc)
+// and the hierarchical lattice (hierarchy/hierarchical_graph.cc). The paper's
 // Section 5 algorithms are lattice-agnostic, and so is this builder: it
 // owns the phase sequence (structures → queries → sharded parallel edge
 // enumeration streamed into the graph's edge sink → Finalize), the hoisted
@@ -8,9 +8,12 @@
 // pruning rule, and the graph_build.* instrumentation, while a
 // LatticeProvider supplies the lattice-specific pieces.
 //
-// LatticeProvider concept (duck-typed; see CubeLatticeProvider in
-// core/cube_graph.cc and HierarchicalLatticeProvider in
-// hierarchy/hierarchical_graph.cc):
+// LatticeProvider concept (duck-typed). Exactly one provider per lattice
+// models it: FlatPlanProvider in core/sparse_cube_graph.cc and
+// HierarchicalPlanProvider in hierarchy/hierarchical_graph.cc. Each builds
+// whatever its plan keeps (core/pruning_policy.h): the identity plan of the
+// dense entry points keeps every query, view and canonical key, a pruned
+// plan keeps a subset.
 //
 //   uint32_t num_views() const;
 //   uint32_t BaseView() const;          // the finest view (default-cost base)
@@ -48,8 +51,10 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/graph_build_metrics.h"
@@ -62,13 +67,14 @@ namespace olapidx {
 // The lattice-independent construction knobs; CubeGraphOptions and
 // HierarchicalGraphOptions both reduce to this.
 struct LatticeGraphOptions {
-  // The default cost T_i of answering a query from raw data. If <= 0, it is
-  // raw_scan_penalty × (base view size).
+  // The default cost T_i of answering a query from raw data. If 0, it is
+  // raw_scan_penalty × (base view size). Must be non-negative.
   double default_query_cost = 0.0;
-  // Multiplier on the base view's size used for the default cost.
+  // Multiplier on the base view's size used for the default cost; >= 1.
   double raw_scan_penalty = 1.0;
   // Update-aware extension: maintenance cost charged per row of each
   // selected structure. 0 reproduces the paper's space-only model exactly.
+  // Must be non-negative.
   double maintenance_per_row = 0.0;
   // Threads for the edge-enumeration phase. 0 uses the shared pool; any
   // value > 0 builds with a dedicated pool of that size. The resulting
@@ -80,6 +86,40 @@ struct LatticeGraphOptions {
   // from worker threads and must outlive the build.
   const CostModel* cost_model = nullptr;
 };
+
+// The construction knobs every entry point's options struct carries
+// (CubeGraphOptions, SparseCubeGraphOptions and the hierarchical pair).
+template <typename Options>
+LatticeGraphOptions LatticeOptionsOf(const Options& options) {
+  LatticeGraphOptions build;
+  build.default_query_cost = options.default_query_cost;
+  build.raw_scan_penalty = options.raw_scan_penalty;
+  build.maintenance_per_row = options.maintenance_per_row;
+  build.num_threads = options.num_threads;
+  build.cost_model = options.cost_model.get();
+  return build;
+}
+
+// The one range check of the shared knobs, called by every entry point
+// before it builds anything. Each test reads !(x >= bound), so NaN fails.
+inline Status ValidateLatticeGraphOptions(const LatticeGraphOptions& options) {
+  if (!(options.raw_scan_penalty >= 1.0)) {
+    return Status::InvalidArgument(
+        "raw_scan_penalty must be >= 1 (got " +
+        std::to_string(options.raw_scan_penalty) + ")");
+  }
+  if (!(options.maintenance_per_row >= 0.0)) {
+    return Status::InvalidArgument(
+        "maintenance_per_row must be non-negative (got " +
+        std::to_string(options.maintenance_per_row) + ")");
+  }
+  if (!(options.default_query_cost >= 0.0)) {
+    return Status::InvalidArgument(
+        "default_query_cost must be non-negative (got " +
+        std::to_string(options.default_query_cost) + ")");
+  }
+  return Status::Ok();
+}
 
 // Streaming spill window: each enumeration shard flushes its EdgeRun
 // buffer into the graph's edge sink (QueryViewGraph::ConsumeEdgeRuns) at
@@ -156,10 +196,29 @@ void WalkPrefixClasses(uint32_t view_mask, int m, int r, uint32_t sel,
   rec(rec, 0, view_mask, 0u, base);
 }
 
+// WalkPrefixClasses over a view's whole canonical key family: its m! fat
+// arrangements, or with fat_indexes_only = false (the pruning ablation)
+// every arrangement of r = 1..m of its bits, shorter lengths first.
+template <typename Emit>
+void WalkKeyFamily(uint32_t view_mask, int m, uint32_t sel,
+                   bool fat_indexes_only, const Emit& emit) {
+  if (fat_indexes_only) {
+    WalkPrefixClasses(view_mask, m, m, sel, 0, emit);
+    return;
+  }
+  int64_t offset = 0;
+  int64_t arrangements = 1;
+  for (int r = 1; r <= m; ++r) {
+    arrangements *= m - (r - 1);  // A(m, r)
+    WalkPrefixClasses(view_mask, m, r, sel, offset, emit);
+    offset += arrangements;
+  }
+}
+
 // Builds `g` from the provider's lattice and workload. The caller validates
-// inputs (dimension limits, lattice-size limits, option ranges) and returns
-// Status errors *before* calling; this function assumes a well-formed
-// problem and never fails.
+// inputs (dimension limits, lattice-size limits, and option ranges through
+// ValidateLatticeGraphOptions) and returns Status errors *before* calling;
+// this function assumes a well-formed problem and never fails.
 //
 // Edge enumeration: queries partitioned into contiguous chunks, one run
 // buffer per chunk, spilled into the sink at query boundaries. Each run's

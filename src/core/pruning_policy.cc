@@ -3,6 +3,8 @@
 #include <bit>
 #include <utility>
 
+#include "common/metrics.h"
+
 namespace olapidx {
 
 QueryPruneResult PruneQueriesByMass(const std::vector<double>& frequency,
@@ -45,6 +47,32 @@ std::vector<int> CandidateKeyOrder(uint32_t prefix, uint32_t view_mask) {
     order.push_back(std::countr_zero(rest));
   }
   return order;
+}
+
+void RecordSparseBuild(const SparseBuildStats& stats) {
+  OLAPIDX_METRIC_COUNTER(builds, "graph_build.sparse.builds");
+  OLAPIDX_METRIC_COUNTER(workload_q, "graph_build.sparse.workload_queries");
+  OLAPIDX_METRIC_COUNTER(retained_q, "graph_build.sparse.retained_queries");
+  OLAPIDX_METRIC_COUNTER(dropped_q, "graph_build.sparse.dropped_queries");
+  OLAPIDX_METRIC_COUNTER(retained_v, "graph_build.sparse.retained_views");
+  OLAPIDX_METRIC_COUNTER(dropped_v, "graph_build.sparse.views_dropped");
+  OLAPIDX_METRIC_COUNTER(candidate_v, "graph_build.sparse.candidate_views");
+  OLAPIDX_METRIC_COUNTER(candidate_i, "graph_build.sparse.candidate_indexes");
+  // Retained frequency mass in permille of the workload total (gauges are
+  // integral).
+  OLAPIDX_METRIC_GAUGE(mass, "graph_build.sparse.retained_mass_permille");
+  builds.Add(1);
+  workload_q.Add(stats.workload_queries);
+  retained_q.Add(stats.retained_queries);
+  dropped_q.Add(stats.workload_queries - stats.retained_queries);
+  retained_v.Add(stats.retained_views);
+  dropped_v.Add(stats.views_dropped);
+  candidate_v.Add(stats.candidate_views);
+  candidate_i.Add(stats.candidate_indexes);
+  mass.Set(stats.total_mass > 0.0
+               ? static_cast<int64_t>(1000.0 * stats.retained_mass /
+                                      stats.total_mass)
+               : 1000);
 }
 
 }  // namespace olapidx

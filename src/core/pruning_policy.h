@@ -1,9 +1,10 @@
-// The pruning-policy layer of the sparse build path: the lattice-agnostic
-// pieces of PR 6's workload pruning, extracted from the flat sparse builder
-// so the hierarchical builder composes the same policies over its own
-// lattice (hierarchy/hierarchical_graph.h, TryBuildSparseHierarchicalCubeGraph).
-//
-// One place states what each policy may drop:
+// The pruning-policy layer: which queries, views and index keys a
+// query-view graph keeps. Both lattices build through one plan shape. The
+// identity plan of the dense entry points (TryBuildCubeGraph,
+// TryBuildHierarchicalCubeGraph) keeps every query in input order, every
+// lattice view with graph id = lattice id, and the canonical key family on
+// every view; it runs none of the passes below. The pruned plan of the
+// sparse entry points runs them, in the one pipeline PlanPrunedBuild:
 //
 //   * Query pruning (PruneQueriesByMass) drops the cold tail of the
 //     workload — queries outside the smallest hottest-first prefix
@@ -13,16 +14,17 @@
 //     the quality loss is visible, never silent.
 //   * View retention (RetainSupersetViews) drops lattice views that either
 //     cannot answer any retained query (outside every superset cone — pure
-//     waste, no quality loss) or fall past the `max_views` soft cap
-//     (quality-trading; counted in views_dropped and flagged by
+//     waste, no quality loss: the sparse graph is the dense one restricted
+//     to the kept views, pinned by test) or fall past the `max_views` soft
+//     cap (quality-trading; counted in views_dropped and flagged by
 //     view_cap_hit). The base view and each retained query's minimal
 //     answering view are exempt from the cap, so every retained query
 //     always keeps at least one answering view.
-//   * Candidate index families (CandidateKeyOrder + the per-lattice
-//     collectors) drop index permutations of wide views that no retained
-//     query's selection can use as a longest prefix; each retained query
-//     keeps a key realizing its best possible prefix, so per-query best
-//     costs are preserved exactly (pinned by test).
+//   * Candidate index families (CandidateFamily) drop index permutations
+//     of wide views that no retained query's selection can use as a
+//     longest prefix; each retained query keeps a key realizing its best
+//     possible prefix, so per-query best costs are preserved exactly
+//     (pinned by test).
 //
 // Everything here is deterministic and arithmetic-free: the policies pick
 // *which* queries/views/keys exist; all costs still flow through the one
@@ -35,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/graph_build_metrics.h"
@@ -147,19 +150,63 @@ ViewRetentionResult RetainSupersetViews(uint64_t lattice_views,
   return out;
 }
 
+// A pruned build's plan: the input queries and lattice views the graph
+// keeps. The identity plan has no such object; the builders take a null
+// plan for it.
+struct PrunedPlan {
+  std::vector<uint32_t> queries;  // retained input positions, ascending
+  ViewRetentionResult views;      // retained lattice ids and their inverse
+};
+
+// The pruning pipeline of both sparse builders: query pruning under
+// `pruning`'s top_queries and query_mass, then view retention over the
+// retained queries, hottest first (ties in input order), under max_views.
+// minimal_of and cone are RetainSupersetViews' callbacks, keyed by input
+// query position. Fills the query and view fields of `stats`.
+template <typename PruningOptions, typename MinimalFn, typename ConeFn>
+PrunedPlan PlanPrunedBuild(const PruningOptions& pruning,
+                           const std::vector<double>& frequency,
+                           uint64_t lattice_views, uint64_t base_id,
+                           MinimalFn&& minimal_of, ConeFn&& cone,
+                           SparseBuildStats& stats) {
+  QueryPruneResult pruned = PruneQueriesByMass(
+      frequency, pruning.top_queries, pruning.query_mass);
+  stats.workload_queries = frequency.size();
+  stats.retained_queries = pruned.retained.size();
+  stats.total_mass = pruned.total_mass;
+  stats.retained_mass = pruned.retained_mass;
+  stats.dropped_mass = stats.total_mass - stats.retained_mass;
+  std::vector<uint32_t> hot_order = pruned.retained;
+  std::stable_sort(hot_order.begin(), hot_order.end(),
+                   [&](uint32_t a, uint32_t b) {
+                     return frequency[a] > frequency[b];
+                   });
+  PrunedPlan plan;
+  plan.views = RetainSupersetViews(lattice_views, base_id, hot_order,
+                                   pruning.max_views, minimal_of, cone);
+  stats.retained_views = plan.views.view_ids.size();
+  stats.view_cap_hit = plan.views.cap_hit;
+  stats.views_dropped = plan.views.views_dropped;
+  stats.views_dropped_truncated = plan.views.views_dropped_truncated;
+  plan.queries = std::move(pruned.retained);
+  return plan;
+}
+
 // Candidate-key policy: the dimension/attribute order of the one fat key
 // serving a distinct selection class `prefix` at a wide view: the prefix
 // bits ascending, then the view's remaining bits ascending. Bit i stands
 // for attribute/dimension i (the same convention as WalkPrefixClasses).
 std::vector<int> CandidateKeyOrder(uint32_t prefix, uint32_t view_mask);
 
-// Collects the distinct non-empty selection classes (selection ∩ view, as
-// bit masks) of the retained queries answerable at a wide view: call
-// class_of(q) for each retained query position; a return of 0 means "not
-// answerable or empty selection — no key". Sorted ascending, deduped, so
-// key families are deterministic in the workload.
+// The candidate family of a wide view: one CandidateKeyOrder per distinct
+// non-empty selection class (selection ∩ view, as bit masks) of the
+// retained queries answerable there. class_of(q) is called for each
+// retained query position; 0 means "not answerable or empty selection — no
+// key". Keys of different classes can coincide, so the family is sorted and
+// deduplicated: deterministic in the workload.
 template <typename ClassOf>
-std::vector<uint32_t> CollectCandidateClasses(size_t num_queries,
+std::vector<std::vector<int>> CandidateFamily(size_t num_queries,
+                                              uint32_t view_mask,
                                               ClassOf&& class_of) {
   std::vector<uint32_t> classes;
   for (size_t q = 0; q < num_queries; ++q) {
@@ -168,8 +215,17 @@ std::vector<uint32_t> CollectCandidateClasses(size_t num_queries,
   }
   std::sort(classes.begin(), classes.end());
   classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
-  return classes;
+  std::vector<std::vector<int>> family;
+  family.reserve(classes.size());
+  for (uint32_t p : classes) family.push_back(CandidateKeyOrder(p, view_mask));
+  std::sort(family.begin(), family.end());
+  family.erase(std::unique(family.begin(), family.end()), family.end());
+  return family;
 }
+
+// Publishes a finished pruned build's totals as the graph_build.sparse.*
+// metrics. Identity-plan builds record none.
+void RecordSparseBuild(const SparseBuildStats& stats);
 
 }  // namespace olapidx
 

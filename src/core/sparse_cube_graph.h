@@ -1,10 +1,10 @@
-// TryBuildSparseCubeGraph: the workload-pruned construction path that
-// breaks the n ≤ 8 wall of the dense cube graph (core/cube_graph.h).
+// TryBuildSparseCubeGraph: the pruned plan of the flat build pipeline,
+// which breaks the n ≤ 8 wall of TryBuildCubeGraph (core/cube_graph.h, the
+// same pipeline's identity plan; both are defined in sparse_cube_graph.cc).
 //
-// The dense builder enumerates all 2^n views, each with all m! fat indexes,
-// and expands a dense cost column per (view, query) — at n = 8 that is
-// already a multi-GB table, and n = 12–20 is out of reach. This path scales
-// to kMaxDimensions (20) by pruning on three axes before any edge exists:
+// The identity plan enumerates all 2^n views, each with all m! fat indexes,
+// so n = 12–20 is out of reach. This plan scales to kMaxDimensions (20) by
+// pruning on three axes before any edge exists (core/pruning_policy.h):
 //
 //   1. Queries: keep only the queries carrying non-negligible frequency
 //      mass (a mass threshold and/or a top-k cap over the explicit
@@ -12,7 +12,7 @@
 //      almost nothing to τ(G, M).
 //   2. Views: keep only views reachable as supersets of some retained
 //      query's A ∪ B (plus the base view, which anchors default costs) —
-//      no other view can answer any retained query, so the dense lattice's
+//      no other view can answer any retained query, so the lattice's
 //      remaining 2^n − |reachable| views are pure waste. A soft cap bounds
 //      the blow-up for queries with few mentioned attributes.
 //   3. Indexes: views with at most max_fat_dim attributes get the paper's
@@ -29,9 +29,10 @@
 // stay proportional to the number of *distinct* columns, not queries ×
 // indexes.
 //
-// When nothing is pruned — full query set, query_mass = 1, no caps, and
-// every view within max_fat_dim — the result is bit-identical to
-// TryBuildCubeGraph (the equivalence test pins this).
+// Both plans run through one provider (FlatPlanProvider), so the costs of
+// every kept (query, view, index) equal the identity graph's bit for bit.
+// With nothing pruned — full query set, query_mass = 1, no caps, and every
+// view within max_fat_dim — the two graphs are identical (pinned by test).
 
 #ifndef OLAPIDX_CORE_SPARSE_CUBE_GRAPH_H_
 #define OLAPIDX_CORE_SPARSE_CUBE_GRAPH_H_

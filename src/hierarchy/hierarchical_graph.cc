@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
-#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -183,182 +182,6 @@ std::function<std::string(uint32_t, int32_t)> MakeIndexNamer(
   };
 }
 
-// The hierarchical LatticeProvider (core/lattice_graph_builder.h): views
-// are mixed-radix level-vector ids, a query's answering views are the
-// odometer product of [0, required_level_d] per dimension, and index costs
-// come from WalkPrefixClasses over the view's active dimensions mapped to
-// local bits — the per-class cost depends only on the prefix's dimension
-// *set* (key order within the prefix never changes |E|), so one division
-// covers a whole contiguous rank range of key orders.
-struct HierarchicalLatticeProvider {
-  const HierarchicalSchema* schema;
-  const HierarchicalLattice* lattice;
-  const std::vector<WeightedHQuery>* workload;
-  const HierarchicalGraphOptions* options;
-  HierarchicalCubeGraph* out;
-  int n = 0;
-  uint32_t all_all_id = 0;  // id of the all-ALL apex = num_views - 1
-
-  struct Ctx {
-    std::vector<int> required;    // per dim: coarsest answering level
-    std::vector<int> lv;          // odometer digits = current view's levels
-    std::vector<int64_t> delta;   // select dims: (sel_level − ALL)·stride
-    std::vector<char> is_select;  // per dim
-    std::vector<int64_t> local_delta;  // per active local bit, select only
-  };
-
-  uint32_t num_views() const {
-    return static_cast<uint32_t>(lattice->num_views());
-  }
-  uint32_t BaseView() const {
-    return static_cast<uint32_t>(lattice->BaseView());
-  }
-  double ViewSizeOf(uint32_t v) const { return out->view_sizes[v]; }
-
-  void InitGraph(QueryViewGraph& g) const {
-    g.SetIndexNamer(
-        MakeIndexNamer(*schema, *lattice, options->fat_indexes_only));
-  }
-
-  void AddStructures(QueryViewGraph& g, uint32_t v, double size,
-                     double maintenance) const {
-    LevelVector levels = lattice->LevelsOf(v);
-    uint32_t gv = g.AddView(lattice->ViewName(levels), size);
-    OLAPIDX_CHECK(gv == v);
-    if (maintenance > 0.0) g.SetViewMaintenance(gv, maintenance);
-    const int m =
-        static_cast<int>(lattice->ActiveDimensions(levels).size());
-    const int64_t count =
-        NumIndexesForActive(m, options->fat_indexes_only);
-    g.AddIndexesNamed(gv, static_cast<int32_t>(count), size, maintenance);
-    out->view_levels.push_back(std::move(levels));
-  }
-
-  size_t num_queries() const { return workload->size(); }
-
-  void AddQuery(QueryViewGraph& g, size_t qi, double default_cost) const {
-    const WeightedHQuery& wq = (*workload)[qi];
-    g.AddQuery(wq.query.ToString(*schema), default_cost, wq.frequency);
-    out->queries.push_back(wq.query);
-  }
-
-  Ctx MakeQueryContext() const {
-    Ctx ctx;
-    ctx.required.resize(static_cast<size_t>(n));
-    ctx.lv.resize(static_cast<size_t>(n));
-    ctx.delta.resize(static_cast<size_t>(n));
-    ctx.is_select.resize(static_cast<size_t>(n));
-    ctx.local_delta.reserve(static_cast<size_t>(n));
-    return ctx;
-  }
-
-  void BeginQuery(Ctx& ctx, size_t qi) const {
-    const HSliceQuery& q = (*workload)[qi].query;
-    for (int d = 0; d < n; ++d) {
-      const HDimRole& role = q.role(d);
-      const auto sd = static_cast<size_t>(d);
-      ctx.required[sd] =
-          role.kind == HDimRole::kAbsent ? schema->all_level(d) : role.level;
-      ctx.is_select[sd] = role.kind == HDimRole::kSelect;
-      ctx.delta[sd] =
-          ctx.is_select[sd]
-              ? (static_cast<int64_t>(role.level) - schema->all_level(d)) *
-                    static_cast<int64_t>(lattice->stride(d))
-              : 0;
-    }
-  }
-
-  template <typename Visit>
-  void ForEachAnsweringView(Ctx& ctx, Visit&& visit) const {
-    // The views that can answer the query are exactly those at least as
-    // fine as its required levels: the product of [0, required_d] per
-    // dimension, walked as a mixed-radix odometer (dimension 0 fastest =
-    // ascending view ids). ctx.lv holds the current view's level digits
-    // for the duration of each visit, so IndexColumnClass /
-    // ForEachIndexCostClass read them without re-decoding the id.
-    std::fill(ctx.lv.begin(), ctx.lv.end(), 0);
-    uint32_t v = 0;  // the finest view has id 0
-    for (;;) {
-      visit(v);
-      int d = 0;
-      while (d < n && ctx.lv[static_cast<size_t>(d)] ==
-                          ctx.required[static_cast<size_t>(d)]) {
-        v -= static_cast<uint32_t>(
-            static_cast<uint64_t>(ctx.lv[static_cast<size_t>(d)]) *
-            lattice->stride(d));
-        ctx.lv[static_cast<size_t>(d)] = 0;
-        ++d;
-      }
-      if (d == n) break;
-      ++ctx.lv[static_cast<size_t>(d)];
-      v += static_cast<uint32_t>(lattice->stride(d));
-    }
-  }
-
-  uint32_t IndexColumnClass(const Ctx& ctx, uint32_t /*v*/) const {
-    // A query's index costs from a view depend only on the restriction of
-    // the view's active dimensions to the query's selection (each |E|
-    // denominator is the subcube of a selection-dimension prefix at the
-    // query's select levels), so queries agreeing on that restricted
-    // subcube share one dense column. Its id, shifted to be non-zero, is
-    // the column class; ids stay < 2^20 by the kMaxHierarchicalViews
-    // ceiling. 0 iff the view has no active dimensions (the apex — the
-    // only view without indexes).
-    int64_t id = all_all_id;
-    bool any_active = false;
-    for (int d = 0; d < n; ++d) {
-      const auto sd = static_cast<size_t>(d);
-      if (ctx.lv[sd] == schema->all_level(d)) continue;
-      any_active = true;
-      if (ctx.is_select[sd]) id += ctx.delta[sd];
-    }
-    if (!any_active) return 0;
-    return static_cast<uint32_t>(id) + 1;
-  }
-
-  template <typename Emit>
-  void ForEachIndexCostClass(Ctx& ctx, uint32_t /*v*/,
-                             const double* view_size, Emit&& emit) const {
-    // Map the view's active dimensions to local bits 0..m-1 (ascending
-    // dimension order — the rank order of FatIndexOrders/AllIndexOrders)
-    // and walk the arrangement tree once per prefix-equivalence class.
-    ctx.local_delta.clear();
-    uint32_t sel_local = 0;
-    for (int d = 0; d < n; ++d) {
-      const auto sd = static_cast<size_t>(d);
-      if (ctx.lv[sd] == schema->all_level(d)) continue;
-      if (ctx.is_select[sd]) {
-        sel_local |= 1u << ctx.local_delta.size();
-      }
-      ctx.local_delta.push_back(ctx.delta[sd]);
-    }
-    const int m = static_cast<int>(ctx.local_delta.size());
-    const uint32_t full = (1u << m) - 1;
-    auto cost_emit = [&](int64_t rb, int64_t re, uint32_t prefix) {
-      // |E|: the subcube of the prefix dimensions at the query's select
-      // levels, ALL elsewhere = apex id plus the precomputed per-dimension
-      // stride deltas (prefix bits are always selection bits).
-      int64_t denom_id = all_all_id;
-      for (uint32_t rest = prefix; rest != 0; rest &= rest - 1) {
-        denom_id += ctx.local_delta[static_cast<size_t>(
-            std::countr_zero(rest))];
-      }
-      emit(rb, re, view_size[denom_id]);
-    };
-    if (options->fat_indexes_only) {
-      WalkPrefixClasses(full, m, m, sel_local, 0, cost_emit);
-    } else {
-      int64_t offset = 0;
-      int64_t arrangements = 1;
-      for (int r = 1; r <= m; ++r) {
-        arrangements *= m - (r - 1);  // A(m, r)
-        WalkPrefixClasses(full, m, r, sel_local, offset, cost_emit);
-        offset += arrangements;
-      }
-    }
-  }
-};
-
 // Shared external-input validation of a hierarchical workload (dense and
 // sparse builders): role vectors must match the schema and mentioned
 // dimensions must sit at proper levels.
@@ -445,119 +268,6 @@ std::vector<WeightedHQuery> UniformHWorkload(
     out.push_back(WeightedHQuery{std::move(q), 1.0});
   }
   return out;
-}
-
-StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
-    const HierarchicalSchema& schema, double raw_rows,
-    const std::vector<WeightedHQuery>& workload,
-    const HierarchicalGraphOptions& options) {
-  if (!(raw_rows >= 1.0)) {
-    return Status::InvalidArgument("raw_rows must be >= 1 (got " +
-                                   std::to_string(raw_rows) + ")");
-  }
-  if (!(options.raw_scan_penalty >= 1.0)) {
-    return Status::InvalidArgument("raw_scan_penalty must be >= 1 (got " +
-                                   std::to_string(options.raw_scan_penalty) +
-                                   ")");
-  }
-  if (options.maintenance_per_row < 0.0) {
-    return Status::InvalidArgument(
-        "maintenance_per_row must be non-negative (got " +
-        std::to_string(options.maintenance_per_row) + ")");
-  }
-  if (options.default_query_cost < 0.0) {
-    return Status::InvalidArgument(
-        "default_query_cost must be non-negative (got " +
-        std::to_string(options.default_query_cost) + ")");
-  }
-  const int n = schema.num_dimensions();
-  if (options.fat_indexes_only && n > 8) {
-    return Status::InvalidArgument(
-        "fat-index hierarchical graphs support at most 8 dimensions (got "
-        "n = " +
-        std::to_string(n) +
-        "; the base view's fat indexes are permutations of all n "
-        "dimensions)");
-  }
-  if (!options.fat_indexes_only && n > 6) {
-    return Status::InvalidArgument(
-        "all-ordered-subset (fat-index-pruning ablation) hierarchical "
-        "graphs support at most 6 dimensions (got n = " +
-        std::to_string(n) + ")");
-  }
-  const uint64_t num_views = schema.NumViews();
-  if (num_views > kMaxHierarchicalViews) {
-    return Status::InvalidArgument(
-        "hierarchical lattice has " + std::to_string(num_views) +
-        " views, over the ceiling of " +
-        std::to_string(kMaxHierarchicalViews) +
-        "; coarsen or drop hierarchy levels");
-  }
-  // Total structure census, combinatorially: the views whose active set is
-  // exactly the dimension subset S number Π_{d∈S} levels_d, and each
-  // carries 1 view + family(|S|) indexes.
-  uint64_t total_structures = 0;
-  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
-    uint64_t views_with = 1;
-    int m = 0;
-    for (int d = 0; d < n; ++d) {
-      if ((mask >> d) & 1u) {
-        views_with *= static_cast<uint64_t>(schema.num_levels(d));
-        ++m;
-      }
-    }
-    total_structures +=
-        views_with *
-        (1 + static_cast<uint64_t>(
-                 NumIndexesForActive(m, options.fat_indexes_only)));
-    if (total_structures > kMaxHierarchicalStructures) {
-      return Status::InvalidArgument(
-          "hierarchical lattice carries over " +
-          std::to_string(kMaxHierarchicalStructures) +
-          " structures (views + indexes); coarsen or drop hierarchy "
-          "levels");
-    }
-  }
-  if (Status s = ValidateHierarchicalWorkload(schema, workload); !s.ok()) {
-    return s;
-  }
-
-  HierarchicalLattice lattice(&schema);
-  HierarchicalCubeGraph out;
-  out.view_sizes = lattice.AnalyticalSizes(raw_rows);
-  out.view_levels.reserve(static_cast<size_t>(num_views));
-  out.all_levels = AllLevelsOf(schema);
-  out.fat_indexes_only = options.fat_indexes_only;
-
-  HierarchicalLatticeProvider provider{
-      &schema,
-      &lattice,
-      &workload,
-      &options,
-      &out,
-      n,
-      static_cast<uint32_t>(num_views - 1)};
-  LatticeGraphOptions build;
-  build.default_query_cost = options.default_query_cost;
-  build.raw_scan_penalty = options.raw_scan_penalty;
-  build.maintenance_per_row = options.maintenance_per_row;
-  build.num_threads = options.num_threads;
-  build.cost_model = options.cost_model.get();
-  BuildLatticeGraph(provider, build, out.graph);
-  return out;
-}
-
-HierarchicalCubeGraph BuildHierarchicalCubeGraph(
-    const HierarchicalSchema& schema, double raw_rows,
-    const std::vector<WeightedHQuery>& workload,
-    const HierarchicalGraphOptions& options) {
-  StatusOr<HierarchicalCubeGraph> built =
-      TryBuildHierarchicalCubeGraph(schema, raw_rows, workload, options);
-  if (!built.ok()) {
-    internal::CheckFailed(__FILE__, __LINE__,
-                          built.status().ToString().c_str());
-  }
-  return *std::move(built);
 }
 
 HierarchicalCubeGraph BuildHierarchicalCubeGraphReference(
@@ -704,30 +414,38 @@ std::vector<WeightedHQuery> SampledZipfHWorkload(
 
 namespace {
 
-// The pruned-lattice hierarchical LatticeProvider: graph view ids are
-// dense in the retained set (ascending lattice-id order), answering views
-// resolve through the lattice-id → dense-id inverse, and views with more
-// than max_fat_dim active dimensions carry workload-derived candidate key
-// orders. Cost arithmetic mirrors HierarchicalLatticeProvider division for
-// division — every denominator is view_sizes[subcube id] from the same
-// AnalyticalSizes array — which is what makes the unpruned sparse build
-// bit-identical to the dense one.
-struct SparseHierarchicalLatticeProvider {
+// The hierarchical LatticeProvider, for every build plan. Views are
+// mixed-radix level-vector ids: graph view id = lattice id under the
+// identity plan (plan == nullptr), dense in the retained set (ascending
+// lattice-id order) under a pruned plan, whose answering views resolve
+// through the lattice-id → dense-id inverse. A view with at most
+// max_fat_dim active dimensions carries the canonical family (fat, or
+// every ordered subset for the ablation), costed by WalkKeyFamily over its
+// active dimensions mapped to local bits: a class's cost depends only on
+// the prefix's dimension *set* (key order within the prefix never changes
+// |E|), so one division covers a whole contiguous rank range of key
+// orders. A wider view carries its workload-derived candidate orders.
+// Every denominator is sizes[subcube id] from the one full-lattice
+// AnalyticalSizes array, which is why a pruned graph's costs equal the
+// identity graph's bit for bit.
+struct HierarchicalPlanProvider {
   const HierarchicalSchema* schema;
   const HierarchicalLattice* lattice;
-  const std::vector<WeightedHQuery>* workload;  // the *retained* workload
-  const SparseHierarchicalGraphOptions* options;
-  const std::vector<uint64_t>* view_ids;  // dense id -> lattice id
-  const std::vector<int32_t>* id_of;      // lattice id -> dense id or < 0
-  const std::vector<double>* sizes;       // full-lattice AnalyticalSizes
-  // Dense id -> candidate key orders; empty for fat views (canonical
-  // family, enumerated on the fly exactly like the dense provider).
+  const std::vector<WeightedHQuery>* workload;  // the input workload
+  const PrunedPlan* plan;                       // null: the identity plan
+  const std::vector<double>* sizes;  // full-lattice AnalyticalSizes
+  bool fat_indexes_only;
+  int max_fat_dim;
+  // Graph view id -> candidate key orders of the views with more than
+  // max_fat_dim active dimensions.
   const std::vector<std::vector<std::vector<int>>>* orders;
-  const std::vector<int>* levels_flat;  // dense id * n + d -> level
+  // Graph view id * n + d -> level, for a pruned plan's linear
+  // answering-view scan (null under the identity plan, which never scans).
+  const std::vector<int>* levels_flat;
   HierarchicalCubeGraph* out;
   int n = 0;
   uint64_t all_all_id = 0;  // lattice apex id = lattice num_views - 1
-  uint32_t base_id = 0;     // dense id of the lattice base view
+  uint32_t base_id = 0;     // graph id of the lattice base view
 
   struct Ctx {
     std::vector<int> required;    // per dim: coarsest answering level
@@ -738,37 +456,50 @@ struct SparseHierarchicalLatticeProvider {
     uint64_t cone_size = 1;       // Π (required_d + 1)
   };
 
+  uint64_t LatticeIdOf(uint32_t v) const {
+    return plan == nullptr ? v : plan->views.view_ids[v];
+  }
+  const WeightedHQuery& QueryAt(size_t qi) const {
+    return (*workload)[plan == nullptr ? qi : plan->queries[qi]];
+  }
+
   uint32_t num_views() const {
-    return static_cast<uint32_t>(view_ids->size());
+    return static_cast<uint32_t>(plan == nullptr
+                                     ? lattice->num_views()
+                                     : plan->views.view_ids.size());
   }
   uint32_t BaseView() const { return base_id; }
-  double ViewSizeOf(uint32_t v) const { return (*sizes)[(*view_ids)[v]]; }
+  double ViewSizeOf(uint32_t v) const { return (*sizes)[LatticeIdOf(v)]; }
 
   void InitGraph(QueryViewGraph& g) const {
     g.SetIndexNamer(
-        MakeIndexNamer(*schema, *lattice, true, *view_ids, *orders));
+        plan == nullptr
+            ? MakeIndexNamer(*schema, *lattice, fat_indexes_only)
+            : MakeIndexNamer(*schema, *lattice, fat_indexes_only,
+                             plan->views.view_ids, *orders));
   }
 
   void AddStructures(QueryViewGraph& g, uint32_t v, double size,
                      double maintenance) const {
-    LevelVector levels = lattice->LevelsOf((*view_ids)[v]);
+    LevelVector levels = lattice->LevelsOf(LatticeIdOf(v));
     uint32_t gv = g.AddView(lattice->ViewName(levels), size);
     OLAPIDX_CHECK(gv == v);
     if (maintenance > 0.0) g.SetViewMaintenance(gv, maintenance);
     const int m =
         static_cast<int>(lattice->ActiveDimensions(levels).size());
-    const int64_t count =
-        m <= options->max_fat_dim
-            ? NumIndexesForActive(m, /*fat_indexes_only=*/true)
-            : static_cast<int64_t>((*orders)[v].size());
+    const int64_t count = m <= max_fat_dim
+                              ? NumIndexesForActive(m, fat_indexes_only)
+                              : static_cast<int64_t>((*orders)[v].size());
     g.AddIndexesNamed(gv, static_cast<int32_t>(count), size, maintenance);
     out->view_levels.push_back(std::move(levels));
   }
 
-  size_t num_queries() const { return workload->size(); }
+  size_t num_queries() const {
+    return plan == nullptr ? workload->size() : plan->queries.size();
+  }
 
   void AddQuery(QueryViewGraph& g, size_t qi, double default_cost) const {
-    const WeightedHQuery& wq = (*workload)[qi];
+    const WeightedHQuery& wq = QueryAt(qi);
     g.AddQuery(wq.query.ToString(*schema), default_cost, wq.frequency);
     out->queries.push_back(wq.query);
   }
@@ -784,7 +515,7 @@ struct SparseHierarchicalLatticeProvider {
   }
 
   void BeginQuery(Ctx& ctx, size_t qi) const {
-    const HSliceQuery& q = (*workload)[qi].query;
+    const HSliceQuery& q = QueryAt(qi).query;
     ctx.cone_size = 1;
     for (int d = 0; d < n; ++d) {
       const HDimRole& role = q.role(d);
@@ -803,17 +534,25 @@ struct SparseHierarchicalLatticeProvider {
 
   template <typename Visit>
   void ForEachAnsweringView(Ctx& ctx, Visit&& visit) const {
-    // Both branches emit ascending dense ids (view_ids is sorted) and
-    // leave ctx.lv holding the visited view's level digits; pick the
-    // cheaper enumeration. Unpruned lattices always take the odometer
-    // (the cone is a subset of the lattice), reproducing the dense
-    // provider's walk exactly.
-    if (ctx.cone_size <= view_ids->size()) {
+    // The views that can answer the query are exactly those at least as
+    // fine as its required levels: the product of [0, required_d] per
+    // dimension, walked as a mixed-radix odometer (dimension 0 fastest =
+    // ascending view ids). Both branches emit ascending graph ids and
+    // leave ctx.lv holding the visited view's level digits, so
+    // IndexColumnClass / ForEachIndexCostClass read them without
+    // re-decoding the id. The identity plan always takes the odometer; a
+    // pruned plan scans its retained views instead when that is cheaper.
+    if (plan == nullptr || ctx.cone_size <= plan->views.view_ids.size()) {
       std::fill(ctx.lv.begin(), ctx.lv.end(), 0);
-      uint64_t v = 0;
+      uint64_t v = 0;  // the finest view has lattice id 0
       for (;;) {
-        const int32_t dense = (*id_of)[static_cast<size_t>(v)];
-        if (dense >= 0) visit(static_cast<uint32_t>(dense));
+        if (plan == nullptr) {
+          visit(static_cast<uint32_t>(v));
+        } else if (const int32_t dense =
+                       plan->views.id_of[static_cast<size_t>(v)];
+                   dense >= 0) {
+          visit(static_cast<uint32_t>(dense));
+        }
         int d = 0;
         while (d < n && ctx.lv[static_cast<size_t>(d)] ==
                             ctx.required[static_cast<size_t>(d)]) {
@@ -828,7 +567,7 @@ struct SparseHierarchicalLatticeProvider {
       }
       return;
     }
-    for (uint32_t dense = 0; dense < view_ids->size(); ++dense) {
+    for (uint32_t dense = 0; dense < plan->views.view_ids.size(); ++dense) {
       const int* lv =
           levels_flat->data() + size_t{dense} * static_cast<size_t>(n);
       bool answers = true;
@@ -845,11 +584,15 @@ struct SparseHierarchicalLatticeProvider {
   }
 
   uint32_t IndexColumnClass(const Ctx& ctx, uint32_t v) const {
-    // Same class as the dense provider — the restricted-selection subcube
-    // id, shifted non-zero (its mixed-radix encoding pins both the
-    // selected active dimensions and their levels, so classmates share
-    // every denominator regardless of key family). 0 for the apex and for
-    // wide views whose candidate family is empty.
+    // A query's index costs from a view depend only on the restriction of
+    // the view's active dimensions to the query's selection (each |E|
+    // denominator is the subcube of a selection-dimension prefix at the
+    // query's select levels), so queries agreeing on that restricted
+    // subcube share one cost column — in any key family. Its id, shifted
+    // to be non-zero, is the column class; ids stay < 2^20 by the
+    // kMaxHierarchicalViews ceiling. 0 for the apex (no active dimension,
+    // the only canonical view without indexes) and for wide views whose
+    // candidate family is empty.
     int64_t id = static_cast<int64_t>(all_all_id);
     int m = 0;
     for (int d = 0; d < n; ++d) {
@@ -859,7 +602,7 @@ struct SparseHierarchicalLatticeProvider {
       if (ctx.is_select[sd]) id += ctx.delta[sd];
     }
     if (m == 0) return 0;
-    if (m > options->max_fat_dim && (*orders)[v].empty()) return 0;
+    if (m > max_fat_dim && (*orders)[v].empty()) return 0;
     return static_cast<uint32_t>(id) + 1;
   }
 
@@ -868,6 +611,8 @@ struct SparseHierarchicalLatticeProvider {
                              const double* /*view_size*/,
                              Emit&& emit) const {
     const double* sz = sizes->data();
+    // Map the view's active dimensions to local bits 0..m-1 (ascending
+    // dimension order — the rank order of FatIndexOrders/AllIndexOrders).
     ctx.local_delta.clear();
     uint32_t sel_local = 0;
     for (int d = 0; d < n; ++d) {
@@ -879,24 +624,25 @@ struct SparseHierarchicalLatticeProvider {
       ctx.local_delta.push_back(ctx.delta[sd]);
     }
     const int m = static_cast<int>(ctx.local_delta.size());
-    if (m <= options->max_fat_dim) {
-      const uint32_t full = (1u << m) - 1;
-      WalkPrefixClasses(full, m, m, sel_local, 0,
-                        [&](int64_t rb, int64_t re, uint32_t prefix) {
-                          int64_t denom_id =
-                              static_cast<int64_t>(all_all_id);
-                          for (uint32_t rest = prefix; rest != 0;
-                               rest &= rest - 1) {
-                            denom_id += ctx.local_delta[static_cast<size_t>(
-                                std::countr_zero(rest))];
-                          }
-                          emit(rb, re, sz[denom_id]);
-                        });
+    if (m <= max_fat_dim) {
+      // |E|: the subcube of the prefix dimensions at the query's select
+      // levels, ALL elsewhere = apex id plus the precomputed per-dimension
+      // stride deltas (prefix bits are always selection bits).
+      WalkKeyFamily((1u << m) - 1, m, sel_local, fat_indexes_only,
+                    [&](int64_t rb, int64_t re, uint32_t prefix) {
+                      int64_t denom_id = static_cast<int64_t>(all_all_id);
+                      for (uint32_t rest = prefix; rest != 0;
+                           rest &= rest - 1) {
+                        denom_id += ctx.local_delta[static_cast<size_t>(
+                            std::countr_zero(rest))];
+                      }
+                      emit(rb, re, sz[denom_id]);
+                    });
       return;
     }
     // Candidate family: each key serves its query at the longest leading
     // run of selection dimensions; denominators are the same per-dimension
-    // stride deltas as the fat path.
+    // stride deltas as the canonical path.
     const std::vector<std::vector<int>>& family = (*orders)[v];
     for (size_t k = 0; k < family.size(); ++k) {
       int64_t denom_id = static_cast<int64_t>(all_all_id);
@@ -910,31 +656,266 @@ struct SparseHierarchicalLatticeProvider {
   }
 };
 
+// The identity plan's up-front limits: the canonical family of the base
+// view must be enumerable, and the full lattice's structure census must
+// fit kMaxHierarchicalStructures. (A pruned plan checks its retained census
+// instead, while it builds the candidate families.)
+Status CheckIdentityLimits(const HierarchicalSchema& schema,
+                           bool fat_indexes_only) {
+  const int n = schema.num_dimensions();
+  if (fat_indexes_only && n > 8) {
+    return Status::InvalidArgument(
+        "fat-index hierarchical graphs support at most 8 dimensions (got "
+        "n = " +
+        std::to_string(n) +
+        "; the base view's fat indexes are permutations of all n "
+        "dimensions)");
+  }
+  if (!fat_indexes_only && n > 6) {
+    return Status::InvalidArgument(
+        "all-ordered-subset (fat-index-pruning ablation) hierarchical "
+        "graphs support at most 6 dimensions (got n = " +
+        std::to_string(n) + ")");
+  }
+  // Total structure census, combinatorially: the views whose active set is
+  // exactly the dimension subset S number Π_{d∈S} levels_d, and each
+  // carries 1 view + family(|S|) indexes.
+  uint64_t total_structures = 0;
+  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+    uint64_t views_with = 1;
+    int m = 0;
+    for (int d = 0; d < n; ++d) {
+      if ((mask >> d) & 1u) {
+        views_with *= static_cast<uint64_t>(schema.num_levels(d));
+        ++m;
+      }
+    }
+    total_structures +=
+        views_with *
+        (1 + static_cast<uint64_t>(NumIndexesForActive(m, fat_indexes_only)));
+    if (total_structures > kMaxHierarchicalStructures) {
+      return Status::InvalidArgument(
+          "hierarchical lattice carries over " +
+          std::to_string(kMaxHierarchicalStructures) +
+          " structures (views + indexes); coarsen or drop hierarchy "
+          "levels");
+    }
+  }
+  return Status::Ok();
+}
+
+// The hierarchical build pipeline behind both entry points. A null
+// `pruning` is the identity plan of TryBuildHierarchicalCubeGraph: every
+// query in input order, every view with graph id = lattice id, and the
+// canonical family of `fat_indexes_only` on every view, with index_orders
+// left empty and `stats` unset. Otherwise the pruned plan of
+// TryBuildSparseHierarchicalCubeGraph (fat families only).
+StatusOr<SparseHierarchicalCubeGraph> BuildHierarchicalGraph(
+    const HierarchicalSchema& schema, double raw_rows,
+    const std::vector<WeightedHQuery>& workload,
+    const LatticeGraphOptions& build, bool fat_indexes_only,
+    const SparseHierarchicalGraphOptions* pruning) {
+  if (!(raw_rows >= 1.0)) {
+    return Status::InvalidArgument("raw_rows must be >= 1 (got " +
+                                   std::to_string(raw_rows) + ")");
+  }
+  if (Status s = ValidateLatticeGraphOptions(build); !s.ok()) return s;
+  const int n = schema.num_dimensions();
+  const uint64_t num_views = schema.NumViews();
+  // Even a pruned plan needs the full lattice under the view-id ceiling:
+  // index-edge column classes are keyed by lattice subcube ids.
+  if (num_views > kMaxHierarchicalViews) {
+    return Status::InvalidArgument(
+        "hierarchical lattice has " + std::to_string(num_views) +
+        " views, over the ceiling of " +
+        std::to_string(kMaxHierarchicalViews) +
+        "; coarsen or drop hierarchy levels");
+  }
+  if (pruning == nullptr) {
+    if (Status s = CheckIdentityLimits(schema, fat_indexes_only); !s.ok()) {
+      return s;
+    }
+  }
+  if (Status s = ValidateHierarchicalWorkload(schema, workload); !s.ok()) {
+    return s;
+  }
+
+  const HierarchicalLattice lattice(&schema);
+  SparseHierarchicalCubeGraph result;
+  SparseBuildStats& stats = result.stats;
+  HierarchicalCubeGraph& out = result.hgraph;
+  out.all_levels = AllLevelsOf(schema);
+  out.fat_indexes_only = fat_indexes_only;
+  std::vector<double> sizes = lattice.AnalyticalSizes(raw_rows);
+  HierarchicalPlanProvider provider{
+      &schema,
+      &lattice,
+      &workload,
+      /*plan=*/nullptr,
+      &sizes,
+      fat_indexes_only,
+      /*max_fat_dim=*/n,
+      /*orders=*/nullptr,
+      /*levels_flat=*/nullptr,
+      &out,
+      n,
+      /*all_all_id=*/num_views - 1,
+      /*base_id=*/static_cast<uint32_t>(lattice.BaseView())};
+  PrunedPlan plan;
+  std::vector<std::vector<std::vector<int>>> orders;
+  std::vector<int> levels_flat;
+  if (pruning == nullptr) {
+    out.view_sizes = std::move(sizes);
+    provider.sizes = &out.view_sizes;
+  } else {
+    // Per input query: coarsest answering level per dimension and the
+    // selected-dimension mask, hoisted for the cone walks and candidate
+    // classes below.
+    const size_t nq = workload.size();
+    std::vector<int> required_flat(nq * static_cast<size_t>(n));
+    std::vector<uint32_t> sel_mask(nq, 0);
+    std::vector<double> frequency(nq);
+    for (size_t qi = 0; qi < nq; ++qi) {
+      for (int d = 0; d < n; ++d) {
+        const HDimRole& role = workload[qi].query.role(d);
+        required_flat[qi * static_cast<size_t>(n) + static_cast<size_t>(d)] =
+            role.kind == HDimRole::kAbsent ? schema.all_level(d)
+                                           : role.level;
+        if (role.kind == HDimRole::kSelect) {
+          sel_mask[qi] |= 1u << d;
+        }
+      }
+      frequency[qi] = workload[qi].frequency;
+    }
+
+    // A query's cone is the mixed-radix box [0, required_d] per dimension,
+    // walked as an odometer (ascending lattice ids).
+    std::vector<int> cone_lv(static_cast<size_t>(n));
+    plan = PlanPrunedBuild(
+        *pruning, frequency, num_views, lattice.BaseView(),
+        [&](uint32_t qi) {
+          return lattice.IdOf(workload[qi].query.RequiredLevels(schema));
+        },
+        [&](uint32_t qi, auto&& visit) {
+          const int* req = required_flat.data() +
+                           size_t{qi} * static_cast<size_t>(n);
+          std::fill(cone_lv.begin(), cone_lv.end(), 0);
+          uint64_t v = 0;
+          for (;;) {
+            if (!visit(v)) return;
+            int d = 0;
+            while (d < n && cone_lv[static_cast<size_t>(d)] == req[d]) {
+              v -= static_cast<uint64_t>(cone_lv[static_cast<size_t>(d)]) *
+                   lattice.stride(d);
+              cone_lv[static_cast<size_t>(d)] = 0;
+              ++d;
+            }
+            if (d == n) return;
+            ++cone_lv[static_cast<size_t>(d)];
+            v += lattice.stride(d);
+          }
+        },
+        stats);
+    const std::vector<uint64_t>& view_ids = plan.views.view_ids;
+    const size_t nv = view_ids.size();
+
+    // Candidate index families and the retained structure census. Wide
+    // views get one key per distinct selection class of the retained
+    // answerable queries: selected dimensions leading (ascending),
+    // remaining active dimensions trailing (ascending).
+    levels_flat.resize(nv * static_cast<size_t>(n));
+    std::vector<uint32_t> active_mask(nv, 0);
+    for (size_t v = 0; v < nv; ++v) {
+      const LevelVector levels = lattice.LevelsOf(view_ids[v]);
+      for (int d = 0; d < n; ++d) {
+        const int level = levels.level(d);
+        levels_flat[v * static_cast<size_t>(n) + static_cast<size_t>(d)] =
+            level;
+        if (level != schema.all_level(d)) active_mask[v] |= 1u << d;
+      }
+    }
+    orders.resize(nv);
+    uint64_t total_structures = 0;
+    for (size_t v = 0; v < nv; ++v) {
+      const int m = std::popcount(active_mask[v]);
+      if (m <= pruning->max_fat_dim) {
+        ++stats.fat_views;
+        total_structures += 1 + static_cast<uint64_t>(NumIndexesForActive(
+                                    m, /*fat_indexes_only=*/true));
+      } else {
+        ++stats.candidate_views;
+        const int* lvf = levels_flat.data() + v * static_cast<size_t>(n);
+        orders[v] = CandidateFamily(
+            plan.queries.size(), active_mask[v], [&](size_t q) -> uint32_t {
+              const uint32_t qi = plan.queries[q];
+              const int* req =
+                  required_flat.data() + size_t{qi} * static_cast<size_t>(n);
+              for (int d = 0; d < n; ++d) {
+                if (lvf[d] > req[d]) return 0;  // not answerable here
+              }
+              return sel_mask[qi] & active_mask[v];
+            });
+        stats.candidate_indexes += orders[v].size();
+        total_structures += 1 + orders[v].size();
+      }
+      if (total_structures > kMaxHierarchicalStructures) {
+        return Status::InvalidArgument(
+            "retained hierarchical lattice carries over " +
+            std::to_string(kMaxHierarchicalStructures) +
+            " structures (views + indexes); prune harder (max_views / "
+            "query_mass / top_queries) or coarsen the hierarchy");
+      }
+    }
+
+    out.view_sizes.reserve(nv);
+    for (uint64_t id : view_ids) out.view_sizes.push_back(sizes[id]);
+    provider.plan = &plan;
+    provider.max_fat_dim = pruning->max_fat_dim;
+    provider.orders = &orders;
+    provider.levels_flat = &levels_flat;
+    provider.base_id =
+        static_cast<uint32_t>(plan.views.id_of[lattice.BaseView()]);
+  }
+
+  out.view_levels.reserve(provider.num_views());
+  BuildLatticeGraph(provider, build, out.graph, &stats.build);
+  if (pruning != nullptr) {
+    out.index_orders = std::move(orders);
+    RecordSparseBuild(stats);
+  }
+  return result;
+}
+
 }  // namespace
+
+StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
+    const HierarchicalSchema& schema, double raw_rows,
+    const std::vector<WeightedHQuery>& workload,
+    const HierarchicalGraphOptions& options) {
+  StatusOr<SparseHierarchicalCubeGraph> built = BuildHierarchicalGraph(
+      schema, raw_rows, workload, LatticeOptionsOf(options),
+      options.fat_indexes_only, /*pruning=*/nullptr);
+  if (!built.ok()) return built.status();
+  return std::move(built->hgraph);
+}
+
+HierarchicalCubeGraph BuildHierarchicalCubeGraph(
+    const HierarchicalSchema& schema, double raw_rows,
+    const std::vector<WeightedHQuery>& workload,
+    const HierarchicalGraphOptions& options) {
+  StatusOr<HierarchicalCubeGraph> built =
+      TryBuildHierarchicalCubeGraph(schema, raw_rows, workload, options);
+  if (!built.ok()) {
+    internal::CheckFailed(__FILE__, __LINE__,
+                          built.status().ToString().c_str());
+  }
+  return *std::move(built);
+}
 
 StatusOr<SparseHierarchicalCubeGraph> TryBuildSparseHierarchicalCubeGraph(
     const HierarchicalSchema& schema, double raw_rows,
     const std::vector<WeightedHQuery>& workload,
     const SparseHierarchicalGraphOptions& options) {
-  if (!(raw_rows >= 1.0)) {
-    return Status::InvalidArgument("raw_rows must be >= 1 (got " +
-                                   std::to_string(raw_rows) + ")");
-  }
-  if (!(options.raw_scan_penalty >= 1.0)) {
-    return Status::InvalidArgument("raw_scan_penalty must be >= 1 (got " +
-                                   std::to_string(options.raw_scan_penalty) +
-                                   ")");
-  }
-  if (options.maintenance_per_row < 0.0) {
-    return Status::InvalidArgument(
-        "maintenance_per_row must be non-negative (got " +
-        std::to_string(options.maintenance_per_row) + ")");
-  }
-  if (options.default_query_cost < 0.0) {
-    return Status::InvalidArgument(
-        "default_query_cost must be non-negative (got " +
-        std::to_string(options.default_query_cost) + ")");
-  }
   if (options.max_fat_dim < 0 || options.max_fat_dim > 8) {
     return Status::InvalidArgument(
         "max_fat_dim must be in [0, 8] (got " +
@@ -943,209 +924,9 @@ StatusOr<SparseHierarchicalCubeGraph> TryBuildSparseHierarchicalCubeGraph(
   if (!(options.query_mass > 0.0) || options.query_mass > 1.0) {
     return Status::InvalidArgument("query_mass must be in (0, 1]");
   }
-  const int n = schema.num_dimensions();
-  const uint64_t num_views = schema.NumViews();
-  // The full lattice must still fit the view-id ceiling: index-edge column
-  // classes are keyed by lattice subcube ids even when most views are
-  // pruned away. The *structure* ceiling, by contrast, is checked against
-  // the retained census below.
-  if (num_views > kMaxHierarchicalViews) {
-    return Status::InvalidArgument(
-        "hierarchical lattice has " + std::to_string(num_views) +
-        " views, over the ceiling of " +
-        std::to_string(kMaxHierarchicalViews) +
-        "; coarsen or drop hierarchy levels");
-  }
-  if (Status s = ValidateHierarchicalWorkload(schema, workload); !s.ok()) {
-    return s;
-  }
-
-  SparseHierarchicalCubeGraph result;
-  SparseBuildStats& stats = result.stats;
-  stats.workload_queries = workload.size();
-
-  // --- 1. Query pruning (policy layer).
-  std::vector<double> frequency;
-  frequency.reserve(workload.size());
-  for (const WeightedHQuery& wq : workload) {
-    frequency.push_back(wq.frequency);
-  }
-  QueryPruneResult pruned = PruneQueriesByMass(
-      frequency, options.top_queries, options.query_mass);
-  std::vector<WeightedHQuery> retained;
-  retained.reserve(pruned.retained.size());
-  for (uint32_t qi : pruned.retained) {
-    retained.push_back(workload[qi]);
-  }
-  stats.total_mass = pruned.total_mass;
-  stats.retained_mass = pruned.retained_mass;
-  stats.dropped_mass = stats.total_mass - stats.retained_mass;
-  stats.retained_queries = retained.size();
-
-  HierarchicalLattice lattice(&schema);
-  const size_t nq = retained.size();
-  // Per retained query: coarsest answering level per dimension and the
-  // selected-dimension mask, hoisted for the cone walks and candidate
-  // classes below.
-  std::vector<int> required_flat(nq * static_cast<size_t>(n));
-  std::vector<uint32_t> sel_mask(nq, 0);
-  for (size_t qi = 0; qi < nq; ++qi) {
-    for (int d = 0; d < n; ++d) {
-      const HDimRole& role = retained[qi].query.role(d);
-      required_flat[qi * static_cast<size_t>(n) + static_cast<size_t>(d)] =
-          role.kind == HDimRole::kAbsent ? schema.all_level(d) : role.level;
-      if (role.kind == HDimRole::kSelect) {
-        sel_mask[qi] |= 1u << d;
-      }
-    }
-  }
-
-  // --- 2. View retention (policy layer): each retained query's answer
-  // cone is the mixed-radix box [0, required_d] per dimension, walked as
-  // an odometer (ascending lattice ids).
-  std::vector<uint32_t> hot_order(nq);
-  std::iota(hot_order.begin(), hot_order.end(), 0u);
-  std::stable_sort(hot_order.begin(), hot_order.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     return retained[a].frequency > retained[b].frequency;
-                   });
-  std::vector<int> cone_lv(static_cast<size_t>(n));
-  ViewRetentionResult retention = RetainSupersetViews(
-      num_views, lattice.BaseView(), hot_order, options.max_views,
-      [&](uint32_t qi) {
-        return lattice.IdOf(retained[qi].query.RequiredLevels(schema));
-      },
-      [&](uint32_t qi, auto&& visit) {
-        const int* req = required_flat.data() +
-                         size_t{qi} * static_cast<size_t>(n);
-        std::fill(cone_lv.begin(), cone_lv.end(), 0);
-        uint64_t v = 0;
-        for (;;) {
-          if (!visit(v)) return;
-          int d = 0;
-          while (d < n && cone_lv[static_cast<size_t>(d)] == req[d]) {
-            v -= static_cast<uint64_t>(cone_lv[static_cast<size_t>(d)]) *
-                 lattice.stride(d);
-            cone_lv[static_cast<size_t>(d)] = 0;
-            ++d;
-          }
-          if (d == n) return;
-          ++cone_lv[static_cast<size_t>(d)];
-          v += lattice.stride(d);
-        }
-      });
-  const std::vector<uint64_t>& view_ids = retention.view_ids;
-  const std::vector<int32_t>& id_of = retention.id_of;
-  const size_t nv = view_ids.size();
-  stats.retained_views = nv;
-  stats.view_cap_hit = retention.cap_hit;
-  stats.views_dropped = retention.views_dropped;
-  stats.views_dropped_truncated = retention.views_dropped_truncated;
-
-  // --- 3. Candidate index families (policy layer) + retained structure
-  // census. Wide views get one key per distinct selection class of the
-  // retained answerable queries: selected dimensions leading (ascending),
-  // remaining active dimensions trailing (ascending).
-  std::vector<int> levels_flat(nv * static_cast<size_t>(n));
-  std::vector<uint32_t> active_mask(nv, 0);
-  for (size_t v = 0; v < nv; ++v) {
-    const LevelVector levels = lattice.LevelsOf(view_ids[v]);
-    for (int d = 0; d < n; ++d) {
-      const int level = levels.level(d);
-      levels_flat[v * static_cast<size_t>(n) + static_cast<size_t>(d)] =
-          level;
-      if (level != schema.all_level(d)) active_mask[v] |= 1u << d;
-    }
-  }
-  std::vector<std::vector<std::vector<int>>> orders(nv);
-  uint64_t total_structures = 0;
-  for (size_t v = 0; v < nv; ++v) {
-    const int m = std::popcount(active_mask[v]);
-    if (m <= options.max_fat_dim) {
-      ++stats.fat_views;
-      total_structures += 1 + static_cast<uint64_t>(NumIndexesForActive(
-                                  m, /*fat_indexes_only=*/true));
-    } else {
-      ++stats.candidate_views;
-      const int* lvf =
-          levels_flat.data() + v * static_cast<size_t>(n);
-      const std::vector<uint32_t> classes = CollectCandidateClasses(
-          nq, [&](size_t q) -> uint32_t {
-            const int* req =
-                required_flat.data() + q * static_cast<size_t>(n);
-            for (int d = 0; d < n; ++d) {
-              if (lvf[d] > req[d]) return 0;  // not answerable here
-            }
-            return sel_mask[q] & active_mask[v];
-          });
-      std::vector<std::vector<int>>& family = orders[v];
-      family.reserve(classes.size());
-      for (uint32_t p : classes) {
-        family.push_back(CandidateKeyOrder(p, active_mask[v]));
-      }
-      std::sort(family.begin(), family.end());
-      family.erase(std::unique(family.begin(), family.end()),
-                   family.end());
-      stats.candidate_indexes += family.size();
-      total_structures += 1 + family.size();
-    }
-    if (total_structures > kMaxHierarchicalStructures) {
-      return Status::InvalidArgument(
-          "retained hierarchical lattice carries over " +
-          std::to_string(kMaxHierarchicalStructures) +
-          " structures (views + indexes); prune harder (max_views / "
-          "query_mass / top_queries) or coarsen the hierarchy");
-    }
-  }
-
-  // --- 4. Build through the generic core.
-  const std::vector<double> sizes = lattice.AnalyticalSizes(raw_rows);
-  HierarchicalCubeGraph& out = result.hgraph;
-  out.all_levels = AllLevelsOf(schema);
-  out.fat_indexes_only = true;
-  out.view_levels.reserve(nv);
-  out.view_sizes.reserve(nv);
-  for (size_t v = 0; v < nv; ++v) {
-    out.view_sizes.push_back(sizes[view_ids[v]]);
-  }
-
-  SparseHierarchicalLatticeProvider provider{
-      &schema,
-      &lattice,
-      &retained,
-      &options,
-      &view_ids,
-      &id_of,
-      &sizes,
-      &orders,
-      &levels_flat,
-      &out,
-      n,
-      num_views - 1,
-      static_cast<uint32_t>(id_of[lattice.BaseView()])};
-  LatticeGraphOptions build;
-  build.default_query_cost = options.default_query_cost;
-  build.raw_scan_penalty = options.raw_scan_penalty;
-  build.maintenance_per_row = options.maintenance_per_row;
-  build.num_threads = options.num_threads;
-  build.cost_model = options.cost_model.get();
-  BuildLatticeGraph(provider, build, out.graph, &stats.build);
-  out.index_orders = std::move(orders);
-
-  graph_build_metrics::SparseStats metric;
-  metric.workload_queries = stats.workload_queries;
-  metric.retained_queries = stats.retained_queries;
-  metric.retained_mass_permille =
-      stats.total_mass > 0.0
-          ? static_cast<uint64_t>(1000.0 * stats.retained_mass /
-                                  stats.total_mass)
-          : 1000;
-  metric.retained_views = stats.retained_views;
-  metric.views_dropped = stats.views_dropped;
-  metric.candidate_views = stats.candidate_views;
-  metric.candidate_indexes = stats.candidate_indexes;
-  graph_build_metrics::RecordSparseBuild(metric);
-  return result;
+  return BuildHierarchicalGraph(schema, raw_rows, workload,
+                                LatticeOptionsOf(options),
+                                /*fat_indexes_only=*/true, &options);
 }
 
 }  // namespace olapidx

@@ -11,8 +11,16 @@
 // With one level per dimension this reduces exactly to the paper's model —
 // and to the paper's *graph*: TryBuildHierarchicalCubeGraph and flat
 // TryBuildCubeGraph are the same generic builder
-// (core/lattice_graph_builder.h) under two LatticeProviders, and the
-// degeneration is tested bit-identical.
+// (core/lattice_graph_builder.h) under the two lattices' providers, and the
+// degeneration is tested bit-identical. The lattices keep separate
+// providers because they differ in more than levels: flat view ids are
+// attribute masks (the complement of one-level hierarchical ids), flat
+// sizes come from ViewSizes rather than AnalyticalSizes, and flat names
+// come from the attribute dictionary.
+//
+// Each lattice has one provider and one build pipeline, whose plan says
+// what the graph keeps (core/pruning_policy.h). TryBuildHierarchicalCubeGraph
+// is its identity plan; TryBuildSparseHierarchicalCubeGraph its pruned plan.
 
 #ifndef OLAPIDX_HIERARCHY_HIERARCHICAL_GRAPH_H_
 #define OLAPIDX_HIERARCHY_HIERARCHICAL_GRAPH_H_
@@ -70,9 +78,9 @@ struct HierarchicalCubeGraph {
   // graph view id -> level assignment (dense: graph view id == HViewId).
   std::vector<LevelVector> view_levels;
   // graph view id -> index position -> dimension order of the index.
-  // Populated only by the reference builder; the fast path leaves it empty
-  // and decodes orders on demand. Use IndexOrderOf / IndexPositionOf,
-  // which work for both.
+  // Populated by the reference builder, and for the candidate families of
+  // a sparse build; the identity plan leaves it empty and decodes orders on
+  // demand. Use IndexOrderOf / IndexPositionOf, which work for all three.
   std::vector<std::vector<std::vector<int>>> index_orders;
   std::vector<HSliceQuery> queries;
   std::vector<double> view_sizes;  // by graph view id
@@ -90,14 +98,16 @@ struct HierarchicalCubeGraph {
   int32_t IndexPositionOf(uint32_t v, const std::vector<int>& order) const;
 };
 
-// Fast builder: the provider-parameterized core path (superset-odometer
-// answering-view enumeration, one cost division per prefix-equivalence
-// class, query-sharded parallel EdgeRun emission, lazy index names).
-// Returns InvalidArgument instead of aborting for bad external input:
-// raw_rows < 1, penalties < 1, negative costs/frequencies, malformed query
-// roles (a mentioned dimension must sit at a proper level), > 8 dimensions
-// (> 6 for the ablation family), or a lattice exceeding the size ceilings
-// above.
+// Fast builder, the identity plan of the hierarchical build pipeline: every
+// query in input order, every lattice view (graph view id = HViewId) and
+// the canonical index family, with none of the pruning passes
+// (superset-odometer answering-view enumeration, one cost division per
+// prefix-equivalence class, query-sharded parallel EdgeRun emission, lazy
+// index names). Returns InvalidArgument instead of aborting for bad
+// external input: raw_rows < 1, penalties < 1, negative costs (NaN
+// included) or frequencies, malformed query roles (a mentioned dimension
+// must sit at a proper level), > 8 dimensions (> 6 for the ablation
+// family), or a lattice exceeding the size ceilings above.
 StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
     const HierarchicalSchema& schema, double raw_rows,
     const std::vector<WeightedHQuery>& workload,
@@ -132,11 +142,12 @@ std::vector<WeightedHQuery> SampledZipfHWorkload(
     const HierarchicalSchema& schema, size_t num_queries, double skew,
     uint64_t seed);
 
-// The workload-pruned hierarchical construction path: the same pruning
-// policies as the flat sparse builder (core/pruning_policy.h — query mass /
-// top-k, superset-cone view retention with minimal-view exemption,
-// workload-derived candidate index families for wide views), composed over
-// the hierarchical lattice. Lifts the dense builder's n <= 8 wall: views
+// The workload-pruned hierarchical construction path, the pruned plan of
+// the same pipeline: the same pruning policies as the flat sparse builder
+// (core/pruning_policy.h — query mass / top-k, superset-cone view
+// retention with minimal-view exemption, workload-derived candidate index
+// families for wide views), composed over the hierarchical lattice and
+// built by the same provider. Lifts the dense builder's n <= 8 wall: views
 // with more than `max_fat_dim` active dimensions carry one fat key per
 // distinct selection class of the retained answerable queries instead of
 // the full m! family, preserving every retained query's best cost exactly.
@@ -146,10 +157,12 @@ std::vector<WeightedHQuery> SampledZipfHWorkload(
 // structure ceiling applies to the *retained* census, not the full
 // lattice's — pruned builds pass where dense ones overflow.
 //
-// When nothing is pruned — full workload, query_mass = 1, no caps, every
-// view within max_fat_dim — the result is bit-identical to
-// TryBuildHierarchicalCubeGraph (pinned by the equivalence test). Only the
-// paper's fat-index family is supported (no pruning-ablation mode).
+// Every kept (query, view, index) costs what it costs in
+// TryBuildHierarchicalCubeGraph's graph, bit for bit. When nothing is
+// pruned — full workload, query_mass = 1, no caps, every view within
+// max_fat_dim — the two graphs are identical (pinned by the equivalence
+// test). Only the paper's fat-index family is supported (no
+// pruning-ablation mode).
 struct SparseHierarchicalGraphOptions {
   // See SparseCubeGraphOptions for the pruning knobs' semantics.
   size_t top_queries = 0;

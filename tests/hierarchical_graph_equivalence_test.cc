@@ -10,6 +10,7 @@
 // TryBuildCubeGraph bit-for-bit under the id complement mapping.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -386,6 +387,23 @@ TEST(HierarchicalGraphErrorTest, RejectsBadScalarOptions) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  // NaN fails every range check, on both entry points.
+  HierarchicalGraphOptions nan_penalty;
+  nan_penalty.raw_scan_penalty = std::nan("");
+  EXPECT_EQ(TryBuildHierarchicalCubeGraph(schema, 100.0, w, nan_penalty)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  SparseHierarchicalGraphOptions sparse_nan_penalty;
+  sparse_nan_penalty.raw_scan_penalty = std::nan("");
+  EXPECT_EQ(TryBuildSparseHierarchicalCubeGraph(schema, 100.0, w,
+                                                sparse_nan_penalty)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      TryBuildHierarchicalCubeGraph(schema, std::nan(""), w).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(HierarchicalGraphErrorTest, RejectsTooManyDimensions) {

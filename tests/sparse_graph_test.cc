@@ -4,12 +4,11 @@
 // The load-bearing contract: with nothing pruned (full query set,
 // query_mass = 1, no caps, every view within max_fat_dim) the sparse
 // build is *bit-identical* to TryBuildCubeGraph — same views, keys,
-// names, edges, and the exact same double divisions. Compressed cost
-// columns must be invisible through the accessors, and the candidate
-// index families of wide views must preserve every query's best
-// reachable cost.
+// names, edges, and the exact same double divisions. The candidate index
+// families of wide views must preserve every query's best reachable cost.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -221,6 +220,39 @@ TEST(SparseGraphEquivalenceTest, TwelveDimensionSmoke) {
   for (size_t i = 0; i < workload.size(); ++i) {
     EXPECT_EQ(workload[i].query, again[i].query);
     EXPECT_EQ(workload[i].frequency, again[i].frequency);
+  }
+}
+
+TEST(FlatGraphErrorTest, RejectsBadScalarOptions) {
+  // Both flat entry points share one range check, written !(x >= bound) so
+  // NaN is rejected too.
+  SyntheticCube cube = UniformSyntheticCube(3, 10, 0.5);
+  Workload w;
+  w.Add(SliceQuery(AttributeSet::Of({0}), AttributeSet::Of({1})));
+  auto expect_rejected = [&](const std::string& knob, auto set_knob) {
+    CubeGraphOptions dense;
+    SparseCubeGraphOptions sparse;
+    set_knob(dense);
+    set_knob(sparse);
+    for (const Status& status :
+         {TryBuildCubeGraph(cube.schema, cube.sizes, w, dense).status(),
+          TryBuildSparseCubeGraph(cube.schema, cube.sizes, w, sparse)
+              .status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << knob;
+      EXPECT_NE(status.message().find(knob), std::string::npos)
+          << status.ToString();
+    }
+  };
+  const double nan = std::nan("");
+  for (double bad : {0.5, nan}) {
+    expect_rejected("raw_scan_penalty",
+                    [&](auto& options) { options.raw_scan_penalty = bad; });
+  }
+  for (double bad : {-1.0, nan}) {
+    expect_rejected("maintenance_per_row",
+                    [&](auto& options) { options.maintenance_per_row = bad; });
+    expect_rejected("default_query_cost",
+                    [&](auto& options) { options.default_query_cost = bad; });
   }
 }
 
