@@ -5,10 +5,9 @@
 // against the fast builder (superset enumeration + prefix-class costing +
 // sharded parallel emission) across cube dimensions, and reports per-dim
 // speedups. The reference is capped at dimension 7 — the dim-8 triple loop
-// takes minutes, which is the point of the fast path.
+// takes minutes, which is the point of the fast path. Every row is the
+// median of at least five builds, with its quartiles.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -28,58 +27,59 @@ constexpr int kDefaultMaxDim = 7;
 constexpr int kMaxReferenceDim = 7;
 
 struct Timed {
-  double ms = 0.0;
+  bench::TimingSummary ms;
   size_t structures = 0;
   size_t queries = 0;
 };
 
+// Times `reps` builds: the median with its quartiles.
 template <typename BuildFn>
-Timed BestOf(int reps, const BuildFn& build) {
+Timed TimeBuilds(int reps, const BuildFn& build) {
   Timed out;
-  out.ms = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    auto start = std::chrono::steady_clock::now();
+  out.ms = bench::TimeRepeated(reps, [&] {
     CubeGraph cg = build();
-    double ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    out.ms = std::min(out.ms, ms);
     out.structures = cg.graph.num_structures();
     out.queries = cg.graph.num_queries();
-  }
+  });
   return out;
 }
 
 void AddBuildRow(bench::BenchJsonReporter& rep, const std::string& label,
-                 int dim, const Timed& t) {
+                 int dim, int reps, const Timed& t) {
   Json row = Json::Object();
   row.Set("label", Json::Str(label));
   row.Set("dim", Json::Number(dim));
   row.Set("structures", Json::Number(static_cast<double>(t.structures)));
   row.Set("queries", Json::Number(static_cast<double>(t.queries)));
-  row.Set("wall_ms", Json::Number(t.ms));
+  row.Set("reps", Json::Number(reps));
+  row.Set("wall_ms", Json::Number(t.ms.median));
+  row.Set("wall_ms_q1", Json::Number(t.ms.q1));
+  row.Set("wall_ms_q3", Json::Number(t.ms.q3));
   rep.AddRun(std::move(row));
 }
 
 void RunBench(bench::BenchJsonReporter& rep, int max_dim) {
-  std::printf("%-4s %10s %8s %12s %10s %10s %10s %8s %8s\n", "dim",
+  std::printf("%-4s %10s %8s %12s %10s %10s %10s %8s %8s  %s\n", "dim",
               "structures", "queries", "reference_ms", "fast_t1_ms",
-              "fast_t2_ms", "fast_t8_ms", "x_t1", "x_t8");
+              "fast_t2_ms", "fast_t8_ms", "x_t1", "x_t8",
+              "reference / fast_t1 [q1, q3]");
   for (int n = kMinDim; n <= max_dim; ++n) {
     SyntheticCube cube = UniformSyntheticCube(n, 100, 0.05);
     CubeLattice lattice(cube.schema);
     Workload workload = AllSliceQueries(lattice);
-    const int reps = n <= 5 ? 5 : (n == 6 ? 3 : 1);
+    // Medians of at least five builds: fewer cannot resolve a 10-15%
+    // change on a shared host.
+    const int reps = n <= 5 ? 9 : 5;
     const std::string dim = "dim" + std::to_string(n);
 
     Timed ref;
     const bool run_reference = n <= kMaxReferenceDim;
     if (run_reference) {
-      ref = BestOf(reps, [&] {
+      ref = TimeBuilds(reps, [&] {
         return BuildCubeGraphReference(cube.schema, cube.sizes, workload,
                                        CubeGraphOptions{});
       });
-      AddBuildRow(rep, dim + "/reference", n, ref);
+      AddBuildRow(rep, dim + "/reference", n, reps, ref);
     }
 
     Timed fast[3];
@@ -87,7 +87,7 @@ void RunBench(bench::BenchJsonReporter& rep, int max_dim) {
     for (int i = 0; i < 3; ++i) {
       CubeGraphOptions options;
       options.num_threads = thread_counts[i];
-      fast[i] = BestOf(reps, [&] {
+      fast[i] = TimeBuilds(reps, [&] {
         StatusOr<CubeGraph> built =
             TryBuildCubeGraph(cube.schema, cube.sizes, workload, options);
         OLAPIDX_CHECK(built.ok());
@@ -95,23 +95,30 @@ void RunBench(bench::BenchJsonReporter& rep, int max_dim) {
       });
       AddBuildRow(rep,
                   dim + "/fast_t" + std::to_string(thread_counts[i]), n,
-                  fast[i]);
+                  reps, fast[i]);
     }
 
     if (run_reference) {
+      char spread[96];
+      std::snprintf(spread, sizeof(spread), "[%.2f, %.2f] / [%.2f, %.2f]",
+                    ref.ms.q1, ref.ms.q3, fast[0].ms.q1, fast[0].ms.q3);
       for (int i = 0; i < 3; ++i) {
         rep.AddScalar("speedup_" + dim + "_t" +
                           std::to_string(thread_counts[i]),
-                      ref.ms / fast[i].ms);
+                      ref.ms.median / fast[i].ms.median);
       }
-      std::printf("%-4d %10zu %8zu %12.2f %10.2f %10.2f %10.2f %7.2fx %7.2fx\n",
-                  n, fast[0].structures, fast[0].queries, ref.ms, fast[0].ms,
-                  fast[1].ms, fast[2].ms, ref.ms / fast[0].ms,
-                  ref.ms / fast[2].ms);
+      std::printf(
+          "%-4d %10zu %8zu %12.2f %10.2f %10.2f %10.2f %7.2fx %7.2fx  %s\n",
+          n, fast[0].structures, fast[0].queries, ref.ms.median,
+          fast[0].ms.median, fast[1].ms.median, fast[2].ms.median,
+          ref.ms.median / fast[0].ms.median, ref.ms.median / fast[2].ms.median,
+          spread);
     } else {
-      std::printf("%-4d %10zu %8zu %12s %10.2f %10.2f %10.2f %8s %8s\n", n,
-                  fast[0].structures, fast[0].queries, "-", fast[0].ms,
-                  fast[1].ms, fast[2].ms, "-", "-");
+      std::printf("%-4d %10zu %8zu %12s %10.2f %10.2f %10.2f %8s %8s  "
+                  "- / [%.2f, %.2f]\n",
+                  n, fast[0].structures, fast[0].queries, "-",
+                  fast[0].ms.median, fast[1].ms.median, fast[2].ms.median,
+                  "-", "-", fast[0].ms.q1, fast[0].ms.q3);
     }
   }
 }

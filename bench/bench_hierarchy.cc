@@ -8,7 +8,6 @@
 // and (d) the update-aware extension shifts picks under maintenance load.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -152,27 +151,13 @@ void Run(bench::BenchJsonReporter* rep) {
   m.Print();
 }
 
-template <typename Fn>
-double BestOfMs(int reps, const Fn& fn) {
-  double best = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count());
-  }
-  return best;
-}
-
 // E13b — hierarchical graph construction time. The reference builder walks
 // every (query, view, key order) triple serially; the fast path is the
 // same generic core as the flat builder (odometer superset enumeration,
 // one division per prefix class, sharded parallel emission, lazy names).
 // Each row also splits the end-to-end advisor time into graph_build_ms vs
 // selection_ms (inner-level greedy at a 3% budget) to show where the time
-// now goes.
+// now goes. Every time is the median of five runs, with its quartiles.
 void RunBuildBench(bench::BenchJsonReporter* rep) {
   std::printf("\n== E13b: hierarchical graph build, reference vs fast ==\n\n");
   struct Instance {
@@ -197,28 +182,29 @@ void RunBuildBench(bench::BenchJsonReporter* rep) {
   instances.push_back({"retail3", RetailSchema(3)});
   instances.push_back({"wide5x2", wide()});
 
-  std::printf("%-8s %8s %10s %8s %12s %10s %10s %10s %12s %8s %8s\n",
+  std::printf("%-8s %8s %10s %8s %12s %10s %10s %10s %12s %8s %8s  %s\n",
               "schema", "views", "structures", "queries", "reference_ms",
               "fast_t1_ms", "fast_t2_ms", "fast_t8_ms", "selection_ms",
-              "x_t1", "x_t8");
+              "x_t1", "x_t8", "reference / fast_t1 [q1, q3]");
   for (const Instance& inst : instances) {
     HierarchicalGraphOptions options;
     options.raw_scan_penalty = 2.0;
     const std::vector<WeightedHQuery> workload =
         UniformHWorkload(inst.schema);
-    const int reps = 3;
+    // Fewer than five runs cannot resolve a 10-15% change on a shared host.
+    const int reps = 5;
 
-    double ref_ms = BestOfMs(reps, [&] {
+    const bench::TimingSummary ref = bench::TimeRepeated(reps, [&] {
       BuildHierarchicalCubeGraphReference(inst.schema, 3e6, workload,
                                           options);
     });
 
-    double fast_ms[3];
+    bench::TimingSummary fast[3];
     const size_t thread_counts[3] = {1, 2, 8};
     HierarchicalCubeGraph cube;
     for (int i = 0; i < 3; ++i) {
       options.num_threads = thread_counts[i];
-      fast_ms[i] = BestOfMs(reps, [&] {
+      fast[i] = bench::TimeRepeated(reps, [&] {
         StatusOr<HierarchicalCubeGraph> built =
             TryBuildHierarchicalCubeGraph(inst.schema, 3e6, workload,
                                           options);
@@ -228,27 +214,35 @@ void RunBuildBench(bench::BenchJsonReporter* rep) {
     }
 
     double budget = 0.03 * TotalSpace(cube.graph);
-    double selection_ms =
-        BestOfMs(reps, [&] { InnerLevelGreedy(cube.graph, budget); });
+    const double selection_ms =
+        bench::TimeRepeated(reps, [&] { InnerLevelGreedy(cube.graph, budget); })
+            .median;
 
     std::printf("%-8s %8u %10u %8u %12.2f %10.2f %10.2f %10.2f %12.2f "
-                "%7.2fx %7.2fx\n",
+                "%7.2fx %7.2fx  [%.2f, %.2f] / [%.2f, %.2f]\n",
                 inst.label.c_str(), cube.graph.num_views(),
                 cube.graph.num_structures(), cube.graph.num_queries(),
-                ref_ms, fast_ms[0], fast_ms[1], fast_ms[2], selection_ms,
-                ref_ms / fast_ms[0], ref_ms / fast_ms[2]);
+                ref.median, fast[0].median, fast[1].median, fast[2].median,
+                selection_ms, ref.median / fast[0].median,
+                ref.median / fast[2].median, ref.q1, ref.q3, fast[0].q1,
+                fast[0].q3);
     if (rep != nullptr) {
       for (int i = 0; i < 3; ++i) {
         Json row = Json::Object();
         row.Set("label", Json::Str("build_" + inst.label + "/fast_t" +
                                    std::to_string(thread_counts[i])));
-        row.Set("graph_build_ms", Json::Number(fast_ms[i]));
+        row.Set("reps", Json::Number(reps));
+        row.Set("graph_build_ms", Json::Number(fast[i].median));
+        row.Set("graph_build_ms_q1", Json::Number(fast[i].q1));
+        row.Set("graph_build_ms_q3", Json::Number(fast[i].q3));
         row.Set("selection_ms", Json::Number(selection_ms));
-        row.Set("reference_ms", Json::Number(ref_ms));
+        row.Set("reference_ms", Json::Number(ref.median));
+        row.Set("reference_ms_q1", Json::Number(ref.q1));
+        row.Set("reference_ms_q3", Json::Number(ref.q3));
         rep->AddRun(std::move(row));
         rep->AddScalar("speedup_" + inst.label + "_t" +
                            std::to_string(thread_counts[i]),
-                       ref_ms / fast_ms[i]);
+                       ref.median / fast[i].median);
       }
     }
   }

@@ -26,7 +26,8 @@
 #ifndef OLAPIDX_BENCH_BENCH_JSON_H_
 #define OLAPIDX_BENCH_BENCH_JSON_H_
 
-#include <cerrno>
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -35,6 +36,7 @@
 
 #include "common/json.h"
 #include "common/metrics.h"
+#include "common/parse.h"
 #include "common/status.h"
 #include "core/selection_result.h"
 
@@ -116,7 +118,10 @@ class BenchJsonReporter {
       Json r = run;
       if (r.is_object()) {
         for (const char* volatile_field :
-             {"wall_ms", "threads", "graph_build_ms", "selection_ms"}) {
+             {"wall_ms", "wall_ms_q1", "wall_ms_q3", "threads",
+              "graph_build_ms", "graph_build_ms_q1", "graph_build_ms_q3",
+              "reference_ms", "reference_ms_q1", "reference_ms_q3",
+              "selection_ms"}) {
           if (r.Find(volatile_field) != nullptr) {
             r.Set(volatile_field, Json::Number(0));
           }
@@ -216,6 +221,46 @@ inline Status ValidateBenchJson(const Json& doc) {
   return Status::Ok();
 }
 
+// Repeated wall-clock timings summarized by their median and quartiles
+// (linear interpolation between order statistics). On a shared host a
+// single build, or a best of three, cannot tell a 10-15% change from
+// noise; the quartiles say how far apart two medians must be to count.
+struct TimingSummary {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+inline TimingSummary SummarizeTimings(std::vector<double> ms) {
+  TimingSummary out;
+  if (ms.empty()) return out;
+  std::sort(ms.begin(), ms.end());
+  const auto at = [&ms](double p) {
+    const double pos = p * static_cast<double>(ms.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    if (lo + 1 >= ms.size()) return ms[lo];
+    return ms[lo] + (pos - static_cast<double>(lo)) * (ms[lo + 1] - ms[lo]);
+  };
+  out.q1 = at(0.25);
+  out.median = at(0.5);
+  out.q3 = at(0.75);
+  return out;
+}
+
+// Times `reps` calls of fn (milliseconds each) and summarizes them.
+template <typename Fn>
+TimingSummary TimeRepeated(int reps, const Fn& fn) {
+  std::vector<double> ms;
+  for (int i = 0; i < reps; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  return SummarizeTimings(std::move(ms));
+}
+
 // --json flag parsing shared by every bench main(). Benches register
 // their bench-specific value flags by name ("max-dim" accepts
 // "--max-dim=7" and "--max-dim 7"); anything unregistered prints usage
@@ -224,27 +269,8 @@ inline Status ValidateBenchJson(const Json& doc) {
 // Parsing is strict: a space-separated value may not itself start with
 // "--" (so "--queries --json" is a missing value, not a value named
 // "--json"), repeating a flag is an error rather than a silent
-// first-one-wins, and GetInt/GetDouble reject non-numeric values.
-// Strict whole-string numeric parsing behind GetInt/GetDouble (and unit
-// tested directly): trailing junk, an empty string, or overflow is a
-// parse failure, never a silent 0.
-inline bool ParseLongStrict(const std::string& text, long* out) {
-  errno = 0;
-  char* end = nullptr;
-  long value = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
-  *out = value;
-  return true;
-}
-
-inline bool ParseDoubleStrict(const std::string& text, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
-  *out = value;
-  return true;
-}
+// first-one-wins, and GetInt/GetDouble reject non-numeric values through
+// ParseLongStrict/ParseDoubleStrict (common/parse.h).
 
 struct BenchArgs {
   bool json = false;

@@ -59,6 +59,10 @@
 // --threads, --deadline-ms, --max-stages, --metrics-json, and --trace-json
 // all do.
 //
+// Every numeric flag, and every cardinality in --dims and --hierarchy, is
+// parsed whole: "--maintenance abc" or "--raw-penalty 2x" prints the usage
+// and exits 2.
+//
 // Dimension sizes come from --sizes (olapidx-sizes v1 file), from the
 // analytical model given --rows, or — with --csv — measured from the data
 // itself (exact distinct counts up to 200K rows, HyperLogLog beyond). The
@@ -98,6 +102,7 @@
 #include "calibration/calibrator.h"
 #include "common/format.h"
 #include "common/metrics.h"
+#include "common/parse.h"
 #include "common/trace.h"
 #include "core/advisor.h"
 #include "core/serialize.h"
@@ -133,6 +138,33 @@ using namespace olapidx;
       "       [--zipf-queries N] [--zipf-skew S] [--zipf-seed SEED]\n"
       "       [--cost-model paper|calibrated:FILE] [--replay FILE]\n");
   std::exit(2);
+}
+
+// A numeric flag's value, parsed strictly: a malformed number is a usage
+// error (exit 2), never a silent 0 or a truncated prefix.
+long LongFlag(const std::string& flag, const std::string& text) {
+  long value = 0;
+  if (!ParseLongStrict(text, &value)) {
+    Usage((flag + " wants an integer, got '" + text + "'").c_str());
+  }
+  return value;
+}
+
+double DoubleFlag(const std::string& flag, const std::string& text) {
+  double value = 0.0;
+  if (!ParseDoubleStrict(text, &value)) {
+    Usage((flag + " wants a number, got '" + text + "'").c_str());
+  }
+  return value;
+}
+
+// A positive cardinality from --dims or --hierarchy.
+uint64_t Cardinality(const std::string& flag, const std::string& text) {
+  long card = 0;
+  if (!ParseLongStrict(text, &card) || card <= 0) {
+    Usage(("bad cardinality in " + flag).c_str());
+  }
+  return static_cast<uint64_t>(card);
 }
 
 void WriteFileOrDie(const std::string& path, const std::string& text) {
@@ -180,8 +212,7 @@ int RunHierarchy(const std::string& hierarchy_arg, double rows,
     std::string card_text;
     uint64_t previous = 0;
     while (std::getline(levels, card_text, '/')) {
-      uint64_t card = std::strtoull(card_text.c_str(), nullptr, 10);
-      if (card == 0) Usage("bad cardinality in --hierarchy");
+      const uint64_t card = Cardinality("--hierarchy", card_text);
       if (previous != 0 && card > previous) {
         Usage("--hierarchy level cardinalities must not increase "
               "(list them finest to coarsest)");
@@ -378,33 +409,33 @@ int main(int argc, char** argv) {
     } else if (flag == "--csv") {
       csv_path = next();
     } else if (flag == "--rows") {
-      rows = std::atof(next().c_str());
+      rows = DoubleFlag(flag, next());
     } else if (flag == "--sizes") {
       sizes_path = next();
     } else if (flag == "--workload") {
       workload_path = next();
     } else if (flag == "--budget") {
-      budget = std::atof(next().c_str());
+      budget = DoubleFlag(flag, next());
     } else if (flag == "--algorithm") {
       algorithm = next();
     } else if (flag == "--index-fraction") {
-      index_fraction = std::atof(next().c_str());
+      index_fraction = DoubleFlag(flag, next());
     } else if (flag == "--maintenance") {
-      maintenance = std::atof(next().c_str());
+      maintenance = DoubleFlag(flag, next());
     } else if (flag == "--raw-penalty") {
-      raw_penalty = std::atof(next().c_str());
+      raw_penalty = DoubleFlag(flag, next());
     } else if (flag == "--threads") {
-      threads = std::atol(next().c_str());
+      threads = LongFlag(flag, next());
       if (threads < 0) Usage("--threads must be >= 0");
     } else if (flag == "--out") {
       out_path = next();
     } else if (flag == "--dump-sizes") {
       dump_sizes_path = next();
     } else if (flag == "--deadline-ms") {
-      deadline_ms = std::atol(next().c_str());
+      deadline_ms = LongFlag(flag, next());
       if (deadline_ms <= 0) Usage("--deadline-ms must be positive");
     } else if (flag == "--max-stages") {
-      max_stages = std::atol(next().c_str());
+      max_stages = LongFlag(flag, next());
       if (max_stages <= 0) Usage("--max-stages must be positive");
     } else if (flag == "--checkpoint") {
       checkpoint_path = next();
@@ -417,27 +448,27 @@ int main(int argc, char** argv) {
     } else if (flag == "--sparse") {
       sparse = true;
     } else if (flag == "--top-queries") {
-      top_queries = std::atol(next().c_str());
+      top_queries = LongFlag(flag, next());
       if (top_queries <= 0) Usage("--top-queries must be positive");
     } else if (flag == "--query-mass") {
-      query_mass = std::atof(next().c_str());
+      query_mass = DoubleFlag(flag, next());
       if (!(query_mass > 0.0) || query_mass > 1.0) {
         Usage("--query-mass must be in (0, 1]");
       }
     } else if (flag == "--max-views") {
-      max_views = std::atol(next().c_str());
+      max_views = LongFlag(flag, next());
       if (max_views <= 0) Usage("--max-views must be positive");
     } else if (flag == "--beam") {
-      beam = std::atol(next().c_str());
+      beam = LongFlag(flag, next());
       if (beam < 0) Usage("--beam must be >= 0");
     } else if (flag == "--zipf-queries") {
-      zipf_queries = std::atol(next().c_str());
+      zipf_queries = LongFlag(flag, next());
       if (zipf_queries <= 0) Usage("--zipf-queries must be positive");
     } else if (flag == "--zipf-skew") {
-      zipf_skew = std::atof(next().c_str());
+      zipf_skew = DoubleFlag(flag, next());
       if (!(zipf_skew >= 0.0)) Usage("--zipf-skew must be >= 0");
     } else if (flag == "--zipf-seed") {
-      zipf_seed = std::atol(next().c_str());
+      zipf_seed = LongFlag(flag, next());
     } else if (flag == "--cost-model") {
       cost_model_arg = next();
     } else if (flag == "--replay") {
@@ -547,9 +578,7 @@ int main(int argc, char** argv) {
       if (colon == std::string::npos || colon == 0) {
         Usage("bad --dims entry (want name:cardinality)");
       }
-      uint64_t card =
-          std::strtoull(item.c_str() + colon + 1, nullptr, 10);
-      if (card == 0) Usage("bad cardinality in --dims");
+      const uint64_t card = Cardinality("--dims", item.substr(colon + 1));
       dims.push_back(Dimension{item.substr(0, colon), card});
     }
     schema_holder = std::make_unique<CubeSchema>(dims);

@@ -36,6 +36,35 @@ std::pair<size_t, size_t> ThreadPool::ChunkBounds(size_t n, size_t chunks,
   return {begin, end};
 }
 
+Status ThreadPool::RunChunkBody(const StatusChunkFn& fn, size_t n,
+                                size_t chunk, bool fault_points) {
+  Status status;
+  if (fault_points) {
+#if defined(OLAPIDX_FAULT_INJECTION)
+    status = FaultInjector::Global().Check("pool.chunk");
+#endif
+  }
+  if (status.ok()) {
+    auto [begin, end] = ChunkBounds(n, num_threads(), chunk);
+    if (begin < end) {
+      OLAPIDX_METRIC_COUNTER(executed, "pool.chunks_executed");
+      OLAPIDX_METRIC_HISTOGRAM(latency, "pool.chunk_micros");
+      executed.Add(1);
+      const auto start = std::chrono::steady_clock::now();
+      status = fn(begin, end, chunk);
+      latency.Observe(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()));
+    }
+  }
+  if (!status.ok()) {
+    OLAPIDX_METRIC_COUNTER(failures, "pool.chunk_failures");
+    failures.Add(1);
+  }
+  return status;
+}
+
 void ThreadPool::RunChunk(size_t n, size_t chunk, bool fault_points) {
   // This pool has no work stealing by design (fixed contiguous chunking
   // keeps the parallel reduction deterministic), so there is no steal
@@ -51,29 +80,8 @@ void ThreadPool::RunChunk(size_t n, size_t chunk, bool fault_points) {
     skipped.Add(1);
     return;
   }
-  Status status;
-  if (fault_points) {
-#if defined(OLAPIDX_FAULT_INJECTION)
-    status = FaultInjector::Global().Check("pool.chunk");
-#endif
-  }
-  if (status.ok()) {
-    auto [begin, end] = ChunkBounds(n, num_threads(), chunk);
-    if (begin < end) {
-      OLAPIDX_METRIC_COUNTER(executed, "pool.chunks_executed");
-      OLAPIDX_METRIC_HISTOGRAM(latency, "pool.chunk_micros");
-      executed.Add(1);
-      const auto start = std::chrono::steady_clock::now();
-      status = (*job_)(begin, end, chunk);
-      latency.Observe(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()));
-    }
-  }
+  Status status = RunChunkBody(*job_, n, chunk, fault_points);
   if (!status.ok()) {
-    OLAPIDX_METRIC_COUNTER(failures, "pool.chunk_failures");
-    failures.Add(1);
     job_status_[chunk] = std::move(status);
     // Atomic min: record this chunk as the lowest failure if it is one.
     size_t lowest = job_first_failed_.load(std::memory_order_relaxed);
@@ -83,6 +91,19 @@ void ThreadPool::RunChunk(size_t n, size_t chunk, bool fault_points) {
                std::memory_order_relaxed)) {
     }
   }
+}
+
+Status ThreadPool::RunInline(size_t n, const StatusChunkFn& fn,
+                             bool fault_points, size_t chunks) {
+  for (size_t chunk = 0; chunk < chunks; ++chunk) {
+    Status status = RunChunkBody(fn, n, chunk, fault_points);
+    if (!status.ok()) {
+      OLAPIDX_METRIC_COUNTER(skipped, "pool.chunks_skipped");
+      skipped.Add(chunks - chunk - 1);
+      return status;
+    }
+  }
+  return Status::Ok();
 }
 
 Status ThreadPool::Run(size_t n, const StatusChunkFn& fn,
@@ -97,32 +118,42 @@ Status ThreadPool::Run(size_t n, const StatusChunkFn& fn,
     Gauge& gauge;
     ~ActiveJobGuard() { gauge.Add(-1); }
   } active_guard{active};
-  size_t threads = num_threads();
-  std::fill(job_status_.begin(), job_status_.end(), Status::Ok());
-  job_first_failed_.store(SIZE_MAX, std::memory_order_relaxed);
-  job_ = &fn;
-  job_n_ = n;
-  job_fault_points_ = fault_points;
-  if (threads == 1 || n == 1) {
-    // Serial: a single chunk on the calling thread, same dispatch path.
-    RunChunk(n, 0, fault_points);
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+  // Serial: chunk 0 holds all the work; it runs on the calling thread.
+  if (num_threads() == 1 || n == 1) return RunInline(n, fn, fault_points, 1);
+  bool owns_workers = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    owns_workers = job_ == nullptr;
+    if (owns_workers) {
+      job_ = &fn;
+      job_n_ = n;
+      job_fault_points_ = fault_points;
+      std::fill(job_status_.begin(), job_status_.end(), Status::Ok());
+      job_first_failed_.store(SIZE_MAX, std::memory_order_relaxed);
       pending_ = workers_.size();
       ++epoch_;
+    } else {
+      // Another job holds the workers, possibly the one this call runs in.
+      OLAPIDX_METRIC_COUNTER(inline_jobs, "pool.jobs_inline");
+      inline_jobs.Add(1);
     }
-    work_cv_.notify_all();
-    RunChunk(n, 0, fault_points);
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
+  }
+  if (!owns_workers) return RunInline(n, fn, fault_points, num_threads());
+  work_cv_.notify_all();
+  RunChunk(n, 0, fault_points);
+  // Deterministic reduction: the lowest-numbered failed chunk wins. It is
+  // read before the pool is released to the next job.
+  Status first_failure;
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this] { return pending_ == 0; });
+  for (Status& s : job_status_) {
+    if (!s.ok()) {
+      first_failure = std::move(s);
+      break;
+    }
   }
   job_ = nullptr;
-  // Deterministic reduction: the lowest-numbered failed chunk wins.
-  for (Status& s : job_status_) {
-    if (!s.ok()) return std::move(s);
-  }
-  return Status::Ok();
+  return first_failure;
 }
 
 void ThreadPool::ParallelFor(size_t n, const ChunkFn& fn) {

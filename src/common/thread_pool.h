@@ -21,6 +21,14 @@
 // outcomes are themselves deterministic functions of (begin, end, chunk).
 // Fault-injected service runs rely on this: an ArmAlways'd fault yields
 // the same first-failing-chunk message on every run.
+//
+// Sharing: any thread may call ParallelFor or TryParallelFor at any time,
+// a chunk of the pool's own running job included. A call that finds the
+// pool running another job does not wait for it: it runs every chunk
+// inline on the calling thread, in chunk order, over the same chunk
+// bounds, and counts one "pool.jobs_inline". So per-chunk results, and a
+// failing call's Status, are the same either way, and a nested call
+// cannot deadlock.
 
 #ifndef OLAPIDX_COMMON_THREAD_POOL_H_
 #define OLAPIDX_COMMON_THREAD_POOL_H_
@@ -61,9 +69,9 @@ class ThreadPool {
 
   // Runs fn over [0, n) split into num_threads() contiguous chunks (the
   // first n % num_threads() chunks get one extra element). Blocks until
-  // every chunk finishes; the caller thread executes chunk 0. Not
-  // reentrant: fn must not call ParallelFor on the same pool. Infallible
-  // chunks only — no fault points fire on this path.
+  // every chunk finishes; the caller thread executes chunk 0, or every
+  // chunk when the pool is busy (see "Sharing" above). Infallible chunks
+  // only — no fault points fire on this path.
   void ParallelFor(size_t n, const ChunkFn& fn);
 
   // Fallible variant: returns the first (lowest-chunk) failure, OK when
@@ -84,15 +92,26 @@ class ThreadPool {
   // the "pool.chunk" site so the infallible path can never trip an armed
   // fault it has no way to report.
   Status Run(size_t n, const StatusChunkFn& fn, bool fault_points);
-  // One chunk's dispatch: fault point (when enabled), skip-after-failure,
-  // body, status slot, failure flag.
+  // Chunks [0, chunks) on the calling thread, in order; the first failure
+  // skips the chunks after it. Touches no job state, so it runs beside a
+  // job.
+  Status RunInline(size_t n, const StatusChunkFn& fn, bool fault_points,
+                   size_t chunks);
+  // One chunk of the active job: skip-after-failure, body, status slot,
+  // failure flag.
   void RunChunk(size_t n, size_t chunk, bool fault_points);
+  // One chunk's body: fault point (when enabled), then fn over the
+  // chunk's bounds, timed; an empty chunk runs nothing.
+  Status RunChunkBody(const StatusChunkFn& fn, size_t n, size_t chunk,
+                      bool fault_points);
   void WorkerLoop(size_t worker);
 
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const StatusChunkFn* job_ = nullptr;  // non-null while a job is active
+  // Non-null while a job owns the workers; guarded by mu_. The job's
+  // fields below are written only by the thread that set it.
+  const StatusChunkFn* job_ = nullptr;
   size_t job_n_ = 0;
   bool job_fault_points_ = false;
   uint64_t epoch_ = 0;     // bumped per ParallelFor to wake workers

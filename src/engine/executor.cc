@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "common/fault_injection.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "cost/analytical_model.h"
 #include "engine/group_accumulator.h"
@@ -23,12 +25,21 @@ double EstimateDistinct(const CubeSchema& schema, AttributeSet attrs,
   return ExpectedDistinct(schema.DomainSize(attrs), rows);
 }
 
-// One hoisted selection predicate: the raw column, resolved once per
-// query, and the constant it must equal.
-struct SelPred {
-  const uint32_t* col;
-  uint32_t value;
-};
+// The full scan of `table`, the fact table or a view's row store, whose
+// rows' states `states` reads.
+template <typename Table>
+RowScan FullScan(const Table& table, RowStates states,
+                 const std::vector<int>& sel_attrs,
+                 const std::vector<uint32_t>& selection_values,
+                 const std::vector<int>& group_attrs) {
+  RowScan scan{table.num_rows(), {}, {}, states};
+  for (size_t i = 0; i < sel_attrs.size(); ++i) {
+    scan.predicates.push_back(
+        {table.column_data(sel_attrs[i]), selection_values[i]});
+  }
+  for (int a : group_attrs) scan.group_columns.push_back(table.column_data(a));
+  return scan;
+}
 
 }  // namespace
 
@@ -93,96 +104,75 @@ GroupedResult Executor::Execute(
   //
   // Selection predicates and group-by columns are resolved to raw column
   // pointers once per query, not once per row — the scan loops below
-  // touch no per-row indirection beyond the columns themselves.
+  // touch no per-row indirection beyond the columns themselves. A view
+  // scan reads the view's column store only to apply a selection: the
+  // store skips rows only for predicates, and without one it decodes
+  // every row and rebuilds every state, where the row store reads them.
   const ColumnStore* store =
-      !plan.use_raw && plan.index == nullptr && use_column_store_
+      !plan.use_raw && plan.index == nullptr && use_column_store_ &&
+              !query.selection().empty()
           ? catalog_->column_store(plan.view)
           : nullptr;
   GroupAccumulator acc = AccumulatorFor(*catalog_, plan, store, query);
+  std::optional<GroupedResult> pooled;
   uint64_t rows_processed = 0;
   uint64_t bytes_scanned = 0;
   bool used_columnar = false;
 
-  if (plan.use_raw) {
+  if (plan.index == nullptr && store == nullptr) {
+    // A full scan of row storage: the fact table or the view's row store.
     const FactTable& fact = catalog_->fact();
-    std::vector<SelPred> preds;
-    preds.reserve(sel_attrs.size());
-    for (size_t i = 0; i < sel_attrs.size(); ++i) {
-      preds.push_back({fact.column_data(sel_attrs[i]), selection_values[i]});
-    }
-    std::vector<const uint32_t*> gcols;
-    gcols.reserve(group_attrs.size());
-    for (int a : group_attrs) gcols.push_back(fact.column_data(a));
-    const double* measures = fact.measure_data();
-    const size_t n = fact.num_rows();
-    for (size_t r = 0; r < n; ++r) {
-      ++rows_processed;
-      bool match = true;
-      for (const SelPred& p : preds) {
-        if (p.col[r] != p.value) {
-          match = false;
-          break;
-        }
-      }
-      if (!match) continue;
-      acc.AddRow(gcols.data(), r, AggregateState::OfMeasure(measures[r]));
-    }
-    bytes_scanned = rows_processed *
-                    (static_cast<uint64_t>(schema.num_dimensions()) * 4 + 8);
-  } else if (plan.index == nullptr) {
-    const MaterializedView& view = catalog_->view(plan.view);
+    const MaterializedView* view =
+        plan.use_raw ? nullptr : &catalog_->view(plan.view);
+    const RowScan scan =
+        plan.use_raw ? FullScan(fact, RowStates(fact.measure_data()),
+                                sel_attrs, selection_values, group_attrs)
+                     : FullScan(*view, RowStates(view->aggregate_data()),
+                                sel_attrs, selection_values, group_attrs);
     const uint64_t row_bytes =
-        static_cast<uint64_t>(view.attrs().ToVector().size()) * 4 +
-        sizeof(AggregateState);
-    if (store != nullptr) {
-      used_columnar = true;
-      std::vector<ColumnStore::Predicate> preds;
-      preds.reserve(sel_attrs.size());
-      for (size_t i = 0; i < sel_attrs.size(); ++i) {
-        preds.push_back({sel_attrs[i], selection_values[i]});
-      }
-      // Only matching rows are visited, but the scan's cost is still the
-      // view's row count: the paper's measure.
-      store->Scan(preds, query.group_by(),
-                  [&](size_t r, const uint32_t* dims,
-                      const AggregateState& state) {
-                    acc.AddDims(r, dims, state);
-                  });
-      rows_processed = store->num_rows();
-      bytes_scanned = store->CompressedBytes();
+        plan.use_raw
+            ? static_cast<uint64_t>(schema.num_dimensions()) * 4 + 8
+            : static_cast<uint64_t>(plan.view.ToVector().size()) * 4 +
+                  sizeof(AggregateState);
+    // Only a query that may fan out touches, and so starts, the pool.
+    if (acc.sorts() && scan.rows >= kPooledSortMinRows &&
+        ThreadPool::Shared().num_threads() > 1) {
+      pooled = SortGroupsOnPool(schema, query.group_by(), scan,
+                                ThreadPool::Shared());
     } else {
-      std::vector<SelPred> preds;
-      preds.reserve(sel_attrs.size());
-      for (size_t i = 0; i < sel_attrs.size(); ++i) {
-        preds.push_back(
-            {view.column_data(sel_attrs[i]), selection_values[i]});
-      }
-      std::vector<const uint32_t*> gcols;
-      gcols.reserve(group_attrs.size());
-      for (int a : group_attrs) gcols.push_back(view.column_data(a));
-      const AggregateState* states = view.aggregate_data();
-      const size_t n = view.num_rows();
-      for (size_t r = 0; r < n; ++r) {
-        ++rows_processed;
-        bool match = true;
-        for (const SelPred& p : preds) {
-          if (p.col[r] != p.value) {
-            match = false;
-            break;
+      scan.states.Visit([&](auto state_of) {
+        for (size_t r = 0; r < scan.rows; ++r) {
+          if (scan.Matches(r)) {
+            acc.AddRow(scan.group_columns.data(), r, state_of(r));
           }
         }
-        if (!match) continue;
-        acc.AddRow(gcols.data(), r, states[r]);
-      }
-      bytes_scanned = rows_processed * row_bytes;
+      });
     }
+    rows_processed = scan.rows;
+    bytes_scanned = rows_processed * row_bytes;
+  } else if (plan.index == nullptr) {
+    used_columnar = true;
+    std::vector<ColumnStore::Predicate> preds;
+    preds.reserve(sel_attrs.size());
+    for (size_t i = 0; i < sel_attrs.size(); ++i) {
+      preds.push_back({sel_attrs[i], selection_values[i]});
+    }
+    // Only matching rows are visited, but the scan's cost is still the
+    // view's row count: the paper's measure.
+    store->Scan(preds, query.group_by(),
+                [&](size_t r, const uint32_t* dims,
+                    const AggregateState& state) {
+                  acc.AddDims(r, dims, state);
+                });
+    rows_processed = store->num_rows();
+    bytes_scanned = store->CompressedBytes();
   } else {
     const MaterializedView& view = catalog_->view(plan.view);
     // Prefix values in index-key order for the matched prefix; rows the
     // probe returns already satisfy the prefix attributes, so only the
     // residual selection is re-checked.
     std::vector<uint32_t> prefix_values;
-    std::vector<SelPred> preds;
+    std::vector<RowScan::Predicate> preds;
     for (int a : plan.index->key().attrs()) {
       if (!plan.index_prefix.Contains(a)) break;
       prefix_values.push_back(sel_value[static_cast<size_t>(a)]);
@@ -197,8 +187,8 @@ GroupedResult Executor::Execute(
     const AggregateState* states = view.aggregate_data();
     rows_processed += plan.index->ScanPrefix(
         prefix_values, [&](uint32_t r) {
-          for (const SelPred& p : preds) {
-            if (p.col[r] != p.value) return;
+          for (const RowScan::Predicate& p : preds) {
+            if (p.column[r] != p.value) return;
           }
           acc.AddRow(gcols.data(), r, states[r]);
         });
@@ -253,7 +243,7 @@ GroupedResult Executor::Execute(
   // Both entry points notify here, so the observed-workload sketch sees
   // traffic regardless of which variant drove the engine.
   if (observer_) observer_(query, *stats);
-  return acc.Finish();
+  return pooled ? std::move(*pooled) : acc.Finish();
 }
 
 Status Executor::TryExecute(const SliceQuery& query,

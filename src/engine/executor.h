@@ -26,7 +26,7 @@ struct ExecutionStats {
   AttributeSet view;  // meaningful when !used_raw
   IndexKey index;     // empty = plain scan
   // The scan read the view's compressed columnar store rather than its
-  // row store (only possible for plain view scans).
+  // row store (only possible for plain view scans with a selection).
   bool used_columnar = false;
   // Storage bytes the scan read: row-store row width × rows processed,
   // or the store's compressed payload for a columnar scan.
@@ -155,10 +155,14 @@ class Executor {
     observer_ = std::move(observer);
   }
 
-  // When on (the default), plain view scans read the view's compressed
-  // columnar store whenever the catalog has one attached; off forces the
-  // row store everywhere. Index probes and raw scans always use row
-  // storage (index row ids reference the view's row order).
+  // When on (the default), a plain view scan with a selection reads the
+  // view's compressed columnar store whenever the catalog has one
+  // attached; off forces the row store everywhere. A scan without a
+  // selection, an index probe and a raw scan always use row storage (the
+  // store skips rows only for predicates; index row ids reference the
+  // view's row order). A sort-path group-by over a full row-storage scan
+  // of at least kPooledSortMinRows rows runs on ThreadPool::Shared()
+  // (SortGroupsOnPool), with the serial path's result and stats.
   void set_use_column_store(bool use) { use_column_store_ = use; }
   bool use_column_store() const { return use_column_store_; }
 

@@ -21,23 +21,35 @@
 //    once in Finish().
 //  - The sort path, for group-bys whose groups are almost as many as
 //    their rows, keeps only (key, row) per row: 16 bytes, no state and no
-//    probe. Finish() sorts the pairs stably by key (RadixSortByKey),
-//    sizes the result once and folds each key's run in visit order,
-//    reading every row's state from the plan's storage (RowStates), and
-//    writes the keys, sums and states straight into the result. It
-//    ignores the ordered prefix.
+//    probe. Finish() hands the pairs to FoldKeyRanges as one key range:
+//    it sorts them stably by key (RadixSortByKey), sizes the result once
+//    and folds each key's run in visit order, reading every row's state
+//    from the plan's storage (RowStates), and writes the keys, sums and
+//    states straight into the result. It ignores the ordered prefix.
 //
 // Both paths fold every group in visit order, so their results, the p = 0
 // and p > 0 hash paths included, are bit-identical.
+//
+// SortGroupsOnPool runs the sort path of a full row-storage scan on a
+// thread pool: each chunk scans its own rows, the pairs scatter into one
+// key range per chunk, and FoldKeyRanges sorts and folds the ranges side
+// by side. Each key's pairs keep their row order, so the result is the
+// serial sort path's, bit for bit, for any pool size.
 
 #ifndef OLAPIDX_ENGINE_GROUP_ACCUMULATOR_H_
 #define OLAPIDX_ENGINE_GROUP_ACCUMULATOR_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "engine/column_store.h"
 #include "engine/executor.h"
 #include "engine/group_table.h"
@@ -80,14 +92,14 @@ class RowStates {
   template <typename Fn>
   void Visit(Fn&& fn) const {
     if (states_ != nullptr) {
-      fn([this](uint32_t row) -> const AggregateState& {
+      fn([this](size_t row) -> const AggregateState& {
         return states_[row];
       });
     } else if (store_ != nullptr) {
-      fn([this](uint32_t row) { return store_->aggregate(row); });
+      fn([this](size_t row) { return store_->aggregate(row); });
     } else {
       OLAPIDX_CHECK(measures_ != nullptr);
-      fn([this](uint32_t row) {
+      fn([this](size_t row) {
         return AggregateState::OfMeasure(measures_[row]);
       });
     }
@@ -98,6 +110,82 @@ class RowStates {
   const ColumnStore* store_ = nullptr;
   const double* measures_ = nullptr;
 };
+
+// The sort path's kernel. Pairs [bounds[r], bounds[r + 1]) of `pairs` are
+// key range r: each of its keys lies below every key of range r + 1, and
+// each key's pairs are in visit order. Every range is sorted stably by key
+// (RadixSortByKey, with the same pairs of `scratch` as its second buffer;
+// pairs already sorted need none, so `scratch` may then be null) and its
+// groups counted; then the calling thread sizes the result once,
+// and every range folds its runs (FoldSortedRuns) into its own slice of
+// it, reading states from `states`. With a pool the ranges are its
+// chunks' work, without one they run in order on the calling thread. The
+// calling thread allocates the result and two small per-range arrays; a
+// range shorter than kKeySortRadixMin pairs may allocate in
+// std::stable_sort, so a caller passing a pool passes no such range.
+inline GroupedResult FoldKeyRanges(const KeyCodec& codec,
+                                   const RowStates& states, KeyRow* pairs,
+                                   KeyRow* scratch,
+                                   const std::vector<size_t>& bounds,
+                                   ThreadPool* pool) {
+  const size_t ranges = bounds.size() - 1;
+  const auto for_each_range = [&](const auto& fn) {
+    if (pool == nullptr) {
+      for (size_t r = 0; r < ranges; ++r) fn(r);
+      return;
+    }
+    pool->ParallelFor(ranges, [&](size_t begin, size_t end, size_t) {
+      for (size_t r = begin; r < end; ++r) fn(r);
+    });
+  };
+  std::vector<std::span<const KeyRow>> sorted(ranges);
+  // first_group[r]: range r's first row of the result.
+  std::vector<size_t> first_group(ranges + 1, 0);
+  for_each_range([&](size_t r) {
+    const size_t n = bounds[r + 1] - bounds[r];
+    KeyRow* spare = scratch == nullptr ? nullptr : scratch + bounds[r];
+    sorted[r] = {RadixSortByKey(pairs + bounds[r], spare, n), n};
+    first_group[r + 1] = CountSortedKeys(sorted[r]);
+  });
+  for (size_t r = 0; r < ranges; ++r) first_group[r + 1] += first_group[r];
+
+  GroupedResult out;
+  const size_t width = static_cast<size_t>(codec.num_attrs());
+  const size_t groups = first_group[ranges];
+  out.group_attrs = codec.attr_order();
+  out.keys = ResultKeys(width, groups);
+  // Ranges folded one after another append their groups in order; ranges
+  // folded side by side write into slices of a sized result.
+  const bool appends = pool == nullptr;
+  if (appends) {
+    out.sums.reserve(groups);
+    out.aggregates.reserve(groups);
+  } else {
+    out.sums.resize(groups);
+    out.aggregates.resize(groups);
+  }
+  for_each_range([&](size_t r) {
+    size_t row = first_group[r];
+    states.Visit([&](auto state_of) {
+      FoldSortedRuns(sorted[r], state_of,
+                     [&](uint64_t key, const AggregateState& state) {
+                       uint32_t* values = out.keys.mutable_row(row);
+                       for (size_t i = 0; i < width; ++i) {
+                         values[i] = codec.Decode(key, static_cast<int>(i));
+                       }
+                       if (appends) {
+                         out.sums.push_back(state.sum);
+                         out.aggregates.push_back(state);
+                       } else {
+                         out.sums[row] = state.sum;
+                         out.aggregates[row] = state;
+                       }
+                       ++row;
+                     });
+    });
+  });
+  return out;
+}
 
 class GroupAccumulator {
  public:
@@ -149,15 +237,23 @@ class GroupAccumulator {
   }
 
   GroupedResult Finish() {
+    if (sorts()) {
+      // Sorting first frees the radix sort's spare buffer before the fold,
+      // so the fold holds one copy of the pairs; sorted, they need no
+      // scratch.
+      RadixSortByKey(pairs_);
+      return FoldKeyRanges(codec_, *sorted_from_, pairs_.data(),
+                           /*scratch=*/nullptr, {0, pairs_.size()},
+                           /*pool=*/nullptr);
+    }
     GroupedResult out;
     out.group_attrs = attrs_;
     const size_t width = attrs_.size();
+    const size_t rows = done_keys_.size() + groups_.size();
+    out.keys = ResultKeys(width, rows);
+    out.sums.reserve(rows);
+    out.aggregates.reserve(rows);
     size_t row = 0;
-    const auto size = [&](size_t rows) {
-      out.keys = ResultKeys(width, rows);
-      out.sums.reserve(rows);
-      out.aggregates.reserve(rows);
-    };
     const auto append = [&](uint64_t key, const AggregateState& state) {
       uint32_t* values = out.keys.mutable_row(row++);
       for (size_t i = 0; i < width; ++i) {
@@ -166,14 +262,6 @@ class GroupAccumulator {
       out.sums.push_back(state.sum);
       out.aggregates.push_back(state);
     };
-    if (sorts()) {
-      RadixSortByKey(pairs_);
-      size(CountSortedKeys(pairs_));
-      sorted_from_->Visit(
-          [&](auto state_of) { FoldSortedRuns(pairs_, state_of, append); });
-      return out;
-    }
-    size(done_keys_.size() + groups_.size());
     for (size_t i = 0; i < done_keys_.size(); ++i) {
       append(done_keys_[i], done_states_[i]);
     }
@@ -256,6 +344,138 @@ inline GroupAccumulator AccumulatorFor(const Catalog& catalog,
   return GroupAccumulator(
       schema, query.group_by(),
       RowStates(catalog.view(plan.view).aggregate_data()));
+}
+
+// ---------------------------------------------------------------------------
+// The sort path on a pool.
+// ---------------------------------------------------------------------------
+
+// A full scan of row storage, the fact table or a view's row store: its
+// rows, its selection predicates and group-by columns (ascending attribute
+// order) resolved to raw columns once per query, and where its rows'
+// states live.
+struct RowScan {
+  struct Predicate {
+    const uint32_t* column;
+    uint32_t value;
+  };
+  size_t rows = 0;
+  std::vector<Predicate> predicates;
+  std::vector<const uint32_t*> group_columns;
+  RowStates states;
+
+  bool Matches(size_t row) const {
+    for (const Predicate& p : predicates) {
+      if (p.column[row] != p.value) return false;
+    }
+    return true;
+  }
+};
+
+// Executor::Execute runs a sort-path group-by over a full row-storage scan
+// of at least this many rows on the shared pool when it has two or more
+// threads. Below it, waking the pool for four jobs and the extra scatter
+// pass cost about what the second thread saves: over wide group-bys of
+// serve-cold's schema, two threads took 0.98-1.00x the serial sort path's
+// median time at 8,192 rows, 0.84-0.94x at 16,384 and 0.63-0.71x from
+// 49,152 (two pinned cores, medians of 61).
+inline constexpr size_t kPooledSortMinRows = 16384;
+
+// Pairs are routed to key ranges by the top kKeyRangeBits bits of the
+// key: 256 buckets keep the scatter's write streams in L1.
+inline constexpr int kKeyRangeBits = 8;
+
+// The sort path of `scan` grouped by `group_by`, run on `pool`, bit for
+// bit the serial sort path's result (GroupAccumulator over the same scan)
+// for any pool size:
+//  1. Chunk c scans its contiguous row range into its own (key, row)
+//     pairs, in row order, and counts them by the key's top
+//     kKeyRangeBits bits.
+//  2. The calling thread cuts those buckets into one key range per chunk,
+//     each holding about the same number of pairs, and each chunk
+//     scatters its pairs into place. Within a bucket the chunks' pairs
+//     follow one another in chunk order, so every key's pairs stay in row
+//     order.
+//  3. FoldKeyRanges sorts each range, counts its groups and folds it into
+//     its slice of the result.
+// Every buffer, two pairs per row scanned at most besides the result, is
+// allocated by the calling thread; no pool thread allocates. A pool of two
+// or more threads counts the query in "executor.aggregations_parallel".
+inline GroupedResult SortGroupsOnPool(const CubeSchema& schema,
+                                      AttributeSet group_by,
+                                      const RowScan& scan, ThreadPool& pool) {
+  // Pair offsets are 32-bit, as a pair's row is.
+  OLAPIDX_CHECK(scan.rows <= std::numeric_limits<uint32_t>::max());
+  const KeyCodec codec(schema, group_by.ToVector());
+  constexpr size_t kBuckets = size_t{1} << kKeyRangeBits;
+  const int bucket_shift = std::max(0, codec.total_bits() - kKeyRangeBits);
+  const size_t chunks = pool.num_threads();
+  if (chunks > 1) {
+    OLAPIDX_METRIC_COUNTER(parallel, "executor.aggregations_parallel");
+    parallel.Add(1);
+  }
+  // Chunk c fills the pairs at its own row range of `scanned` and
+  // counts[c]; counts[c][b] later becomes where its first pair of bucket
+  // b goes.
+  const auto scanned = std::make_unique_for_overwrite<KeyRow[]>(scan.rows);
+  std::vector<std::array<uint32_t, kBuckets>> counts(chunks);
+  std::vector<size_t> kept(chunks, 0);
+  pool.ParallelFor(scan.rows, [&](size_t begin, size_t end, size_t c) {
+    KeyRow* out = scanned.get() + begin;
+    std::array<uint32_t, kBuckets>& count = counts[c];
+    size_t n = 0;
+    for (size_t row = begin; row < end; ++row) {
+      if (!scan.Matches(row)) continue;
+      uint64_t key = 0;
+      for (size_t i = 0; i < scan.group_columns.size(); ++i) {
+        key |= codec.Encode(static_cast<int>(i), scan.group_columns[i][row]);
+      }
+      out[n++] = KeyRow{key, static_cast<uint32_t>(row)};
+      ++count[key >> bucket_shift];
+    }
+    kept[c] = n;
+  });
+
+  size_t pairs = 0;
+  for (size_t n : kept) pairs += n;
+  // bounds[r]: range r's first pair. A range opens at the first bucket
+  // boundary where its share of the pairs, r / chunks, has been reached.
+  std::vector<size_t> bounds(chunks + 1, pairs);
+  bounds[0] = 0;
+  size_t range = 1;
+  uint32_t offset = 0;
+  for (size_t b = 0; b < kBuckets; ++b) {
+    while (range < chunks && offset >= range * pairs / chunks) {
+      bounds[range++] = offset;
+    }
+    for (std::array<uint32_t, kBuckets>& count : counts) {
+      const uint32_t in_bucket = count[b];
+      count[b] = offset;
+      offset += in_bucket;
+    }
+  }
+  const auto grouped = std::make_unique_for_overwrite<KeyRow[]>(pairs);
+  pool.ParallelFor(chunks, [&](size_t begin, size_t end, size_t) {
+    for (size_t c = begin; c < end; ++c) {
+      const KeyRow* in =
+          scanned.get() + ThreadPool::ChunkBounds(scan.rows, chunks, c).first;
+      std::array<uint32_t, kBuckets>& next = counts[c];
+      for (size_t i = 0; i < kept[c]; ++i) {
+        grouped[next[in[i].key >> bucket_shift]++] = in[i];
+      }
+    }
+  });
+  // The scanned pairs are spent: their buffer is the ranges' scratch. A
+  // range too short for the radix sort goes to std::stable_sort, which
+  // may allocate, so then the ranges are sorted and folded here, in
+  // order: a few thousand pairs or fewer, not worth waking the pool.
+  bool fan_out = true;
+  for (size_t r = 0; r < chunks; ++r) {
+    const size_t n = bounds[r + 1] - bounds[r];
+    if (n > 0 && n < kKeySortRadixMin) fan_out = false;
+  }
+  return FoldKeyRanges(codec, scan.states, grouped.get(), scanned.get(),
+                       bounds, fan_out ? &pool : nullptr);
 }
 
 }  // namespace olapidx

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -162,7 +163,7 @@ inline bool SortsGroups(double domain, double rows) {
 }
 
 // The number of distinct keys in `sorted`, whose pairs are sorted by key.
-inline size_t CountSortedKeys(const std::vector<KeyRow>& sorted) {
+inline size_t CountSortedKeys(std::span<const KeyRow> sorted) {
   size_t keys = 0;
   for (size_t i = 0; i < sorted.size(); ++i) {
     if (i == 0 || sorted[i].key != sorted[i - 1].key) ++keys;
@@ -174,7 +175,7 @@ inline size_t CountSortedKeys(const std::vector<KeyRow>& sorted) {
 // stably by key), in ascending key order: `state` is AggregateState{}
 // merged with state_of(row) for each of the key's pairs, in their order.
 template <typename StateFn, typename EmitFn>
-void FoldSortedRuns(const std::vector<KeyRow>& sorted, StateFn&& state_of,
+void FoldSortedRuns(std::span<const KeyRow> sorted, StateFn&& state_of,
                     EmitFn&& emit) {
   const size_t n = sorted.size();
   for (size_t i = 0; i < n;) {

@@ -18,6 +18,7 @@
 #include "bench_fig2_lib.h"
 #include "bench_json.h"
 #include "common/json.h"
+#include "common/parse.h"
 
 namespace olapidx {
 namespace {
@@ -206,22 +207,22 @@ TEST(BenchArgsTest, RejectsMalformedCommandLines) {
 
 TEST(BenchArgsTest, StrictNumericParsingRejectsGarbage) {
   long l = 0;
-  EXPECT_TRUE(bench::ParseLongStrict("42", &l));
+  EXPECT_TRUE(ParseLongStrict("42", &l));
   EXPECT_EQ(l, 42);
-  EXPECT_TRUE(bench::ParseLongStrict("-7", &l));
+  EXPECT_TRUE(ParseLongStrict("-7", &l));
   EXPECT_EQ(l, -7);
-  EXPECT_FALSE(bench::ParseLongStrict("12x", &l));
-  EXPECT_FALSE(bench::ParseLongStrict("", &l));
-  EXPECT_FALSE(bench::ParseLongStrict("1e3", &l));
-  EXPECT_FALSE(bench::ParseLongStrict("99999999999999999999999", &l));
+  EXPECT_FALSE(ParseLongStrict("12x", &l));
+  EXPECT_FALSE(ParseLongStrict("", &l));
+  EXPECT_FALSE(ParseLongStrict("1e3", &l));
+  EXPECT_FALSE(ParseLongStrict("99999999999999999999999", &l));
 
   double d = 0.0;
-  EXPECT_TRUE(bench::ParseDoubleStrict("1.5", &d));
+  EXPECT_TRUE(ParseDoubleStrict("1.5", &d));
   EXPECT_EQ(d, 1.5);
-  EXPECT_TRUE(bench::ParseDoubleStrict("1e3", &d));
+  EXPECT_TRUE(ParseDoubleStrict("1e3", &d));
   EXPECT_EQ(d, 1000.0);
-  EXPECT_FALSE(bench::ParseDoubleStrict("1.5skew", &d));
-  EXPECT_FALSE(bench::ParseDoubleStrict("", &d));
+  EXPECT_FALSE(ParseDoubleStrict("1.5skew", &d));
+  EXPECT_FALSE(ParseDoubleStrict("", &d));
 }
 
 TEST(BenchGoldenTest, Fig2ScrubbedReportMatchesCheckedInGolden) {

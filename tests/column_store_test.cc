@@ -492,7 +492,8 @@ TEST(ColumnStoreTest, ExecutorColumnarScanBitIdenticalToRowScan) {
       const GroupedResult a = row_exec.Execute(q, sel, &row_stats);
       const GroupedResult b = col_exec.Execute(q, sel, &col_stats);
       EXPECT_FALSE(row_stats.used_columnar);
-      EXPECT_TRUE(col_stats.used_columnar);
+      // Without a selection the executor reads the row store.
+      EXPECT_EQ(col_stats.used_columnar, !selection.empty());
       EXPECT_GT(a.num_rows(), 0u);
       ExpectResultsBitEqual(a, b);
     }

@@ -289,6 +289,81 @@ TEST(ThreadPoolTest, TwoFailingChunksLowestWinsEveryRun) {
   }
 }
 
+// Chunk c of an n-element job on `pool` covers ChunkBounds(n, threads, c):
+// per-chunk sums of the indexes (plus a caller tag) checked against that.
+void ExpectChunkSums(const std::vector<uint64_t>& sums, size_t n,
+                     size_t threads, uint64_t tag) {
+  ASSERT_EQ(sums.size(), threads);
+  for (size_t c = 0; c < threads; ++c) {
+    const auto [begin, end] = ThreadPool::ChunkBounds(n, threads, c);
+    uint64_t expected = 0;
+    for (size_t i = begin; i < end; ++i) expected += i * 1000 + tag;
+    EXPECT_EQ(sums[c], expected) << "chunk " << c;
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachGetTheirOwnChunks) {
+  // Eight threads share one pool: whichever call finds it busy runs its
+  // chunks inline, and every call still sees exactly its own chunks.
+  ThreadPool pool(4);
+  std::vector<std::thread> callers;
+  for (uint64_t t = 0; t < 8; ++t) {
+    callers.emplace_back([&pool, t] {
+      for (size_t round = 0; round < 200; ++round) {
+        const size_t n = 50 + 7 * t + round % 13;
+        std::vector<uint64_t> sums(pool.num_threads(), 0);
+        pool.ParallelFor(n, [&](size_t begin, size_t end, size_t chunk) {
+          for (size_t i = begin; i < end; ++i) sums[chunk] += i * 1000 + t;
+        });
+        ExpectChunkSums(sums, n, pool.num_threads(), t);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+}
+
+TEST(ThreadPoolTest, NestedParallelForRunsInline) {
+  // Every chunk of the outer job calls ParallelFor on its own pool; the
+  // inner calls run inline on the chunk's thread and still split their
+  // range into the pool's chunks.
+  ThreadPool pool(4);
+  const size_t outer_n = 40, inner_n = 23;
+  std::vector<std::vector<uint64_t>> inner_sums(
+      pool.num_threads(), std::vector<uint64_t>(pool.num_threads(), 0));
+  std::vector<uint64_t> outer_sums(pool.num_threads(), 0);
+  pool.ParallelFor(outer_n, [&](size_t begin, size_t end, size_t chunk) {
+    for (size_t i = begin; i < end; ++i) outer_sums[chunk] += i * 1000;
+    pool.ParallelFor(inner_n, [&](size_t b, size_t e, size_t inner_chunk) {
+      for (size_t i = b; i < e; ++i) {
+        inner_sums[chunk][inner_chunk] += i * 1000 + chunk;
+      }
+    });
+  });
+  ExpectChunkSums(outer_sums, outer_n, pool.num_threads(), 0);
+  for (size_t c = 0; c < pool.num_threads(); ++c) {
+    ExpectChunkSums(inner_sums[c], inner_n, pool.num_threads(), c);
+  }
+  // A nested fallible call reports its lowest failing chunk, and the
+  // chunks after it are skipped.
+  std::vector<Status> nested(pool.num_threads());
+  std::vector<std::vector<int>> ran(pool.num_threads());
+  pool.ParallelFor(pool.num_threads(), [&](size_t, size_t, size_t chunk) {
+    nested[chunk] = pool.TryParallelFor(
+        100, [&](size_t, size_t, size_t inner_chunk) {
+          ran[chunk].push_back(static_cast<int>(inner_chunk));
+          if (inner_chunk >= 1) {
+            return Status::Unavailable("chunk " +
+                                       std::to_string(inner_chunk));
+          }
+          return Status::Ok();
+        });
+  });
+  for (size_t c = 0; c < pool.num_threads(); ++c) {
+    EXPECT_EQ(nested[c].message(), "chunk 1");
+    EXPECT_EQ(ran[c], (std::vector<int>{0, 1}));
+  }
+}
+
 TEST(BackoffTest, RetriesTransientFailuresThenSucceeds) {
   int calls = 0;
   size_t retries = 0;

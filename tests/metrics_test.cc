@@ -22,7 +22,9 @@
 #include "core/r_greedy.h"
 #include "data/fact_generator.h"
 #include "data/synthetic.h"
+#include "common/thread_pool.h"
 #include "engine/batch_executor.h"
+#include "engine/group_accumulator.h"
 #include "workload/workload.h"
 
 namespace olapidx {
@@ -231,6 +233,66 @@ TEST(ExecutorMetricsTest, AggregationPathCountsAreExact) {
     EXPECT_EQ(delta.CounterValue("executor.batch.batches"), 1u);
     EXPECT_EQ(delta.CounterValue("executor.aggregations_sorted"), 0u);
   }
+}
+
+// A call that finds its pool running a job runs inline and counts one
+// pool.jobs_inline; the outer job itself is not inline.
+TEST(PoolMetricsTest, NestedParallelForCountsOneInlineJob) {
+  ThreadPool pool(2);
+  MetricsRunScope scope;
+  pool.ParallelFor(2, [&](size_t, size_t, size_t chunk) {
+    if (chunk == 0) pool.ParallelFor(10, [](size_t, size_t, size_t) {});
+  });
+  const MetricsSnapshot delta = scope.Delta();
+  EXPECT_EQ(delta.CounterValue("pool.jobs"), 2u);
+  EXPECT_EQ(delta.CounterValue("pool.jobs_inline"), 1u);
+}
+
+// A sort-path group-by over a full row-storage scan of at least
+// kPooledSortMinRows rows counts in executor.aggregations_parallel when it
+// runs on a pool of two or more threads, and not on a one-thread pool or
+// below the minimum.
+TEST(ExecutorMetricsTest, PooledSortCountsQueriesThatFanOut) {
+  const CubeSchema schema({Dimension{"a", 40}, Dimension{"b", 30},
+                           Dimension{"c", 24}, Dimension{"d", 20},
+                           Dimension{"e", 16}});
+  const FactTable fact =
+      GenerateUniformFacts(schema, kPooledSortMinRows + 5000, /*seed=*/5);
+  const AttributeSet base = schema.AllAttributes();
+  Catalog catalog(&fact);
+  catalog.MaterializeView(base);
+  const MaterializedView& view = catalog.view(base);
+  ASSERT_GE(view.num_rows(), kPooledSortMinRows);
+  RowScan scan{view.num_rows(), {}, {}, RowStates(view.aggregate_data())};
+  for (int a : base.ToVector()) scan.group_columns.push_back(view.column_data(a));
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    ThreadPool pool(threads);
+    MetricsRunScope scope;
+    SortGroupsOnPool(schema, base, scan, pool);
+    EXPECT_EQ(scope.Delta().CounterValue("executor.aggregations_parallel"),
+              threads > 1 ? 1u : 0u)
+        << threads << " threads";
+  }
+  const SliceQuery wide(base, AttributeSet());
+  {
+    const Executor executor(&catalog);
+    MetricsRunScope scope;
+    executor.Execute(wide, {});
+    const MetricsSnapshot delta = scope.Delta();
+    EXPECT_EQ(delta.CounterValue("executor.aggregations_sorted"), 1u);
+    EXPECT_EQ(delta.CounterValue("executor.aggregations_parallel"),
+              ThreadPool::Shared().num_threads() > 1 ? 1u : 0u);
+  }
+  // The same query over a view below the minimum stays serial.
+  const FactTable small = GenerateUniformFacts(schema, 8000, /*seed=*/5);
+  Catalog small_catalog(&small);
+  small_catalog.MaterializeView(base);
+  const Executor executor(&small_catalog);
+  MetricsRunScope scope;
+  executor.Execute(wide, {});
+  const MetricsSnapshot delta = scope.Delta();
+  EXPECT_EQ(delta.CounterValue("executor.aggregations_sorted"), 1u);
+  EXPECT_EQ(delta.CounterValue("executor.aggregations_parallel"), 0u);
 }
 
 #else  // !OLAPIDX_METRICS_ENABLED
