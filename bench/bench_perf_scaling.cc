@@ -116,11 +116,17 @@ void BM_InnerLevelGreedy(benchmark::State& state) {
     benchmark::DoNotOptimize(last.final_cost);
   }
   ReportEvalCounters(state, last);
+  // Cost-table cells read and column prices re-checked on the
+  // per-position loop (core/column_pricer.h).
+  state.counters["cost_cells"] = static_cast<double>(last.stats.cost_cells);
+  state.counters["exact_rechecks"] =
+      static_cast<double>(last.stats.exact_rechecks);
   state.counters["structures"] =
       static_cast<double>(setup.cg.graph.num_structures());
 }
+// Dim 7 is the dense advise shape (13,827 structures).
 BENCHMARK(BM_InnerLevelGreedy)
-    ->DenseRange(3, 6)
+    ->DenseRange(3, 7)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TwoStep(benchmark::State& state) {

@@ -90,6 +90,7 @@
 // mismatched one (failed precondition) without parsing stderr. All errors
 // go to stderr; stdout carries only the design.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -482,7 +483,9 @@ int main(int argc, char** argv) {
   if (dims_arg.empty() && csv_path.empty() && hierarchy_arg.empty()) {
     Usage("--dims, --csv, or --hierarchy is required");
   }
-  if (budget <= 0.0) Usage("--budget is required and must be positive");
+  if (!std::isfinite(budget) || budget <= 0.0) {
+    Usage("--budget is required and must be a finite positive number");
+  }
 
   // Algorithm and run control are shared by the flat and hierarchical
   // paths; neither depends on the schema.

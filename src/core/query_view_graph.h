@@ -260,6 +260,19 @@ class QueryViewGraph {
     return vd.col_protos[static_cast<size_t>(k) * vd.num_cols +
                          vd.col_of_pos[pos]];
   }
+  // The column layout behind IndexCostAt: position pos reads column
+  // col_of_pos(v)[pos] of the view's num_cols(v) columns, and
+  // IndexCostRow(v, k)[col] is index k's cost in column col. Positions
+  // sharing a column share every index cost.
+  size_t num_cols(uint32_t v) const { return views_[v].num_cols; }
+  const std::vector<uint32_t>& col_of_pos(uint32_t v) const {
+    OLAPIDX_DCHECK(finalized_);
+    return views_[v].col_of_pos;
+  }
+  const double* IndexCostRow(uint32_t v, int32_t k) const {
+    const ViewData& vd = views_[v];
+    return vd.col_protos.data() + static_cast<size_t>(k) * vd.num_cols;
+  }
 
  private:
   struct ViewData {

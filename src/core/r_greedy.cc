@@ -552,7 +552,7 @@ SelectionResult RGreedy(const QueryViewGraph& graph, double space_budget,
     return SelectionResult::Rejected(Status::InvalidArgument(
         "r must be >= 1, got " + std::to_string(options.r)));
   }
-  if (!(space_budget >= 0.0)) {  // rejects negatives and NaN
+  if (!std::isfinite(space_budget) || space_budget < 0.0) {
     return SelectionResult::Rejected(Status::InvalidArgument(
         "space budget must be non-negative and finite"));
   }

@@ -35,6 +35,8 @@ namespace olapidx::selection_metrics {
   OLAPIDX_METRIC_COUNTER(cache_hits, "selection.cache_hits");
   OLAPIDX_METRIC_COUNTER(cache_misses, "selection.cache_misses");
   OLAPIDX_METRIC_COUNTER(bound_prunes, "selection.bound_prunes");
+  OLAPIDX_METRIC_COUNTER(cost_cells, "selection.cost_cells");
+  OLAPIDX_METRIC_COUNTER(exact_rechecks, "selection.exact_rechecks");
   OLAPIDX_METRIC_HISTOGRAM(run_wall, "selection.run_micros");
   OLAPIDX_METRIC_HISTOGRAM(stage_wall, "selection.stage_micros");
   OLAPIDX_METRIC_HISTOGRAM(stage_cands, "selection.stage_candidates");
@@ -45,6 +47,8 @@ namespace olapidx::selection_metrics {
   cache_hits.Add(result.stats.cache_hits);
   cache_misses.Add(result.stats.cache_misses);
   bound_prunes.Add(result.stats.bound_prunes);
+  cost_cells.Add(result.stats.cost_cells);
+  exact_rechecks.Add(result.stats.exact_rechecks);
   run_wall.Observe(result.stats.total_wall_micros);
   for (uint64_t micros : result.stats.stage_wall_micros) {
     stage_wall.Observe(micros);

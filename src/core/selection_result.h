@@ -41,6 +41,13 @@ struct EvaluationStats {
   std::vector<uint64_t> stage_candidates;
   // Worker threads used for candidate evaluation (1 = serial).
   size_t threads_used = 1;
+  // Inner-level greedy's cost-table reads: (index, query position) pairs
+  // on the per-position path plus (index, column group) pairs on the
+  // column path (core/column_pricer.h), and the column prices it re-ran
+  // on the per-position loop to keep every decision exact. Both are exact
+  // at any thread count; the other algorithms leave them 0.
+  uint64_t cost_cells = 0;
+  uint64_t exact_rechecks = 0;
 
   double CacheHitRate() const {
     uint64_t total = cache_hits + cache_misses;

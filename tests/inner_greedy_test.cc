@@ -1,5 +1,7 @@
 #include "core/inner_greedy.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/r_greedy.h"
@@ -93,6 +95,17 @@ TEST(InnerGreedyTest, EmptyBudget) {
   QueryViewGraph g = Figure2Instance();
   SelectionResult r = InnerLevelGreedy(g, 0.0);
   EXPECT_TRUE(r.picks.empty());
+}
+
+TEST(InnerGreedyTest, NonFiniteAndNegativeBudgetsAreRejected) {
+  QueryViewGraph g = Figure2Instance();
+  for (double budget : {-1.0, std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()}) {
+    SelectionResult r = InnerLevelGreedy(g, budget);
+    EXPECT_FALSE(r.completed) << budget;
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << budget;
+    EXPECT_TRUE(r.picks.empty()) << budget;
+  }
 }
 
 TEST(InnerGreedyTest, WorkCounterAdvances) {

@@ -402,6 +402,33 @@ TEST_F(SelectionMetricsTest, InnerLevelCountersAreExact) {
 #endif
 }
 
+// Inner-level greedy's cost-table work (core/column_pricer.h) on a fixed
+// dim-5 graph: cells read and column prices re-checked are exact totals,
+// pinned, and the same at every thread count.
+TEST(SelectionWorkCountersTest, CostCellsAndRechecksArePinned) {
+  SyntheticCube cube = UniformSyntheticCube(5, 100, 0.05);
+  CubeGraphOptions opts;
+  opts.raw_scan_penalty = 2.0;
+  CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes,
+                                AllSliceQueries(CubeLattice(cube.schema)),
+                                opts);
+  const double budget = 0.25 * (cube.sizes.TotalViewSpace() +
+                                cube.sizes.TotalFatIndexSpace());
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    SelectionResult res = InnerLevelGreedy(
+        cg.graph, budget, InnerGreedyOptions{.num_threads = threads});
+    ASSERT_TRUE(res.status.ok());
+    EXPECT_EQ(res.stats.cost_cells, 928769u) << "threads " << threads;
+    EXPECT_EQ(res.stats.exact_rechecks, 3258u) << "threads " << threads;
+#if defined(OLAPIDX_METRICS_ENABLED)
+    EXPECT_EQ(res.metrics.CounterValue("selection.cost_cells"),
+              res.stats.cost_cells);
+    EXPECT_EQ(res.metrics.CounterValue("selection.exact_rechecks"),
+              res.stats.exact_rechecks);
+#endif
+  }
+}
+
 TEST_F(SelectionMetricsTest, CountersIdenticalAcrossThreadCounts) {
   SelectionResult serial = RGreedy(
       cube_->graph, budget_, RGreedyOptions{.r = 2, .num_threads = 1});

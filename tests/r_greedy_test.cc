@@ -1,6 +1,7 @@
 #include "core/r_greedy.h"
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -231,6 +232,13 @@ TEST(RGreedyTest, InvalidConfigsAreRejectedNotFatal) {
   SelectionResult nan_budget =
       RGreedy(g, std::nan(""), RGreedyOptions{.r = 1});
   EXPECT_EQ(nan_budget.status.code(), StatusCode::kInvalidArgument);
+  for (bool lazy : {false, true}) {
+    SelectionResult inf_budget =
+        RGreedy(g, std::numeric_limits<double>::infinity(),
+                RGreedyOptions{.r = 1, .lazy_one_greedy = lazy});
+    EXPECT_EQ(inf_budget.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(inf_budget.picks.empty());
+  }
 }
 
 }  // namespace
