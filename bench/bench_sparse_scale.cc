@@ -6,7 +6,8 @@
 // sink on by default) with a sampled Zipf workload across dims
 // 10/12/16/20 — build wall time, peak build memory (graph_build.peak_bytes
 // model: edge-run sink + finalize scratch + cost table), pruning telemetry
-// (including views dropped by the --max-views cap), and a beam-limited
+// (including views dropped by the --max-views cap), the cone positions the
+// candidate-class gather enumerates (family_cone_visits), and a beam-limited
 // inner-level greedy selection with its a-posteriori guarantee — and
 // closes with a dense-vs-sparse peak-memory comparison at dimension 8
 // (the last dim both paths can build), reported as the
@@ -97,14 +98,18 @@ uint64_t RunSparseDim(bench::BenchJsonReporter& rep, int n,
        {"views_dropped", static_cast<double>(sparse.stats.views_dropped)},
        {"candidate_indexes",
         static_cast<double>(sparse.stats.candidate_indexes)},
+       {"family_cone_visits",
+        static_cast<double>(sparse.stats.family_cone_visits)},
        {"beam_skipped", static_cast<double>(result.beam_skipped)},
        {"beam_stage_factor", result.beam_stage_factor}});
 
-  std::printf("%-4d %8zu %8zu %8llu %10llu %12.1f %12.1f %7llu %8.4f\n", n,
-              sparse.stats.retained_queries, sparse.stats.retained_views,
+  std::printf("%-4d %8zu %8zu %8llu %10llu %11llu %12.1f %12.1f %7llu %8.4f\n",
+              n, sparse.stats.retained_queries, sparse.stats.retained_views,
               static_cast<unsigned long long>(sparse.stats.views_dropped),
               static_cast<unsigned long long>(
                   sparse.cube.graph.num_structures()),
+              static_cast<unsigned long long>(
+                  sparse.stats.family_cone_visits),
               build_ms, MiB(sparse.stats.build.peak_bytes),
               static_cast<unsigned long long>(result.beam_skipped),
               result.beam_stage_factor);
@@ -169,9 +174,9 @@ double PeakReductionDim8(bench::BenchJsonReporter& rep) {
 // Returns the largest sparse-build peak across the dims run, in bytes.
 uint64_t RunBench(bench::BenchJsonReporter& rep, int max_dim,
                   size_t queries, double skew, size_t beam) {
-  std::printf("%-4s %8s %8s %8s %10s %12s %12s %7s %8s\n", "dim",
-              "queries", "views", "dropped", "structures", "build_ms",
-              "peak_MiB", "skipped", "factor");
+  std::printf("%-4s %8s %8s %8s %10s %11s %12s %12s %7s %8s\n", "dim",
+              "queries", "views", "dropped", "structures", "cone_visits",
+              "build_ms", "peak_MiB", "skipped", "factor");
   uint64_t max_peak = 0;
   for (int n : {10, 12, 16, 20}) {
     if (n > max_dim) break;

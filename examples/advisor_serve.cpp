@@ -27,6 +27,7 @@
 // service/advisor_service.h). Exit codes follow advisor_cli: 0 on
 // success, 2 for usage errors, StatusExitCode values for Status failures.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "common/format.h"
+#include "common/parse.h"
 #include "cost/analytical_model.h"
 #include "core/advisor.h"
 #include "service/advisor_service.h"
@@ -91,12 +93,19 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) Usage(("missing value for " + flag).c_str());
       return argv[++i];
     };
+    // Numbers parse strictly: a malformed one is a usage error (exit 2),
+    // never a silent 0 or a truncated prefix.
+    auto next_double = [&](double* out) {
+      if (!ParseDoubleStrict(next(), out)) {
+        Usage((flag + " wants a number, got '" + argv[i] + "'").c_str());
+      }
+    };
     if (flag == "--dims") {
       dims_arg = next();
     } else if (flag == "--rows") {
-      rows = std::atof(next().c_str());
+      next_double(&rows);
     } else if (flag == "--budget") {
-      budget = std::atof(next().c_str());
+      next_double(&budget);
     } else if (flag == "--algorithm") {
       algorithm = next();
     } else if (flag == "--workload") {
@@ -104,13 +113,14 @@ int main(int argc, char** argv) {
     } else if (flag == "--journal") {
       journal_path = next();
     } else if (flag == "--drift-threshold") {
-      drift_threshold = std::atof(next().c_str());
+      next_double(&drift_threshold);
       if (!(drift_threshold >= 0.0)) {
         Usage("--drift-threshold must be >= 0");
       }
     } else if (flag == "--deadline-ms") {
-      deadline_ms = std::atol(next().c_str());
-      if (deadline_ms <= 0) Usage("--deadline-ms must be positive");
+      if (!ParseLongStrict(next(), &deadline_ms) || deadline_ms <= 0) {
+        Usage("--deadline-ms must be a positive integer");
+      }
     } else if (flag == "--script") {
       script_path = next();
     } else if (flag == "--help" || flag == "-h") {
@@ -120,8 +130,12 @@ int main(int argc, char** argv) {
     }
   }
   if (dims_arg.empty()) Usage("--dims is required");
-  if (rows < 1.0) Usage("--rows is required");
-  if (budget <= 0.0) Usage("--budget is required and must be positive");
+  if (!std::isfinite(rows) || rows < 1.0) {
+    Usage("--rows is required and must be a finite number >= 1");
+  }
+  if (!std::isfinite(budget) || budget <= 0.0) {
+    Usage("--budget is required and must be a finite positive number");
+  }
 
   std::vector<Dimension> dims;
   {
@@ -132,9 +146,12 @@ int main(int argc, char** argv) {
       if (colon == std::string::npos || colon == 0) {
         Usage("bad --dims entry (want name:cardinality)");
       }
-      uint64_t card = std::strtoull(item.c_str() + colon + 1, nullptr, 10);
-      if (card == 0) Usage("bad cardinality in --dims");
-      dims.push_back(Dimension{item.substr(0, colon), card});
+      long card = 0;
+      if (!ParseLongStrict(item.substr(colon + 1), &card) || card <= 0) {
+        Usage("bad cardinality in --dims");
+      }
+      dims.push_back(
+          Dimension{item.substr(0, colon), static_cast<uint64_t>(card)});
     }
   }
   CubeSchema schema(dims);

@@ -1,6 +1,7 @@
 // Strict whole-string number parsing for command-line values: trailing
 // junk, an empty string, or overflow is a parse failure, never a silent 0.
-// The benches' flag parser (bench/bench_json.h) and advisor_cli share it.
+// The benches' flag parser (bench/bench_json.h), advisor_cli and
+// advisor_serve share it.
 
 #ifndef OLAPIDX_COMMON_PARSE_H_
 #define OLAPIDX_COMMON_PARSE_H_

@@ -38,15 +38,17 @@ QueryPruneResult PruneQueriesByMass(const std::vector<double>& frequency,
   return out;
 }
 
-std::vector<int> CandidateKeyOrder(uint32_t prefix, uint32_t view_mask) {
-  std::vector<int> order;
+IndexKey CandidateKey(uint32_t prefix, uint32_t view_mask) {
+  OLAPIDX_DCHECK(std::popcount(prefix | view_mask) <= kMaxDimensions);
+  int order[kMaxDimensions];
+  size_t size = 0;
   for (uint32_t rest = prefix; rest != 0; rest &= rest - 1) {
-    order.push_back(std::countr_zero(rest));
+    order[size++] = std::countr_zero(rest);
   }
   for (uint32_t rest = view_mask & ~prefix; rest != 0; rest &= rest - 1) {
-    order.push_back(std::countr_zero(rest));
+    order[size++] = std::countr_zero(rest);
   }
-  return order;
+  return IndexKey(std::span<const int>(order, size));
 }
 
 void RecordSparseBuild(const SparseBuildStats& stats) {
@@ -58,6 +60,7 @@ void RecordSparseBuild(const SparseBuildStats& stats) {
   OLAPIDX_METRIC_COUNTER(dropped_v, "graph_build.sparse.views_dropped");
   OLAPIDX_METRIC_COUNTER(candidate_v, "graph_build.sparse.candidate_views");
   OLAPIDX_METRIC_COUNTER(candidate_i, "graph_build.sparse.candidate_indexes");
+  OLAPIDX_METRIC_COUNTER(cone_visits, "graph_build.sparse.family_cone_visits");
   // Retained frequency mass in permille of the workload total (gauges are
   // integral).
   OLAPIDX_METRIC_GAUGE(mass, "graph_build.sparse.retained_mass_permille");
@@ -69,6 +72,7 @@ void RecordSparseBuild(const SparseBuildStats& stats) {
   dropped_v.Add(stats.views_dropped);
   candidate_v.Add(stats.candidate_views);
   candidate_i.Add(stats.candidate_indexes);
+  cone_visits.Add(stats.family_cone_visits);
   mass.Set(stats.total_mass > 0.0
                ? static_cast<int64_t>(1000.0 * stats.retained_mass /
                                       stats.total_mass)

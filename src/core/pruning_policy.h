@@ -37,10 +37,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/graph_build_metrics.h"
+#include "lattice/index_key.h"
 
 namespace olapidx {
 
@@ -65,6 +68,11 @@ struct SparseBuildStats {
   size_t fat_views = 0;
   size_t candidate_views = 0;
   uint64_t candidate_indexes = 0;
+  // The lattice positions the flat build's candidate-class gather
+  // enumerates: each retained query with a selection walks its cone of
+  // retained views once, by the cheaper of its superset walk and the
+  // retained-view scan. A work counter, exact at any thread count.
+  uint64_t family_cone_visits = 0;
   // The generic builder's totals for this build (edge counts, timings,
   // peak_bytes).
   graph_build_metrics::BuildStats build;
@@ -192,32 +200,27 @@ PrunedPlan PlanPrunedBuild(const PruningOptions& pruning,
   return plan;
 }
 
-// Candidate-key policy: the dimension/attribute order of the one fat key
-// serving a distinct selection class `prefix` at a wide view: the prefix
-// bits ascending, then the view's remaining bits ascending. Bit i stands
-// for attribute/dimension i (the same convention as WalkPrefixClasses).
-std::vector<int> CandidateKeyOrder(uint32_t prefix, uint32_t view_mask);
+// Candidate-key policy: the one fat key serving a distinct selection class
+// `prefix` at a wide view: the prefix bits ascending, then the view's
+// remaining bits ascending. Bit i stands for attribute/dimension i (the
+// same convention as WalkPrefixClasses).
+IndexKey CandidateKey(uint32_t prefix, uint32_t view_mask);
 
-// The candidate family of a wide view: one CandidateKeyOrder per distinct
-// non-empty selection class (selection ∩ view, as bit masks) of the
-// retained queries answerable there. class_of(q) is called for each
-// retained query position; 0 means "not answerable or empty selection — no
-// key". Keys of different classes can coincide, so the family is sorted and
-// deduplicated: deterministic in the workload.
-template <typename ClassOf>
-std::vector<std::vector<int>> CandidateFamily(size_t num_queries,
-                                              uint32_t view_mask,
-                                              ClassOf&& class_of) {
-  std::vector<uint32_t> classes;
-  for (size_t q = 0; q < num_queries; ++q) {
-    const uint32_t p = class_of(q);
-    if (p != 0) classes.push_back(p);
-  }
+// The candidate family of a wide view from its gathered selection classes
+// (selection ∩ view, as bit masks, of the retained queries answerable
+// there; duplicates allowed, and 0 — an empty selection — makes no key):
+// make_key(p) for each distinct non-zero class p. Keys of different
+// classes can coincide, so the family is sorted and deduplicated:
+// deterministic in the workload. Sorts `classes` in place.
+template <typename MakeKey>
+auto CandidateFamily(std::span<uint32_t> classes, MakeKey&& make_key) {
   std::sort(classes.begin(), classes.end());
-  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
-  std::vector<std::vector<int>> family;
-  family.reserve(classes.size());
-  for (uint32_t p : classes) family.push_back(CandidateKeyOrder(p, view_mask));
+  const auto last = std::unique(classes.begin(), classes.end());
+  std::vector<std::invoke_result_t<MakeKey&, uint32_t>> family;
+  family.reserve(static_cast<size_t>(last - classes.begin()));
+  for (auto it = classes.begin(); it != last; ++it) {
+    if (*it != 0) family.push_back(make_key(*it));
+  }
   std::sort(family.begin(), family.end());
   family.erase(std::unique(family.begin(), family.end()), family.end());
   return family;

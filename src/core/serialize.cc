@@ -114,7 +114,7 @@ std::string KeyToNames(const IndexKey& key, const CubeSchema& schema) {
 // duplicate and index-before-view rejection.
 struct DesignDedup {
   std::set<uint32_t> views;                              // by attr mask
-  std::set<std::pair<uint32_t, std::vector<int>>> indexes;  // (view, key)
+  std::set<std::pair<uint32_t, IndexKey>> indexes;  // (view, key)
 };
 
 // Parses one "view <attrs>" or "index <view> : <key>" line into a
@@ -163,7 +163,7 @@ bool ParseStructureLine(const std::string& line, const CubeSchema& schema,
                "' (no preceding 'view' line)";
       return false;
     }
-    if (!dedup->indexes.insert({view_attrs.mask(), key.attrs()}).second) {
+    if (!dedup->indexes.insert({view_attrs.mask(), key}).second) {
       *error = "duplicate index '" + KeyToNames(key, schema) + "' on view '" +
                AttrsToNames(view_attrs, schema) + "'";
       return false;

@@ -1,6 +1,8 @@
 #include "core/sparse_cube_graph.h"
 
 #include <bit>
+#include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,13 +16,39 @@ namespace olapidx {
 
 namespace {
 
+// Calls visit(id), ids ascending, for every view of `views` that answers a
+// query needing `need`: the retained supersets of `need` within `full`.
+// Picks the cheaper enumeration: wide needs have few supersets, so the
+// submask walk wins; narrow ones fall back to one subset test per retained
+// view. Returns the positions enumerated.
+template <typename Visit>
+uint64_t ForEachRetainedSuperset(AttributeSet need, AttributeSet full,
+                                 const ViewRetentionResult& views,
+                                 Visit&& visit) {
+  const std::vector<uint64_t>& view_ids = views.view_ids;
+  const uint64_t walk = uint64_t{1} << full.Minus(need).size();
+  if (walk <= view_ids.size()) {
+    for (AttributeSet cset : need.SupersetsWithin(full)) {
+      const int32_t id = views.id_of[cset.mask()];
+      if (id >= 0) visit(static_cast<uint32_t>(id));
+    }
+    return walk;
+  }
+  const uint64_t need_mask = need.mask();
+  for (uint32_t v = 0; v < view_ids.size(); ++v) {
+    if ((need_mask & ~view_ids[v]) == 0) visit(v);
+  }
+  return view_ids.size();
+}
+
 // The flat-cube LatticeProvider, for every build plan. Under the identity
 // plan (plan == nullptr) graph view ids are the attribute masks; under a
 // pruned plan they are dense in the retained mask set (ascending mask
 // order) and answering views resolve through its mask → id inverse. A view
 // with at most max_fat_dim attributes carries the canonical family (fat,
 // or every ordered subset for the ablation), a wider one its
-// workload-derived candidate keys. Index costs are the paper's
+// workload-derived candidate keys, which the pruned plan stores in
+// out->index_keys before the build. Index costs are the paper's
 // c(Q,V,J) = |C| / |E|, E the maximal selection-only key prefix: every
 // cost divides two entries of size_by_mask, which is why a pruned graph's
 // costs equal the identity graph's bit for bit.
@@ -32,8 +60,6 @@ struct FlatPlanProvider {
   const std::vector<double>* size_by_mask;  // 2^n view sizes
   bool fat_indexes_only;
   int max_fat_dim;
-  // Graph view id -> candidate keys of the views wider than max_fat_dim.
-  const std::vector<std::vector<IndexKey>>* candidate_keys;
   uint32_t base_id;
   CubeGraph* out;
 
@@ -74,12 +100,12 @@ struct FlatPlanProvider {
     OLAPIDX_CHECK(gv == v);
     out->view_attrs.push_back(attrs);
     if (maintenance > 0.0) g.SetViewMaintenance(gv, maintenance);
-    std::vector<IndexKey> keys = !IsCanonical(mask) ? (*candidate_keys)[v]
-                                 : fat_indexes_only
-                                     ? lattice->FatIndexes(mask)
-                                     : lattice->AllIndexes(mask);
+    std::vector<IndexKey>& keys = out->index_keys[v];
+    if (IsCanonical(mask)) {
+      keys = fat_indexes_only ? lattice->FatIndexes(mask)
+                              : lattice->AllIndexes(mask);
+    }
     g.AddIndexes(gv, keys, size, maintenance);
-    out->index_keys.push_back(std::move(keys));
   }
 
   size_t num_queries() const {
@@ -113,29 +139,13 @@ struct FlatPlanProvider {
       }
       return;
     }
-    // Both branches emit ascending ids (view_ids is sorted); pick the
-    // cheaper enumeration. Wide queries have few supersets, so the submask
-    // walk wins; narrow queries fall back to one subset test per retained
-    // view.
-    const std::vector<uint64_t>& view_ids = plan->views.view_ids;
-    const int free_bits = ctx.full.Minus(need).size();
-    if ((uint64_t{1} << free_bits) <= view_ids.size()) {
-      for (AttributeSet cset : need.SupersetsWithin(ctx.full)) {
-        const int32_t id = plan->views.id_of[cset.mask()];
-        if (id >= 0) visit(static_cast<uint32_t>(id));
-      }
-    } else {
-      const uint64_t need_mask = need.mask();
-      for (uint32_t v = 0; v < view_ids.size(); ++v) {
-        if ((need_mask & ~view_ids[v]) == 0) visit(v);
-      }
-    }
+    ForEachRetainedSuperset(need, ctx.full, plan->views, visit);
   }
 
   uint32_t IndexColumnClass(const Ctx& ctx, uint32_t v) const {
     const uint32_t mask = MaskOf(v);
     if (mask == 0) return 0;  // the apex view has no indexes
-    if (!IsCanonical(mask) && (*candidate_keys)[v].empty()) return 0;
+    if (!IsCanonical(mask) && out->index_keys[v].empty()) return 0;
     // A query's index costs from view C depend only on B ∩ C (every prefix
     // E is a subset of C), so queries agreeing on that intersection share
     // one cost column; tag runs with it so the graph stores each distinct
@@ -156,7 +166,7 @@ struct FlatPlanProvider {
                     });
       return;
     }
-    const std::vector<IndexKey>& keys = (*candidate_keys)[v];
+    const std::vector<IndexKey>& keys = out->index_keys[v];
     for (size_t k = 0; k < keys.size(); ++k) {
       const uint32_t prefix =
           keys[k].LongestSelectionPrefix(ctx.query->selection()).mask();
@@ -165,6 +175,62 @@ struct FlatPlanProvider {
     }
   }
 };
+
+// The candidate families of the pruned plan's views wider than
+// max_fat_dim, one slot per retained view (fat views' slots stay empty for
+// the provider to fill). A query answerable at view V has selection ∩ V =
+// B, its whole selection, so each retained query with a selection adds B
+// to every wide view of its cone: one cone walk per query gathers every
+// view's classes, and the views × queries pairs are never enumerated.
+// Also counts the fat and candidate views.
+std::vector<std::vector<IndexKey>> BuildCandidateFamilies(
+    const PrunedPlan& plan, const Workload& workload, AttributeSet full,
+    int max_fat_dim, SparseBuildStats& stats) {
+  const std::vector<uint64_t>& view_ids = plan.views.view_ids;
+  const auto nv = static_cast<uint32_t>(view_ids.size());
+  std::vector<std::vector<IndexKey>> index_keys(nv);
+  auto is_wide = [&](uint32_t v) {
+    return std::popcount(view_ids[v]) > max_fat_dim;
+  };
+  for (uint32_t v = 0; v < nv; ++v) {
+    if (is_wide(v)) {
+      ++stats.candidate_views;
+    } else {
+      ++stats.fat_views;
+    }
+  }
+  if (stats.candidate_views == 0) return index_keys;
+  struct ViewClass {
+    uint32_t view;
+    uint32_t cls;
+  };
+  std::vector<ViewClass> found;
+  for (uint32_t qi : plan.queries) {
+    const SliceQuery& query = workload[qi].query;
+    const uint32_t sel = query.selection().mask();
+    if (sel == 0) continue;  // no class to add anywhere
+    stats.family_cone_visits += ForEachRetainedSuperset(
+        query.AllAttributes(), full, plan.views, [&](uint32_t v) {
+          if (is_wide(v)) found.push_back(ViewClass{v, sel});
+        });
+  }
+  // Counting sort by view: classes[begin[v], begin[v + 1]) are v's.
+  std::vector<uint32_t> begin(nv + 1, 0);
+  for (const ViewClass& f : found) ++begin[f.view + 1];
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  std::vector<uint32_t> classes(found.size());
+  std::vector<uint32_t> next(begin.begin(), begin.end() - 1);
+  for (const ViewClass& f : found) classes[next[f.view]++] = f.cls;
+  for (uint32_t v = 0; v < nv; ++v) {
+    if (begin[v] == begin[v + 1]) continue;
+    const auto mask = static_cast<uint32_t>(view_ids[v]);
+    index_keys[v] = CandidateFamily(
+        std::span(classes).subspan(begin[v], begin[v + 1] - begin[v]),
+        [mask](uint32_t prefix) { return CandidateKey(prefix, mask); });
+    stats.candidate_indexes += index_keys[v].size();
+  }
+  return index_keys;
+}
 
 // The flat build pipeline behind TryBuildCubeGraph and
 // TryBuildSparseCubeGraph, which check their own limits first. A null
@@ -198,11 +264,9 @@ StatusOr<SparseCubeGraph> BuildFlatGraph(
                             &size_by_mask,
                             fat_indexes_only,
                             /*max_fat_dim=*/n,
-                            /*candidate_keys=*/nullptr,
                             /*base_id=*/full.mask(),
                             &result.cube};
   PrunedPlan plan;
-  std::vector<std::vector<IndexKey>> candidate_keys;
   if (pruning != nullptr) {
     std::vector<double> frequency;
     frequency.reserve(workload.size());
@@ -220,44 +284,16 @@ StatusOr<SparseCubeGraph> BuildFlatGraph(
           }
         },
         stats);
-
-    // Index families for views wider than max_fat_dim: one fat key per
-    // distinct selection ∩ view over the retained answerable queries,
-    // selection attributes leading.
-    std::vector<std::pair<uint32_t, uint32_t>> query_masks;  // (A∪B, B)
-    query_masks.reserve(plan.queries.size());
-    for (uint32_t qi : plan.queries) {
-      query_masks.emplace_back(workload[qi].query.AllAttributes().mask(),
-                               workload[qi].query.selection().mask());
-    }
-    candidate_keys.resize(plan.views.view_ids.size());
-    for (size_t v = 0; v < candidate_keys.size(); ++v) {
-      const auto mask = static_cast<uint32_t>(plan.views.view_ids[v]);
-      if (std::popcount(mask) <= pruning->max_fat_dim) {
-        ++stats.fat_views;
-        continue;
-      }
-      ++stats.candidate_views;
-      std::vector<std::vector<int>> family = CandidateFamily(
-          query_masks.size(), mask, [&](size_t q) -> uint32_t {
-            const auto& [need, sel] = query_masks[q];
-            if ((need & ~mask) != 0) return 0;  // not answerable here
-            return sel & mask;
-          });
-      std::vector<IndexKey>& keys = candidate_keys[v];
-      keys.reserve(family.size());
-      for (std::vector<int>& order : family) keys.emplace_back(std::move(order));
-      stats.candidate_indexes += keys.size();
-    }
+    result.cube.index_keys = BuildCandidateFamilies(
+        plan, workload, full, pruning->max_fat_dim, stats);
     provider.plan = &plan;
     provider.max_fat_dim = pruning->max_fat_dim;
-    provider.candidate_keys = &candidate_keys;
     provider.base_id =
         static_cast<uint32_t>(plan.views.id_of[full.mask()]);
   }
 
   result.cube.view_attrs.reserve(provider.num_views());
-  result.cube.index_keys.reserve(provider.num_views());
+  result.cube.index_keys.resize(provider.num_views());  // identity plan
   BuildLatticeGraph(provider, build, result.cube.graph, &stats.build);
   if (pruning != nullptr) RecordSparseBuild(stats);
   return result;

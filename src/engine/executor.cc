@@ -75,7 +75,7 @@ PlannedAccess PlanAccess(const Catalog& catalog, const SliceQuery& query) {
 
 std::vector<int> ScanOrder(const PlannedAccess& plan) {
   if (plan.use_raw) return {};
-  if (plan.index != nullptr) return plan.index->key().attrs();
+  if (plan.index != nullptr) return plan.index->key().ToVector();
   return plan.view.ToVector();
 }
 

@@ -6,7 +6,7 @@ namespace olapidx {
 
 ViewIndex::ViewIndex(const MaterializedView& view, IndexKey key, int fanout)
     : key_(std::move(key)),
-      codec_(view.schema(), key_.attrs()),
+      codec_(view.schema(), key_.ToVector()),
       tree_(fanout) {
   OLAPIDX_CHECK(!key_.empty());
   OLAPIDX_CHECK(key_.AsSet().IsSubsetOf(view.attrs()));

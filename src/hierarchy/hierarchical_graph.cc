@@ -821,8 +821,9 @@ StatusOr<SparseHierarchicalCubeGraph> BuildHierarchicalGraph(
 
     // Candidate index families and the retained structure census. Wide
     // views get one key per distinct selection class of the retained
-    // answerable queries: selected dimensions leading (ascending),
-    // remaining active dimensions trailing (ascending).
+    // answerable queries (CandidateKey over dimension ids: selected
+    // dimensions leading, remaining active dimensions trailing), found by
+    // testing every retained query at each wide view.
     levels_flat.resize(nv * static_cast<size_t>(n));
     std::vector<uint32_t> active_mask(nv, 0);
     for (size_t v = 0; v < nv; ++v) {
@@ -836,6 +837,7 @@ StatusOr<SparseHierarchicalCubeGraph> BuildHierarchicalGraph(
     }
     orders.resize(nv);
     uint64_t total_structures = 0;
+    std::vector<uint32_t> classes;
     for (size_t v = 0; v < nv; ++v) {
       const int m = std::popcount(active_mask[v]);
       if (m <= pruning->max_fat_dim) {
@@ -845,16 +847,17 @@ StatusOr<SparseHierarchicalCubeGraph> BuildHierarchicalGraph(
       } else {
         ++stats.candidate_views;
         const int* lvf = levels_flat.data() + v * static_cast<size_t>(n);
-        orders[v] = CandidateFamily(
-            plan.queries.size(), active_mask[v], [&](size_t q) -> uint32_t {
-              const uint32_t qi = plan.queries[q];
-              const int* req =
-                  required_flat.data() + size_t{qi} * static_cast<size_t>(n);
-              for (int d = 0; d < n; ++d) {
-                if (lvf[d] > req[d]) return 0;  // not answerable here
-              }
-              return sel_mask[qi] & active_mask[v];
-            });
+        classes.clear();
+        for (uint32_t qi : plan.queries) {
+          const int* req =
+              required_flat.data() + size_t{qi} * static_cast<size_t>(n);
+          int d = 0;
+          while (d < n && lvf[d] <= req[d]) ++d;
+          if (d == n) classes.push_back(sel_mask[qi] & active_mask[v]);
+        }
+        orders[v] = CandidateFamily(classes, [&](uint32_t prefix) {
+          return CandidateKey(prefix, active_mask[v]).ToVector();
+        });
         stats.candidate_indexes += orders[v].size();
         total_structures += 1 + orders[v].size();
       }

@@ -2,24 +2,25 @@
 
 namespace olapidx {
 
-IndexKey::IndexKey(std::vector<int> attrs) : attrs_(std::move(attrs)) {
+IndexKey::IndexKey(std::span<const int> attrs) {
   AttributeSet seen;
-  for (int a : attrs_) {
+  for (int a : attrs) {
     OLAPIDX_CHECK(a >= 0 && a < kMaxDimensions);
     OLAPIDX_CHECK(!seen.Contains(a));  // Key attributes must be distinct.
     seen = seen.With(a);
+    attrs_[size_++] = static_cast<uint8_t>(a);
   }
 }
 
 AttributeSet IndexKey::AsSet() const {
   AttributeSet s;
-  for (int a : attrs_) s = s.With(a);
+  for (int a : attrs()) s = s.With(a);
   return s;
 }
 
 AttributeSet IndexKey::LongestSelectionPrefix(AttributeSet selection) const {
   AttributeSet prefix;
-  for (int a : attrs_) {
+  for (int a : attrs()) {
     if (!selection.Contains(a)) break;
     prefix = prefix.With(a);
   }
@@ -27,17 +28,14 @@ AttributeSet IndexKey::LongestSelectionPrefix(AttributeSet selection) const {
 }
 
 bool IndexKey::HasProperPrefix(const IndexKey& other) const {
-  if (other.attrs_.size() >= attrs_.size()) return false;
-  for (size_t i = 0; i < other.attrs_.size(); ++i) {
-    if (other.attrs_[i] != attrs_[i]) return false;
-  }
-  return true;
+  return other.size_ < size_ &&
+         std::ranges::equal(other.attrs(), attrs().first(other.size_));
 }
 
 std::string IndexKey::ToString(const std::vector<std::string>& names) const {
   std::string out = "I_";
-  if (attrs_.empty()) return out + "none";
-  for (int a : attrs_) {
+  if (empty()) return out + "none";
+  for (int a : attrs()) {
     OLAPIDX_CHECK(a < static_cast<int>(names.size()));
     out += names[static_cast<size_t>(a)];
   }

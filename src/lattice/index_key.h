@@ -2,10 +2,18 @@
 // distinct attributes. Order matters (Section 3.3 of the paper): the index
 // I_{X1..Xk}(V) helps a slice query exactly on the longest prefix of
 // X1..Xk consisting only of the query's selection attributes.
+//
+// A key is a plain value: its at most kMaxDimensions attribute ids live
+// inline, so building, copying or freeing one allocates nothing.
 
 #ifndef OLAPIDX_LATTICE_INDEX_KEY_H_
 #define OLAPIDX_LATTICE_INDEX_KEY_H_
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,11 +27,19 @@ class IndexKey {
   IndexKey() = default;
 
   // `attrs` must be distinct attribute ids in search-key order.
-  explicit IndexKey(std::vector<int> attrs);
+  explicit IndexKey(std::span<const int> attrs);
+  explicit IndexKey(std::initializer_list<int> attrs)
+      : IndexKey(std::span<const int>(attrs.begin(), attrs.size())) {}
 
-  const std::vector<int>& attrs() const { return attrs_; }
-  bool empty() const { return attrs_.empty(); }
-  int size() const { return static_cast<int>(attrs_.size()); }
+  std::span<const uint8_t> attrs() const {
+    return std::span<const uint8_t>(attrs_.data(), size_);
+  }
+  // The attributes as ids, for callers that own an attribute order.
+  std::vector<int> ToVector() const {
+    return std::vector<int>(attrs().begin(), attrs().end());
+  }
+  bool empty() const { return size_ == 0; }
+  int size() const { return size_; }
 
   // The (unordered) set of key attributes.
   AttributeSet AsSet() const;
@@ -40,15 +56,18 @@ class IndexKey {
   // "I_sp" style rendering given per-attribute names.
   std::string ToString(const std::vector<std::string>& names) const;
 
+  // Lexicographic over the attribute sequences: a proper prefix sorts
+  // first.
   friend bool operator==(const IndexKey& a, const IndexKey& b) {
-    return a.attrs_ == b.attrs_;
+    return std::ranges::equal(a.attrs(), b.attrs());
   }
   friend bool operator<(const IndexKey& a, const IndexKey& b) {
-    return a.attrs_ < b.attrs_;
+    return std::ranges::lexicographical_compare(a.attrs(), b.attrs());
   }
 
  private:
-  std::vector<int> attrs_;
+  std::array<uint8_t, kMaxDimensions> attrs_{};
+  uint8_t size_ = 0;
 };
 
 }  // namespace olapidx

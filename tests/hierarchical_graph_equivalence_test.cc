@@ -326,7 +326,7 @@ void CheckDegeneration(int n, bool fat_indexes_only, uint64_t seed,
       for (int32_t k = 0; k < fg.num_indexes(fv); ++k) {
         // Rank k is the same key order on both sides: the flat key's
         // attribute sequence must equal the decoded dimension order.
-        ASSERT_EQ(flat->index_keys[fv][static_cast<size_t>(k)].attrs(),
+        ASSERT_EQ(flat->index_keys[fv][static_cast<size_t>(k)].ToVector(),
                   hier->IndexOrderOf(hv, k))
             << "index " << k;
         ASSERT_EQ(fg.index_space(fv, k), hg.index_space(hv, k));

@@ -20,6 +20,7 @@
 #include "core/cube_graph.h"
 #include "core/inner_greedy.h"
 #include "core/r_greedy.h"
+#include "core/sparse_cube_graph.h"
 #include "data/fact_generator.h"
 #include "data/synthetic.h"
 #include "common/thread_pool.h"
@@ -425,6 +426,33 @@ TEST(SelectionWorkCountersTest, CostCellsAndRechecksArePinned) {
               res.stats.cost_cells);
     EXPECT_EQ(res.metrics.CounterValue("selection.exact_rechecks"),
               res.stats.exact_rechecks);
+#endif
+  }
+}
+
+// The sparse build's candidate-class gather on a fixed dim-12 workload:
+// the cone positions it enumerates are an exact total, pinned, the same
+// at every thread count, and published as
+// graph_build.sparse.family_cone_visits.
+TEST(SparseBuildCountersTest, FamilyConeVisitsArePinned) {
+  SyntheticCube cube = UniformSyntheticCube(12, 30, 1e-6);
+  const Workload workload =
+      SampledZipfSliceQueries(CubeLattice(cube.schema), 1.1, 200, 42);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    SparseCubeGraphOptions options;
+    options.raw_scan_penalty = 2.0;
+    options.num_threads = threads;
+#if defined(OLAPIDX_METRICS_ENABLED)
+    MetricsRunScope scope;
+#endif
+    StatusOr<SparseCubeGraph> sparse =
+        TryBuildSparseCubeGraph(cube.schema, cube.sizes, workload, options);
+    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+    EXPECT_EQ(sparse->stats.family_cone_visits, 5738u) << "threads " << threads;
+#if defined(OLAPIDX_METRICS_ENABLED)
+    EXPECT_EQ(
+        scope.Delta().CounterValue("graph_build.sparse.family_cone_visits"),
+        sparse->stats.family_cone_visits);
 #endif
   }
 }

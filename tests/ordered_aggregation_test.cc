@@ -292,7 +292,7 @@ void CheckSchema(uint64_t seed, Coverage& coverage) {
           }
           const size_t before = coverage.ordered;
           ExpectPathsMatchUnordered(
-              schema, index.key().attrs(), group_by, selection,
+              schema, index.key().ToVector(), group_by, selection,
               RowStates(view.aggregate_data()),
               [&](auto&& feed) {
                 index.ScanPrefix(prefix_values, [&](uint32_t r) {

@@ -87,7 +87,7 @@ TEST(ViewIndexTest, FatIndexKeysAreUnique) {
 // The (key, row) entries of `index` over `view`, sorted by std::sort.
 std::vector<std::pair<uint64_t, uint32_t>> SortedEntries(
     const MaterializedView& view, const ViewIndex& index) {
-  const KeyCodec codec(view.schema(), index.key().attrs());
+  const KeyCodec codec(view.schema(), index.key().ToVector());
   std::vector<std::pair<uint64_t, uint32_t>> entries;
   for (size_t r = 0; r < view.num_rows(); ++r) {
     entries.emplace_back(view.KeyAt(codec, r), static_cast<uint32_t>(r));
