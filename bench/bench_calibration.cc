@@ -48,11 +48,12 @@ void RunShape(const Shape& shape, const CalibrationRunOptions& run_options,
   }
   auto model = std::make_shared<CalibratedCostModel>(fit->coefficients);
   std::printf(
-      "fitted over %zu probes: cost = %.3f*rows + %.3f*nodes + %.1f ns "
+      "fitted over %zu probes: cost = %.3f*rows + %.3f*steps + %.1f ns "
       "(R^2=%.4f%s)\n",
       fit->probes, fit->coefficients.per_row, fit->coefficients.per_node,
       fit->coefficients.fixed, fit->r_squared,
-      dataset->metrics_enabled ? "" : ", metrics off: node column dropped");
+      dataset->metrics_enabled ? ""
+                               : ", metrics off: search-step column dropped");
 
   if (first && !save_model.empty()) {
     Status saved = model->Save(save_model);

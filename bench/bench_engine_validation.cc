@@ -1,8 +1,8 @@
 // Experiment E10 — cost-model validation (supports Section 4): the linear
 // cost model claims answering γ_A σ_B from view V with index I_D costs
 // |V| / |E| rows. We generate a scaled TPC-D fact table, materialize a full
-// physical design, execute every slice-query shape against the real B-tree
-// engine, and compare measured rows-processed against the model.
+// physical design, execute every slice-query shape against the real
+// engine's indexes, and compare measured rows-processed against the model.
 
 #include <chrono>
 #include <cmath>

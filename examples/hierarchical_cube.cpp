@@ -74,7 +74,7 @@ int main() {
       "carry much of the benefit here.\n");
 
   // Physical check at 1/60 scale: materialize the same picks over real
-  // data and run a few slice queries through the B-tree executor.
+  // data and run a few slice queries through the indexed executor.
   std::printf("\nPhysical spot-check (50K-row fact table):\n");
   HierarchyMaps maps = HierarchyMaps::Balanced(schema);
   FactTable fact = GenerateHierarchicalFacts(schema, 50'000, /*seed=*/7);

@@ -4,7 +4,7 @@
 //   2. estimate every subcube's size by sampling (GEE estimator) instead of
 //      materializing the cube,
 //   3. run the selection algorithm under a budget,
-//   4. materialize the recommended views and B-tree indexes,
+//   4. materialize the recommended views and indexes,
 //   5. execute the whole slice-query workload and measure the actual rows
 //      processed, comparing against both the raw-table baseline and the
 //      advisor's predictions.

@@ -70,7 +70,7 @@ void RunPhase(const Executor& executor, const FactTable& fact,
       if (r > 0) continue;  // features are deterministic; record them once
       const MetricsSnapshot delta = scope.Delta();
       probe.touched_rows = stats.rows_processed;
-      probe.btree_node_touches = delta.CounterValue("btree.node_touches");
+      probe.search_steps = delta.CounterValue("index.search_steps");
       probe.scan_rows = delta.CounterValue("executor.rows_raw_scanned") +
                         delta.CounterValue("executor.rows_view_scanned");
       probe.index_rows = delta.CounterValue("executor.rows_index_probed");
@@ -105,8 +105,7 @@ std::string CalibrationDataset::ToJson() const {
            std::to_string(p.query.selection().mask()) +
            ", \"phase\": \"" + JsonEscape(p.phase) + "\"";
     out += ", \"touched_rows\": " + std::to_string(p.touched_rows);
-    out += ", \"btree_node_touches\": " +
-           std::to_string(p.btree_node_touches);
+    out += ", \"search_steps\": " + std::to_string(p.search_steps);
     out += ", \"scan_rows\": " + std::to_string(p.scan_rows);
     out += ", \"index_rows\": " + std::to_string(p.index_rows);
     out += ", \"result_rows\": " + std::to_string(p.result_rows);
@@ -202,12 +201,12 @@ StatusOr<CalibrationFitResult> FitCalibratedModel(
   targets.reserve(dataset.probes.size());
   for (const CalibrationProbe& p : dataset.probes) {
     const double touched = static_cast<double>(p.touched_rows);
-    const double nodes = static_cast<double>(p.btree_node_touches);
-    rows.push_back({touched, nodes, 1.0});
+    const double steps = static_cast<double>(p.search_steps);
+    rows.push_back({touched, steps, 1.0});
     targets.push_back(target == CalibrationTarget::kWallNs
                           ? static_cast<double>(p.wall_ns)
                           : kSimulatedTruth.per_row * touched +
-                                kSimulatedTruth.per_node * nodes +
+                                kSimulatedTruth.per_node * steps +
                                 kSimulatedTruth.fixed);
   }
   LeastSquaresOptions fit_options;

@@ -5,10 +5,10 @@
 //      catalog phases — no structures (raw scans), all views materialized
 //      (view scans of every size), views + one fat index per view (covered
 //      and partially covered probes) — and records one CalibrationProbe per
-//      execution under MetricsRunScope: rows touched, B-tree node touches,
+//      execution under MetricsRunScope: rows touched, index search steps,
 //      scan/index row classification, result rows, wall time.
 //   2. CalibrationDataset::ToJson serializes the probes as the
-//      schema-versioned "olapidx-calibration" v1 JSON document benches
+//      schema-versioned "olapidx-calibration" v2 JSON document benches
 //      archive next to their reports.
 //   3. FitCalibratedModel runs the deterministic least-squares fitter over
 //      the features to produce CalibrationCoefficients for a
@@ -58,7 +58,7 @@ struct CalibrationProbe {
   uint64_t touched_rows = 0;
   // Deltas of the engine's counters across the execution; all zero when
   // metrics are compiled out (OLAPIDX_METRICS=OFF).
-  uint64_t btree_node_touches = 0;  // btree.node_touches
+  uint64_t search_steps = 0;  // index.search_steps
   uint64_t scan_rows = 0;    // rows_raw_scanned + rows_view_scanned
   uint64_t index_rows = 0;   // rows_index_probed
   uint64_t result_rows = 0;  // groups in the query result
@@ -66,7 +66,8 @@ struct CalibrationProbe {
   bool used_index = false;   // the planner chose an index path
 };
 
-inline constexpr int kCalibrationDatasetVersion = 1;
+// Version 2: the index feature is search_steps (binary-search steps).
+inline constexpr int kCalibrationDatasetVersion = 2;
 
 struct CalibrationDataset {
   int version = kCalibrationDatasetVersion;
@@ -74,12 +75,12 @@ struct CalibrationDataset {
   uint64_t fact_rows = 0;
   // Whether the binary was built with OLAPIDX_METRICS=ON; when false the
   // counter-derived features are structurally zero and the fitter must
-  // drop the node-touch column (graceful degradation).
+  // drop the search-step column (graceful degradation).
   bool metrics_enabled = false;
   uint64_t seed = 0;
   std::vector<CalibrationProbe> probes;
 
-  // {"schema": "olapidx-calibration", "version": 1, ...} with one object
+  // {"schema": "olapidx-calibration", "version": 2, ...} with one object
   // per probe carrying exactly the feature fields above.
   std::string ToJson() const;
 };
@@ -110,22 +111,22 @@ enum class CalibrationTarget {
                  // deterministic, used by the golden regression test
 };
 
-// Ground truth for kSimulatedNs: cost = 5·touched + 120·nodes + 800.
+// Ground truth for kSimulatedNs: cost = 5·touched + 120·steps + 800.
 inline constexpr CalibrationCoefficients kSimulatedTruth{5.0, 120.0, 800.0};
 
 struct CalibrationFitResult {
   CalibrationCoefficients coefficients;
   // Feature columns dropped as degenerate: 0 = touched_rows,
-  // 1 = btree_node_touches (always dropped when metrics are compiled
-  // out), 2 = intercept.
+  // 1 = search_steps (always dropped when metrics are compiled out),
+  // 2 = intercept.
   std::vector<int> dropped_columns;
   double r_squared = 0.0;
   size_t probes = 0;
 };
 
-// Fits cost ≈ per_row·touched_rows + per_node·node_touches + fixed over
+// Fits cost ≈ per_row·touched_rows + per_node·search_steps + fixed over
 // the dataset by deterministic least squares, dropping degenerate columns
-// (all-zero node touches under OLAPIDX_METRICS=OFF) and clamping negative
+// (all-zero search steps under OLAPIDX_METRICS=OFF) and clamping negative
 // fitted coefficients to 0 so the resulting model stays monotone in every
 // feature. InvalidArgument for an empty dataset.
 StatusOr<CalibrationFitResult> FitCalibratedModel(

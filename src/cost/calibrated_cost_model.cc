@@ -1,7 +1,9 @@
 #include "cost/calibrated_cost_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -173,10 +175,8 @@ StatusOr<LeastSquaresFit> FitLeastSquares(
   return fit;
 }
 
-CalibratedCostModel::CalibratedCostModel(CalibrationCoefficients coefficients,
-                                         int btree_fanout)
-    : coefficients_(coefficients), btree_fanout_(btree_fanout) {
-  OLAPIDX_CHECK(btree_fanout_ >= 2);
+CalibratedCostModel::CalibratedCostModel(CalibrationCoefficients coefficients)
+    : coefficients_(coefficients) {
   OLAPIDX_CHECK(std::isfinite(coefficients_.per_row));
   OLAPIDX_CHECK(std::isfinite(coefficients_.per_node));
   OLAPIDX_CHECK(std::isfinite(coefficients_.fixed));
@@ -187,36 +187,27 @@ double CalibratedCostModel::ScanCost(double view_rows) const {
                   coefficients_.per_row * view_rows + coefficients_.fixed);
 }
 
-double CalibratedCostModel::EstimatedNodeTouches(double view_rows,
-                                                 double prefix_rows) const {
-  const double touched = view_rows / std::max(1.0, prefix_rows);
-  // Descent: one node per level. The loop mirrors how a B+tree of
-  // `view_rows` entries grows (engine/btree.h); it is exact integer
-  // arithmetic in doubles for any realistic size, hence deterministic.
-  double height = 1.0;
-  double capacity = static_cast<double>(btree_fanout_);
-  while (capacity < view_rows && height < 64.0) {
-    capacity *= static_cast<double>(btree_fanout_);
-    height += 1.0;
-  }
-  // Range scan: one leaf per fanout rows retrieved.
-  return height + touched / static_cast<double>(btree_fanout_);
+double CalibratedCostModel::EstimatedSearchSteps(double view_rows) {
+  // ⌈log2(x + 1)⌉ = bit_width(⌈x⌉) for every real x >= 0, in exact integer
+  // arithmetic; a view cannot hold 2^63 rows, so the clamp only keeps the
+  // cast defined.
+  if (!(view_rows > 0.0)) return 0.0;
+  const double rows = std::ceil(std::min(view_rows, 0x1p63));
+  return static_cast<double>(std::bit_width(static_cast<uint64_t>(rows)));
 }
 
 double CalibratedCostModel::IndexCost(double view_rows,
                                       double prefix_rows) const {
   const double touched = view_rows / std::max(1.0, prefix_rows);
-  const double nodes = EstimatedNodeTouches(view_rows, prefix_rows);
+  const double steps = EstimatedSearchSteps(view_rows);
   return std::max(kMinCost, coefficients_.per_row * touched +
-                                coefficients_.per_node * nodes +
+                                coefficients_.per_node * steps +
                                 coefficients_.fixed);
 }
 
 std::string CalibratedCostModel::Serialize() const {
   char buf[256];
-  std::string out = "olapidx-costmodel v1\n";
-  std::snprintf(buf, sizeof(buf), "fanout %d\n", btree_fanout_);
-  out += buf;
+  std::string out = "olapidx-costmodel v2\n";
   std::snprintf(buf, sizeof(buf), "per_row %a\n", coefficients_.per_row);
   out += buf;
   std::snprintf(buf, sizeof(buf), "per_node %a\n", coefficients_.per_node);
@@ -230,9 +221,16 @@ StatusOr<CalibratedCostModel> CalibratedCostModel::Parse(
     const std::string& text) {
   std::istringstream in(text);
   std::string line;
-  if (!std::getline(in, line) || line != "olapidx-costmodel v1") {
+  const bool has_header = static_cast<bool>(std::getline(in, line));
+  if (has_header && line == "olapidx-costmodel v1") {
     return Status::InvalidArgument(
-        "cost model file: missing 'olapidx-costmodel v1' header");
+        "cost model file: a v1 model's per_node was fitted to B-tree node "
+        "touches, but indexes are now binary-searched sorted arrays; refit "
+        "the model (bench_calibration --save-model=FILE writes v2)");
+  }
+  if (!has_header || line != "olapidx-costmodel v2") {
+    return Status::InvalidArgument(
+        "cost model file: missing 'olapidx-costmodel v2' header");
   }
   auto parse_double = [](const std::string& token, double* out) {
     const char* begin = token.c_str();
@@ -240,15 +238,12 @@ StatusOr<CalibratedCostModel> CalibratedCostModel::Parse(
     *out = std::strtod(begin, &end);
     return end != begin && *end == '\0' && std::isfinite(*out);
   };
-  int fanout = 0;
   CalibrationCoefficients coefficients;
   struct Field {
     const char* key;
     double* value;
   };
-  double fanout_value = 0.0;
   const Field fields[] = {
-      {"fanout", &fanout_value},
       {"per_row", &coefficients.per_row},
       {"per_node", &coefficients.per_node},
       {"fixed", &coefficients.fixed},
@@ -266,12 +261,11 @@ StatusOr<CalibratedCostModel> CalibratedCostModel::Parse(
           "' line: " + line);
     }
   }
-  fanout = static_cast<int>(fanout_value);
-  if (fanout < 2 || static_cast<double>(fanout) != fanout_value) {
+  if (std::getline(in, line)) {
     return Status::InvalidArgument(
-        "cost model file: fanout must be an integer >= 2");
+        "cost model file: unexpected line after 'fixed': " + line);
   }
-  return CalibratedCostModel(coefficients, fanout);
+  return CalibratedCostModel(coefficients);
 }
 
 Status CalibratedCostModel::Save(const std::string& path) const {

@@ -2,20 +2,21 @@
 // linear model, behind the same CostModel seam.
 //
 // The paper costs a plan purely by rows touched (c = |C|/|E|). The real
-// executor also pays per B-tree node it traverses and a fixed per-query
-// overhead (planning, group-accumulator setup), so the calibrated model is
-// the affine form
+// executor also pays for the binary search that finds a probe's first
+// index entry and a fixed per-query overhead (planning, group-accumulator
+// setup), so the calibrated model is the affine form
 //
-//     cost = per_row · touched_rows + per_node · node_touches + fixed
+//     cost = per_row · touched_rows + per_node · search_steps + fixed
 //
 // with coefficients fitted by deterministic least squares over a
 // calibration dataset of measured probes (calibration/calibrator.h). The
 // features the model needs at *planning* time are estimated from the same
-// quantities the builders already hoist: touched_rows = |C|/|E| and an
-// analytic B-tree node-touch estimate (descend one node per level, then
-// scan touched/fanout leaves). With per_node = fixed = 0 and per_row = 1
-// the model degrades to the paper's — that is also the graceful fallback
-// when metrics are compiled out and the node-touch column is degenerate.
+// quantities the builders already hoist: touched_rows = |C|/|E| and
+// search_steps = ⌈log2(|V| + 1)⌉, exactly the steps the engine counts for
+// a probe of an index over |V| entries (engine/view_index.h). With
+// per_node = fixed = 0 and per_row = 1 the model degrades to the paper's —
+// that is also the graceful fallback when metrics are compiled out and the
+// search-step column is degenerate.
 //
 // The fitter lives here too: plain normal equations solved by Gaussian
 // elimination with partial pivoting, no external dependencies, bitwise
@@ -40,7 +41,7 @@ namespace olapidx {
 
 struct LeastSquaresOptions {
   // When a feature column is (near-)linearly dependent on the others —
-  // all-zero node touches with metrics compiled out being the canonical
+  // all-zero search steps with metrics compiled out being the canonical
   // case — drop it (coefficient 0, recorded in dropped_columns) and refit
   // instead of failing. Off = strict: such inputs return
   // FailedPrecondition.
@@ -76,16 +77,14 @@ StatusOr<LeastSquaresFit> FitLeastSquares(
 
 struct CalibrationCoefficients {
   double per_row = 1.0;   // cost per row touched
-  double per_node = 0.0;  // cost per B-tree node traversed
+  double per_node = 0.0;  // cost per binary-search step (one node of the
+                          // index's implicit search tree)
   double fixed = 0.0;     // per-query overhead
 };
 
 class CalibratedCostModel final : public CostModel {
  public:
-  // `btree_fanout` must match the engine's B-trees (engine/btree.h defaults
-  // to 64) — it drives the analytic node-touch estimate.
-  explicit CalibratedCostModel(CalibrationCoefficients coefficients,
-                               int btree_fanout = 64);
+  explicit CalibratedCostModel(CalibrationCoefficients coefficients);
 
   double ScanCost(double view_rows) const override;
   double IndexCost(double view_rows, double prefix_rows) const override;
@@ -94,16 +93,19 @@ class CalibratedCostModel final : public CostModel {
   const CalibrationCoefficients& coefficients() const {
     return coefficients_;
   }
-  int btree_fanout() const { return btree_fanout_; }
 
-  // Analytic node touches of probing a view of `view_rows` rows through a
-  // key prefix with `prefix_rows` distinct values: one node per tree level
-  // on the descent, then one leaf per `btree_fanout` rows retrieved.
-  double EstimatedNodeTouches(double view_rows, double prefix_rows) const;
+  // Search steps of one probe of an index over `view_rows` entries:
+  // ⌈log2(view_rows + 1)⌉, which for n entries is std::bit_width(n), the
+  // engine's index.search_steps per probe. It does not depend on how many
+  // rows the probe then touches: their walk is priced by per_row.
+  static double EstimatedSearchSteps(double view_rows);
 
-  // ---- Persistence: "olapidx-costmodel v1" (see core/serialize.h for the
-  // repo's line-format conventions). Doubles are written as C99 hexfloats
-  // (%a), so Serialize → Parse reproduces every coefficient bit for bit.
+  // ---- Persistence: "olapidx-costmodel v2" (see core/serialize.h for the
+  // repo's line-format conventions): the header, then one line each for
+  // per_row, per_node and fixed, and nothing after. Doubles are written as
+  // C99 hexfloats (%a), so Serialize → Parse reproduces every coefficient
+  // bit for bit. A v1 file is rejected: its per_node was fitted to B-tree
+  // node touches and must be refitted.
   std::string Serialize() const;
   static StatusOr<CalibratedCostModel> Parse(const std::string& text);
   Status Save(const std::string& path) const;
@@ -112,7 +114,6 @@ class CalibratedCostModel final : public CostModel {
 
  private:
   CalibrationCoefficients coefficients_;
-  int btree_fanout_;
 };
 
 }  // namespace olapidx

@@ -57,8 +57,8 @@ class LinearCostModel {
     return sizes_->SizeOf(view_attrs);
   }
 
-  // Space occupied by any index on the view: same as the view (the number
-  // of B-tree leaf entries equals the number of rows).
+  // Space occupied by any index on the view: same as the view (an index
+  // holds one entry per view row, the paper's B-tree leaf entries).
   double IndexSpace(AttributeSet view_attrs) const {
     return sizes_->SizeOf(view_attrs);
   }

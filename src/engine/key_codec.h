@@ -1,7 +1,8 @@
 // KeyCodec: packs an ordered list of dimension values into a single uint64
 // whose numeric order equals the lexicographic order of the values in key
-// order. This is the composite-key representation used by the B+tree
-// indexes and the group-by hash tables.
+// order. This is the composite-key representation the view indexes sort
+// and binary-search (engine/view_index.h) and the group-bys sort or hash
+// by.
 
 #ifndef OLAPIDX_ENGINE_KEY_CODEC_H_
 #define OLAPIDX_ENGINE_KEY_CODEC_H_

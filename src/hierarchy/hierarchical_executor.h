@@ -1,5 +1,5 @@
 // Physical execution of hierarchical slice queries: a catalog of
-// materialized leveled views (with B-tree indexes keyed at view levels)
+// materialized leveled views (with sorted indexes keyed at view levels)
 // plus an executor that picks the cheapest access path, filters coarser
 // selections through the level maps, aggregates to the query's group-by
 // levels, and counts rows processed.
@@ -7,8 +7,8 @@
 // Index usability on a hierarchy (clustered key encodings): a key prefix
 // of point-valued dimensions (selection at exactly the view's level),
 // optionally followed by one range dimension (selection at a coarser
-// level — a contiguous child-code range), defines one contiguous B-tree
-// range; remaining selections are post-filtered.
+// level — a contiguous child-code range), defines one contiguous range of
+// index entries; remaining selections are post-filtered.
 
 #ifndef OLAPIDX_HIERARCHY_HIERARCHICAL_EXECUTOR_H_
 #define OLAPIDX_HIERARCHY_HIERARCHICAL_EXECUTOR_H_
@@ -40,7 +40,7 @@ class HierarchicalCatalog {
   size_t MaterializeView(const LevelVector& levels);
   bool HasView(const LevelVector& levels) const;
 
-  // Builds a B-tree index keyed by `dim_order` (hierarchy dimension ids,
+  // Builds an index keyed by `dim_order` (hierarchy dimension ids,
   // all active in the view) over the view's leveled codes.
   void BuildIndex(const LevelVector& levels,
                   const std::vector<int>& dim_order);

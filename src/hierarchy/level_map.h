@@ -33,8 +33,7 @@ class DimensionLevelMap {
   // parent floor(c · parents / children), so each parent's children form a
   // contiguous code range — the standard ROLAP key encoding (day codes
   // ordered by date ⇒ each month is a contiguous day range), which is what
-  // lets a fine-keyed B-tree index serve coarser selections as range
-  // scans.
+  // lets a fine-keyed index serve coarser selections as range scans.
   static DimensionLevelMap Balanced(const HierarchicalDimension& dimension);
 
   // True iff every adjacent map is monotone non-decreasing (clustered).

@@ -1,7 +1,9 @@
-// IndexKey: the search key of a B-tree index — an *ordered* sequence of
-// distinct attributes. Order matters (Section 3.3 of the paper): the index
-// I_{X1..Xk}(V) helps a slice query exactly on the longest prefix of
-// X1..Xk consisting only of the query's selection attributes.
+// IndexKey: the search key of an index (the paper's B-tree index; the
+// engine stores its entries sorted, engine/view_index.h) — an *ordered*
+// sequence of distinct attributes. Order matters (Section 3.3 of the
+// paper): the index I_{X1..Xk}(V) helps a slice query exactly on the
+// longest prefix of X1..Xk consisting only of the query's selection
+// attributes.
 //
 // A key is a plain value: its at most kMaxDimensions attribute ids live
 // inline, so building, copying or freeing one allocates nothing.

@@ -3,6 +3,7 @@
 // regression pinning the fitted coefficients and the dataset schema, and
 // the paired-selection never-worse invariant.
 
+#include <bit>
 #include <cmath>
 #include <memory>
 
@@ -74,7 +75,7 @@ TEST(FitLeastSquaresTest, RankDeficientStrictReturnsFailedPrecondition) {
 
 TEST(FitLeastSquaresTest, DropModeRecoversFromZeroColumn) {
   // Column 1 is all-zero — exactly what OLAPIDX_METRICS=OFF produces for
-  // the node-touch feature.
+  // the search-step feature.
   std::vector<std::vector<double>> rows;
   std::vector<double> targets;
   for (int i = 1; i <= 8; ++i) {
@@ -149,12 +150,22 @@ TEST(CalibratedCostModelTest, DegradesToPaperModelWithUnitCoefficients) {
   EXPECT_DOUBLE_EQ(model.IndexCost(1.0, 1.0), 1.0);
 }
 
-TEST(CalibratedCostModelTest, NodeTouchesGrowWithTouchedRows) {
-  CalibratedCostModel model({1.0, 1.0, 0.0});
-  const double small = model.EstimatedNodeTouches(4096.0, 4096.0);
-  const double large = model.EstimatedNodeTouches(4096.0, 1.0);
-  EXPECT_GE(small, 1.0);
-  EXPECT_GT(large, small);
+// The node term is the engine's index.search_steps per probe: bit_width of
+// the index's entry count, whatever the prefix's selectivity.
+TEST(CalibratedCostModelTest, SearchStepsAreTheBitWidthOfTheViewRows) {
+  const CalibratedCostModel steps_only({/*per_row=*/0.0, /*per_node=*/1.0,
+                                        /*fixed=*/0.0});
+  for (uint64_t n : {1u, 2u, 3u, 4095u, 4096u, 250238u}) {
+    const double rows = static_cast<double>(n);
+    const double expected = static_cast<double>(std::bit_width(n));
+    EXPECT_EQ(CalibratedCostModel::EstimatedSearchSteps(rows), expected)
+        << n;
+    for (double prefix_rows : {1.0, 2.0, rows, 10.0 * rows}) {
+      EXPECT_EQ(steps_only.IndexCost(rows, prefix_rows), expected)
+          << n << " rows, " << prefix_rows << " prefix rows";
+    }
+  }
+  EXPECT_EQ(CalibratedCostModel::EstimatedSearchSteps(0.0), 0.0);
 }
 
 TEST(CalibratedCostModelTest, CostIsFlooredPositive) {
@@ -215,9 +226,9 @@ TEST_F(CalibrationPipelineTest, DatasetSchemaAndDeterministicFeatures) {
   const std::string json = dataset->ToJson();
   EXPECT_NE(json.find("\"schema\": \"olapidx-calibration\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"probes\""), std::string::npos);
-  EXPECT_NE(json.find("\"btree_node_touches\""), std::string::npos);
+  EXPECT_NE(json.find("\"search_steps\""), std::string::npos);
 
   // Same options -> bit-identical dataset (and therefore JSON).
   StatusOr<CalibrationDataset> again = RunCalibration(fact, RunOptions());
@@ -254,7 +265,7 @@ TEST_F(CalibrationPipelineTest, GoldenFitRecoversSimulatedTruth) {
   EXPECT_NEAR(fit->coefficients.per_node, kSimulatedTruth.per_node, 1e-3);
   EXPECT_NEAR(fit->coefficients.fixed, kSimulatedTruth.fixed, 1e-2);
 #else
-  // Metrics compiled out: the node-touch column is structurally zero, the
+  // Metrics compiled out: the search-step column is structurally zero, the
   // fitter must drop it (graceful degradation) and still recover the
   // remaining coefficients exactly.
   EXPECT_EQ(dataset->metrics_enabled, false);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "common/thread_pool.h"
 #include "engine/batch_executor.h"
 #include "engine/group_accumulator.h"
+#include "engine/view_index.h"
 #include "workload/workload.h"
 
 namespace olapidx {
@@ -294,6 +296,49 @@ TEST(ExecutorMetricsTest, PooledSortCountsQueriesThatFanOut) {
   const MetricsSnapshot delta = scope.Delta();
   EXPECT_EQ(delta.CounterValue("executor.aggregations_sorted"), 1u);
   EXPECT_EQ(delta.CounterValue("executor.aggregations_parallel"), 0u);
+}
+
+// Every probe of an index adds its binary search's bit_width(entries)
+// steps to index.search_steps in one add, whatever it then visits (an
+// inverted range included); a probe of an empty index adds nothing. No
+// counter of the B-tree the sorted entries replaced is recorded.
+TEST(IndexMetricsTest, SearchStepsArePinnedPerProbe) {
+  const CubeSchema schema(
+      {Dimension{"a", 16}, Dimension{"b", 12}, Dimension{"c", 10}});
+  const FactTable fact = GenerateUniformFacts(schema, 3000, /*seed=*/9);
+  const MaterializedView view =
+      MaterializedView::FromFactTable(fact, schema.AllAttributes());
+  const ViewIndex index(view, IndexKey({1, 0, 2}));
+  const uint64_t entries = index.num_entries();
+  const auto none = [](uint32_t) {};
+
+  MetricsRunScope scope;
+  uint64_t probes = 0;
+  for (uint32_t b = 0; b < 12; ++b) {
+    index.ScanPrefix({b}, none);
+    index.ScanPrefix({b, b % 16}, none);
+    index.ScanPrefixRange({b}, 2, 9, none);
+    probes += 3;
+  }
+  index.ScanPrefix({}, none);
+  index.ScanPrefixRange({3}, 9, 2, none);
+  probes += 2;
+  FactTable no_rows(schema);
+  const ViewIndex empty(
+      MaterializedView::FromFactTable(no_rows, schema.AllAttributes()),
+      IndexKey({0}));
+  empty.ScanPrefix({1}, none);
+  const MetricsSnapshot delta = scope.Delta();
+  EXPECT_EQ(probes, 38u);
+  EXPECT_EQ(delta.CounterValue("index.search_steps"),
+            probes * static_cast<uint64_t>(std::bit_width(entries)));
+  for (const auto& [name, value] : delta.counters) {
+    EXPECT_NE(name.rfind("btree.", 0), 0u) << name << " = " << value;
+  }
+  for (const auto& [name, value] :
+       MetricsRegistry::Global().Snapshot().counters) {
+    EXPECT_NE(name.rfind("btree.", 0), 0u) << name << " = " << value;
+  }
 }
 
 #else  // !OLAPIDX_METRICS_ENABLED

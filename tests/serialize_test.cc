@@ -311,7 +311,7 @@ TEST_F(SerializeTest, CheckpointFromEarlierCostTableLayoutRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// "olapidx-costmodel v1" (cost/calibrated_cost_model.h).
+// "olapidx-costmodel v2" (cost/calibrated_cost_model.h).
 // ---------------------------------------------------------------------------
 
 TEST(CostModelSerializeTest, SerializeParseRoundTripIsBitIdentical) {
@@ -321,15 +321,15 @@ TEST(CostModelSerializeTest, SerializeParseRoundTripIsBitIdentical) {
   coefficients.per_row = 1.0 / 3.0;
   coefficients.per_node = 0.1 + 0.2;
   coefficients.fixed = 12345.6789e-3;
-  CalibratedCostModel model(coefficients, /*btree_fanout=*/128);
+  CalibratedCostModel model(coefficients);
 
   std::string text = model.Serialize();
+  EXPECT_EQ(text.rfind("olapidx-costmodel v2\nper_row ", 0), 0u) << text;
   StatusOr<CalibratedCostModel> parsed = CalibratedCostModel::Parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->coefficients().per_row, coefficients.per_row);
   EXPECT_EQ(parsed->coefficients().per_node, coefficients.per_node);
   EXPECT_EQ(parsed->coefficients().fixed, coefficients.fixed);
-  EXPECT_EQ(parsed->btree_fanout(), 128);
   EXPECT_EQ(parsed->Serialize(), text);
 }
 
@@ -348,29 +348,53 @@ TEST(CostModelSerializeTest, ParseRejectsMalformedInput) {
   auto code = [](const std::string& text) {
     return CalibratedCostModel::Parse(text).status().code();
   };
+  const std::string header = "olapidx-costmodel v2\n";
+  ASSERT_TRUE(
+      CalibratedCostModel::Parse(header + "per_row 1\nper_node 0\nfixed 0\n")
+          .ok());
   EXPECT_EQ(code(""), StatusCode::kInvalidArgument);
   EXPECT_EQ(code("olapidx-design v1\n"), StatusCode::kInvalidArgument);
-  EXPECT_EQ(code("olapidx-costmodel v2\nfanout 64\nper_row 1\n"
-                 "per_node 0\nfixed 0\n"),
+  EXPECT_EQ(code("olapidx-costmodel v3\nper_row 1\nper_node 0\nfixed 0\n"),
             StatusCode::kInvalidArgument);
   // Missing a line.
-  EXPECT_EQ(code("olapidx-costmodel v1\nfanout 64\nper_row 1\n"),
+  EXPECT_EQ(code(header + "per_row 1\n"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(header + "per_row 1\nper_node 0\n"),
             StatusCode::kInvalidArgument);
   // Wrong key order.
-  EXPECT_EQ(code("olapidx-costmodel v1\nfanout 64\nper_node 0\n"
-                 "per_row 1\nfixed 0\n"),
+  EXPECT_EQ(code(header + "per_node 0\nper_row 1\nfixed 0\n"),
             StatusCode::kInvalidArgument);
-  // Fanout must be an integer >= 2.
-  EXPECT_EQ(code("olapidx-costmodel v1\nfanout 1\nper_row 1\n"
-                 "per_node 0\nfixed 0\n"),
+  // v2 has no fanout line.
+  EXPECT_EQ(code(header + "fanout 64\nper_row 1\nper_node 0\nfixed 0\n"),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(code("olapidx-costmodel v1\nfanout 6.5\nper_row 1\n"
-                 "per_node 0\nfixed 0\n"),
+  // Non-finite or malformed coefficient.
+  EXPECT_EQ(code(header + "per_row inf\nper_node 0\nfixed 0\n"),
             StatusCode::kInvalidArgument);
-  // Non-finite coefficient.
-  EXPECT_EQ(code("olapidx-costmodel v1\nfanout 64\nper_row inf\n"
-                 "per_node 0\nfixed 0\n"),
+  EXPECT_EQ(code(header + "per_row 1\nper_node nan\nfixed 0\n"),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(header + "per_row 1\nper_node 0\nfixed 2x\n"),
+            StatusCode::kInvalidArgument);
+  // Nothing may follow the fixed line.
+  EXPECT_EQ(code(header + "per_row 1\nper_node 0\nfixed 0\ntrailing junk\n"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(header + "per_row 1\nper_node 0\nfixed 0\nfixed 0\n"),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CostModelSerializeTest, ParseRejectsVersionOneAsNeedingARefit) {
+  // A v1 file's per_node was fitted to B-tree node touches. Its fanout
+  // line is never read, however large.
+  for (const char* fanout : {"64", "1e300"}) {
+    const StatusOr<CalibratedCostModel> parsed = CalibratedCostModel::Parse(
+        std::string("olapidx-costmodel v1\nfanout ") + fanout +
+        "\nper_row 1\nper_node 0\nfixed 0\n");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("node touches"),
+              std::string::npos)
+        << parsed.status().ToString();
+    EXPECT_NE(parsed.status().message().find("refit"), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(CostModelSerializeTest, LoadMissingFileIsInvalidArgument) {
