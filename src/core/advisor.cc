@@ -37,11 +37,11 @@ Status ResolveCheckpoint(const SelectionCheckpoint& checkpoint,
       out->picks.push_back(StructureRef{view, StructureRef::kNoIndex});
       continue;
     }
-    const std::vector<IndexKey>& keys = cube_graph.index_keys[view];
+    const QueryViewGraph& graph = cube_graph.graph;
     int32_t index = -1;
-    for (size_t k = 0; k < keys.size(); ++k) {
-      if (keys[k] == s.index) {
-        index = static_cast<int32_t>(k);
+    for (int32_t k = 0; k < graph.num_indexes(view); ++k) {
+      if (graph.index_key(view, k) == s.index) {
+        index = k;
         break;
       }
     }
@@ -234,7 +234,7 @@ Recommendation Advisor::Recommend(const AdvisorConfig& config) const {
     RecommendedStructure r;
     r.view = cube_graph_.view_attrs[s.view];
     if (!s.is_view()) {
-      r.index = cube_graph_.index_keys[s.view][static_cast<size_t>(s.index)];
+      r.index = cube_graph_.graph.index_key(s.view, s.index);
     }
     r.name = cube_graph_.graph.StructureName(s);
     r.space = cube_graph_.graph.structure_space(s);
@@ -259,7 +259,7 @@ Recommendation Advisor::Recommend(const AdvisorConfig& config) const {
       if (!query.AnswerableFrom(view_attrs)) continue;
       IndexKey key;
       if (!s.is_view()) {
-        key = cube_graph_.index_keys[s.view][static_cast<size_t>(s.index)];
+        key = cube_graph_.graph.index_key(s.view, s.index);
       }
       const double view_rows = sizes_.SizeOf(view_attrs);
       const double c =

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 namespace olapidx {
 
 bool ColumnPricer::Load(const QueryViewGraph& graph,
                         const SelectionState& state, uint32_t v) {
-  const std::vector<uint32_t>& queries = graph.ViewQueries(v);
+  const std::span<const uint32_t> queries = graph.ViewQueries(v);
   const size_t n = queries.size();
   const size_t num_cols = graph.num_cols(v);
   if (graph.num_indexes(v) == 0 || n == 0 ||
@@ -21,7 +22,7 @@ bool ColumnPricer::Load(const QueryViewGraph& graph,
   // the end of column c's run in entries_), summing f·cur on the way. The
   // sum is not finite if one term is not, and below a quarter of the
   // largest double the error bound's sums cannot overflow (DESIGN.md §4).
-  const std::vector<uint32_t>& col_of_pos = graph.col_of_pos(v);
+  const std::span<const uint32_t> col_of_pos = graph.col_of_pos(v);
   col_end_.assign(num_cols, 0);
   for (size_t pos = 0; pos < n; ++pos) ++col_end_[col_of_pos[pos]];
   uint32_t running = 0;

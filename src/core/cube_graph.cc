@@ -18,9 +18,11 @@ CubeGraph BuildCubeGraph(const CubeSchema& schema, const ViewSizes& sizes,
 }
 
 // The pre-optimization builder, kept verbatim (modulo the Status wrapper
-// around the dimension limits) as the differential oracle: every view is
-// tested per query, every permutation is costed individually, and every
-// index name is materialized eagerly.
+// around the dimension limits and the graph owning the index keys) as the
+// differential oracle: every view is tested per query, and every
+// permutation is costed individually. Index maintenance is set index by
+// index, so the graph holds it per index where the fast builder's is
+// uniform per view.
 CubeGraph BuildCubeGraphReference(const CubeSchema& schema,
                                   const ViewSizes& sizes,
                                   const Workload& workload,
@@ -32,6 +34,7 @@ CubeGraph BuildCubeGraphReference(const CubeSchema& schema,
 
   CubeGraph out;
   QueryViewGraph& g = out.graph;
+  g.SetNameDictionary(schema.names());
 
   // Views and their indexes. Graph view ids coincide with lattice ViewIds
   // because we add them in mask order.
@@ -49,16 +52,14 @@ CubeGraph BuildCubeGraphReference(const CubeSchema& schema,
     std::vector<IndexKey> keys = options.fat_indexes_only
                                      ? lattice.FatIndexes(v)
                                      : lattice.AllIndexes(v);
-    for (const IndexKey& key : keys) {
-      int32_t gi = g.AddIndex(gv, key.ToString(schema.names()),
-                              cost.IndexSpace(attrs));
-      if (options.maintenance_per_row > 0.0) {
+    g.AddIndexes(gv, keys, cost.IndexSpace(attrs));
+    if (options.maintenance_per_row > 0.0) {
+      for (int32_t gi = 0; gi < g.num_indexes(gv); ++gi) {
         g.SetIndexMaintenance(gv, gi,
                               options.maintenance_per_row *
                                   cost.IndexSpace(attrs));
       }
     }
-    out.index_keys.push_back(std::move(keys));
   }
 
   // Queries: default cost is a scan of the raw data, modelled as the base
@@ -81,11 +82,10 @@ CubeGraph BuildCubeGraphReference(const CubeSchema& schema,
       if (!wq.query.AnswerableFrom(view_attrs)) continue;
       double scan = cost.ScanCost(view_attrs);
       g.AddViewEdge(q, v, scan);
-      const std::vector<IndexKey>& keys = out.index_keys[v];
-      for (size_t k = 0; k < keys.size(); ++k) {
-        double c = cost.QueryCost(wq.query, view_attrs, keys[k]);
+      for (int32_t k = 0; k < g.num_indexes(v); ++k) {
+        double c = cost.QueryCost(wq.query, view_attrs, g.index_key(v, k));
         if (c < scan) {
-          g.AddIndexEdge(q, v, static_cast<int32_t>(k), c);
+          g.AddIndexEdge(q, v, k, c);
         }
       }
     }

@@ -61,12 +61,11 @@ struct CubeGraphOptions {
 
 // A cube-instantiated query-view graph plus the metadata needed to map graph
 // ids back to cube objects (for reporting and for the execution engine).
+// Index keys live in the graph, their one owner: graph.index_key(v, k).
 struct CubeGraph {
   QueryViewGraph graph;
   // graph view id -> subcube attribute set.
   std::vector<AttributeSet> view_attrs;
-  // graph view id -> index position -> index key.
-  std::vector<std::vector<IndexKey>> index_keys;
   // graph query id -> slice query.
   std::vector<SliceQuery> queries;
 };

@@ -5,10 +5,12 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "core/beam_cut.h"
 #include "core/column_pricer.h"
 #include "core/selection_metrics.h"
 #include "core/selection_state.h"
@@ -53,8 +55,9 @@ struct ViewSlot {
   double ratio() const { return benefit / space; }
 };
 
-// Work of one chunk's per-view evaluations, summed in chunk order after
-// each parallel pass, so the totals are exact at any thread count.
+// Work of one chunk's per-view evaluations, summed after each parallel
+// pass: integer totals, exact at any thread count and whichever chunk
+// claimed which view.
 struct WorkCounts {
   uint64_t evals = 0;     // candidate evaluations (candidates_evaluated)
   uint64_t cells = 0;     // cost cells read: (index, position) pairs on
@@ -72,8 +75,10 @@ struct Priced {
 };
 
 // Per-thread buffers of the per-view evaluations, reused across views and
-// stages so an evaluation allocates nothing per view.
-struct ViewScratch {
+// stages so an evaluation allocates nothing per view. Cache-line aligned:
+// the chunks of a pass run side by side and resize these vectors
+// constantly.
+struct alignas(64) ViewScratch {
   // Bundle growth.
   std::vector<double> offered;
   std::vector<int32_t> remaining;
@@ -93,7 +98,7 @@ struct ViewScratch {
 double PositionIncrement(const QueryViewGraph& graph,
                          const SelectionState& state, uint32_t v, int32_t k,
                          const std::vector<double>& offered) {
-  const std::vector<uint32_t>& queries = graph.ViewQueries(v);
+  const std::span<const uint32_t> queries = graph.ViewQueries(v);
   double inc = 0.0;
   for (size_t pos = 0; pos < queries.size(); ++pos) {
     double c = graph.IndexCostAt(v, k, pos);
@@ -149,7 +154,7 @@ void RecheckNearMax(const std::vector<int32_t>& keys,
 void GrowBundle(const QueryViewGraph& graph, const SelectionState& state,
                 uint32_t v, double space_budget, ViewSlot* slot,
                 ViewScratch* scratch, WorkCounts* work) {
-  const std::vector<uint32_t>& queries = graph.ViewQueries(v);
+  const std::span<const uint32_t> queries = graph.ViewQueries(v);
   const size_t nq = queries.size();
 
   // offered[pos]: cheapest cost IG currently offers for queries[pos].
@@ -417,8 +422,27 @@ SelectionResult InnerLevelGreedy(const QueryViewGraph& graph,
   ThreadPool& pool = private_pool ? *private_pool : ThreadPool::Shared();
   const size_t chunks = pool.num_threads();
   result.stats.threads_used = chunks;
+  result.stats.chunk_busy_micros.assign(chunks, 0);
+  result.stats.chunk_cells.assign(chunks, 0);
 
   const uint32_t num_views = graph.num_views();
+  // A view's evaluation reads about positions × (indexes + 1) cost cells.
+  // Views are numbered by attribute mask, so the wide, heavy ones sit
+  // together at the top of the id range: a pass hands its views out
+  // heaviest first, one at a time, so no chunk is left with the tail of
+  // heavy views while the others idle. A one-thread pool keeps id order.
+  std::vector<uint64_t> weight;
+  if (chunks > 1) {
+    weight.resize(num_views);
+    for (uint32_t v = 0; v < num_views; ++v) {
+      weight[v] = graph.ViewQueries(v).size() *
+                  (static_cast<uint64_t>(graph.num_indexes(v)) + 1);
+    }
+  }
+  auto heaviest_first = [&](uint32_t a, uint32_t b) {
+    if (weight[a] != weight[b]) return weight[a] > weight[b];
+    return a < b;
+  };
   std::vector<ViewSlot> slots(num_views);
   std::vector<uint32_t> dirty;
   dirty.reserve(num_views);
@@ -500,13 +524,8 @@ SelectionResult InnerLevelGreedy(const QueryViewGraph& graph,
         if (slots[v].bound_ok) beamed.push_back(v);
       }
       if (beamed.size() > options.beam_width) {
-        std::sort(beamed.begin(), beamed.end(),
-                  [&](uint32_t a, uint32_t b) {
-                    if (slots[a].bound != slots[b].bound) {
-                      return slots[a].bound > slots[b].bound;
-                    }
-                    return a < b;
-                  });
+        CutBeam(beamed, options.beam_width,
+                [&](uint32_t v) { return slots[v].bound; });
         deferred.assign(
             beamed.begin() + static_cast<std::ptrdiff_t>(options.beam_width),
             beamed.end());
@@ -522,27 +541,41 @@ SelectionResult InnerLevelGreedy(const QueryViewGraph& graph,
 
     // Evaluation crosses the pool's fault points and polls the stop
     // inputs between per-view evaluations; an interrupted view keeps its
-    // stale version and is re-evaluated on resume.
+    // stale version and is re-evaluated on resume. Each chunk claims the
+    // list's next view until none is left; every view writes only its own
+    // slot, so the claim order changes no result.
     std::atomic<bool> stop_requested{false};
-    auto evaluate_list = [&](const std::vector<uint32_t>& list) -> Status {
+    auto evaluate_list = [&](std::vector<uint32_t>& list) -> Status {
+      if (chunks > 1) std::sort(list.begin(), list.end(), heaviest_first);
       std::fill(chunk_work.begin(), chunk_work.end(), WorkCounts{});
+      std::atomic<size_t> next{0};
       Status st = pool.TryParallelFor(
-          list.size(), [&](size_t begin, size_t end, size_t chunk) -> Status {
-            for (size_t i = begin; i < end; ++i) {
+          std::min(chunks, list.size()),
+          [&](size_t, size_t, size_t chunk) -> Status {
+            const auto start = SteadyClock::now();
+            // Counted locally: the chunks' slots share cache lines.
+            WorkCounts work;
+            for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+                 i < list.size();
+                 i = next.fetch_add(1, std::memory_order_relaxed)) {
               if (stop_requested.load(std::memory_order_relaxed)) break;
               if (options.control.StopRequested()) {
                 stop_requested.store(true, std::memory_order_relaxed);
                 break;
               }
               EvaluateView(state, list[i], space_budget, &slots[list[i]],
-                           &chunk_scratch[chunk], &chunk_work[chunk]);
+                           &chunk_scratch[chunk], &work);
             }
+            chunk_work[chunk] = work;
+            result.stats.chunk_busy_micros[chunk] += ElapsedMicros(start);
             return Status::Ok();
           });
-      for (const WorkCounts& w : chunk_work) {
+      for (size_t c = 0; c < chunks; ++c) {
+        const WorkCounts& w = chunk_work[c];
         stage_evals += w.evals;
         result.stats.cost_cells += w.cells;
         result.stats.exact_rechecks += w.rechecks;
+        result.stats.chunk_cells[c] += w.cells;
       }
       return st;
     };

@@ -1,6 +1,7 @@
 #include "core/optimal.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/selection_state.h"
@@ -78,7 +79,7 @@ class Solver {
         it.space = graph_.index_space(v, k);
         // Benefit as if the view were present: best-cost reduction offered
         // by the index alone.
-        const std::vector<uint32_t>& queries = graph_.ViewQueries(v);
+        const std::span<const uint32_t> queries = graph_.ViewQueries(v);
         double b = 0.0;
         for (size_t pos = 0; pos < queries.size(); ++pos) {
           double c = graph_.IndexCostAt(v, k, pos);
@@ -240,7 +241,7 @@ double UpperBoundBenefit(const QueryViewGraph& graph, double space_budget) {
                                                     StructureRef::kNoIndex});
     if (vb > 0.0) items.emplace_back(vb / graph.view_space(v),
                                      graph.view_space(v));
-    const std::vector<uint32_t>& queries = graph.ViewQueries(v);
+    const std::span<const uint32_t> queries = graph.ViewQueries(v);
     for (int32_t k = 0; k < graph.num_indexes(v); ++k) {
       double b = 0.0;
       for (size_t pos = 0; pos < queries.size(); ++pos) {
@@ -277,7 +278,7 @@ double PerfectBenefit(const QueryViewGraph& graph) {
     best[q] = graph.query_default_cost(q);
   }
   for (uint32_t v = 0; v < graph.num_views(); ++v) {
-    const std::vector<uint32_t>& queries = graph.ViewQueries(v);
+    const std::span<const uint32_t> queries = graph.ViewQueries(v);
     for (size_t pos = 0; pos < queries.size(); ++pos) {
       double c = graph.ViewCostAt(v, pos);
       for (int32_t k = 0; k < graph.num_indexes(v); ++k) {

@@ -2,12 +2,31 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 #include <numeric>
 #include <utility>
 
 namespace olapidx {
+
+namespace {
+
+// Finalize converts the sink state block by block: a run of consecutive
+// views whose tables reach about this many bytes shares one allocation per
+// table array. The cut is by bytes, not by a view count, so a block holds
+// few wide views or many narrow ones, and the sink state and the finished
+// tables coexist for at most one block.
+constexpr uint64_t kTableBlockBytes = uint64_t{1} << 18;
+
+// Bytes of the finished tables of `positions` positions and `protos`
+// prototype cells.
+uint64_t TableBytes(uint64_t positions, uint64_t protos) {
+  return positions * (sizeof(double) + 2 * sizeof(uint32_t)) +
+         protos * sizeof(double);
+}
+
+}  // namespace
 
 // The edge sink: per-view accumulation state that ConsumeEdgeRuns()
 // scatters run buffers into. Everything here is order-independent —
@@ -47,15 +66,30 @@ QueryViewGraph& QueryViewGraph::operator=(QueryViewGraph&&) noexcept =
     default;
 QueryViewGraph::~QueryViewGraph() = default;
 
-uint32_t QueryViewGraph::AddView(std::string name, double space) {
+uint32_t QueryViewGraph::AddView(std::string_view name, double space) {
   OLAPIDX_CHECK(!finalized_);
   OLAPIDX_CHECK(space > 0.0);
+  OLAPIDX_CHECK(view_names_.size() + name.size() <= UINT32_MAX);
   ViewData vd;
-  vd.name = std::move(name);
   vd.space = space;
-  views_.push_back(std::move(vd));
+  vd.name_begin = static_cast<uint32_t>(view_names_.size());
+  vd.name_size = static_cast<uint32_t>(name.size());
+  view_names_.append(name);
+  views_.push_back(vd);
   ++num_structures_;
   return static_cast<uint32_t>(views_.size() - 1);
+}
+
+QueryViewGraph::IndexDetail& QueryViewGraph::Detail(uint32_t view) {
+  ViewData& vd = views_[view];
+  if (vd.detail < 0) {
+    vd.detail = static_cast<int32_t>(details_.size());
+    IndexDetail& d = details_.emplace_back();
+    d.spaces.assign(static_cast<size_t>(vd.num_indexes), vd.index_space);
+    d.maintenance.assign(static_cast<size_t>(vd.num_indexes),
+                         vd.index_maintenance);
+  }
+  return details_[static_cast<size_t>(vd.detail)];
 }
 
 int32_t QueryViewGraph::AddIndex(uint32_t view, std::string name,
@@ -64,12 +98,16 @@ int32_t QueryViewGraph::AddIndex(uint32_t view, std::string name,
   OLAPIDX_CHECK(view < num_views());
   OLAPIDX_CHECK(space > 0.0);
   ViewData& vd = views_[view];
-  OLAPIDX_CHECK(vd.lazy_keys.empty());  // a view is eager or lazy, not both
-  vd.index_names.push_back(std::move(name));
-  vd.index_spaces.push_back(space);
-  vd.index_maintenance.push_back(0.0);
+  // A view registers its indexes one way only.
+  OLAPIDX_CHECK(vd.family == IndexFamily::kNone ||
+                vd.family == IndexFamily::kEager);
+  vd.family = IndexFamily::kEager;
+  IndexDetail& d = Detail(view);
+  d.names.push_back(std::move(name));
+  d.spaces.push_back(space);
+  d.maintenance.push_back(0.0);
   ++num_structures_;
-  return static_cast<int32_t>(vd.index_names.size() - 1);
+  return vd.num_indexes++;
 }
 
 void QueryViewGraph::SetNameDictionary(std::vector<std::string> attr_names) {
@@ -90,27 +128,31 @@ void QueryViewGraph::AddIndexesNamed(uint32_t view, int32_t count,
   OLAPIDX_CHECK(space_each > 0.0);
   OLAPIDX_CHECK(maintenance_each >= 0.0);
   ViewData& vd = views_[view];
-  OLAPIDX_CHECK(vd.index_names.empty());  // a view is eager or lazy, not both
-  OLAPIDX_CHECK(vd.lazy_keys.empty());
-  OLAPIDX_CHECK(vd.index_spaces.empty());
-  vd.index_spaces.assign(static_cast<size_t>(count), space_each);
-  vd.index_maintenance.assign(static_cast<size_t>(count), maintenance_each);
+  OLAPIDX_CHECK(vd.family == IndexFamily::kNone);
+  vd.family = IndexFamily::kNamed;
+  vd.num_indexes = count;
+  vd.index_space = space_each;
+  vd.index_maintenance = maintenance_each;
   num_structures_ += static_cast<uint32_t>(count);
 }
 
-void QueryViewGraph::AddIndexes(uint32_t view, std::vector<IndexKey> keys,
+void QueryViewGraph::AddIndexes(uint32_t view, std::span<const IndexKey> keys,
                                 double space_each, double maintenance_each) {
   OLAPIDX_CHECK(!finalized_);
   OLAPIDX_CHECK(view < num_views());
   OLAPIDX_CHECK(space_each > 0.0);
   OLAPIDX_CHECK(maintenance_each >= 0.0);
+  OLAPIDX_CHECK(keys.size() <= INT32_MAX &&
+                keys_.size() + keys.size() <= UINT32_MAX);
   ViewData& vd = views_[view];
-  OLAPIDX_CHECK(vd.index_names.empty());  // a view is eager or lazy, not both
-  OLAPIDX_CHECK(vd.lazy_keys.empty());
-  vd.lazy_keys = std::move(keys);
-  vd.index_spaces.assign(vd.lazy_keys.size(), space_each);
-  vd.index_maintenance.assign(vd.lazy_keys.size(), maintenance_each);
-  num_structures_ += static_cast<uint32_t>(vd.lazy_keys.size());
+  OLAPIDX_CHECK(vd.family == IndexFamily::kNone);
+  vd.family = IndexFamily::kKeys;
+  vd.key_begin = static_cast<uint32_t>(keys_.size());
+  vd.num_indexes = static_cast<int32_t>(keys.size());
+  vd.index_space = space_each;
+  vd.index_maintenance = maintenance_each;
+  keys_.insert(keys_.end(), keys.begin(), keys.end());
+  num_structures_ += static_cast<uint32_t>(keys.size());
 }
 
 uint32_t QueryViewGraph::AddQuery(std::string name, double default_cost,
@@ -133,7 +175,7 @@ void QueryViewGraph::SetIndexMaintenance(uint32_t view, int32_t index,
   OLAPIDX_CHECK(view < num_views());
   OLAPIDX_CHECK(index >= 0 && index < num_indexes(view));
   OLAPIDX_CHECK(cost >= 0.0);
-  views_[view].index_maintenance[static_cast<size_t>(index)] = cost;
+  Detail(view).maintenance[static_cast<size_t>(index)] = cost;
 }
 
 void QueryViewGraph::AddViewEdge(uint32_t query, uint32_t view, double cost) {
@@ -211,7 +253,7 @@ void QueryViewGraph::ConsumeEdgeRuns(std::vector<EdgeRun>& runs) {
       }
       continue;
     }
-    const size_t ni = views_[r.view].index_spaces.size();
+    const auto ni = static_cast<size_t>(views_[r.view].num_indexes);
     uint32_t slot;
     if (last != nullptr && last->slot >= 0) {
       // A later run of this (query, view): one query has one class per
@@ -284,77 +326,118 @@ void QueryViewGraph::Finalize() {
   uint64_t peak = running;
   std::vector<uint32_t> slot_of_col;  // slots sorted by owner
   std::vector<uint32_t> col_of_slot;
-  for (uint32_t v = 0; v < num_views(); ++v) {
-    StreamView& sv = st.views[v];
-    ViewData& vd = views_[v];
-    const size_t nslots = sv.slots.size();
-    const size_t ni = vd.index_spaces.size();
-    if (sv.entries.empty()) continue;  // every slot hangs off an entry
-    // Number the columns by ascending class owner, so the layout — and the
-    // fingerprint — does not depend on the flush order. The all-+inf
-    // column, if needed, comes last.
-    slot_of_col.resize(nslots);
-    std::iota(slot_of_col.begin(), slot_of_col.end(), 0u);
-    std::sort(slot_of_col.begin(), slot_of_col.end(),
-              [&](uint32_t a, uint32_t b) {
-                return sv.slots[a].owner < sv.slots[b].owner;
-              });
-    col_of_slot.resize(nslots);
-    for (size_t c = 0; c < nslots; ++c) {
-      col_of_slot[slot_of_col[c]] = static_cast<uint32_t>(c);
-    }
-    const uint32_t inf_col = static_cast<uint32_t>(nslots);
-    // Entries → the per-position arrays. Entries arrived in per-batch
-    // query order; sort globally and merge the duplicates a query split
-    // across batches leaves behind.
-    std::sort(sv.entries.begin(), sv.entries.end(),
-              [](const Entry& a, const Entry& b) { return a.query < b.query; });
-    vd.queries.reserve(sv.entries.size());
-    vd.view_cost.reserve(sv.entries.size());
-    vd.col_of_pos.reserve(sv.entries.size());
-    for (const Entry& e : sv.entries) {
-      const uint32_t col =
-          e.slot < 0 ? inf_col : col_of_slot[static_cast<size_t>(e.slot)];
-      if (!vd.queries.empty() && vd.queries.back() == e.query) {
-        vd.view_cost.back() = std::min(vd.view_cost.back(), e.cost);
-        if (e.slot >= 0) vd.col_of_pos.back() = col;
-        continue;
+  const uint32_t nv = num_views();
+  for (uint32_t first = 0; first < nv;) {
+    // 1. Sort each view's entries by query and merge, in place, the
+    // duplicates a query split across batches leaves behind; the merged
+    // entries are the view's positions. Views join the block until its
+    // tables reach kTableBlockBytes.
+    size_t positions = 0;
+    size_t protos = 0;
+    size_t max_slots = 0;
+    uint32_t end = first;
+    while (end < nv && TableBytes(positions, protos) < kTableBlockBytes) {
+      StreamView& sv = st.views[end];
+      ViewData& vd = views_[end++];
+      if (sv.entries.empty()) continue;  // every slot hangs off an entry
+      std::sort(
+          sv.entries.begin(), sv.entries.end(),
+          [](const Entry& a, const Entry& b) { return a.query < b.query; });
+      size_t merged = 0;
+      for (const Entry& e : sv.entries) {
+        if (merged > 0 && sv.entries[merged - 1].query == e.query) {
+          Entry& into = sv.entries[merged - 1];
+          into.cost = std::min(into.cost, e.cost);
+          if (e.slot >= 0) into.slot = e.slot;
+          continue;
+        }
+        sv.entries[merged++] = e;
       }
-      vd.queries.push_back(e.query);
-      vd.view_cost.push_back(e.cost);
-      vd.col_of_pos.push_back(col);
+      // The tail past `merged` stays allocated (and charged) until the
+      // view's sink state is freed below.
+      const bool needs_inf =
+          std::any_of(sv.entries.begin(),
+                      sv.entries.begin() + static_cast<std::ptrdiff_t>(merged),
+                      [](const Entry& e) { return e.slot < 0; });
+      vd.num_positions = static_cast<uint32_t>(merged);
+      vd.num_cols =
+          static_cast<uint32_t>(sv.slots.size()) + (needs_inf ? 1 : 0);
+      positions += merged;
+      protos += static_cast<size_t>(vd.num_indexes) * vd.num_cols;
+      max_slots = std::max(max_slots, sv.slots.size());
     }
-    running += vd.view_cost.size() * sizeof(double) +
-               (vd.queries.size() + vd.col_of_pos.size()) * sizeof(uint32_t);
-    peak = std::max(peak, running + 2 * nslots * sizeof(uint32_t));
-    // Free each part of the sink state as soon as it is converted, so the
-    // conversion never holds both forms of more than one part.
-    running -= sv.entries.size() * sizeof(Entry);
-    sv.entries = {};
-    // Slot prototypes → the k-major table, written row by row: row k
-    // gathers element k of every slot, at most #classes cache lines.
-    const bool needs_inf =
-        std::find(vd.col_of_pos.begin(), vd.col_of_pos.end(), inf_col) !=
-        vd.col_of_pos.end();
-    vd.num_cols = nslots + (needs_inf ? 1 : 0);
-    vd.col_protos.resize(ni * vd.num_cols);
-    double* dst = vd.col_protos.data();
-    for (size_t k = 0; k < ni; ++k) {
+
+    // 2–3. The block's four arrays, each at its exact size.
+    TableBlock& block = blocks_.emplace_back();
+    if (positions > 0) {
+      block.queries = std::make_unique_for_overwrite<uint32_t[]>(positions);
+      block.view_cost = std::make_unique_for_overwrite<double[]>(positions);
+      block.col_of_pos = std::make_unique_for_overwrite<uint32_t[]>(positions);
+    }
+    if (protos > 0) {
+      block.col_protos = std::make_unique_for_overwrite<double[]>(protos);
+    }
+    running += TableBytes(positions, protos);
+    peak = std::max(peak, running + 2 * max_slots * sizeof(uint32_t));
+
+    // 4. Fill the arrays view by view, freeing each view's sink state as
+    // soon as it is converted.
+    uint32_t* queries = block.queries.get();
+    double* view_cost = block.view_cost.get();
+    uint32_t* col_of_pos = block.col_of_pos.get();
+    double* col_protos = block.col_protos.get();
+    for (uint32_t v = first; v < end; ++v) {
+      StreamView& sv = st.views[v];
+      ViewData& vd = views_[v];
+      if (sv.entries.empty()) continue;
+      const size_t nslots = sv.slots.size();
+      const auto ni = static_cast<size_t>(vd.num_indexes);
+      // Number the columns by ascending class owner, so the layout — and
+      // the fingerprint — does not depend on the flush order. The all-+inf
+      // column, if needed, comes last.
+      slot_of_col.resize(nslots);
+      std::iota(slot_of_col.begin(), slot_of_col.end(), 0u);
+      std::sort(slot_of_col.begin(), slot_of_col.end(),
+                [&](uint32_t a, uint32_t b) {
+                  return sv.slots[a].owner < sv.slots[b].owner;
+                });
+      col_of_slot.resize(nslots);
       for (size_t c = 0; c < nslots; ++c) {
-        *dst++ = sv.slot_protos[static_cast<size_t>(slot_of_col[c]) * ni + k];
+        col_of_slot[slot_of_col[c]] = static_cast<uint32_t>(c);
       }
-      if (needs_inf) *dst++ = kInfiniteCost;
+      const auto inf_col = static_cast<uint32_t>(nslots);
+      vd.queries = queries;
+      vd.view_cost = view_cost;
+      vd.col_of_pos = col_of_pos;
+      for (uint32_t i = 0; i < vd.num_positions; ++i) {
+        const Entry& e = sv.entries[i];
+        *queries++ = e.query;
+        *view_cost++ = e.cost;
+        *col_of_pos++ =
+            e.slot < 0 ? inf_col : col_of_slot[static_cast<size_t>(e.slot)];
+      }
+      // Slot prototypes → the k-major table, written row by row: row k
+      // gathers element k of every slot, at most #classes cache lines.
+      vd.col_protos = col_protos;
+      const bool needs_inf = vd.num_cols > nslots;
+      for (size_t k = 0; k < ni; ++k) {
+        for (size_t c = 0; c < nslots; ++c) {
+          *col_protos++ =
+              sv.slot_protos[static_cast<size_t>(slot_of_col[c]) * ni + k];
+        }
+        if (needs_inf) *col_protos++ = kInfiniteCost;
+      }
+      running -= sv.entries.size() * sizeof(Entry) +
+                 nslots * sizeof(StreamView::Slot) +
+                 sv.slot_protos.size() * sizeof(double);
+      sv = StreamView{};
     }
-    running += vd.col_protos.size() * sizeof(double);
-    peak = std::max(peak, running + nslots * sizeof(uint32_t));
-    running -= nslots * sizeof(StreamView::Slot) +
-               sv.slot_protos.size() * sizeof(double);
-    sv = StreamView{};
+    first = end;
   }
   finalize_peak_bytes_ = peak;
   stream_.reset();
-  BuildQueryViews();
   finalized_ = true;
+  BuildQueryViews();
 }
 
 void QueryViewGraph::BuildQueryViews() {
@@ -362,7 +445,7 @@ void QueryViewGraph::BuildQueryViews() {
   // order, so each query's view list comes out sorted.
   query_views_.assign(queries_.size(), {});
   for (uint32_t v = 0; v < num_views(); ++v) {
-    for (uint32_t q : views_[v].queries) {
+    for (uint32_t q : ViewQueries(v)) {
       query_views_[q].push_back(v);
     }
   }
@@ -383,16 +466,15 @@ inline uint64_t MixDouble(uint64_t h, double d) {
   return MixWord(h, bits);
 }
 
-template <typename T>
-uint64_t MixSpan(uint64_t h, const std::vector<T>& v) {
+uint64_t MixSpan(uint64_t h, std::span<const uint32_t> v) {
   h = MixWord(h, v.size());
-  for (const T& x : v) {
-    h = MixWord(h, static_cast<uint64_t>(x));
+  for (uint32_t x : v) {
+    h = MixWord(h, x);
   }
   return h;
 }
 
-uint64_t MixDoubleSpan(uint64_t h, const std::vector<double>& v) {
+uint64_t MixDoubleSpan(uint64_t h, std::span<const double> v) {
   h = MixWord(h, v.size());
   for (double d : v) {
     h = MixDouble(h, d);
@@ -415,12 +497,23 @@ uint64_t QueryViewGraph::Fingerprint() const {
   for (const ViewData& vd : views_) {
     h = MixDouble(h, vd.space);
     h = MixDouble(h, vd.maintenance);
-    h = MixDoubleSpan(h, vd.index_spaces);
-    h = MixDoubleSpan(h, vd.index_maintenance);
-    h = MixSpan(h, vd.queries);
-    h = MixDoubleSpan(h, vd.view_cost);
-    h = MixDoubleSpan(h, vd.col_protos);
-    h = MixSpan(h, vd.col_of_pos);
+    // Per-index values, a uniform one expanded per index: the words are
+    // the same whichever way the view stores them.
+    const auto ni = static_cast<size_t>(vd.num_indexes);
+    const IndexDetail* d =
+        vd.detail < 0 ? nullptr : &details_[static_cast<size_t>(vd.detail)];
+    h = MixWord(h, ni);
+    for (size_t k = 0; k < ni; ++k) {
+      h = MixDouble(h, d != nullptr ? d->spaces[k] : vd.index_space);
+    }
+    h = MixWord(h, ni);
+    for (size_t k = 0; k < ni; ++k) {
+      h = MixDouble(h, d != nullptr ? d->maintenance[k] : vd.index_maintenance);
+    }
+    h = MixSpan(h, {vd.queries, vd.num_positions});
+    h = MixDoubleSpan(h, {vd.view_cost, vd.num_positions});
+    h = MixDoubleSpan(h, {vd.col_protos, ni * vd.num_cols});
+    h = MixSpan(h, {vd.col_of_pos, vd.num_positions});
   }
   // 0 is reserved as "no fingerprint" in checkpoint files.
   return h == 0 ? 1 : h;
@@ -429,8 +522,8 @@ uint64_t QueryViewGraph::Fingerprint() const {
 uint64_t QueryViewGraph::CostTableBytes() const {
   uint64_t bytes = 0;
   for (const ViewData& vd : views_) {
-    bytes += (vd.col_protos.size() + vd.view_cost.size()) * sizeof(double);
-    bytes += (vd.col_of_pos.size() + vd.queries.size()) * sizeof(uint32_t);
+    bytes += TableBytes(vd.num_positions,
+                        static_cast<uint64_t>(vd.num_indexes) * vd.num_cols);
   }
   return bytes;
 }

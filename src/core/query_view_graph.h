@@ -19,7 +19,9 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -77,7 +79,7 @@ class QueryViewGraph {
   // ---- Construction (call Finalize() when done) ----
 
   // Returns the new view's id.
-  uint32_t AddView(std::string name, double space);
+  uint32_t AddView(std::string_view name, double space);
   // Returns the new index's position within `view`'s index list.
   int32_t AddIndex(uint32_t view, std::string name, double space);
   // Returns the new query's id.
@@ -91,10 +93,13 @@ class QueryViewGraph {
   // dictionary (SetNameDictionary) instead of being materialized up front —
   // at n = 8 that is ~110k strings the build never creates. All indexes of
   // a cube view share one space/maintenance figure under the linear cost
-  // model. A view uses either AddIndex (eager names) or AddIndexes (lazy),
-  // never both.
+  // model, so the graph keeps one of each per view (SetIndexMaintenance
+  // expands them into per-index values). The graph copies the keys and is
+  // their one owner: index_key() reads them back. A view registers its
+  // indexes once, by AddIndexes, AddIndexesNamed or AddIndex calls (eager
+  // names), never by two of them.
   void SetNameDictionary(std::vector<std::string> attr_names);
-  void AddIndexes(uint32_t view, std::vector<IndexKey> keys,
+  void AddIndexes(uint32_t view, std::span<const IndexKey> keys,
                   double space_each, double maintenance_each = 0.0);
 
   // Callback-named variant for lattices whose index handles are not
@@ -149,15 +154,18 @@ class QueryViewGraph {
   void SetViewMaintenance(uint32_t view, double cost);
   void SetIndexMaintenance(uint32_t view, int32_t index, double cost);
   double structure_maintenance(StructureRef s) const {
-    return s.is_view()
-               ? views_[s.view].maintenance
-               : views_[s.view]
-                     .index_maintenance[static_cast<size_t>(s.index)];
+    const ViewData& vd = views_[s.view];
+    if (s.is_view()) return vd.maintenance;
+    return vd.detail < 0 ? vd.index_maintenance
+                         : details_[static_cast<size_t>(vd.detail)]
+                               .maintenance[static_cast<size_t>(s.index)];
   }
 
   // Drains the pending per-edge buffer through the sink and converts the
-  // sink state into the per-view cost tables. Must be called exactly once,
-  // before any algorithm runs.
+  // sink state into the per-view cost tables. Consecutive views share
+  // blocks of table arrays, cut at about 256 KiB, so the finished graph
+  // holds no heap block per view. Must be called exactly once, before any
+  // algorithm runs.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -189,39 +197,48 @@ class QueryViewGraph {
   // Total number of structures (views + indexes), the paper's `m`.
   uint32_t num_structures() const { return num_structures_; }
 
-  const std::string& view_name(uint32_t v) const { return views_[v].name; }
-  double view_space(uint32_t v) const { return views_[v].space; }
-  int32_t num_indexes(uint32_t v) const {
-    return static_cast<int32_t>(views_[v].index_spaces.size());
+  // A view into the graph's name buffer, valid while the graph lives.
+  std::string_view view_name(uint32_t v) const {
+    const ViewData& vd = views_[v];
+    return std::string_view(view_names_).substr(vd.name_begin, vd.name_size);
   }
+  double view_space(uint32_t v) const { return views_[v].space; }
+  int32_t num_indexes(uint32_t v) const { return views_[v].num_indexes; }
   // Rendered on demand for lazily-registered indexes (hence by value):
-  // eager names win, then IndexKey handles, then the installed namer.
+  // eager names, IndexKey handles, or the installed namer.
   std::string index_name(uint32_t v, int32_t k) const {
     const ViewData& vd = views_[v];
-    if (!vd.index_names.empty()) {
-      return vd.index_names[static_cast<size_t>(k)];
+    switch (vd.family) {
+      case IndexFamily::kEager:
+        return details_[static_cast<size_t>(vd.detail)]
+            .names[static_cast<size_t>(k)];
+      case IndexFamily::kKeys:
+        return index_key(v, k).ToString(attr_names_);
+      default:
+        OLAPIDX_DCHECK(index_namer_ != nullptr);
+        return index_namer_(v, k);
     }
-    if (!vd.lazy_keys.empty()) {
-      return vd.lazy_keys[static_cast<size_t>(k)].ToString(attr_names_);
-    }
-    OLAPIDX_DCHECK(index_namer_ != nullptr);
-    return index_namer_(v, k);
   }
   // The key handle of a lazily-registered index (AddIndexes views only).
   const IndexKey& index_key(uint32_t v, int32_t k) const {
-    OLAPIDX_DCHECK(static_cast<size_t>(k) < views_[v].lazy_keys.size());
-    return views_[v].lazy_keys[static_cast<size_t>(k)];
+    const ViewData& vd = views_[v];
+    OLAPIDX_DCHECK(vd.family == IndexFamily::kKeys && k >= 0 &&
+                   k < vd.num_indexes);
+    return keys_[vd.key_begin + static_cast<size_t>(k)];
   }
   double index_space(uint32_t v, int32_t k) const {
-    return views_[v].index_spaces[static_cast<size_t>(k)];
+    const ViewData& vd = views_[v];
+    return vd.detail < 0 ? vd.index_space
+                         : details_[static_cast<size_t>(vd.detail)]
+                               .spaces[static_cast<size_t>(k)];
   }
   double structure_space(StructureRef s) const {
     return s.is_view() ? view_space(s.view) : index_space(s.view, s.index);
   }
   std::string StructureName(StructureRef s) const {
-    return s.is_view() ? view_name(s.view)
-                       : index_name(s.view, s.index) + "(" +
-                             view_name(s.view) + ")";
+    if (s.is_view()) return std::string(view_name(s.view));
+    return index_name(s.view, s.index) + "(" + std::string(view_name(s.view)) +
+           ")";
   }
 
   const std::string& query_name(uint32_t q) const { return queries_[q].name; }
@@ -235,10 +252,11 @@ class QueryViewGraph {
 
   // ---- Per-view edge tables (valid after Finalize) ----
 
-  // Queries that have at least one edge to `v`.
-  const std::vector<uint32_t>& ViewQueries(uint32_t v) const {
+  // Queries that have at least one edge to `v`, ascending.
+  std::span<const uint32_t> ViewQueries(uint32_t v) const {
     OLAPIDX_DCHECK(finalized_);
-    return views_[v].queries;
+    const ViewData& vd = views_[v];
+    return {vd.queries, vd.num_positions};
   }
   // Inverse of ViewQueries: views that have at least one edge to `q`, in
   // ascending view order. This is the invalidation fan-out the selection
@@ -265,36 +283,61 @@ class QueryViewGraph {
   // IndexCostRow(v, k)[col] is index k's cost in column col. Positions
   // sharing a column share every index cost.
   size_t num_cols(uint32_t v) const { return views_[v].num_cols; }
-  const std::vector<uint32_t>& col_of_pos(uint32_t v) const {
+  std::span<const uint32_t> col_of_pos(uint32_t v) const {
     OLAPIDX_DCHECK(finalized_);
-    return views_[v].col_of_pos;
+    const ViewData& vd = views_[v];
+    return {vd.col_of_pos, vd.num_positions};
   }
   const double* IndexCostRow(uint32_t v, int32_t k) const {
     const ViewData& vd = views_[v];
-    return vd.col_protos.data() + static_cast<size_t>(k) * vd.num_cols;
+    return vd.col_protos + static_cast<size_t>(k) * vd.num_cols;
   }
 
  private:
+  // How a view's indexes were registered.
+  enum class IndexFamily : uint8_t { kNone, kEager, kKeys, kNamed };
+  // Per-index values, for the views that need them: eager AddIndex views
+  // (names, spaces, maintenance) and views whose uniform maintenance
+  // SetIndexMaintenance overrode (spaces, maintenance).
+  struct IndexDetail {
+    std::vector<std::string> names;
+    std::vector<double> spaces;
+    std::vector<double> maintenance;
+  };
+  // Holds no heap block of its own: the name lives in view_names_, the
+  // keys in keys_, and the finalized tables in a block of blocks_.
   struct ViewData {
-    std::string name;
     double space = 0.0;
     double maintenance = 0.0;
-    // Eager path: index_names parallel to index_spaces. Lazy path:
-    // index_names stays empty and lazy_keys holds the handles instead.
-    std::vector<std::string> index_names;
-    std::vector<IndexKey> lazy_keys;
-    std::vector<double> index_spaces;
-    std::vector<double> index_maintenance;
-    // Populated by Finalize():
-    std::vector<uint32_t> queries;  // queries with any edge to this view
-    std::vector<double> view_cost;  // parallel to `queries`
+    // Every index's space and maintenance, unless `detail` names an entry
+    // of details_ that holds per-index values.
+    double index_space = 0.0;
+    double index_maintenance = 0.0;
+    // Populated by Finalize(), pointing into a TableBlock:
+    const uint32_t* queries = nullptr;  // queries with any edge to the view
+    const double* view_cost = nullptr;  // parallel to `queries`
     // One prototype column per distinct column class, stored k-major as
     // col_protos[k * num_cols + col], and the position→column map
     // (parallel to `queries`). Positions without index edges share a final
     // all-+inf column, present only when some position needs it.
-    std::vector<double> col_protos;
-    std::vector<uint32_t> col_of_pos;
-    size_t num_cols = 0;
+    const double* col_protos = nullptr;
+    const uint32_t* col_of_pos = nullptr;
+    uint32_t num_positions = 0;
+    uint32_t num_cols = 0;
+    uint32_t name_begin = 0;  // view_names_[name_begin, + name_size)
+    uint32_t name_size = 0;
+    uint32_t key_begin = 0;  // kKeys: keys_[key_begin, + num_indexes)
+    int32_t num_indexes = 0;
+    int32_t detail = -1;  // details_ entry, or -1: uniform values
+    IndexFamily family = IndexFamily::kNone;
+  };
+  // The finalized tables of a run of consecutive views, each array
+  // allocated at its exact size (see Finalize()).
+  struct TableBlock {
+    std::unique_ptr<uint32_t[]> queries;
+    std::unique_ptr<double[]> view_cost;
+    std::unique_ptr<uint32_t[]> col_of_pos;
+    std::unique_ptr<double[]> col_protos;
   };
   struct QueryData {
     std::string name;
@@ -305,9 +348,16 @@ class QueryViewGraph {
   struct StreamState;
 
   void ValidateRun(const EdgeRun& run) const;
+  // The view's per-index values, created from its uniform ones on first
+  // use.
+  IndexDetail& Detail(uint32_t view);
   void BuildQueryViews();
 
   std::vector<ViewData> views_;
+  std::string view_names_;            // every view's name, back to back
+  std::vector<IndexKey> keys_;        // every kKeys view's family
+  std::vector<IndexDetail> details_;  // see ViewData::detail
+  std::vector<TableBlock> blocks_;    // built by Finalize()
   std::vector<QueryData> queries_;
   std::vector<std::string> attr_names_;             // for lazy index names
   std::function<std::string(uint32_t, int32_t)> index_namer_;

@@ -10,6 +10,7 @@
 
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "core/beam_cut.h"
 #include "core/selection_metrics.h"
 #include "core/selection_state.h"
 
@@ -288,13 +289,8 @@ SelectionResult EagerRGreedy(const QueryViewGraph& graph,
         if (slots[v].bound_ok) beamed.push_back(v);
       }
       if (beamed.size() > options.beam_width) {
-        std::sort(beamed.begin(), beamed.end(),
-                  [&](uint32_t a, uint32_t b) {
-                    if (slots[a].ratio != slots[b].ratio) {
-                      return slots[a].ratio > slots[b].ratio;
-                    }
-                    return a < b;
-                  });
+        CutBeam(beamed, options.beam_width,
+                [&](uint32_t v) { return slots[v].ratio; });
         deferred.assign(
             beamed.begin() + static_cast<std::ptrdiff_t>(options.beam_width),
             beamed.end());

@@ -14,6 +14,8 @@
 #ifndef OLAPIDX_CORE_SELECTION_METRICS_H_
 #define OLAPIDX_CORE_SELECTION_METRICS_H_
 
+#include <cmath>
+
 #include "common/metrics.h"
 #include "core/selection_result.h"
 
@@ -40,6 +42,10 @@ namespace olapidx::selection_metrics {
   OLAPIDX_METRIC_HISTOGRAM(run_wall, "selection.run_micros");
   OLAPIDX_METRIC_HISTOGRAM(stage_wall, "selection.stage_micros");
   OLAPIDX_METRIC_HISTOGRAM(stage_cands, "selection.stage_candidates");
+  // The latest run's chunk imbalance (EvaluationStats::ChunkImbalance), in
+  // thousandths: 1000 is balanced. Set only by runs that time their
+  // chunks (inner-level greedy).
+  OLAPIDX_METRIC_GAUGE(chunk_imbalance, "selection.chunk_imbalance_permille");
   runs.Add(1);
   stages.Add(stages_this_call);
   candidates.Add(result.candidates_evaluated);
@@ -55,6 +61,10 @@ namespace olapidx::selection_metrics {
   }
   for (uint64_t count : result.stats.stage_candidates) {
     stage_cands.Observe(count);
+  }
+  if (!result.stats.chunk_busy_micros.empty()) {
+    chunk_imbalance.Set(
+        std::llround(1000.0 * result.stats.ChunkImbalance()));
   }
 }
 

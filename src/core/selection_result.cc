@@ -1,5 +1,6 @@
 #include "core/selection_result.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace olapidx {
@@ -17,6 +18,19 @@ std::string EvaluationStats::ToString() const {
                 static_cast<double>(total_wall_micros) / 1000.0,
                 threads_used, threads_used == 1 ? "" : "s");
   return buf;
+}
+
+double EvaluationStats::ChunkImbalance() const {
+  uint64_t total = 0;
+  uint64_t busiest = 0;
+  for (uint64_t micros : chunk_busy_micros) {
+    total += micros;
+    busiest = std::max(busiest, micros);
+  }
+  if (total == 0) return 1.0;
+  return static_cast<double>(busiest) *
+         static_cast<double>(chunk_busy_micros.size()) /
+         static_cast<double>(total);
 }
 
 std::string SelectionResult::PicksToString(

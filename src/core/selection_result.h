@@ -48,6 +48,13 @@ struct EvaluationStats {
   // at any thread count; the other algorithms leave them 0.
   uint64_t cost_cells = 0;
   uint64_t exact_rechecks = 0;
+  // Inner-level greedy's parallel passes, per chunk (threads_used
+  // entries), summed over stages: the chunk's busy wall-clock μs and the
+  // cost cells it read. Chunks claim views dynamically, so the split of
+  // cells varies from run to run; their sum is cost_cells exactly. Empty
+  // for the other algorithms.
+  std::vector<uint64_t> chunk_busy_micros;
+  std::vector<uint64_t> chunk_cells;
 
   double CacheHitRate() const {
     uint64_t total = cache_hits + cache_misses;
@@ -55,6 +62,11 @@ struct EvaluationStats {
                            static_cast<double>(total)
                      : 0.0;
   }
+
+  // The busiest chunk's busy time over the chunks' mean: 1 when the
+  // chunks were equally busy, up to threads_used when one did all the
+  // work. 1 when nothing was timed.
+  double ChunkImbalance() const;
 
   // "4 stages, 123 evaluated / 456 cached (78.7% hit), 9 bound-pruned,
   // 1.2 ms, 1 thread".

@@ -1,6 +1,7 @@
 #include "core/selection_state.h"
 
 #include <algorithm>
+#include <span>
 
 namespace olapidx {
 
@@ -16,11 +17,13 @@ SelectionState::SelectionState(const QueryViewGraph* graph) : graph_(graph) {
   total_cost_ = initial_cost_;
   view_selected_.assign(graph->num_views(), 0);
   view_version_.assign(graph->num_views(), 0);
-  index_selected_.resize(graph->num_views());
+  index_begin_.resize(graph->num_views());
+  uint32_t indexes = 0;
   for (uint32_t v = 0; v < graph->num_views(); ++v) {
-    index_selected_[v].assign(
-        static_cast<size_t>(graph->num_indexes(v)), 0);
+    index_begin_[v] = indexes;
+    indexes += static_cast<uint32_t>(graph->num_indexes(v));
   }
+  index_selected_.assign(indexes, 0);
 }
 
 void SelectionState::ValidateCandidate(const Candidate& c) const {
@@ -43,7 +46,7 @@ double SelectionState::CandidateSpace(const Candidate& c) const {
 double SelectionState::CandidateBenefit(const Candidate& c) const {
   OLAPIDX_DCHECK((ValidateCandidate(c), true));
   const uint32_t v = c.view;
-  const std::vector<uint32_t>& queries = graph_->ViewQueries(v);
+  const std::span<const uint32_t> queries = graph_->ViewQueries(v);
   double benefit = 0.0;
   for (size_t pos = 0; pos < queries.size(); ++pos) {
     uint32_t q = queries[pos];
@@ -77,7 +80,7 @@ double SelectionState::CandidateMaintenance(const Candidate& c) const {
 void SelectionState::Apply(const Candidate& c) {
   ValidateCandidate(c);
   const uint32_t v = c.view;
-  const std::vector<uint32_t>& queries = graph_->ViewQueries(v);
+  const std::span<const uint32_t> queries = graph_->ViewQueries(v);
   for (size_t pos = 0; pos < queries.size(); ++pos) {
     uint32_t q = queries[pos];
     double offered = QueryViewGraph::kInfiniteCost;
@@ -105,7 +108,7 @@ void SelectionState::Apply(const Candidate& c) {
     picks_.push_back(StructureRef{v, StructureRef::kNoIndex});
   }
   for (int32_t k : c.indexes) {
-    index_selected_[v][static_cast<size_t>(k)] = 1;
+    index_selected_[index_begin_[v] + static_cast<size_t>(k)] = 1;
     picks_.push_back(StructureRef{v, k});
   }
 }

@@ -49,7 +49,7 @@ class SelectionState {
 
   bool ViewSelected(uint32_t v) const { return view_selected_[v] != 0; }
   bool IndexSelected(uint32_t v, int32_t k) const {
-    return index_selected_[v][static_cast<size_t>(k)] != 0;
+    return index_selected_[index_begin_[v] + static_cast<size_t>(k)] != 0;
   }
   bool Selected(StructureRef s) const {
     return s.is_view() ? ViewSelected(s.view)
@@ -104,7 +104,10 @@ class SelectionState {
   const QueryViewGraph* graph_;
   std::vector<double> best_cost_;           // per query
   std::vector<uint8_t> view_selected_;      // per view
-  std::vector<std::vector<uint8_t>> index_selected_;  // [view][index]
+  // Index k of view v is index_selected_[index_begin_[v] + k]: one array
+  // for every view's flags, not a heap block per view.
+  std::vector<uint32_t> index_begin_;
+  std::vector<uint8_t> index_selected_;
   std::vector<StructureRef> picks_;
   std::vector<uint64_t> view_version_;  // bumped when a view's benefit may change
   double initial_cost_ = 0.0;

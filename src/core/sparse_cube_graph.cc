@@ -47,11 +47,13 @@ uint64_t ForEachRetainedSuperset(AttributeSet need, AttributeSet full,
 // order) and answering views resolve through its mask → id inverse. A view
 // with at most max_fat_dim attributes carries the canonical family (fat,
 // or every ordered subset for the ablation), a wider one its
-// workload-derived candidate keys, which the pruned plan stores in
-// out->index_keys before the build. Index costs are the paper's
-// c(Q,V,J) = |C| / |E|, E the maximal selection-only key prefix: every
-// cost divides two entries of size_by_mask, which is why a pruned graph's
-// costs equal the identity graph's bit for bit.
+// workload-derived candidate keys, which the pruned plan gathers in
+// `families` before the build and AddStructures hands to the graph, the
+// keys' one owner; edge enumeration reads them back from the graph.
+// Index costs are the paper's c(Q,V,J) = |C| / |E|, E the maximal
+// selection-only key prefix: every cost divides two entries of
+// size_by_mask, which is why a pruned graph's costs equal the identity
+// graph's bit for bit.
 struct FlatPlanProvider {
   const CubeSchema* schema;
   const CubeLattice* lattice;
@@ -62,6 +64,9 @@ struct FlatPlanProvider {
   int max_fat_dim;
   uint32_t base_id;
   CubeGraph* out;
+  // The pruned plan's wide-view families (null: the identity plan). Each
+  // is moved out, and freed, as its view registers.
+  std::vector<std::vector<IndexKey>>* families;
 
   struct Ctx {
     const SliceQuery* query = nullptr;
@@ -100,10 +105,12 @@ struct FlatPlanProvider {
     OLAPIDX_CHECK(gv == v);
     out->view_attrs.push_back(attrs);
     if (maintenance > 0.0) g.SetViewMaintenance(gv, maintenance);
-    std::vector<IndexKey>& keys = out->index_keys[v];
+    std::vector<IndexKey> keys;
     if (IsCanonical(mask)) {
       keys = fat_indexes_only ? lattice->FatIndexes(mask)
                               : lattice->AllIndexes(mask);
+    } else {
+      keys = std::move((*families)[v]);
     }
     g.AddIndexes(gv, keys, size, maintenance);
   }
@@ -145,7 +152,7 @@ struct FlatPlanProvider {
   uint32_t IndexColumnClass(const Ctx& ctx, uint32_t v) const {
     const uint32_t mask = MaskOf(v);
     if (mask == 0) return 0;  // the apex view has no indexes
-    if (!IsCanonical(mask) && out->index_keys[v].empty()) return 0;
+    if (!IsCanonical(mask) && out->graph.num_indexes(v) == 0) return 0;
     // A query's index costs from view C depend only on B ∩ C (every prefix
     // E is a subset of C), so queries agreeing on that intersection share
     // one cost column; tag runs with it so the graph stores each distinct
@@ -166,22 +173,23 @@ struct FlatPlanProvider {
                     });
       return;
     }
-    const std::vector<IndexKey>& keys = out->index_keys[v];
-    for (size_t k = 0; k < keys.size(); ++k) {
+    const QueryViewGraph& g = out->graph;
+    for (int32_t k = 0; k < g.num_indexes(v); ++k) {
       const uint32_t prefix =
-          keys[k].LongestSelectionPrefix(ctx.query->selection()).mask();
-      emit(static_cast<int64_t>(k), static_cast<int64_t>(k) + 1,
-           sz[prefix]);
+          g.index_key(v, k).LongestSelectionPrefix(ctx.query->selection())
+              .mask();
+      emit(k, int64_t{k} + 1, sz[prefix]);
     }
   }
 };
 
 // The candidate families of the pruned plan's views wider than
-// max_fat_dim, one slot per retained view (fat views' slots stay empty for
-// the provider to fill). A query answerable at view V has selection ∩ V =
-// B, its whole selection, so each retained query with a selection adds B
-// to every wide view of its cone: one cone walk per query gathers every
-// view's classes, and the views × queries pairs are never enumerated.
+// max_fat_dim, one slot per retained view (fat views' slots stay empty:
+// the provider enumerates their keys itself). A query answerable at view
+// V has selection ∩ V = B, its whole selection, so each retained query
+// with a selection adds B to every wide view of its cone: one cone walk
+// per query gathers every view's classes, and the views × queries pairs
+// are never enumerated.
 // Also counts the fat and candidate views.
 std::vector<std::vector<IndexKey>> BuildCandidateFamilies(
     const PrunedPlan& plan, const Workload& workload, AttributeSet full,
@@ -265,8 +273,10 @@ StatusOr<SparseCubeGraph> BuildFlatGraph(
                             fat_indexes_only,
                             /*max_fat_dim=*/n,
                             /*base_id=*/full.mask(),
-                            &result.cube};
+                            &result.cube,
+                            /*families=*/nullptr};
   PrunedPlan plan;
+  std::vector<std::vector<IndexKey>> families;
   if (pruning != nullptr) {
     std::vector<double> frequency;
     frequency.reserve(workload.size());
@@ -284,16 +294,16 @@ StatusOr<SparseCubeGraph> BuildFlatGraph(
           }
         },
         stats);
-    result.cube.index_keys = BuildCandidateFamilies(
-        plan, workload, full, pruning->max_fat_dim, stats);
+    families = BuildCandidateFamilies(plan, workload, full,
+                                      pruning->max_fat_dim, stats);
     provider.plan = &plan;
+    provider.families = &families;
     provider.max_fat_dim = pruning->max_fat_dim;
     provider.base_id =
         static_cast<uint32_t>(plan.views.id_of[full.mask()]);
   }
 
   result.cube.view_attrs.reserve(provider.num_views());
-  result.cube.index_keys.resize(provider.num_views());  // identity plan
   BuildLatticeGraph(provider, build, result.cube.graph, &stats.build);
   if (pruning != nullptr) RecordSparseBuild(stats);
   return result;

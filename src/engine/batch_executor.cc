@@ -442,13 +442,10 @@ Status BatchExecutor::TryExecuteBatch(
         " selection-value vector(s)");
   }
   for (size_t i = 0; i < queries.size(); ++i) {
-    size_t expected = queries[i].selection().ToVector().size();
-    if (selection_values[i].size() != expected) {
-      return Status::InvalidArgument(
-          "batch query " + std::to_string(i) + " selects " +
-          std::to_string(expected) + " attribute(s) but " +
-          std::to_string(selection_values[i].size()) +
-          " selection value(s) were supplied");
+    if (Status s = CheckSelectionValues(catalog_->schema(), queries[i],
+                                        selection_values[i]);
+        !s.ok()) {
+      return s.WithContext("batch query " + std::to_string(i));
     }
   }
   *out = ExecuteBatch(queries, selection_values, stats, batch_stats);

@@ -246,18 +246,43 @@ GroupedResult Executor::Execute(
   return pooled ? std::move(*pooled) : acc.Finish();
 }
 
+Status CheckSelectionValues(const CubeSchema& schema, const SliceQuery& query,
+                            const std::vector<uint32_t>& selection_values) {
+  const std::vector<int> attrs = query.selection().ToVector();
+  if (selection_values.size() != attrs.size()) {
+    return Status::InvalidArgument(
+        "query selects " + std::to_string(attrs.size()) +
+        " attribute(s) but " + std::to_string(selection_values.size()) +
+        " selection value(s) were supplied");
+  }
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    if (attrs[i] >= schema.num_dimensions()) {
+      return Status::InvalidArgument(
+          "query selects attribute " + std::to_string(attrs[i]) +
+          " of a " + std::to_string(schema.num_dimensions()) +
+          "-dimension schema");
+    }
+    const Dimension& dim = schema.dimension(attrs[i]);
+    if (selection_values[i] >= dim.cardinality) {
+      return Status::InvalidArgument(
+          "selection value " + std::to_string(selection_values[i]) +
+          " is out of range for " + dim.name + " (" +
+          std::to_string(dim.cardinality) + " members)");
+    }
+  }
+  return Status::Ok();
+}
+
 Status Executor::TryExecute(const SliceQuery& query,
                             const std::vector<uint32_t>& selection_values,
                             GroupedResult* out,
                             ExecutionStats* stats) const {
   OLAPIDX_CHECK(out != nullptr);
   OLAPIDX_FAULT_POINT("executor.execute");
-  size_t expected = query.selection().ToVector().size();
-  if (selection_values.size() != expected) {
-    return Status::InvalidArgument(
-        "query selects " + std::to_string(expected) +
-        " attribute(s) but " + std::to_string(selection_values.size()) +
-        " selection value(s) were supplied");
+  if (Status s = CheckSelectionValues(catalog_->schema(), query,
+                                      selection_values);
+      !s.ok()) {
+    return s;
   }
   *out = Execute(query, selection_values, stats);
   return Status::Ok();

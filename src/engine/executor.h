@@ -122,6 +122,15 @@ struct GroupedResult {
   }
 };
 
+// The one check of caller-supplied selection constants, shared by
+// Executor::TryExecute and BatchExecutor::TryExecuteBatch: one value per
+// selected attribute, in ascending attribute order, each below its
+// dimension's cardinality. A value outside the dimension would reach the
+// key codec, which aborts on it or silently encodes a member that does not
+// exist.
+Status CheckSelectionValues(const CubeSchema& schema, const SliceQuery& query,
+                            const std::vector<uint32_t>& selection_values);
+
 class Executor {
  public:
   // The caller owns `catalog` and must keep it alive.
@@ -133,10 +142,10 @@ class Executor {
                         const std::vector<uint32_t>& selection_values,
                         ExecutionStats* stats = nullptr) const;
 
-  // Status-returning variant for service boundaries: rejects a
-  // selection-value count that does not match the query (instead of
-  // aborting) and crosses the "executor.execute" fault point. On success
-  // stores the result in *out.
+  // Status-returning variant for service boundaries: rejects selection
+  // values that fail CheckSelectionValues (instead of aborting) and crosses
+  // the "executor.execute" fault point. On success stores the result in
+  // *out.
   Status TryExecute(const SliceQuery& query,
                     const std::vector<uint32_t>& selection_values,
                     GroupedResult* out,

@@ -252,6 +252,18 @@ TEST_F(BatchExecutorTest, TryExecuteBatchValidatesUpFront) {
   s = batch.TryExecuteBatch(queries_, bad, &out);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.message().find("query 5"), std::string::npos);
+
+  // So does a value at its dimension's cardinality, a member that does
+  // not exist.
+  bad = values_;
+  const int sel = queries_[7].selection().ToVector()[0];
+  bad[7] = {static_cast<uint32_t>(
+      TestSchema().dimensions()[static_cast<size_t>(sel)].cardinality)};
+  s = batch.TryExecuteBatch(queries_, bad, &out);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("query 7"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("out of range"), std::string::npos)
+      << s.message();
 }
 
 TEST_F(BatchExecutorTest, ObserverSeesEveryQueryInBatchOrder) {

@@ -13,11 +13,13 @@
 // costs within a column, maintenance, zero frequencies, a +inf default
 // cost, duplicated index columns (exact ties) and costs 1 ulp apart.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "common/rng.h"
 #include "core/cube_graph.h"
 #include "core/inner_greedy.h"
+#include "core/sparse_cube_graph.h"
 #include "cost/calibrated_cost_model.h"
 #include "data/synthetic.h"
 #include "hierarchy/hierarchical_graph.h"
@@ -51,7 +54,7 @@ QueryViewGraph CopyEdgeByEdge(const QueryViewGraph& g) {
                   g.query_frequency(q));
   }
   for (uint32_t v = 0; v < g.num_views(); ++v) {
-    const std::vector<uint32_t>& queries = g.ViewQueries(v);
+    const std::span<const uint32_t> queries = g.ViewQueries(v);
     for (size_t pos = 0; pos < queries.size(); ++pos) {
       copy.AddViewEdge(queries[pos], v, g.ViewCostAt(v, pos));
       for (int32_t k = 0; k < g.num_indexes(v); ++k) {
@@ -355,6 +358,66 @@ TEST(ColumnPricingOracleTest, DuplicatedIndexColumnsTieExactly) {
 TEST(ColumnPricingOracleTest, CostsOneUlpApart) {
   Work work = CheckHandBuilt(HandKnobs{.ulp_costs = true}, "1 ulp apart");
   EXPECT_GT(work.rechecks, 0u);
+}
+
+// ---- Storage: the finalized tables live in blocks of consecutive views ----
+//
+// A graph whose tables span several blocks reads, position by position,
+// the same costs as its edge-by-edge copy, whose one-column-per-position
+// tables span many more blocks with other cuts.
+TEST(GraphStorageTest, MultiBlockTablesEqualEdgeByEdgeCopy) {
+  // A sparse dim-12 graph: thousands of small views.
+  SyntheticCube cube = UniformSyntheticCube(12, 30, 1e-6);
+  SparseCubeGraphOptions options;
+  options.raw_scan_penalty = 2.0;
+  options.maintenance_per_row = 1e-3;
+  StatusOr<SparseCubeGraph> built = TryBuildSparseCubeGraph(
+      cube.schema, cube.sizes,
+      SampledZipfSliceQueries(CubeLattice(cube.schema), 1.1, 200, 42),
+      options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const QueryViewGraph& g = built->cube.graph;
+  const QueryViewGraph copy = CopyEdgeByEdge(g);
+  // Blocks are cut at 256 KiB of tables, after the view that reaches it.
+  // Beyond twice that plus the largest view's tables, there are at least
+  // three blocks.
+  auto view_bytes = [](const QueryViewGraph& graph, uint32_t v) {
+    return graph.ViewQueries(v).size() *
+               (sizeof(double) + 2 * sizeof(uint32_t)) +
+           static_cast<uint64_t>(graph.num_indexes(v)) * graph.num_cols(v) *
+               sizeof(double);
+  };
+  uint64_t largest = 0;
+  for (uint32_t v = 0; v < g.num_views(); ++v) {
+    largest = std::max(largest, view_bytes(g, v));
+  }
+  ASSERT_GT(g.CostTableBytes(), 2 * ((uint64_t{1} << 18) + largest));
+
+  ASSERT_EQ(copy.num_views(), g.num_views());
+  for (uint32_t v = 0; v < g.num_views(); ++v) {
+    SCOPED_TRACE("view " + std::to_string(v));
+    const std::span<const uint32_t> queries = g.ViewQueries(v);
+    const std::span<const uint32_t> copied = copy.ViewQueries(v);
+    ASSERT_EQ(queries.size(), copied.size());
+    ASSERT_EQ(g.num_indexes(v), copy.num_indexes(v));
+    const std::span<const uint32_t> col_of_pos = g.col_of_pos(v);
+    ASSERT_EQ(col_of_pos.size(), queries.size());
+    for (size_t pos = 0; pos < queries.size(); ++pos) {
+      ASSERT_EQ(queries[pos], copied[pos]) << "pos " << pos;
+      ASSERT_TRUE(SameBits(g.ViewCostAt(v, pos), copy.ViewCostAt(v, pos)));
+      ASSERT_LT(col_of_pos[pos], g.num_cols(v));
+      for (int32_t k = 0; k < g.num_indexes(v); ++k) {
+        const double cost = g.IndexCostAt(v, k, pos);
+        ASSERT_TRUE(SameBits(cost, g.IndexCostRow(v, k)[col_of_pos[pos]]));
+        ASSERT_TRUE(SameBits(cost, copy.IndexCostAt(v, k, pos)))
+            << "index " << k << " pos " << pos;
+      }
+    }
+    for (int32_t k = -1; k < g.num_indexes(v); ++k) {
+      ASSERT_EQ(g.structure_maintenance(StructureRef{v, k}),
+                copy.structure_maintenance(StructureRef{v, k}));
+    }
+  }
 }
 
 }  // namespace

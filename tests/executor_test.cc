@@ -209,5 +209,45 @@ TEST_F(ExecutorTest, EmptySelectionResultIsEmpty) {
   EXPECT_TRUE(SameResult(fast, naive));
 }
 
+// A selection value at or above its dimension's cardinality is caller
+// input the engine cannot answer: TryExecute rejects it before planning,
+// where an index probe would reach the key codec's abort.
+TEST_F(ExecutorTest, TryExecuteRejectsOutOfRangeSelectionValue) {
+  const AttributeSet ab = AttributeSet::Of({0, 1});
+  catalog_.MaterializeView(ab);
+  ASSERT_TRUE(catalog_.BuildIndex(ab, IndexKey({0, 1})).ok());
+  // γ_b σ_a: the fat index on (a, b) is the chosen plan; a has 8 members.
+  const SliceQuery b_by_a(AttributeSet::Of({1}), AttributeSet::Of({0}));
+  GroupedResult out;
+  ExecutionStats stats;
+  ASSERT_TRUE(executor_.TryExecute(b_by_a, {7}, &out, &stats).ok());
+  ASSERT_FALSE(stats.index.empty());
+  EXPECT_EQ(executor_.TryExecute(b_by_a, {8}, &out).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(ExecutorTest, OutOfRangeValueRejectedOnScanAndIndexPlans) {
+  // γ_a σ_b with b's 6 members: first through a plain view scan, then
+  // through an index on (b, a). Value 5 runs on both plans, 6 on neither.
+  const AttributeSet ab = AttributeSet::Of({0, 1});
+  const SliceQuery a_by_b(AttributeSet::Of({0}), AttributeSet::Of({1}));
+  catalog_.MaterializeView(ab);
+  GroupedResult out;
+  for (bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "index plan" : "scan plan");
+    if (indexed) {
+      ASSERT_TRUE(catalog_.BuildIndex(ab, IndexKey({1, 0})).ok());
+    }
+    ExecutionStats stats;
+    ASSERT_TRUE(executor_.TryExecute(a_by_b, {5}, &out, &stats).ok());
+    EXPECT_EQ(stats.index.empty(), !indexed);
+    EXPECT_FALSE(stats.used_raw);
+    const Status s = executor_.TryExecute(a_by_b, {6}, &out);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("out of range"), std::string::npos)
+        << s.message();
+  }
+}
+
 }  // namespace
 }  // namespace olapidx

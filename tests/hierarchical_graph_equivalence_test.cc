@@ -71,9 +71,11 @@ void ExpectIdenticalHGraphs(const HierarchicalCubeGraph& fast,
       ASSERT_EQ(fast.IndexPositionOf(v, order), k);
       ASSERT_EQ(ref.IndexPositionOf(v, order), k);
     }
-    ASSERT_EQ(f.ViewQueries(v), r.ViewQueries(v));
+    ASSERT_EQ(f.ViewQueries(v).size(), r.ViewQueries(v).size());
     const size_t nq = f.ViewQueries(v).size();
     for (size_t pos = 0; pos < nq; ++pos) {
+      ASSERT_EQ(f.ViewQueries(v)[pos], r.ViewQueries(v)[pos])
+          << "pos " << pos;
       ASSERT_EQ(f.ViewCostAt(v, pos), r.ViewCostAt(v, pos)) << "pos " << pos;
       for (int32_t k = 0; k < f.num_indexes(v); ++k) {
         ASSERT_EQ(f.IndexCostAt(v, k, pos), r.IndexCostAt(v, k, pos))
@@ -326,16 +328,17 @@ void CheckDegeneration(int n, bool fat_indexes_only, uint64_t seed,
       for (int32_t k = 0; k < fg.num_indexes(fv); ++k) {
         // Rank k is the same key order on both sides: the flat key's
         // attribute sequence must equal the decoded dimension order.
-        ASSERT_EQ(flat->index_keys[fv][static_cast<size_t>(k)].ToVector(),
-                  hier->IndexOrderOf(hv, k))
+        ASSERT_EQ(fg.index_key(fv, k).ToVector(), hier->IndexOrderOf(hv, k))
             << "index " << k;
         ASSERT_EQ(fg.index_space(fv, k), hg.index_space(hv, k));
         ASSERT_EQ(fg.structure_maintenance(StructureRef{fv, k}),
                   hg.structure_maintenance(StructureRef{hv, k}));
       }
-      ASSERT_EQ(fg.ViewQueries(fv), hg.ViewQueries(hv));
+      ASSERT_EQ(fg.ViewQueries(fv).size(), hg.ViewQueries(hv).size());
       const size_t nq = fg.ViewQueries(fv).size();
       for (size_t pos = 0; pos < nq; ++pos) {
+        ASSERT_EQ(fg.ViewQueries(fv)[pos], hg.ViewQueries(hv)[pos])
+            << "pos " << pos;
         ASSERT_EQ(fg.ViewCostAt(fv, pos), hg.ViewCostAt(hv, pos));
         for (int32_t k = 0; k < fg.num_indexes(fv); ++k) {
           ASSERT_EQ(fg.IndexCostAt(fv, k, pos), hg.IndexCostAt(hv, k, pos))

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -471,6 +473,40 @@ TEST(SelectionWorkCountersTest, CostCellsAndRechecksArePinned) {
               res.stats.cost_cells);
     EXPECT_EQ(res.metrics.CounterValue("selection.exact_rechecks"),
               res.stats.exact_rechecks);
+#endif
+  }
+}
+
+// Per-chunk evaluation time and work: one entry per chunk, cells summing
+// to cost_cells exactly, and an imbalance of exactly 1 for one chunk and
+// at least 1 for several, published as selection.chunk_imbalance_permille.
+TEST_F(SelectionMetricsTest, ChunkImbalanceIsPublished) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SelectionResult res = InnerLevelGreedy(
+        cube_->graph, budget_, InnerGreedyOptions{.num_threads = threads});
+    ASSERT_TRUE(res.status.ok());
+    ASSERT_EQ(res.stats.chunk_busy_micros.size(), threads);
+    ASSERT_EQ(res.stats.chunk_cells.size(), threads);
+    uint64_t cells = 0;
+    for (uint64_t c : res.stats.chunk_cells) cells += c;
+    EXPECT_EQ(cells, res.stats.cost_cells);
+    const double imbalance = res.stats.ChunkImbalance();
+    if (threads == 1) {
+      EXPECT_EQ(imbalance, 1.0);
+    } else {
+      EXPECT_GE(imbalance, 1.0);
+      EXPECT_LE(imbalance, static_cast<double>(threads));
+    }
+#if defined(OLAPIDX_METRICS_ENABLED)
+    int64_t permille = 0;
+    for (const auto& [name, value] : res.metrics.gauges) {
+      if (name == "selection.chunk_imbalance_permille") permille = value;
+    }
+    EXPECT_EQ(permille, std::llround(1000.0 * imbalance));
+    if (threads == 1) {
+      EXPECT_EQ(permille, 1000);
+    }
 #endif
   }
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -16,6 +17,11 @@
 
 namespace olapidx {
 namespace {
+
+// A view's positions as a vector, so a comparison prints them.
+std::vector<uint32_t> Positions(std::span<const uint32_t> queries) {
+  return {queries.begin(), queries.end()};
+}
 
 TEST(QueryViewGraphTest, BuildAndIntrospect) {
   QueryViewGraph g;
@@ -115,8 +121,10 @@ TEST(QueryViewGraphTest, LazyIndexesRenderNamesOnDemand) {
   QueryViewGraph g;
   g.SetNameDictionary({"p", "s", "c"});
   uint32_t v = g.AddView("psc", 6.0);
-  g.AddIndexes(v, {IndexKey({0, 1}), IndexKey({1, 0}), IndexKey({2})}, 6.0,
-               0.5);
+  g.AddIndexes(v,
+               std::vector<IndexKey>{IndexKey({0, 1}), IndexKey({1, 0}),
+                                     IndexKey({2})},
+               6.0, 0.5);
   EXPECT_EQ(g.num_indexes(v), 3);
   EXPECT_EQ(g.num_structures(), 4u);
   EXPECT_EQ(g.index_name(v, 0), "I_ps");
@@ -133,8 +141,9 @@ TEST(QueryViewGraphTest, IndexEdgeRunExpandsToEveryIndexInRange) {
   QueryViewGraph g;
   g.SetNameDictionary({"a", "b"});
   uint32_t v = g.AddView("ab", 4.0);
-  g.AddIndexes(v, {IndexKey({0}), IndexKey({1}), IndexKey({0, 1}),
-                   IndexKey({1, 0})},
+  g.AddIndexes(v,
+               std::vector<IndexKey>{IndexKey({0}), IndexKey({1}),
+                                     IndexKey({0, 1}), IndexKey({1, 0})},
                4.0);
   uint32_t q = g.AddQuery("Q", 10.0);
   std::vector<EdgeRun> runs = {
@@ -168,10 +177,10 @@ TEST(QueryViewGraphTest, FinalizeMergesDuplicateAndOutOfOrderEdges) {
   g.AddIndexEdge(q0, v1, i0, 4.0);  // cheaper duplicate wins
   g.AddViewEdge(q1, v1, 9.0);       // more expensive duplicate loses
   g.Finalize();
-  ASSERT_EQ(g.ViewQueries(v0), (std::vector<uint32_t>{q0, q1}));
+  ASSERT_EQ(Positions(g.ViewQueries(v0)), (std::vector<uint32_t>{q0, q1}));
   EXPECT_EQ(g.ViewCostAt(v0, 0), 2.0);
   EXPECT_EQ(g.ViewCostAt(v0, 1), 3.0);
-  ASSERT_EQ(g.ViewQueries(v1), (std::vector<uint32_t>{q0, q1}));
+  ASSERT_EQ(Positions(g.ViewQueries(v1)), (std::vector<uint32_t>{q0, q1}));
   EXPECT_TRUE(std::isinf(g.ViewCostAt(v1, 0)));
   EXPECT_EQ(g.ViewCostAt(v1, 1), 7.0);
   EXPECT_EQ(g.IndexCostAt(v1, i0, 0), 4.0);
@@ -188,7 +197,7 @@ TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
     g.SetNameDictionary({"a", "b"});
     uint32_t v0 = g.AddView("V0", 1.0);
     uint32_t v1 = g.AddView("V1", 2.0);
-    g.AddIndexes(v1, {IndexKey({0}), IndexKey({1})}, 2.0);
+    g.AddIndexes(v1, std::vector<IndexKey>{IndexKey({0}), IndexKey({1})}, 2.0);
     g.AddQuery("Q0", 10.0);
     g.AddQuery("Q1", 10.0);
     g.AddViewEdge(0, v0, 1.0);
@@ -205,7 +214,7 @@ TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
     g.SetNameDictionary({"a", "b"});
     uint32_t v0 = g.AddView("V0", 1.0);
     uint32_t v1 = g.AddView("V1", 2.0);
-    g.AddIndexes(v1, {IndexKey({0}), IndexKey({1})}, 2.0);
+    g.AddIndexes(v1, std::vector<IndexKey>{IndexKey({0}), IndexKey({1})}, 2.0);
     g.AddQuery("Q0", 10.0);
     g.AddQuery("Q1", 10.0);
     std::vector<EdgeRun> second = {
@@ -225,7 +234,8 @@ TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
   QueryViewGraph direct = build_direct();
   QueryViewGraph sharded = build_sharded();
   for (uint32_t v = 0; v < direct.num_views(); ++v) {
-    ASSERT_EQ(direct.ViewQueries(v), sharded.ViewQueries(v));
+    ASSERT_EQ(Positions(direct.ViewQueries(v)),
+              Positions(sharded.ViewQueries(v)));
     for (size_t pos = 0; pos < direct.ViewQueries(v).size(); ++pos) {
       EXPECT_EQ(direct.ViewCostAt(v, pos), sharded.ViewCostAt(v, pos));
       for (int32_t k = 0; k < direct.num_indexes(v); ++k) {
@@ -243,14 +253,75 @@ TEST(QueryViewGraphDeathTest, MixingEagerAndLazyIndexesRejected) {
   QueryViewGraph g;
   uint32_t v = g.AddView("V", 1.0);
   g.AddIndex(v, "I", 1.0);
-  EXPECT_DEATH(g.AddIndexes(v, {IndexKey({0})}, 1.0), "CHECK");
+  EXPECT_DEATH(g.AddIndexes(v, std::vector<IndexKey>{IndexKey({0})}, 1.0),
+               "CHECK");
+}
+
+// ---- Storage: uniform per-view index values ----
+//
+// A lazily registered view keeps one space and one maintenance value for
+// all its indexes; SetIndexMaintenance expands them into per-index values.
+// Either form must read, and fingerprint, exactly as the eager per-index
+// registration of the same content.
+TEST(GraphStorageTest, LazyIndexValuesEqualEagerOnes) {
+  const std::vector<IndexKey> keys = {IndexKey({0, 1}), IndexKey({1, 0}),
+                                      IndexKey({1})};
+  const std::vector<std::string> names = {"a", "b"};
+  auto build = [&](bool lazy) {
+    QueryViewGraph g;
+    g.SetNameDictionary(names);
+    g.AddView("a", 2.0);
+    const uint32_t v = g.AddView("ab", 6.0);
+    if (lazy) {
+      g.AddIndexes(v, keys, 6.0, 0.5);
+    } else {
+      for (const IndexKey& key : keys) {
+        g.SetIndexMaintenance(v, g.AddIndex(v, key.ToString(names), 6.0),
+                              0.5);
+      }
+    }
+    const uint32_t q0 = g.AddQuery("Q0", 20.0, 2.0);
+    const uint32_t q1 = g.AddQuery("Q1", 20.0);
+    g.AddViewEdge(q0, 0, 2.0);
+    g.AddViewEdge(q0, v, 6.0);
+    g.AddIndexEdge(q0, v, 1, 3.0);
+    g.AddViewEdge(q1, v, 6.0);
+    g.AddIndexEdge(q1, v, 0, 1.0);
+    g.AddIndexEdge(q1, v, 2, 2.0);
+    g.Finalize();
+    return g;
+  };
+  auto expect_same = [](const QueryViewGraph& lazy,
+                        const QueryViewGraph& eager) {
+    EXPECT_EQ(lazy.Fingerprint(), eager.Fingerprint());
+    for (uint32_t v = 0; v < eager.num_views(); ++v) {
+      ASSERT_EQ(lazy.num_indexes(v), eager.num_indexes(v));
+      for (int32_t k = 0; k < eager.num_indexes(v); ++k) {
+        EXPECT_EQ(lazy.index_name(v, k), eager.index_name(v, k));
+        EXPECT_EQ(lazy.index_space(v, k), eager.index_space(v, k));
+        EXPECT_EQ(lazy.structure_maintenance(StructureRef{v, k}),
+                  eager.structure_maintenance(StructureRef{v, k}))
+            << "view " << v << " index " << k;
+      }
+    }
+  };
+  QueryViewGraph lazy = build(true);
+  QueryViewGraph eager = build(false);
+  expect_same(lazy, eager);
+  // One override expands the lazy view's values; the others keep theirs.
+  lazy.SetIndexMaintenance(1, 1, 4.0);
+  EXPECT_NE(lazy.Fingerprint(), eager.Fingerprint());
+  eager.SetIndexMaintenance(1, 1, 4.0);
+  expect_same(lazy, eager);
+  EXPECT_EQ(lazy.structure_maintenance(StructureRef{1, 0}), 0.5);
+  EXPECT_EQ(lazy.structure_maintenance(StructureRef{1, 1}), 4.0);
 }
 
 TEST(QueryViewGraphDeathTest, BadRunRangeRejected) {
   QueryViewGraph g;
   g.SetNameDictionary({"a"});
   uint32_t v = g.AddView("V", 1.0);
-  g.AddIndexes(v, {IndexKey({0})}, 1.0);
+  g.AddIndexes(v, std::vector<IndexKey>{IndexKey({0})}, 1.0);
   uint32_t q = g.AddQuery("Q", 1.0);
   std::vector<EdgeRun> runs = {EdgeRun{q, v, 0, 2, 1.0}};
   EXPECT_DEATH(g.ConsumeEdgeRuns(runs), "CHECK");
@@ -455,9 +526,9 @@ void ExpectMatchesOracle(const QueryViewGraph& g, const RandomEdges& edges,
         << "query " << q;
   }
   for (uint32_t v = 0; v < nv; ++v) {
-    const std::vector<uint32_t>& queries = g.ViewQueries(v);
-    ASSERT_EQ(queries, std::vector<uint32_t>(queries_of[v].begin(),
-                                             queries_of[v].end()))
+    const std::span<const uint32_t> queries = g.ViewQueries(v);
+    ASSERT_EQ(Positions(queries), std::vector<uint32_t>(queries_of[v].begin(),
+                                                        queries_of[v].end()))
         << "view " << v;
     for (size_t pos = 0; pos < queries.size(); ++pos) {
       const uint32_t q = queries[pos];
