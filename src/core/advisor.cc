@@ -1,6 +1,7 @@
 #include "core/advisor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -51,14 +52,6 @@ Status ResolveCheckpoint(const SelectionCheckpoint& checkpoint,
     out->picks.push_back(StructureRef{view, index});
   }
   return Status::Ok();
-}
-
-Recommendation RejectedRecommendation(Status status) {
-  Recommendation rec;
-  rec.raw = SelectionResult::Rejected(std::move(status));
-  rec.status = rec.raw.status;
-  rec.completed = false;
-  return rec;
 }
 
 }  // namespace
@@ -127,108 +120,115 @@ StatusOr<Advisor> Advisor::CreateSparse(const CubeSchema& schema,
   return advisor;
 }
 
-Recommendation Advisor::Recommend(const AdvisorConfig& config) const {
+SelectionResult RunAdvisorSelection(
+    const QueryViewGraph& graph, uint64_t graph_fingerprint,
+    const AdvisorConfig& config, const CheckpointHeader* checkpoint,
+    const std::function<Status(ResumePicks*)>& resolve) {
+  const std::string name = AlgorithmName(config.algorithm);
+  if (!std::isfinite(config.space_budget) || config.space_budget < 0.0) {
+    return SelectionResult::Rejected(Status::InvalidArgument(
+        "space budget must be non-negative and finite"));
+  }
+  const double fraction = config.two_step.index_fraction;
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {
+    return SelectionResult::Rejected(Status::InvalidArgument(
+        "two-step index fraction must be in [0, 1], got " +
+        std::to_string(fraction)));
+  }
   const bool greedy = config.algorithm == Algorithm::kOneGreedy ||
                       config.algorithm == Algorithm::kRGreedy ||
                       config.algorithm == Algorithm::kInnerLevel;
   if (!greedy && !config.control.unlimited()) {
-    return RejectedRecommendation(Status::Unimplemented(
-        std::string(AlgorithmName(config.algorithm)) +
+    return SelectionResult::Rejected(Status::Unimplemented(
+        name +
         " has no anytime contract; deadlines/cancellation require a greedy "
         "algorithm"));
   }
-  if (!greedy && config.resume != nullptr) {
-    return RejectedRecommendation(Status::InvalidArgument(
-        std::string(AlgorithmName(config.algorithm)) +
-        " cannot resume from a checkpoint"));
+  if (!greedy && checkpoint != nullptr) {
+    return SelectionResult::Rejected(
+        Status::InvalidArgument(name + " cannot resume from a checkpoint"));
   }
 
   ResumePicks resume;
-  const ResumePicks* resume_ptr = nullptr;
-  if (config.resume != nullptr) {
-    const SelectionCheckpoint& cp = *config.resume;
-    if (cp.algorithm != AlgorithmName(config.algorithm)) {
-      return RejectedRecommendation(Status::InvalidArgument(
-          "checkpoint was taken by '" + cp.algorithm + "', not '" +
-          AlgorithmName(config.algorithm) +
+  if (checkpoint != nullptr) {
+    if (checkpoint->algorithm != name) {
+      return SelectionResult::Rejected(Status::InvalidArgument(
+          "checkpoint was taken by '" + std::string(checkpoint->algorithm) +
+          "', not '" + name +
           "'; resuming would not reproduce the original pick sequence"));
     }
-    if (cp.space_budget != config.space_budget) {
-      return RejectedRecommendation(Status::InvalidArgument(
-          "checkpoint budget " + std::to_string(cp.space_budget) +
+    if (checkpoint->space_budget != config.space_budget) {
+      return SelectionResult::Rejected(Status::InvalidArgument(
+          "checkpoint budget " + std::to_string(checkpoint->space_budget) +
           " does not match configured budget " +
           std::to_string(config.space_budget)));
     }
-    if (cp.graph_fingerprint != 0 &&
-        cp.graph_fingerprint != graph_fingerprint_) {
-      return RejectedRecommendation(Status::FailedPrecondition(
+    if (checkpoint->graph_fingerprint != 0 &&
+        checkpoint->graph_fingerprint != graph_fingerprint) {
+      return SelectionResult::Rejected(Status::FailedPrecondition(
           "checkpoint was taken against a different query-view graph "
           "(checkpoint graph fingerprint does not match this advisor's); "
-          "rebuild with the same schema, sizes, workload, and options, or "
-          "start a fresh selection"));
+          "rebuild from the same inputs and options, or start a fresh "
+          "selection"));
     }
-    Status resolved = ResolveCheckpoint(cp, cube_graph_, &resume);
-    if (!resolved.ok()) return RejectedRecommendation(std::move(resolved));
-    resume_ptr = &resume;
+    Status resolved = resolve(&resume);
+    if (!resolved.ok()) return SelectionResult::Rejected(std::move(resolved));
   }
 
   SelectionResult result;
   switch (config.algorithm) {
-    case Algorithm::kOneGreedy: {
-      // Same knobs as kRGreedy (threads, memoization, lazy CELF, subset
-      // cap) with r forced to 1; a default-constructed options object
-      // here used to silently drop config.r_greedy.num_threads & co.
-      RGreedyOptions options = config.r_greedy;
-      options.r = 1;
-      if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = RGreedy(cube_graph_.graph, config.space_budget, options);
-      break;
-    }
+    case Algorithm::kOneGreedy:
     case Algorithm::kRGreedy: {
+      // kOneGreedy keeps every kRGreedy knob (threads, memoization, lazy
+      // CELF, subset cap) with r forced to 1.
       RGreedyOptions options = config.r_greedy;
+      if (config.algorithm == Algorithm::kOneGreedy) options.r = 1;
       if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = RGreedy(cube_graph_.graph, config.space_budget, options);
+      if (checkpoint != nullptr) options.resume = &resume;
+      result = RGreedy(graph, config.space_budget, options);
       break;
     }
     case Algorithm::kInnerLevel: {
       InnerGreedyOptions options = config.inner_greedy;
       if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = InnerLevelGreedy(cube_graph_.graph, config.space_budget,
-                                options);
+      if (checkpoint != nullptr) options.resume = &resume;
+      result = InnerLevelGreedy(graph, config.space_budget, options);
       break;
     }
     case Algorithm::kTwoStep:
-      result = TwoStep(cube_graph_.graph, config.space_budget,
-                       config.two_step);
+      result = TwoStep(graph, config.space_budget, config.two_step);
       break;
     case Algorithm::kHruViewsOnly:
-      result = HruViewGreedy(cube_graph_.graph, config.space_budget);
+      result = HruViewGreedy(graph, config.space_budget);
       break;
     case Algorithm::kOptimal:
-      result = BranchAndBoundOptimal(cube_graph_.graph, config.space_budget,
+      result = BranchAndBoundOptimal(graph, config.space_budget,
                                      config.optimal);
       break;
   }
   if (!result.status.ok() && !result.status.IsInterruption()) {
     // Rejected input (bad checkpoint, non-finalized graph, injected
     // fault): nothing to report beyond the status.
-    return RejectedRecommendation(std::move(result.status));
+    return SelectionResult::Rejected(std::move(result.status));
   }
+  return result;
+}
 
-  Recommendation rec;
-  rec.raw = result;
-  rec.status = result.status;
-  rec.completed = result.completed;
-  rec.space_used = result.space_used;
-  rec.graph_fingerprint = graph_fingerprint_;
-  rec.initial_average_cost =
-      result.total_frequency > 0.0
-          ? result.initial_cost / result.total_frequency
-          : 0.0;
-  rec.average_query_cost = result.AverageQueryCost();
+Recommendation Advisor::Recommend(const AdvisorConfig& config) const {
+  const SelectionCheckpoint* cp = config.resume;
+  CheckpointHeader header;
+  if (cp != nullptr) {
+    header = {cp->algorithm, cp->space_budget, cp->graph_fingerprint};
+  }
+  Recommendation rec = PackageRecommendation<Recommendation>(
+      RunAdvisorSelection(cube_graph_.graph, graph_fingerprint_, config,
+                          cp != nullptr ? &header : nullptr,
+                          [&](ResumePicks* picks) {
+                            return ResolveCheckpoint(*cp, cube_graph_, picks);
+                          }),
+      graph_fingerprint_);
+  if (!rec.status.ok() && !rec.status.IsInterruption()) return rec;
+  const SelectionResult& result = rec.raw;
 
   for (const StructureRef& s : result.picks) {
     RecommendedStructure r;

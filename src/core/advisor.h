@@ -8,9 +8,12 @@
 #ifndef OLAPIDX_CORE_ADVISOR_H_
 #define OLAPIDX_CORE_ADVISOR_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -128,6 +131,53 @@ struct Recommendation {
   // checkpoint, stamped with the producing config's algorithm and budget.
   SelectionCheckpoint ToCheckpoint(const AdvisorConfig& config) const;
 };
+
+// A checkpoint's header, as RunAdvisorSelection checks it against the run
+// it is asked to continue.
+struct CheckpointHeader {
+  std::string_view algorithm;
+  double space_budget = 0.0;
+  uint64_t graph_fingerprint = 0;
+};
+
+// The selection step of both advisors (Advisor::Recommend,
+// HierarchicalAdvisor::TryRecommend). Rejects, as SelectionResult::Rejected:
+//   - a negative or non-finite budget, or a two-step index fraction
+//     outside [0, 1], whatever the algorithm;
+//   - a control or a checkpoint given to an algorithm without an anytime
+//     contract;
+//   - a checkpoint taken by another algorithm, at another budget or
+//     against another graph (a nonzero fingerprint other than
+//     `graph_fingerprint`), or one whose picks `resolve` cannot map onto
+//     `graph`.
+// Otherwise runs config.algorithm on `graph`, resumed from the resolved
+// picks when there is a checkpoint; a run the algorithm rejects comes back
+// rejected too.
+SelectionResult RunAdvisorSelection(
+    const QueryViewGraph& graph, uint64_t graph_fingerprint,
+    const AdvisorConfig& config, const CheckpointHeader* checkpoint,
+    const std::function<Status(ResumePicks*)>& resolve);
+
+// A Recommendation or HRecommendation for a RunAdvisorSelection result: its
+// status and the run's summary, stamped with the graph's fingerprint unless
+// the run was rejected. The caller adds the picked structures.
+template <typename Rec>
+Rec PackageRecommendation(SelectionResult result, uint64_t graph_fingerprint) {
+  Rec rec;
+  rec.status = result.status;
+  rec.completed = result.completed;
+  if (result.status.ok() || result.status.IsInterruption()) {
+    rec.space_used = result.space_used;
+    rec.graph_fingerprint = graph_fingerprint;
+    rec.initial_average_cost =
+        result.total_frequency > 0.0
+            ? result.initial_cost / result.total_frequency
+            : 0.0;
+    rec.average_query_cost = result.AverageQueryCost();
+  }
+  rec.raw = std::move(result);
+  return rec;
+}
 
 class Advisor {
  public:

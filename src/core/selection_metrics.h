@@ -1,6 +1,7 @@
-// Shared instrumentation for the selection cores (r_greedy.cc,
-// inner_greedy.cc): the metric names and the aggregation points, so the
-// eager, lazy, and inner-level loops report identically-named metrics.
+// Shared instrumentation for the selection cores (greedy_driver.h and its
+// callers r_greedy.cc, inner_greedy.cc): the metric names and the
+// aggregation points, so the eager and lazy loops report
+// identically-named metrics.
 //
 // Everything is recorded once per run from the totals and per-stage
 // vectors the result already tracks: the hot loops gain no per-candidate
@@ -44,7 +45,7 @@ namespace olapidx::selection_metrics {
   OLAPIDX_METRIC_HISTOGRAM(stage_cands, "selection.stage_candidates");
   // The latest run's chunk imbalance (EvaluationStats::ChunkImbalance), in
   // thousandths: 1000 is balanced. Set only by runs that time their
-  // chunks (inner-level greedy).
+  // chunks (the eager greedies; the lazy 1-greedy has no chunks).
   OLAPIDX_METRIC_GAUGE(chunk_imbalance, "selection.chunk_imbalance_permille");
   runs.Add(1);
   stages.Add(stages_this_call);

@@ -48,7 +48,7 @@ struct EvaluationStats {
   // at any thread count; the other algorithms leave them 0.
   uint64_t cost_cells = 0;
   uint64_t exact_rechecks = 0;
-  // Inner-level greedy's parallel passes, per chunk (threads_used
+  // The eager greedies' parallel passes, per chunk (threads_used
   // entries), summed over stages: the chunk's busy wall-clock μs and the
   // cost cells it read. Chunks claim views dynamically, so the split of
   // cells varies from run to run; their sum is cost_cells exactly. Empty

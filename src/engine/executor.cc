@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -41,21 +42,21 @@ RowScan FullScan(const Table& table, RowStates states,
   return scan;
 }
 
-}  // namespace
-
-PlannedAccess PlanAccess(const Catalog& catalog, const SliceQuery& query) {
+// Calls fn(path) for every access path the planner considers for `query`,
+// in planning order, each with its estimated cost: the raw scan, then for
+// each materialized view that answers the query its scan and every index
+// whose key leads with selected attributes.
+template <typename Fn>
+void ForEachAccessPath(const Catalog& catalog, const SliceQuery& query,
+                       const Fn& fn) {
   const CubeSchema& schema = catalog.schema();
-  PlannedAccess plan;
-  plan.estimated_cost = static_cast<double>(catalog.fact().num_rows());
-
+  fn(PlannedAccess{true, AttributeSet(), nullptr, AttributeSet(),
+                   static_cast<double>(catalog.fact().num_rows())});
   for (AttributeSet view_attrs : catalog.materialized_views()) {
     if (!query.AnswerableFrom(view_attrs)) continue;
     const MaterializedView& view = catalog.view(view_attrs);
     double view_rows = static_cast<double>(view.num_rows());
-    if (view_rows < plan.estimated_cost) {
-      plan = PlannedAccess{false, view_attrs, nullptr, AttributeSet(),
-                           view_rows};
-    }
+    fn(PlannedAccess{false, view_attrs, nullptr, AttributeSet(), view_rows});
     for (const ViewIndex& index : catalog.indexes(view_attrs)) {
       AttributeSet prefix =
           index.key().LongestSelectionPrefix(query.selection());
@@ -64,12 +65,20 @@ PlannedAccess PlanAccess(const Catalog& catalog, const SliceQuery& query) {
                             ? static_cast<double>(
                                   catalog.view(prefix).num_rows())
                             : EstimateDistinct(schema, prefix, view_rows);
-      double est = view_rows / std::max(1.0, distinct);
-      if (est < plan.estimated_cost) {
-        plan = PlannedAccess{false, view_attrs, &index, prefix, est};
-      }
+      fn(PlannedAccess{false, view_attrs, &index, prefix,
+                       view_rows / std::max(1.0, distinct)});
     }
   }
+}
+
+}  // namespace
+
+PlannedAccess PlanAccess(const Catalog& catalog, const SliceQuery& query) {
+  PlannedAccess plan;
+  plan.estimated_cost = std::numeric_limits<double>::infinity();
+  ForEachAccessPath(catalog, query, [&](const PlannedAccess& path) {
+    if (path.estimated_cost < plan.estimated_cost) plan = path;
+  });
   return plan;
 }
 
@@ -290,31 +299,15 @@ Status Executor::TryExecute(const SliceQuery& query,
 
 std::vector<Executor::PlanChoice> Executor::Explain(
     const SliceQuery& query) const {
-  const CubeSchema& schema = catalog_->schema();
   std::vector<PlanChoice> out;
-  PlanChoice raw;
-  raw.use_raw = true;
-  raw.estimated_cost = static_cast<double>(catalog_->fact().num_rows());
-  out.push_back(raw);
-  for (AttributeSet view_attrs : catalog_->materialized_views()) {
-    if (!query.AnswerableFrom(view_attrs)) continue;
-    const MaterializedView& view = catalog_->view(view_attrs);
-    double view_rows = static_cast<double>(view.num_rows());
-    out.push_back(PlanChoice{false, view_attrs, IndexKey(), view_rows,
-                             false});
-    for (const ViewIndex& index : catalog_->indexes(view_attrs)) {
-      AttributeSet prefix =
-          index.key().LongestSelectionPrefix(query.selection());
-      if (prefix.empty()) continue;
-      double distinct =
-          catalog_->HasView(prefix)
-              ? static_cast<double>(catalog_->view(prefix).num_rows())
-              : EstimateDistinct(schema, prefix, view_rows);
-      out.push_back(PlanChoice{false, view_attrs, index.key(),
-                               view_rows / std::max(1.0, distinct),
-                               false});
-    }
-  }
+  ForEachAccessPath(*catalog_, query, [&](const PlannedAccess& path) {
+    out.push_back(PlanChoice{
+        path.use_raw, path.view,
+        path.index != nullptr ? path.index->key() : IndexKey(),
+        path.estimated_cost, false});
+  });
+  // Stable: equal costs keep planning order, so the front is PlanAccess's
+  // first minimum.
   std::stable_sort(out.begin(), out.end(),
                    [](const PlanChoice& a, const PlanChoice& b) {
                      return a.estimated_cost < b.estimated_cost;

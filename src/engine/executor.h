@@ -190,8 +190,9 @@ class Executor {
     bool chosen = false;
   };
 
-  // All access paths the planner would consider for `query`, sorted by
-  // estimated cost (the chosen one first). Does not execute anything.
+  // Every access path PlanAccess considers for `query`, stably sorted by
+  // estimated cost, so the front row, marked chosen, is PlanAccess's plan.
+  // Does not execute anything.
   std::vector<PlanChoice> Explain(const SliceQuery& query) const;
 
   // Human-readable EXPLAIN output.

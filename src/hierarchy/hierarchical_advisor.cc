@@ -47,24 +47,7 @@ Status ResolveCheckpoint(const HSelectionCheckpoint& checkpoint,
   return Status::Ok();
 }
 
-HRecommendation RejectedRecommendation(Status status) {
-  HRecommendation rec;
-  rec.raw = SelectionResult::Rejected(std::move(status));
-  rec.status = rec.raw.status;
-  rec.completed = false;
-  return rec;
-}
-
 }  // namespace
-
-HierarchicalAdvisor::HierarchicalAdvisor(
-    const HierarchicalSchema& schema, double raw_rows,
-    const std::vector<WeightedHQuery>& workload,
-    const HierarchicalGraphOptions& options)
-    : schema_(schema),
-      cube_graph_(
-          BuildHierarchicalCubeGraph(schema, raw_rows, workload, options)) {
-}
 
 HierarchicalAdvisor::HierarchicalAdvisor(const HierarchicalSchema& schema,
                                          HierarchicalCubeGraph cube_graph)
@@ -102,106 +85,29 @@ StatusOr<HierarchicalAdvisor> HierarchicalAdvisor::CreateSparse(
 
 HRecommendation HierarchicalAdvisor::TryRecommend(
     const AdvisorConfig& config, const HSelectionCheckpoint* resume) const {
-  const bool greedy = config.algorithm == Algorithm::kOneGreedy ||
-                      config.algorithm == Algorithm::kRGreedy ||
-                      config.algorithm == Algorithm::kInnerLevel;
   if (config.resume != nullptr) {
-    return RejectedRecommendation(Status::InvalidArgument(
-        "flat-cube checkpoints (AdvisorConfig::resume) cannot be resolved "
-        "against a hierarchical lattice; pass an HSelectionCheckpoint"));
+    return PackageRecommendation<HRecommendation>(
+        SelectionResult::Rejected(Status::InvalidArgument(
+            "flat-cube checkpoints (AdvisorConfig::resume) cannot be "
+            "resolved against a hierarchical lattice; pass an "
+            "HSelectionCheckpoint")),
+        graph_fingerprint_);
   }
-  if (!greedy && !config.control.unlimited()) {
-    return RejectedRecommendation(Status::Unimplemented(
-        std::string(AlgorithmName(config.algorithm)) +
-        " has no anytime contract; deadlines/cancellation require a greedy "
-        "algorithm"));
-  }
-  if (!greedy && resume != nullptr) {
-    return RejectedRecommendation(Status::InvalidArgument(
-        std::string(AlgorithmName(config.algorithm)) +
-        " cannot resume from a checkpoint"));
-  }
-
-  ResumePicks resume_picks;
-  const ResumePicks* resume_ptr = nullptr;
+  CheckpointHeader header;
   if (resume != nullptr) {
-    if (resume->algorithm != AlgorithmName(config.algorithm)) {
-      return RejectedRecommendation(Status::InvalidArgument(
-          "checkpoint was taken by '" + resume->algorithm + "', not '" +
-          AlgorithmName(config.algorithm) +
-          "'; resuming would not reproduce the original pick sequence"));
-    }
-    if (resume->space_budget != config.space_budget) {
-      return RejectedRecommendation(Status::InvalidArgument(
-          "checkpoint budget " + std::to_string(resume->space_budget) +
-          " does not match configured budget " +
-          std::to_string(config.space_budget)));
-    }
-    if (resume->graph_fingerprint != 0 &&
-        resume->graph_fingerprint != graph_fingerprint_) {
-      return RejectedRecommendation(Status::FailedPrecondition(
-          "checkpoint was taken against a different query-view graph "
-          "(checkpoint graph fingerprint does not match this advisor's); "
-          "rebuild with the same schema, row counts, workload, and "
-          "options, or start a fresh selection"));
-    }
-    Status resolved = ResolveCheckpoint(*resume, cube_graph_, &resume_picks);
-    if (!resolved.ok()) return RejectedRecommendation(std::move(resolved));
-    resume_ptr = &resume_picks;
+    header = {resume->algorithm, resume->space_budget,
+              resume->graph_fingerprint};
   }
-
-  SelectionResult result;
-  switch (config.algorithm) {
-    case Algorithm::kOneGreedy: {
-      RGreedyOptions options = config.r_greedy;
-      options.r = 1;
-      if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = RGreedy(cube_graph_.graph, config.space_budget, options);
-      break;
-    }
-    case Algorithm::kRGreedy: {
-      RGreedyOptions options = config.r_greedy;
-      if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = RGreedy(cube_graph_.graph, config.space_budget, options);
-      break;
-    }
-    case Algorithm::kInnerLevel: {
-      InnerGreedyOptions options = config.inner_greedy;
-      if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = InnerLevelGreedy(cube_graph_.graph, config.space_budget,
-                                options);
-      break;
-    }
-    case Algorithm::kTwoStep:
-      result = TwoStep(cube_graph_.graph, config.space_budget,
-                       config.two_step);
-      break;
-    case Algorithm::kHruViewsOnly:
-      result = HruViewGreedy(cube_graph_.graph, config.space_budget);
-      break;
-    case Algorithm::kOptimal:
-      result = BranchAndBoundOptimal(cube_graph_.graph,
-                                     config.space_budget, config.optimal);
-      break;
-  }
-  if (!result.status.ok() && !result.status.IsInterruption()) {
-    return RejectedRecommendation(std::move(result.status));
-  }
-
-  HRecommendation rec;
-  rec.raw = result;
-  rec.status = result.status;
-  rec.completed = result.completed;
-  rec.space_used = result.space_used;
-  rec.graph_fingerprint = graph_fingerprint_;
-  rec.initial_average_cost =
-      result.total_frequency > 0.0
-          ? result.initial_cost / result.total_frequency
-          : 0.0;
-  rec.average_query_cost = result.AverageQueryCost();
+  HRecommendation rec = PackageRecommendation<HRecommendation>(
+      RunAdvisorSelection(cube_graph_.graph, graph_fingerprint_, config,
+                          resume != nullptr ? &header : nullptr,
+                          [&](ResumePicks* picks) {
+                            return ResolveCheckpoint(*resume, cube_graph_,
+                                                     picks);
+                          }),
+      graph_fingerprint_);
+  if (!rec.status.ok() && !rec.status.IsInterruption()) return rec;
+  const SelectionResult& result = rec.raw;
   for (const StructureRef& s : result.picks) {
     HRecommendedStructure r;
     r.view = cube_graph_.view_levels[s.view];

@@ -70,12 +70,6 @@ struct HRecommendation {
 
 class HierarchicalAdvisor {
  public:
-  // Aborts on an unsupported schema/workload (dimension limits, lattice
-  // size ceilings); prefer Create at external boundaries.
-  HierarchicalAdvisor(const HierarchicalSchema& schema, double raw_rows,
-                      const std::vector<WeightedHQuery>& workload,
-                      const HierarchicalGraphOptions& options = {});
-
   // Status-propagating construction: surfaces
   // TryBuildHierarchicalCubeGraph errors (bad row counts, oversized
   // lattices, malformed query roles) instead of aborting.
@@ -114,12 +108,6 @@ class HierarchicalAdvisor {
   HRecommendation TryRecommend(
       const AdvisorConfig& config,
       const HSelectionCheckpoint* resume = nullptr) const;
-
-  // TryRecommend without interruption/resume plumbing (the historical
-  // surface; keeps aborting-constructor callers unchanged).
-  HRecommendation Recommend(const AdvisorConfig& config) const {
-    return TryRecommend(config);
-  }
 
  private:
   HierarchicalAdvisor(const HierarchicalSchema& schema,

@@ -1,5 +1,7 @@
 #include "core/advisor.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/guarantees.h"
@@ -80,6 +82,38 @@ TEST_F(AdvisorTest, OptimalDominatesGreedyAtSameSpace) {
   // Theorem 5.1 bound for r = 2.
   EXPECT_GE(greedy.raw.Benefit(),
             RGreedyGuarantee(2) * optimal.raw.Benefit() - 1e-6);
+}
+
+// A negative or non-finite budget, or a two-step index fraction outside
+// [0, 1], is an InvalidArgument for every algorithm: the branch-and-bound
+// solver and two-step used to abort on them.
+TEST_F(AdvisorTest, BadBudgetOrIndexFractionIsInvalidArgument) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (Algorithm algo :
+       {Algorithm::kOneGreedy, Algorithm::kRGreedy, Algorithm::kInnerLevel,
+        Algorithm::kTwoStep, Algorithm::kHruViewsOnly, Algorithm::kOptimal}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    for (double budget : {-1.0, nan, inf}) {
+      AdvisorConfig config;
+      config.algorithm = algo;
+      config.space_budget = budget;
+      Recommendation rec = advisor_.Recommend(config);
+      EXPECT_EQ(rec.status.code(), StatusCode::kInvalidArgument) << budget;
+      EXPECT_FALSE(rec.completed);
+      EXPECT_TRUE(rec.structures.empty());
+      EXPECT_EQ(rec.graph_fingerprint, 0u);
+    }
+    for (double fraction : {2.0, -0.5, nan}) {
+      AdvisorConfig config;
+      config.algorithm = algo;
+      config.space_budget = cube_.sizes.TotalViewSpace() * 0.3;
+      config.two_step.index_fraction = fraction;
+      EXPECT_EQ(advisor_.Recommend(config).status.code(),
+                StatusCode::kInvalidArgument)
+          << fraction;
+    }
+  }
 }
 
 TEST(AdvisorNamesTest, AlgorithmNames) {

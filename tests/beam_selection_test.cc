@@ -9,8 +9,9 @@
 //     ever skipped a candidate whose bound beat the pick;
 //   - the beam defers only certified-bounded views, so it never stops a
 //     run earlier than the exact greedy would (deferred fallback);
-//   - the O(n) beam cut (core/beam_cut.h) keeps and defers exactly what a
-//     full sort by (bound descending, id ascending) would.
+//   - the O(n) beam cut (core/greedy_driver.h) keeps and defers exactly
+//     what a full sort by (bound descending, id ascending) would;
+//   - the stage loop's work counters on one fixed graph, pinned.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/beam_cut.h"
+#include "core/greedy_driver.h"
 #include "core/cube_graph.h"
 #include "core/inner_greedy.h"
 #include "core/r_greedy.h"
@@ -280,6 +281,63 @@ TEST(BeamCutTest, MatchesFullSort) {
       EXPECT_EQ(bound[cut[beam]], bound[sorted[beam]]);
     } else {
       EXPECT_EQ(cut, shuffled);  // nothing to cut: left as given
+    }
+  }
+}
+
+// The stage loop's work counters on one fixed graph, pinned: r-greedy at
+// r = 1, 2 and 3 (r = 3 under a subset cap that truncates) and inner-level
+// greedy, each exact and under a finite beam, at 1 and 4 threads. The
+// thread-count comparisons above cannot see a drift that moves every
+// thread count alike, such as a changed prune rule; these values can. The
+// budget is never reached, so each run ends when no candidate has
+// positive benefit: its last stages have few clean candidates, a prune
+// threshold of 0 and beam fallbacks, where the rules differ most.
+TEST(GreedyCounterPinTest, StageLoopCountersArePinned) {
+  struct Pinned {
+    const char* label;
+    int r;  // 0 = inner-level greedy
+    size_t beam;
+    uint64_t evaluated, cache_hits, cache_misses, bound_prunes, beam_skipped,
+        truncated, stages;
+  };
+  const Pinned pinned[] = {
+      {"r=1", 1, 0, 6350, 2213, 388, 1655, 0, 0, 132},
+      {"r=1 beam", 1, 2, 5255, 2001, 302, 1669, 284, 0, 132},
+      {"r=2", 2, 0, 8388, 2213, 388, 1655, 0, 0, 132},
+      {"r=2 beam", 2, 2, 6199, 2001, 302, 1669, 284, 0, 132},
+      {"r=3 capped", 3, 0, 18770, 2265, 476, 1515, 0, 224288, 132},
+      {"r=3 capped beam", 3, 2, 17558, 2054, 418, 1560, 224, 224288, 132},
+      {"inner", 0, 0, 17991, 2533, 400, 1323, 0, 0, 132},
+      {"inner beam", 0, 2, 10649, 2002, 312, 1609, 333, 0, 132},
+  };
+  CubeGraph cg = BuildGraph(5, 8);
+  const double budget = 1e15;
+  for (const Pinned& want : pinned) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(want.label) + " threads " +
+                   std::to_string(threads));
+      SelectionResult got;
+      if (want.r == 0) {
+        got = InnerLevelGreedy(cg.graph, budget,
+                               InnerGreedyOptions{.num_threads = threads,
+                                                  .beam_width = want.beam});
+      } else {
+        // The subset cap binds only at r = 3 (subsets of two indexes).
+        got = RGreedy(cg.graph, budget,
+                      RGreedyOptions{.r = want.r,
+                                     .max_subsets_per_view = 40,
+                                     .num_threads = threads,
+                                     .beam_width = want.beam});
+      }
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      EXPECT_EQ(got.candidates_evaluated, want.evaluated);
+      EXPECT_EQ(got.stats.cache_hits, want.cache_hits);
+      EXPECT_EQ(got.stats.cache_misses, want.cache_misses);
+      EXPECT_EQ(got.stats.bound_prunes, want.bound_prunes);
+      EXPECT_EQ(got.beam_skipped, want.beam_skipped);
+      EXPECT_EQ(got.candidates_truncated, want.truncated);
+      EXPECT_EQ(got.stats.stages, want.stages);
     }
   }
 }

@@ -189,6 +189,35 @@ TEST_F(ExecutorTest, ExplainRanksPlans) {
   EXPECT_NE(text.find("scan raw fact table"), std::string::npos);
 }
 
+// Explain lists PlanAccess's candidates: for every slice query over a
+// catalog of views and indexes, its chosen row names the path, index and
+// estimated cost that Execute reports running.
+TEST_F(ExecutorTest, ExplainChosenRowIsTheExecutedPlan) {
+  catalog_.MaterializeView(AttributeSet::Of({0, 1, 2}));
+  catalog_.MaterializeView(AttributeSet::Of({0, 1}));
+  catalog_.MaterializeView(AttributeSet::Of({2}));
+  catalog_.BuildIndex(AttributeSet::Of({0, 1, 2}), IndexKey({2, 1, 0}));
+  catalog_.BuildIndex(AttributeSet::Of({0, 1, 2}), IndexKey({0, 2, 1}));
+  catalog_.BuildIndex(AttributeSet::Of({0, 1}), IndexKey({1, 0}));
+
+  CubeLattice lattice(SmallSchema());
+  Workload all = AllSliceQueries(lattice);
+  for (const WeightedQuery& wq : all.queries()) {
+    SCOPED_TRACE(wq.query.ToString({"a", "b", "c"}));
+    std::vector<uint32_t> values(
+        static_cast<size_t>(wq.query.selection().size()), 1u);
+    ExecutionStats stats;
+    executor_.Execute(wq.query, values, &stats);
+    std::vector<Executor::PlanChoice> plans = executor_.Explain(wq.query);
+    ASSERT_FALSE(plans.empty());
+    EXPECT_TRUE(plans[0].chosen);
+    EXPECT_EQ(plans[0].use_raw, stats.used_raw);
+    EXPECT_EQ(plans[0].view, stats.view);
+    EXPECT_EQ(plans[0].index, stats.index);
+    EXPECT_EQ(plans[0].estimated_cost, stats.estimated_cost);
+  }
+}
+
 TEST_F(ExecutorTest, ExplainOnEmptyCatalogOffersOnlyRaw) {
   SliceQuery q(AttributeSet::Of({0}), AttributeSet());
   std::vector<Executor::PlanChoice> plans = executor_.Explain(q);

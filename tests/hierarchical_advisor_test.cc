@@ -1,6 +1,7 @@
 #include "hierarchy/hierarchical_advisor.h"
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -20,12 +21,13 @@ TEST(HierarchicalAdvisorTest, RecommendationIsConsistent) {
   HierarchicalSchema schema = Schema();
   HierarchicalGraphOptions options;
   options.raw_scan_penalty = 2.0;
-  HierarchicalAdvisor advisor(schema, 1'000,
-                              UniformHWorkload(schema), options);
+  StatusOr<HierarchicalAdvisor> advisor = HierarchicalAdvisor::Create(
+      schema, 1'000, UniformHWorkload(schema), options);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kInnerLevel;
   config.space_budget = 2'000;
-  HRecommendation rec = advisor.Recommend(config);
+  HRecommendation rec = advisor->TryRecommend(config);
 
   ASSERT_FALSE(rec.structures.empty());
   double space = 0.0;
@@ -49,14 +51,15 @@ TEST(HierarchicalAdvisorTest, RecommendationMaterializes) {
   FactTable fact = GenerateHierarchicalFacts(schema, 1'000, /*seed=*/3);
   HierarchicalGraphOptions options;
   options.raw_scan_penalty = 2.0;
-  HierarchicalAdvisor advisor(schema,
-                              static_cast<double>(fact.num_rows()),
-                              UniformHWorkload(schema), options);
+  StatusOr<HierarchicalAdvisor> advisor = HierarchicalAdvisor::Create(
+      schema, static_cast<double>(fact.num_rows()), UniformHWorkload(schema),
+      options);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kRGreedy;
   config.r_greedy.r = 2;
   config.space_budget = 2'500;
-  HRecommendation rec = advisor.Recommend(config);
+  HRecommendation rec = advisor->TryRecommend(config);
 
   HierarchicalCatalog catalog(&fact, &maps);
   for (const HRecommendedStructure& s : rec.structures) {
@@ -73,8 +76,9 @@ TEST(HierarchicalAdvisorTest, AllAlgorithmsRun) {
   HierarchicalSchema schema = Schema();
   HierarchicalGraphOptions options;
   options.raw_scan_penalty = 2.0;
-  HierarchicalAdvisor advisor(schema, 1'000,
-                              UniformHWorkload(schema), options);
+  StatusOr<HierarchicalAdvisor> advisor = HierarchicalAdvisor::Create(
+      schema, 1'000, UniformHWorkload(schema), options);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   for (Algorithm algo :
        {Algorithm::kOneGreedy, Algorithm::kInnerLevel, Algorithm::kTwoStep,
         Algorithm::kHruViewsOnly}) {
@@ -82,7 +86,7 @@ TEST(HierarchicalAdvisorTest, AllAlgorithmsRun) {
     config.algorithm = algo;
     config.space_budget = 1'000;
     config.two_step.strict_fit = true;
-    HRecommendation rec = advisor.Recommend(config);
+    HRecommendation rec = advisor->TryRecommend(config);
     EXPECT_LE(rec.average_query_cost, rec.initial_average_cost)
         << AlgorithmName(algo);
   }
@@ -108,12 +112,14 @@ TEST(HierarchicalAdvisorRuntimeTest, CreateSurfacesGraphBuildErrors) {
 
 TEST(HierarchicalAdvisorRuntimeTest, DeadlineAndCancellationInterrupt) {
   HierarchicalSchema schema = Schema();
-  HierarchicalAdvisor advisor(schema, 1'000, UniformHWorkload(schema));
+  StatusOr<HierarchicalAdvisor> advisor =
+      HierarchicalAdvisor::Create(schema, 1'000, UniformHWorkload(schema));
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kInnerLevel;
   config.space_budget = 2'000;
   config.control.deadline = Deadline::AfterMillis(0);  // already expired
-  HRecommendation rec = advisor.TryRecommend(config);
+  HRecommendation rec = advisor->TryRecommend(config);
   EXPECT_FALSE(rec.completed);
   EXPECT_EQ(rec.status.code(), StatusCode::kDeadlineExceeded);
 
@@ -123,32 +129,34 @@ TEST(HierarchicalAdvisorRuntimeTest, DeadlineAndCancellationInterrupt) {
   cancelled.algorithm = Algorithm::kOneGreedy;
   cancelled.space_budget = 2'000;
   cancelled.control.cancel = &token;
-  HRecommendation rec2 = advisor.TryRecommend(cancelled);
+  HRecommendation rec2 = advisor->TryRecommend(cancelled);
   EXPECT_FALSE(rec2.completed);
   EXPECT_EQ(rec2.status.code(), StatusCode::kCancelled);
 }
 
 TEST(HierarchicalAdvisorRuntimeTest, ResumeReproducesFullRunBitExactly) {
   HierarchicalSchema schema = Schema();
-  HierarchicalAdvisor advisor(schema, 1'000, UniformHWorkload(schema));
+  StatusOr<HierarchicalAdvisor> advisor =
+      HierarchicalAdvisor::Create(schema, 1'000, UniformHWorkload(schema));
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   for (Algorithm algo : {Algorithm::kOneGreedy, Algorithm::kInnerLevel}) {
     SCOPED_TRACE(AlgorithmName(algo));
     AdvisorConfig config;
     config.algorithm = algo;
     config.space_budget = 2'500;
-    HRecommendation full = advisor.TryRecommend(config);
+    HRecommendation full = advisor->TryRecommend(config);
     ASSERT_TRUE(full.status.ok());
     ASSERT_GE(full.structures.size(), 2u);
 
     AdvisorConfig limited = config;
     limited.control.max_steps = 1;
-    HRecommendation partial = advisor.TryRecommend(limited);
+    HRecommendation partial = advisor->TryRecommend(limited);
     ASSERT_FALSE(partial.completed);
     EXPECT_EQ(partial.status.code(), StatusCode::kResourceExhausted);
     ASSERT_LT(partial.structures.size(), full.structures.size());
     HSelectionCheckpoint checkpoint = partial.ToCheckpoint(limited);
 
-    HRecommendation resumed = advisor.TryRecommend(config, &checkpoint);
+    HRecommendation resumed = advisor->TryRecommend(config, &checkpoint);
     ASSERT_TRUE(resumed.status.ok());
     EXPECT_TRUE(resumed.completed);
     ASSERT_EQ(resumed.structures.size(), full.structures.size());
@@ -167,47 +175,51 @@ TEST(HierarchicalAdvisorRuntimeTest, ResumeReproducesFullRunBitExactly) {
 
 TEST(HierarchicalAdvisorRuntimeTest, RejectsMismatchedOrFlatCheckpoints) {
   HierarchicalSchema schema = Schema();
-  HierarchicalAdvisor advisor(schema, 1'000, UniformHWorkload(schema));
+  StatusOr<HierarchicalAdvisor> advisor =
+      HierarchicalAdvisor::Create(schema, 1'000, UniformHWorkload(schema));
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kOneGreedy;
   config.space_budget = 2'000;
   config.control.max_steps = 1;
-  HRecommendation partial = advisor.TryRecommend(config);
+  HRecommendation partial = advisor->TryRecommend(config);
   HSelectionCheckpoint checkpoint = partial.ToCheckpoint(config);
 
   // Different algorithm tag.
   AdvisorConfig other = config;
   other.algorithm = Algorithm::kInnerLevel;
-  EXPECT_EQ(advisor.TryRecommend(other, &checkpoint).status.code(),
+  EXPECT_EQ(advisor->TryRecommend(other, &checkpoint).status.code(),
             StatusCode::kInvalidArgument);
   // Different budget.
   AdvisorConfig rebudgeted = config;
   rebudgeted.space_budget = 999;
-  EXPECT_EQ(advisor.TryRecommend(rebudgeted, &checkpoint).status.code(),
+  EXPECT_EQ(advisor->TryRecommend(rebudgeted, &checkpoint).status.code(),
             StatusCode::kInvalidArgument);
   // A pick that does not exist in this lattice.
   HSelectionCheckpoint alien = checkpoint;
   alien.picks.push_back(HRecommendedStructure{
       LevelVector({7, 7}), {}, "bogus", 1.0});
   alien.pick_benefits.push_back(1.0);
-  EXPECT_EQ(advisor.TryRecommend(config, &alien).status.code(),
+  EXPECT_EQ(advisor->TryRecommend(config, &alien).status.code(),
             StatusCode::kInvalidArgument);
   // The flat-cube checkpoint slot is meaningless here.
   SelectionCheckpoint flat;
   AdvisorConfig with_flat = config;
   with_flat.resume = &flat;
-  EXPECT_EQ(advisor.TryRecommend(with_flat).status.code(),
+  EXPECT_EQ(advisor->TryRecommend(with_flat).status.code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(HierarchicalAdvisorRuntimeTest, NonGreedyRejectsControlAndResume) {
   HierarchicalSchema schema = Schema();
-  HierarchicalAdvisor advisor(schema, 1'000, UniformHWorkload(schema));
+  StatusOr<HierarchicalAdvisor> advisor =
+      HierarchicalAdvisor::Create(schema, 1'000, UniformHWorkload(schema));
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kTwoStep;
   config.space_budget = 1'000;
   config.control.max_steps = 3;
-  EXPECT_EQ(advisor.TryRecommend(config).status.code(),
+  EXPECT_EQ(advisor->TryRecommend(config).status.code(),
             StatusCode::kUnimplemented);
 
   AdvisorConfig with_resume;
@@ -216,8 +228,84 @@ TEST(HierarchicalAdvisorRuntimeTest, NonGreedyRejectsControlAndResume) {
   HSelectionCheckpoint checkpoint;
   checkpoint.algorithm = AlgorithmName(Algorithm::kTwoStep);
   checkpoint.space_budget = 1'000;
-  EXPECT_EQ(advisor.TryRecommend(with_resume, &checkpoint).status.code(),
+  EXPECT_EQ(advisor->TryRecommend(with_resume, &checkpoint).status.code(),
             StatusCode::kInvalidArgument);
+}
+
+// A checkpoint stamps the graph's fingerprint, and a second advisor
+// created from the same inputs has the same graph: it resumes the run
+// bit-exactly. An advisor over other inputs rejects the checkpoint.
+TEST(HierarchicalAdvisorRuntimeTest, CheckpointResumesOnASecondAdvisor) {
+  HierarchicalSchema schema = Schema();
+  StatusOr<HierarchicalAdvisor> first =
+      HierarchicalAdvisor::Create(schema, 1'000, UniformHWorkload(schema));
+  StatusOr<HierarchicalAdvisor> second =
+      HierarchicalAdvisor::Create(schema, 1'000, UniformHWorkload(schema));
+  StatusOr<HierarchicalAdvisor> other =
+      HierarchicalAdvisor::Create(schema, 2'000, UniformHWorkload(schema));
+  ASSERT_TRUE(first.ok() && second.ok() && other.ok());
+  EXPECT_NE(first->graph_fingerprint(), 0u);
+  EXPECT_EQ(second->graph_fingerprint(), first->graph_fingerprint());
+  EXPECT_NE(other->graph_fingerprint(), first->graph_fingerprint());
+
+  AdvisorConfig config;
+  config.algorithm = Algorithm::kInnerLevel;
+  config.space_budget = 2'500;
+  HRecommendation full = first->TryRecommend(config);
+  ASSERT_TRUE(full.status.ok());
+  EXPECT_EQ(full.graph_fingerprint, first->graph_fingerprint());
+  AdvisorConfig limited = config;
+  limited.control.max_steps = 1;
+  HRecommendation partial = first->TryRecommend(limited);
+  ASSERT_EQ(partial.status.code(), StatusCode::kResourceExhausted);
+  HSelectionCheckpoint checkpoint = partial.ToCheckpoint(config);
+  EXPECT_EQ(checkpoint.graph_fingerprint, first->graph_fingerprint());
+
+  HRecommendation resumed = second->TryRecommend(config, &checkpoint);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  ASSERT_EQ(resumed.structures.size(), full.structures.size());
+  for (size_t i = 0; i < full.structures.size(); ++i) {
+    EXPECT_EQ(resumed.structures[i].name, full.structures[i].name);
+  }
+  EXPECT_EQ(resumed.raw.pick_benefits, full.raw.pick_benefits);
+  EXPECT_EQ(resumed.raw.final_cost, full.raw.final_cost);
+  EXPECT_EQ(other->TryRecommend(config, &checkpoint).status.code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// The flat advisor's config checks hold here too: a negative or
+// non-finite budget, or a two-step index fraction outside [0, 1], is an
+// InvalidArgument for every algorithm instead of an abort.
+TEST(HierarchicalAdvisorRuntimeTest,
+     BadBudgetOrIndexFractionIsInvalidArgument) {
+  HierarchicalSchema schema = Schema();
+  StatusOr<HierarchicalAdvisor> advisor =
+      HierarchicalAdvisor::Create(schema, 1'000, UniformHWorkload(schema));
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (Algorithm algo :
+       {Algorithm::kOneGreedy, Algorithm::kRGreedy, Algorithm::kInnerLevel,
+        Algorithm::kTwoStep, Algorithm::kHruViewsOnly, Algorithm::kOptimal}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    for (double budget : {-1.0, nan, inf}) {
+      AdvisorConfig config;
+      config.algorithm = algo;
+      config.space_budget = budget;
+      HRecommendation rec = advisor->TryRecommend(config);
+      EXPECT_EQ(rec.status.code(), StatusCode::kInvalidArgument) << budget;
+      EXPECT_TRUE(rec.structures.empty());
+    }
+    for (double fraction : {2.0, -0.5, nan}) {
+      AdvisorConfig config;
+      config.algorithm = algo;
+      config.space_budget = 1'000;
+      config.two_step.index_fraction = fraction;
+      EXPECT_EQ(advisor->TryRecommend(config).status.code(),
+                StatusCode::kInvalidArgument)
+          << fraction;
+    }
+  }
 }
 
 }  // namespace

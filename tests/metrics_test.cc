@@ -477,37 +477,44 @@ TEST(SelectionWorkCountersTest, CostCellsAndRechecksArePinned) {
   }
 }
 
-// Per-chunk evaluation time and work: one entry per chunk, cells summing
-// to cost_cells exactly, and an imbalance of exactly 1 for one chunk and
-// at least 1 for several, published as selection.chunk_imbalance_permille.
+// Per-chunk evaluation time and work of both eager greedies: one entry per
+// chunk, cells summing to cost_cells exactly, and an imbalance of exactly
+// 1 for one chunk and at least 1 for several, published as
+// selection.chunk_imbalance_permille.
 TEST_F(SelectionMetricsTest, ChunkImbalanceIsPublished) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    SelectionResult res = InnerLevelGreedy(
-        cube_->graph, budget_, InnerGreedyOptions{.num_threads = threads});
-    ASSERT_TRUE(res.status.ok());
-    ASSERT_EQ(res.stats.chunk_busy_micros.size(), threads);
-    ASSERT_EQ(res.stats.chunk_cells.size(), threads);
-    uint64_t cells = 0;
-    for (uint64_t c : res.stats.chunk_cells) cells += c;
-    EXPECT_EQ(cells, res.stats.cost_cells);
-    const double imbalance = res.stats.ChunkImbalance();
-    if (threads == 1) {
-      EXPECT_EQ(imbalance, 1.0);
-    } else {
-      EXPECT_GE(imbalance, 1.0);
-      EXPECT_LE(imbalance, static_cast<double>(threads));
-    }
+    for (bool inner : {true, false}) {
+      SCOPED_TRACE(std::string(inner ? "inner-level" : "r-greedy") +
+                   " threads " + std::to_string(threads));
+      SelectionResult res =
+          inner ? InnerLevelGreedy(cube_->graph, budget_,
+                                   InnerGreedyOptions{.num_threads = threads})
+                : RGreedy(cube_->graph, budget_,
+                          RGreedyOptions{.r = 2, .num_threads = threads});
+      ASSERT_TRUE(res.status.ok());
+      ASSERT_EQ(res.stats.chunk_busy_micros.size(), threads);
+      ASSERT_EQ(res.stats.chunk_cells.size(), threads);
+      uint64_t cells = 0;
+      for (uint64_t c : res.stats.chunk_cells) cells += c;
+      EXPECT_EQ(cells, res.stats.cost_cells);
+      const double imbalance = res.stats.ChunkImbalance();
+      if (threads == 1) {
+        EXPECT_EQ(imbalance, 1.0);
+      } else {
+        EXPECT_GE(imbalance, 1.0);
+        EXPECT_LE(imbalance, static_cast<double>(threads));
+      }
 #if defined(OLAPIDX_METRICS_ENABLED)
-    int64_t permille = 0;
-    for (const auto& [name, value] : res.metrics.gauges) {
-      if (name == "selection.chunk_imbalance_permille") permille = value;
-    }
-    EXPECT_EQ(permille, std::llround(1000.0 * imbalance));
-    if (threads == 1) {
-      EXPECT_EQ(permille, 1000);
-    }
+      int64_t permille = 0;
+      for (const auto& [name, value] : res.metrics.gauges) {
+        if (name == "selection.chunk_imbalance_permille") permille = value;
+      }
+      EXPECT_EQ(permille, std::llround(1000.0 * imbalance));
+      if (threads == 1) {
+        EXPECT_EQ(permille, 1000);
+      }
 #endif
+    }
   }
 }
 
