@@ -33,8 +33,10 @@ void Run(bench::BenchJsonReporter* rep) {
     fat_opts.raw_scan_penalty = 2.0;
     CubeGraphOptions all_opts = fat_opts;
     all_opts.fat_indexes_only = false;
-    CubeGraph fat = BuildCubeGraph(cube.schema, cube.sizes, w, fat_opts);
-    CubeGraph all = BuildCubeGraph(cube.schema, cube.sizes, w, all_opts);
+    CubeGraph fat = bench::ValueOrExit(
+        TryBuildCubeGraph(cube.schema, cube.sizes, w, fat_opts));
+    CubeGraph all = bench::ValueOrExit(
+        TryBuildCubeGraph(cube.schema, cube.sizes, w, all_opts));
 
     double budget = 0.25 * (cube.sizes.TotalViewSpace() +
                             cube.sizes.TotalFatIndexSpace());

@@ -23,7 +23,8 @@ Advisor MakeAdvisor() {
   CubeLattice lattice(schema);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;  // raw = normalized TPC-D tables (join work)
-  return Advisor(schema, TpcdPaperSizes(), AllSliceQueries(lattice), opts);
+  return bench::ValueOrExit(Advisor::Create(schema, TpcdPaperSizes(),
+                                            AllSliceQueries(lattice), opts));
 }
 
 void Run(bench::BenchJsonReporter* rep) {

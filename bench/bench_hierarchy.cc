@@ -60,8 +60,9 @@ void Run(bench::BenchJsonReporter* rep) {
     HierarchicalSchema schema = RetailSchema(levels);
     HierarchicalGraphOptions options;
     options.raw_scan_penalty = 2.0;
-    HierarchicalCubeGraph cube = BuildHierarchicalCubeGraph(
-        schema, 3e6, UniformHWorkload(schema), options);
+    HierarchicalCubeGraph cube = bench::ValueOrExit(
+        TryBuildHierarchicalCubeGraph(schema, 3e6, UniformHWorkload(schema),
+                                      options));
     double budget = 0.03 * TotalSpace(cube.graph);
 
     auto ratio_value = [&](const SelectionResult& r) {
@@ -129,8 +130,9 @@ void Run(bench::BenchJsonReporter* rep) {
     HierarchicalGraphOptions options;
     options.raw_scan_penalty = 2.0;
     options.maintenance_per_row = rate;
-    HierarchicalCubeGraph cube = BuildHierarchicalCubeGraph(
-        schema, 3e6, UniformHWorkload(schema), options);
+    HierarchicalCubeGraph cube = bench::ValueOrExit(
+        TryBuildHierarchicalCubeGraph(schema, 3e6, UniformHWorkload(schema),
+                                      options));
     double budget = 0.03 * TotalSpace(cube.graph);
     SelectionResult r = InnerLevelGreedy(cube.graph, budget);
     double avg = r.picks.empty()

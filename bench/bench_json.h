@@ -395,6 +395,17 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv,
   return out;
 }
 
+// The value of a Status-returning build or Create whose input a bench
+// expects to be well formed; otherwise prints the status and exits(1).
+template <typename T>
+T ValueOrExit(StatusOr<T> result) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return *std::move(result);
+}
+
 // Writes the report and prints a one-line confirmation (or the error).
 inline void FinishBenchJson(const BenchJsonReporter& reporter,
                             const BenchArgs& args) {

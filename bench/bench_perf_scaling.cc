@@ -40,8 +40,9 @@ ScalingSetup MakeSetup(int n) {
   CubeLattice lattice(cube.schema);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  ScalingSetup setup{BuildCubeGraph(cube.schema, cube.sizes,
-                                    AllSliceQueries(lattice), opts),
+  ScalingSetup setup{bench::ValueOrExit(TryBuildCubeGraph(
+                         cube.schema, cube.sizes, AllSliceQueries(lattice),
+                         opts)),
                      0.0};
   setup.budget = 0.25 * (cube.sizes.TotalViewSpace() +
                          cube.sizes.TotalFatIndexSpace());
@@ -157,17 +158,18 @@ BENCHMARK(BM_BranchAndBoundOptimal)
     ->DenseRange(2, 3)
     ->Unit(benchmark::kMillisecond);
 
-void BM_BuildCubeGraph(benchmark::State& state) {
+void BM_TryBuildCubeGraph(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   SyntheticCube cube = UniformSyntheticCube(n, 100, 0.05);
   CubeLattice lattice(cube.schema);
   Workload w = AllSliceQueries(lattice);
   for (auto _ : state) {
-    CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes, w);
+    CubeGraph cg =
+        bench::ValueOrExit(TryBuildCubeGraph(cube.schema, cube.sizes, w));
     benchmark::DoNotOptimize(cg.graph.num_structures());
   }
 }
-BENCHMARK(BM_BuildCubeGraph)->DenseRange(3, 6)->Unit(
+BENCHMARK(BM_TryBuildCubeGraph)->DenseRange(3, 6)->Unit(
     benchmark::kMillisecond);
 
 // ---- Engine microbenchmarks ----

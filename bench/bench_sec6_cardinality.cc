@@ -18,8 +18,8 @@ bench::FamilyResult RunCube(const SyntheticCube& cube) {
   CubeLattice lattice(cube.schema);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes,
-                                AllSliceQueries(lattice), opts);
+  CubeGraph cg = bench::ValueOrExit(TryBuildCubeGraph(
+      cube.schema, cube.sizes, AllSliceQueries(lattice), opts));
   double total =
       cube.sizes.TotalViewSpace() + cube.sizes.TotalFatIndexSpace();
   // 4% of everything: tight enough that choices matter.

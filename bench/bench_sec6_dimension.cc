@@ -32,8 +32,8 @@ void Run(bench::BenchJsonReporter* rep) {
     CubeLattice lattice(cube.schema);
     CubeGraphOptions opts;
     opts.raw_scan_penalty = 2.0;
-    CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes,
-                                  AllSliceQueries(lattice), opts);
+    CubeGraph cg = bench::ValueOrExit(TryBuildCubeGraph(
+        cube.schema, cube.sizes, AllSliceQueries(lattice), opts));
     double total = cube.sizes.TotalViewSpace() +
                    cube.sizes.TotalFatIndexSpace();
     // At n = 6 the base view alone has C(720,2) ≈ 2.6e5 index pairs per

@@ -29,7 +29,8 @@ void Run(bench::BenchJsonReporter* rep) {
   auto add = [&](const std::string& label, const Workload& w) {
     CubeGraphOptions opts;
     opts.raw_scan_penalty = 2.0;
-    CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes, w, opts);
+    CubeGraph cg = bench::ValueOrExit(
+        TryBuildCubeGraph(cube.schema, cube.sizes, w, opts));
     bench::FamilyResult f =
         bench::RunFamily(cg.graph, 0.04 * total, /*run_three=*/true);
     t.AddRow({label, bench::Ratio(f.one), bench::Ratio(f.two),
@@ -59,8 +60,10 @@ void Run(bench::BenchJsonReporter* rep) {
   Workload hot_w =
       HotDimensionSliceQueries(lattice, AttributeSet::Of({3}), 16.0);
   Workload uni_w = AllSliceQueries(lattice);
-  CubeGraph hot_g = BuildCubeGraph(cube.schema, cube.sizes, hot_w, opts);
-  CubeGraph uni_g = BuildCubeGraph(cube.schema, cube.sizes, uni_w, opts);
+  CubeGraph hot_g = bench::ValueOrExit(
+      TryBuildCubeGraph(cube.schema, cube.sizes, hot_w, opts));
+  CubeGraph uni_g = bench::ValueOrExit(
+      TryBuildCubeGraph(cube.schema, cube.sizes, uni_w, opts));
   double budget = 0.04 * total;
   SelectionResult hot_sel = InnerLevelGreedy(hot_g.graph, budget);
   SelectionResult uni_sel = InnerLevelGreedy(uni_g.graph, budget);

@@ -26,8 +26,8 @@ void Run(bench::BenchJsonReporter* rep) {
     CubeLattice lattice(cube.schema);
     CubeGraphOptions opts;
     opts.raw_scan_penalty = 2.0;
-    CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes,
-                                  AllSliceQueries(lattice), opts);
+    CubeGraph cg = bench::ValueOrExit(TryBuildCubeGraph(
+        cube.schema, cube.sizes, AllSliceQueries(lattice), opts));
     double total =
         cube.sizes.TotalViewSpace() + cube.sizes.TotalFatIndexSpace();
     bench::FamilyResult f =

@@ -21,7 +21,8 @@ void Run(bench::BenchJsonReporter* rep) {
   CubeLattice lattice(schema);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  Advisor advisor(schema, TpcdPaperSizes(), AllSliceQueries(lattice), opts);
+  Advisor advisor = bench::ValueOrExit(Advisor::Create(
+      schema, TpcdPaperSizes(), AllSliceQueries(lattice), opts));
 
   std::printf("== E8: two-step split sweep on TPC-D (S = 25M) ==\n\n");
   TablePrinter t({"index fraction", "strict avg cost", "strict space",

@@ -39,7 +39,7 @@
 //
 // --cost-model picks the edge-cost model behind the CostModel seam:
 // "paper" (the default |C|/|E| linear model) or "calibrated:FILE", an
-// "olapidx-costmodel v1" file fitted by the calibration pipeline (write
+// "olapidx-costmodel v2" file fitted by the calibration pipeline (write
 // one with bench_calibration --save-model=FILE). A missing or malformed
 // model file exits with the InvalidArgument exit code. Works in all three
 // modes (flat, --sparse, --hierarchy).
@@ -264,26 +264,19 @@ int RunHierarchy(const std::string& hierarchy_arg, double rows,
     workload = UniformHWorkload(schema);
   }
 
-  StatusOr<HierarchicalAdvisor> advisor_or = [&]() {
-    if (sparse) {
-      SparseHierarchicalGraphOptions sopts;
-      sopts.top_queries = static_cast<size_t>(top_queries);
-      sopts.query_mass = query_mass;
-      if (max_views > 0) sopts.max_views = static_cast<size_t>(max_views);
-      sopts.raw_scan_penalty = raw_penalty;
-      sopts.maintenance_per_row = maintenance;
-      sopts.num_threads = static_cast<size_t>(threads);
-      sopts.cost_model = std::move(cost_model);
-      return HierarchicalAdvisor::CreateSparse(schema, rows, workload,
-                                               sopts);
-    }
-    HierarchicalGraphOptions gopts;
-    gopts.raw_scan_penalty = raw_penalty;
-    gopts.maintenance_per_row = maintenance;
-    gopts.num_threads = static_cast<size_t>(threads);
-    gopts.cost_model = std::move(cost_model);
-    return HierarchicalAdvisor::Create(schema, rows, workload, gopts);
-  }();
+  HierarchicalGraphOptions gopts;
+  gopts.raw_scan_penalty = raw_penalty;
+  gopts.maintenance_per_row = maintenance;
+  gopts.num_threads = static_cast<size_t>(threads);
+  gopts.cost_model = std::move(cost_model);
+  if (sparse) {
+    PruningOptions& pruning = gopts.pruning.emplace();
+    pruning.top_queries = static_cast<size_t>(top_queries);
+    pruning.query_mass = query_mass;
+    if (max_views > 0) pruning.max_views = static_cast<size_t>(max_views);
+  }
+  StatusOr<HierarchicalAdvisor> advisor_or =
+      HierarchicalAdvisor::Create(schema, rows, workload, gopts);
   if (!advisor_or.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  advisor_or.status().ToString().c_str());
@@ -524,7 +517,7 @@ int main(int argc, char** argv) {
 
   // The cost model behind the graph builders' CostModel seam: the paper's
   // linear model (null, the builders' default) or a calibrated model
-  // loaded from an "olapidx-costmodel v1" file.
+  // loaded from an "olapidx-costmodel v2" file.
   std::shared_ptr<const CostModel> cost_model;
   if (cost_model_arg != "paper") {
     const std::string prefix = "calibrated:";

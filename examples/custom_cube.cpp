@@ -37,7 +37,11 @@ int main() {
 
   CubeGraphOptions gopts;
   gopts.raw_scan_penalty = 2.0;
-  Advisor advisor(schema, sizes, workload, gopts);
+  StatusOr<Advisor> advisor = Advisor::Create(schema, sizes, workload, gopts);
+  if (!advisor.ok()) {
+    std::fprintf(stderr, "error: %s\n", advisor.status().ToString().c_str());
+    return 1;
+  }
 
   double budget = 0.01 * (sizes.TotalViewSpace() +
                           sizes.TotalFatIndexSpace());
@@ -58,7 +62,7 @@ int main() {
     config.r_greedy.r = 2;
     config.two_step.index_fraction = 0.5;
     config.two_step.strict_fit = true;
-    Recommendation rec = advisor.Recommend(config);
+    Recommendation rec = advisor->Recommend(config);
     if (algo == Algorithm::kInnerLevel) kept = rec;
     t.AddRow({label, FormatRowCount(rec.average_query_cost),
               FormatRowCount(rec.space_used),
@@ -80,13 +84,19 @@ int main() {
   // under the new workload and compare with re-advising.
   Workload new_workload = HotDimensionSliceQueries(
       lattice, AttributeSet::Of({1}), /*hot_boost=*/24.0);
-  Advisor new_advisor(schema, sizes, new_workload, gopts);
+  StatusOr<Advisor> new_advisor = Advisor::Create(
+      schema, sizes, new_workload, gopts);
+  if (!new_advisor.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 new_advisor.status().ToString().c_str());
+    return 1;
+  }
   AdvisorConfig config;
   config.algorithm = Algorithm::kInnerLevel;
   config.space_budget = budget;
-  Recommendation fresh = new_advisor.Recommend(config);
+  Recommendation fresh = new_advisor->Recommend(config);
 
-  SelectionState frozen(&new_advisor.cube_graph().graph);
+  SelectionState frozen(&new_advisor->cube_graph().graph);
   for (const StructureRef& s : kept.raw.picks) frozen.ApplyStructure(s);
   // Frequencies are normalized, so τ is already the weighted average cost.
   double frozen_avg = frozen.TotalCost() / new_workload.TotalFrequency();

@@ -33,8 +33,13 @@ int main() {
 
   HierarchicalGraphOptions options;
   options.raw_scan_penalty = 2.0;
-  HierarchicalCubeGraph cube = BuildHierarchicalCubeGraph(
+  StatusOr<HierarchicalCubeGraph> built = TryBuildHierarchicalCubeGraph(
       schema, raw_rows, UniformHWorkload(schema), options);
+  if (!built.ok()) {
+    std::fprintf(stderr, "error: %s\n", built.status().ToString().c_str());
+    return 1;
+  }
+  const HierarchicalCubeGraph& cube = *built;
 
   double total = 0.0;
   for (uint32_t v = 0; v < cube.graph.num_views(); ++v) {

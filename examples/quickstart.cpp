@@ -27,12 +27,17 @@ int main() {
   // 4. Ask the advisor what to precompute.
   CubeGraphOptions graph_options;
   graph_options.raw_scan_penalty = 2.0;
-  Advisor advisor(schema, sizes, workload, graph_options);
+  StatusOr<Advisor> advisor = Advisor::Create(
+      schema, sizes, workload, graph_options);
+  if (!advisor.ok()) {
+    std::fprintf(stderr, "error: %s\n", advisor.status().ToString().c_str());
+    return 1;
+  }
 
   AdvisorConfig config;
   config.algorithm = Algorithm::kInnerLevel;
   config.space_budget = 25e6;
-  Recommendation rec = advisor.Recommend(config);
+  Recommendation rec = advisor->Recommend(config);
 
   // 5. Use the recommendation.
   std::printf("Materialize (in pick order):\n");

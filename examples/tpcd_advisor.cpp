@@ -72,16 +72,20 @@ int main() {
   Workload workload = AllSliceQueries(lattice);
   CubeGraphOptions gopts;
   gopts.raw_scan_penalty = 2.0;
-  Advisor advisor(schema, sizes, workload, gopts);
+  StatusOr<Advisor> advisor = Advisor::Create(schema, sizes, workload, gopts);
+  if (!advisor.ok()) {
+    std::fprintf(stderr, "error: %s\n", advisor.status().ToString().c_str());
+    return 1;
+  }
 
   AdvisorConfig config;
   config.algorithm = Algorithm::kInnerLevel;
   config.space_budget = 0.3 * (sizes.TotalViewSpace() +
                                sizes.TotalFatIndexSpace());
-  Recommendation rec = advisor.Recommend(config);
+  Recommendation rec = advisor->Recommend(config);
   std::printf("\nRecommendation (budget %s rows): %s\n",
               FormatRowCount(config.space_budget).c_str(),
-              rec.raw.PicksToString(advisor.cube_graph().graph).c_str());
+              rec.raw.PicksToString(advisor->cube_graph().graph).c_str());
 
   std::printf("Materializing...\n");
   Catalog catalog(&fact);

@@ -61,12 +61,16 @@ int main() {
     CubeGraphOptions gopts;
     gopts.raw_scan_penalty = 2.0;
     gopts.maintenance_per_row = assumed_rate;
-    Advisor advisor(schema, sizes, workload, gopts);
+    StatusOr<Advisor> advisor = Advisor::Create(schema, sizes, workload, gopts);
+    if (!advisor.ok()) {
+      std::fprintf(stderr, "error: %s\n", advisor.status().ToString().c_str());
+      return 1;
+    }
     AdvisorConfig aconfig;
     aconfig.algorithm = Algorithm::kInnerLevel;
     aconfig.space_budget =
         0.5 * (sizes.TotalViewSpace() + sizes.TotalFatIndexSpace());
-    Recommendation rec = advisor.Recommend(aconfig);
+    Recommendation rec = advisor->Recommend(aconfig);
 
     Catalog catalog(&fact);
     std::vector<PhysicalDesignItem> items;

@@ -17,8 +17,12 @@ int main() {
   CubeLattice lattice(schema);
   CubeGraphOptions gopts;
   gopts.raw_scan_penalty = 2.0;
-  Advisor advisor(schema, TpcdPaperSizes(), AllSliceQueries(lattice),
-                  gopts);
+  StatusOr<Advisor> advisor = Advisor::Create(
+      schema, TpcdPaperSizes(), AllSliceQueries(lattice), gopts);
+  if (!advisor.ok()) {
+    std::fprintf(stderr, "error: %s\n", advisor.status().ToString().c_str());
+    return 1;
+  }
 
   double everything = TpcdPaperSizes().TotalViewSpace() +
                       TpcdPaperSizes().TotalFatIndexSpace();
@@ -38,7 +42,7 @@ int main() {
       config.space_budget = budget;
       config.two_step.index_fraction = 0.5;
       config.two_step.strict_fit = true;
-      Recommendation rec = advisor.Recommend(config);
+      Recommendation rec = advisor->Recommend(config);
       row.push_back(FormatRowCount(rec.average_query_cost));
     }
     t.AddRow(row);
@@ -52,7 +56,7 @@ int main() {
     AdvisorConfig config;
     config.algorithm = Algorithm::kInnerLevel;
     config.space_budget = budget;
-    Recommendation rec = advisor.Recommend(config);
+    Recommendation rec = advisor->Recommend(config);
     int bars = static_cast<int>(rec.average_query_cost / 1e5);
     std::printf("  %6s |%s\n", FormatRowCount(budget).c_str(),
                 std::string(static_cast<size_t>(bars), '#').c_str());

@@ -1,7 +1,6 @@
 #include "core/advisor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -75,15 +74,6 @@ const char* AlgorithmName(Algorithm algorithm) {
 }
 
 Advisor::Advisor(const CubeSchema& schema, const ViewSizes& sizes,
-                 const Workload& workload, const CubeGraphOptions& options)
-    : schema_(schema),
-      sizes_(sizes),
-      workload_(workload),
-      cube_graph_(BuildCubeGraph(schema, sizes, workload, options)),
-      graph_fingerprint_(cube_graph_.graph.Fingerprint()),
-      cost_model_(options.cost_model) {}
-
-Advisor::Advisor(const CubeSchema& schema, const ViewSizes& sizes,
                  const Workload& workload, CubeGraph cube_graph)
     : schema_(schema),
       sizes_(sizes),
@@ -125,9 +115,9 @@ SelectionResult RunAdvisorSelection(
     const AdvisorConfig& config, const CheckpointHeader* checkpoint,
     const std::function<Status(ResumePicks*)>& resolve) {
   const std::string name = AlgorithmName(config.algorithm);
-  if (!std::isfinite(config.space_budget) || config.space_budget < 0.0) {
-    return SelectionResult::Rejected(Status::InvalidArgument(
-        "space budget must be non-negative and finite"));
+  if (Status s = ValidateSelectionInput(graph, config.space_budget);
+      !s.ok()) {
+    return SelectionResult::Rejected(std::move(s));
   }
   const double fraction = config.two_step.index_fraction;
   if (!(fraction >= 0.0 && fraction <= 1.0)) {

@@ -181,11 +181,6 @@ Rec PackageRecommendation(SelectionResult result, uint64_t graph_fingerprint) {
 
 class Advisor {
  public:
-  // Aborts on an unsupported configuration (n beyond the index-family
-  // dimension limits); prefer Create at external boundaries.
-  Advisor(const CubeSchema& schema, const ViewSizes& sizes,
-          const Workload& workload, const CubeGraphOptions& options = {});
-
   // Status-propagating construction: surfaces TryBuildCubeGraph errors
   // (e.g. n > 8 with fat indexes) instead of aborting, so a CLI or service
   // can report them.

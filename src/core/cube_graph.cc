@@ -1,21 +1,8 @@
 #include "core/cube_graph.h"
 
-#include <utility>
 #include <vector>
 
 namespace olapidx {
-
-CubeGraph BuildCubeGraph(const CubeSchema& schema, const ViewSizes& sizes,
-                         const Workload& workload,
-                         const CubeGraphOptions& options) {
-  StatusOr<CubeGraph> built =
-      TryBuildCubeGraph(schema, sizes, workload, options);
-  if (!built.ok()) {
-    internal::CheckFailed(__FILE__, __LINE__,
-                          built.status().ToString().c_str());
-  }
-  return *std::move(built);
-}
 
 // The pre-optimization builder, kept verbatim (modulo the Status wrapper
 // around the dimension limits and the graph owning the index keys) as the

@@ -1,4 +1,4 @@
-// BuildCubeGraph: instantiates the Section 5.1 query-view graph for a data
+// TryBuildCubeGraph: instantiates the Section 5.1 query-view graph for a data
 // cube — views = all 2^n subcubes, indexes = fat indexes (or, for the
 // pruning ablation, all ordered-subset indexes), queries = a slice-query
 // workload, edge costs from the linear cost model.
@@ -89,12 +89,6 @@ StatusOr<CubeGraph> TryBuildCubeGraph(const CubeSchema& schema,
                                       const ViewSizes& sizes,
                                       const Workload& workload,
                                       const CubeGraphOptions& options = {});
-
-// TryBuildCubeGraph that aborts on error (the historical signature; every
-// in-tree caller passes dimensions within the supported range).
-CubeGraph BuildCubeGraph(const CubeSchema& schema, const ViewSizes& sizes,
-                         const Workload& workload,
-                         const CubeGraphOptions& options = {});
 
 // The original serial triple-loop builder, retained verbatim as the
 // differential oracle for the fast path (tests) and as the baseline for

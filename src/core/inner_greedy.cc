@@ -1,8 +1,8 @@
 #include "core/inner_greedy.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/column_pricer.h"
@@ -342,13 +342,8 @@ SelectionResult InnerLevelGreedy(const QueryViewGraph& graph,
                                  double space_budget,
                                  const InnerGreedyOptions& options) {
   // Boundary-reachable misuse is rejected, not aborted on.
-  if (!graph.finalized()) {
-    return SelectionResult::Rejected(
-        Status::FailedPrecondition("query-view graph is not finalized"));
-  }
-  if (!std::isfinite(space_budget) || space_budget < 0.0) {
-    return SelectionResult::Rejected(Status::InvalidArgument(
-        "space budget must be non-negative and finite"));
+  if (Status s = ValidateSelectionInput(graph, space_budget); !s.ok()) {
+    return SelectionResult::Rejected(std::move(s));
   }
 
   // Per-run registry delta (see SelectionResult::metrics): captured fresh

@@ -11,9 +11,8 @@
 // LatticeProvider concept (duck-typed). Exactly one provider per lattice
 // models it: FlatPlanProvider in core/sparse_cube_graph.cc and
 // HierarchicalPlanProvider in hierarchy/hierarchical_graph.cc. Each builds
-// whatever its plan keeps (core/pruning_policy.h): the identity plan of the
-// dense entry points keeps every query, view and canonical key, a pruned
-// plan keeps a subset.
+// whatever its plan keeps (core/pruning_policy.h): the identity plan keeps
+// every query, view and canonical key, a pruned plan keeps a subset.
 //
 //   uint32_t num_views() const;
 //   uint32_t BaseView() const;          // the finest view (default-cost base)
@@ -88,7 +87,7 @@ struct LatticeGraphOptions {
 };
 
 // The construction knobs every entry point's options struct carries
-// (CubeGraphOptions, SparseCubeGraphOptions and the hierarchical pair).
+// (CubeGraphOptions, SparseCubeGraphOptions and HierarchicalGraphOptions).
 template <typename Options>
 LatticeGraphOptions LatticeOptionsOf(const Options& options) {
   LatticeGraphOptions build;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/selection_state.h"
@@ -223,8 +224,9 @@ class Solver {
 SelectionResult BranchAndBoundOptimal(const QueryViewGraph& graph,
                                       double space_budget,
                                       const OptimalOptions& options) {
-  OLAPIDX_CHECK(graph.finalized());
-  OLAPIDX_CHECK(space_budget >= 0.0);
+  if (Status s = ValidateSelectionInput(graph, space_budget); !s.ok()) {
+    return SelectionResult::Rejected(std::move(s));
+  }
   Solver solver(graph, space_budget, options);
   return solver.Run();
 }

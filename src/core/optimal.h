@@ -28,7 +28,8 @@ struct OptimalOptions {
 
 // Maximizes benefit subject to total space <= space_budget (an index may be
 // chosen only together with its view). `result.proven_optimal` reports
-// whether the search ran to completion.
+// whether the search ran to completion. A graph that is not finalized or a
+// negative or non-finite budget is rejected (ValidateSelectionInput).
 SelectionResult BranchAndBoundOptimal(const QueryViewGraph& graph,
                                       double space_budget,
                                       const OptimalOptions& options = {});

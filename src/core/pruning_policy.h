@@ -1,10 +1,11 @@
 // The pruning-policy layer: which queries, views and index keys a
 // query-view graph keeps. Both lattices build through one plan shape. The
-// identity plan of the dense entry points (TryBuildCubeGraph,
-// TryBuildHierarchicalCubeGraph) keeps every query in input order, every
-// lattice view with graph id = lattice id, and the canonical key family on
-// every view; it runs none of the passes below. The pruned plan of the
-// sparse entry points runs them, in the one pipeline PlanPrunedBuild:
+// identity plan (TryBuildCubeGraph, and TryBuildHierarchicalCubeGraph with
+// no PruningOptions) keeps every query in input order, every lattice view
+// with graph id = lattice id, and the canonical key family on every view;
+// it runs none of the passes below. The pruned plan (TryBuildSparseCubeGraph,
+// and TryBuildHierarchicalCubeGraph with PruningOptions) runs them, in the
+// one pipeline PlanPrunedBuild:
 //
 //   * Query pruning (PruneQueriesByMass) drops the cold tail of the
 //     workload — queries outside the smallest hottest-first prefix
@@ -38,16 +39,57 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "core/graph_build_metrics.h"
 #include "lattice/index_key.h"
 
 namespace olapidx {
 
-// Stats shared by every pruned (sparse) build, flat or hierarchical.
+// The knobs of a pruned build (HierarchicalGraphOptions::pruning; the flat
+// SparseCubeGraphOptions carries the same four fields).
+struct PruningOptions {
+  // Keep at most this many queries, highest frequency first (ties broken
+  // by workload order). 0 = no cap.
+  size_t top_queries = 0;
+
+  // Keep the smallest highest-frequency prefix of the workload whose
+  // cumulative frequency reaches this fraction of the total. 1.0 keeps
+  // every query (including zero-frequency ones). Must be in (0, 1].
+  double query_mass = 1.0;
+
+  // Soft cap on retained views: the base view and each retained query's
+  // minimal answering view are always kept; further supersets are added —
+  // hottest queries first — until the cap.
+  size_t max_views = 1u << 16;
+
+  // Views with more attributes (hierarchical: active dimensions) than this
+  // get the workload-derived candidate index family instead of all m! fat
+  // indexes. Must be in [0, 8] (the fat-enumeration limit).
+  int max_fat_dim = 6;
+};
+
+// The one range check of the pruning knobs, run by every pruned build
+// before it builds anything: max_fat_dim in [0, 8] and query_mass in
+// (0, 1], NaN failing. A template over the options type, like
+// PlanPrunedBuild.
+template <typename Pruning>
+Status ValidatePruningOptions(const Pruning& pruning) {
+  if (pruning.max_fat_dim < 0 || pruning.max_fat_dim > 8) {
+    return Status::InvalidArgument("max_fat_dim must be in [0, 8] (got " +
+                                   std::to_string(pruning.max_fat_dim) + ")");
+  }
+  if (!(pruning.query_mass > 0.0) || pruning.query_mass > 1.0) {
+    return Status::InvalidArgument("query_mass must be in (0, 1]");
+  }
+  return Status::Ok();
+}
+
+// Stats shared by every pruned build, flat or hierarchical.
 struct SparseBuildStats {
   size_t workload_queries = 0;
   size_t retained_queries = 0;
@@ -166,13 +208,13 @@ struct PrunedPlan {
   ViewRetentionResult views;      // retained lattice ids and their inverse
 };
 
-// The pruning pipeline of both sparse builders: query pruning under
+// The pruning pipeline of both lattices' pruned plans: query pruning under
 // `pruning`'s top_queries and query_mass, then view retention over the
 // retained queries, hottest first (ties in input order), under max_views.
 // minimal_of and cone are RetainSupersetViews' callbacks, keyed by input
 // query position. Fills the query and view fields of `stats`.
-template <typename PruningOptions, typename MinimalFn, typename ConeFn>
-PrunedPlan PlanPrunedBuild(const PruningOptions& pruning,
+template <typename Pruning, typename MinimalFn, typename ConeFn>
+PrunedPlan PlanPrunedBuild(const Pruning& pruning,
                            const std::vector<double>& frequency,
                            uint64_t lattice_views, uint64_t base_id,
                            MinimalFn&& minimal_of, ConeFn&& cone,

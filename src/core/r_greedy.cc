@@ -1,8 +1,8 @@
 #include "core/r_greedy.h"
 
-#include <cmath>
 #include <limits>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/trace.h"
@@ -225,17 +225,12 @@ SelectionResult RGreedy(const QueryViewGraph& graph, double space_budget,
   // Boundary-reachable misuse (CLI flags, checkpoint files) is rejected,
   // not aborted on; OLAPIDX_CHECK below here guards internal invariants
   // only.
-  if (!graph.finalized()) {
-    return SelectionResult::Rejected(
-        Status::FailedPrecondition("query-view graph is not finalized"));
+  if (Status s = ValidateSelectionInput(graph, space_budget); !s.ok()) {
+    return SelectionResult::Rejected(std::move(s));
   }
   if (options.r < 1) {
     return SelectionResult::Rejected(Status::InvalidArgument(
         "r must be >= 1, got " + std::to_string(options.r)));
-  }
-  if (!std::isfinite(space_budget) || space_budget < 0.0) {
-    return SelectionResult::Rejected(Status::InvalidArgument(
-        "space budget must be non-negative and finite"));
   }
   // Per-run registry delta, captured fresh for every call so repeated
   // runs against the same options/state object never accumulate.

@@ -1,6 +1,7 @@
 #include "core/selection_result.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 namespace olapidx {
@@ -31,6 +32,18 @@ double EvaluationStats::ChunkImbalance() const {
   return static_cast<double>(busiest) *
          static_cast<double>(chunk_busy_micros.size()) /
          static_cast<double>(total);
+}
+
+Status ValidateSelectionInput(const QueryViewGraph& graph,
+                              double space_budget) {
+  if (!graph.finalized()) {
+    return Status::FailedPrecondition("query-view graph is not finalized");
+  }
+  if (!std::isfinite(space_budget) || space_budget < 0.0) {
+    return Status::InvalidArgument(
+        "space budget must be non-negative and finite");
+  }
+  return Status::Ok();
 }
 
 std::string SelectionResult::PicksToString(

@@ -163,6 +163,14 @@ struct SelectionResult {
   std::string PicksToString(const QueryViewGraph& graph) const;
 };
 
+// The input check every selection entry point runs first, so that a direct
+// caller's misuse is a rejection rather than an abort or an unbounded run:
+// FailedPrecondition for a graph that is not finalized, InvalidArgument for
+// a negative or non-finite (NaN included) budget. Callers return
+// SelectionResult::Rejected of a non-OK status.
+Status ValidateSelectionInput(const QueryViewGraph& graph,
+                              double space_budget);
+
 }  // namespace olapidx
 
 #endif  // OLAPIDX_CORE_SELECTION_RESULT_H_

@@ -345,14 +345,7 @@ StatusOr<SparseCubeGraph> TryBuildSparseCubeGraph(
         std::to_string(kMaxDimensions) + " dimensions (got n = " +
         std::to_string(n) + ")");
   }
-  if (options.max_fat_dim < 0 || options.max_fat_dim > 8) {
-    return Status::InvalidArgument(
-        "max_fat_dim must be in [0, 8] (got " +
-        std::to_string(options.max_fat_dim) + ")");
-  }
-  if (!(options.query_mass > 0.0) || options.query_mass > 1.0) {
-    return Status::InvalidArgument("query_mass must be in (0, 1]");
-  }
+  if (Status s = ValidatePruningOptions(options); !s.ok()) return s;
   return BuildFlatGraph(schema, sizes, workload, LatticeOptionsOf(options),
                         /*fat_indexes_only=*/true, &options);
 }

@@ -52,23 +52,11 @@
 namespace olapidx {
 
 struct SparseCubeGraphOptions {
-  // Keep at most this many queries, highest frequency first (ties broken
-  // by workload order). 0 = no cap.
+  // The pruning knobs, with PruningOptions' meaning, defaults and range
+  // check (core/pruning_policy.h).
   size_t top_queries = 0;
-
-  // Keep the smallest highest-frequency prefix of the workload whose
-  // cumulative frequency reaches this fraction of the total. 1.0 keeps
-  // every query (including zero-frequency ones).
   double query_mass = 1.0;
-
-  // Soft cap on retained views: the base view and each retained query's
-  // minimal view (A ∪ B) are always kept; further supersets are added —
-  // hottest queries first — until the cap.
   size_t max_views = 1u << 16;
-
-  // Views with more attributes than this get the workload-derived
-  // candidate index family instead of all m! fat indexes. Must be ≤ 8
-  // (the fat-enumeration limit).
   int max_fat_dim = 6;
 
   // Same meaning as in CubeGraphOptions.
@@ -80,7 +68,7 @@ struct SparseCubeGraphOptions {
 };
 
 // SparseBuildStats lives in core/pruning_policy.h (shared with the
-// hierarchical sparse builder).
+// hierarchical pruned plan).
 
 struct SparseCubeGraph {
   // Reuses the dense result type so the advisor, checkpoints, and plan

@@ -1,6 +1,8 @@
 #include "core/two_step.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "core/selection_state.h"
 
@@ -78,7 +80,9 @@ void InitResult(const QueryViewGraph& graph, const SelectionState& state,
 
 SelectionResult HruViewGreedy(const QueryViewGraph& graph,
                               double space_budget, bool strict_fit) {
-  OLAPIDX_CHECK(graph.finalized());
+  if (Status s = ValidateSelectionInput(graph, space_budget); !s.ok()) {
+    return SelectionResult::Rejected(std::move(s));
+  }
   SelectionState state(&graph);
   SelectionResult result;
   InitResult(graph, state, result);
@@ -92,9 +96,14 @@ SelectionResult HruViewGreedy(const QueryViewGraph& graph,
 
 SelectionResult TwoStep(const QueryViewGraph& graph, double space_budget,
                         const TwoStepOptions& options) {
-  OLAPIDX_CHECK(graph.finalized());
-  OLAPIDX_CHECK(options.index_fraction >= 0.0 &&
-                options.index_fraction <= 1.0);
+  if (Status s = ValidateSelectionInput(graph, space_budget); !s.ok()) {
+    return SelectionResult::Rejected(std::move(s));
+  }
+  if (!(options.index_fraction >= 0.0 && options.index_fraction <= 1.0)) {
+    return SelectionResult::Rejected(Status::InvalidArgument(
+        "two-step index fraction must be in [0, 1], got " +
+        std::to_string(options.index_fraction)));
+  }
   SelectionState state(&graph);
   SelectionResult result;
   InitResult(graph, state, result);

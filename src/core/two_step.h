@@ -26,6 +26,10 @@ struct TwoStepOptions {
   bool strict_fit = false;
 };
 
+// Both reject, rather than abort on, a graph that is not finalized and a
+// negative or non-finite budget (ValidateSelectionInput); TwoStep also
+// rejects an index_fraction outside [0, 1] (NaN included).
+
 // Views-only greedy with the whole budget (no indexes ever selected).
 SelectionResult HruViewGreedy(const QueryViewGraph& graph,
                               double space_budget, bool strict_fit = false);

@@ -67,22 +67,6 @@ StatusOr<HierarchicalAdvisor> HierarchicalAdvisor::Create(
   return HierarchicalAdvisor(schema, *std::move(cube_graph));
 }
 
-StatusOr<HierarchicalAdvisor> HierarchicalAdvisor::CreateSparse(
-    const HierarchicalSchema& schema, double raw_rows,
-    const std::vector<WeightedHQuery>& workload,
-    const SparseHierarchicalGraphOptions& options) {
-  StatusOr<SparseHierarchicalCubeGraph> sparse =
-      TryBuildSparseHierarchicalCubeGraph(schema, raw_rows, workload,
-                                          options);
-  if (!sparse.ok()) {
-    return sparse.status().WithContext(
-        "building the sparse hierarchical query-view graph");
-  }
-  HierarchicalAdvisor advisor(schema, std::move(sparse->hgraph));
-  advisor.sparse_stats_ = std::move(sparse->stats);
-  return advisor;
-}
-
 HRecommendation HierarchicalAdvisor::TryRecommend(
     const AdvisorConfig& config, const HSelectionCheckpoint* resume) const {
   if (config.resume != nullptr) {

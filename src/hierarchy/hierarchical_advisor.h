@@ -72,24 +72,18 @@ class HierarchicalAdvisor {
  public:
   // Status-propagating construction: surfaces
   // TryBuildHierarchicalCubeGraph errors (bad row counts, oversized
-  // lattices, malformed query roles) instead of aborting.
+  // lattices, malformed query roles, bad pruning knobs) instead of
+  // aborting. With options.pruning set the advisor works over the pruned
+  // lattice: recommendations and plans cover the *retained* query set, and
+  // sparse_stats() reports what was dropped.
   static StatusOr<HierarchicalAdvisor> Create(
       const HierarchicalSchema& schema, double raw_rows,
       const std::vector<WeightedHQuery>& workload,
       const HierarchicalGraphOptions& options = {});
 
-  // Workload-pruned construction (TryBuildSparseHierarchicalCubeGraph):
-  // the same recommendation surface over a pruned lattice. Recommendations
-  // and plans cover the *retained* query set; sparse_stats() reports what
-  // was dropped.
-  static StatusOr<HierarchicalAdvisor> CreateSparse(
-      const HierarchicalSchema& schema, double raw_rows,
-      const std::vector<WeightedHQuery>& workload,
-      const SparseHierarchicalGraphOptions& options = {});
-
-  // Pruning/build telemetry of CreateSparse; nullptr for dense advisors.
+  // Pruning/build telemetry of a pruned build; nullptr without pruning.
   const SparseBuildStats* sparse_stats() const {
-    return sparse_stats_ ? &*sparse_stats_ : nullptr;
+    return cube_graph_.sparse_stats ? &*cube_graph_.sparse_stats : nullptr;
   }
 
   const HierarchicalCubeGraph& cube_graph() const { return cube_graph_; }
@@ -116,7 +110,6 @@ class HierarchicalAdvisor {
   HierarchicalSchema schema_;
   HierarchicalCubeGraph cube_graph_;
   uint64_t graph_fingerprint_ = 0;
-  std::optional<SparseBuildStats> sparse_stats_;
 };
 
 }  // namespace olapidx

@@ -182,9 +182,9 @@ std::function<std::string(uint32_t, int32_t)> MakeIndexNamer(
   };
 }
 
-// Shared external-input validation of a hierarchical workload (dense and
-// sparse builders): role vectors must match the schema and mentioned
-// dimensions must sit at proper levels.
+// External-input validation of a hierarchical workload (both plans): role
+// vectors must match the schema and mentioned dimensions must sit at
+// proper levels.
 Status ValidateHierarchicalWorkload(
     const HierarchicalSchema& schema,
     const std::vector<WeightedHQuery>& workload) {
@@ -276,6 +276,7 @@ HierarchicalCubeGraph BuildHierarchicalCubeGraphReference(
     const HierarchicalGraphOptions& options) {
   OLAPIDX_CHECK(raw_rows >= 1.0);
   OLAPIDX_CHECK(options.raw_scan_penalty >= 1.0);
+  OLAPIDX_CHECK(!options.pruning.has_value());
   HierarchicalLattice lattice(&schema);
 
   HierarchicalCubeGraph out;
@@ -704,22 +705,33 @@ Status CheckIdentityLimits(const HierarchicalSchema& schema,
   return Status::Ok();
 }
 
-// The hierarchical build pipeline behind both entry points. A null
-// `pruning` is the identity plan of TryBuildHierarchicalCubeGraph: every
-// query in input order, every view with graph id = lattice id, and the
-// canonical family of `fat_indexes_only` on every view, with index_orders
-// left empty and `stats` unset. Otherwise the pruned plan of
-// TryBuildSparseHierarchicalCubeGraph (fat families only).
-StatusOr<SparseHierarchicalCubeGraph> BuildHierarchicalGraph(
+}  // namespace
+
+// The hierarchical build pipeline. Without options.pruning, the identity
+// plan: every query in input order, every view with graph id = lattice id,
+// and the canonical family of fat_indexes_only on every view, with
+// index_orders and sparse_stats left empty. With it, the pruned plan (fat
+// families only).
+StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
     const HierarchicalSchema& schema, double raw_rows,
     const std::vector<WeightedHQuery>& workload,
-    const LatticeGraphOptions& build, bool fat_indexes_only,
-    const SparseHierarchicalGraphOptions* pruning) {
+    const HierarchicalGraphOptions& options) {
   if (!(raw_rows >= 1.0)) {
     return Status::InvalidArgument("raw_rows must be >= 1 (got " +
                                    std::to_string(raw_rows) + ")");
   }
+  const LatticeGraphOptions build = LatticeOptionsOf(options);
   if (Status s = ValidateLatticeGraphOptions(build); !s.ok()) return s;
+  const std::optional<PruningOptions>& pruning = options.pruning;
+  const bool fat_indexes_only = options.fat_indexes_only;
+  if (pruning) {
+    if (!fat_indexes_only) {
+      return Status::InvalidArgument(
+          "pruned hierarchical graphs build fat index families only "
+          "(fat_indexes_only must be true)");
+    }
+    if (Status s = ValidatePruningOptions(*pruning); !s.ok()) return s;
+  }
   const int n = schema.num_dimensions();
   const uint64_t num_views = schema.NumViews();
   // Even a pruned plan needs the full lattice under the view-id ceiling:
@@ -731,7 +743,7 @@ StatusOr<SparseHierarchicalCubeGraph> BuildHierarchicalGraph(
         std::to_string(kMaxHierarchicalViews) +
         "; coarsen or drop hierarchy levels");
   }
-  if (pruning == nullptr) {
+  if (!pruning) {
     if (Status s = CheckIdentityLimits(schema, fat_indexes_only); !s.ok()) {
       return s;
     }
@@ -741,9 +753,8 @@ StatusOr<SparseHierarchicalCubeGraph> BuildHierarchicalGraph(
   }
 
   const HierarchicalLattice lattice(&schema);
-  SparseHierarchicalCubeGraph result;
-  SparseBuildStats& stats = result.stats;
-  HierarchicalCubeGraph& out = result.hgraph;
+  HierarchicalCubeGraph out;
+  SparseBuildStats stats;
   out.all_levels = AllLevelsOf(schema);
   out.fat_indexes_only = fat_indexes_only;
   std::vector<double> sizes = lattice.AnalyticalSizes(raw_rows);
@@ -764,7 +775,7 @@ StatusOr<SparseHierarchicalCubeGraph> BuildHierarchicalGraph(
   PrunedPlan plan;
   std::vector<std::vector<std::vector<int>>> orders;
   std::vector<int> levels_flat;
-  if (pruning == nullptr) {
+  if (!pruning) {
     out.view_sizes = std::move(sizes);
     provider.sizes = &out.view_sizes;
   } else {
@@ -882,54 +893,12 @@ StatusOr<SparseHierarchicalCubeGraph> BuildHierarchicalGraph(
 
   out.view_levels.reserve(provider.num_views());
   BuildLatticeGraph(provider, build, out.graph, &stats.build);
-  if (pruning != nullptr) {
+  if (pruning) {
     out.index_orders = std::move(orders);
     RecordSparseBuild(stats);
+    out.sparse_stats = std::move(stats);
   }
-  return result;
-}
-
-}  // namespace
-
-StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
-    const HierarchicalSchema& schema, double raw_rows,
-    const std::vector<WeightedHQuery>& workload,
-    const HierarchicalGraphOptions& options) {
-  StatusOr<SparseHierarchicalCubeGraph> built = BuildHierarchicalGraph(
-      schema, raw_rows, workload, LatticeOptionsOf(options),
-      options.fat_indexes_only, /*pruning=*/nullptr);
-  if (!built.ok()) return built.status();
-  return std::move(built->hgraph);
-}
-
-HierarchicalCubeGraph BuildHierarchicalCubeGraph(
-    const HierarchicalSchema& schema, double raw_rows,
-    const std::vector<WeightedHQuery>& workload,
-    const HierarchicalGraphOptions& options) {
-  StatusOr<HierarchicalCubeGraph> built =
-      TryBuildHierarchicalCubeGraph(schema, raw_rows, workload, options);
-  if (!built.ok()) {
-    internal::CheckFailed(__FILE__, __LINE__,
-                          built.status().ToString().c_str());
-  }
-  return *std::move(built);
-}
-
-StatusOr<SparseHierarchicalCubeGraph> TryBuildSparseHierarchicalCubeGraph(
-    const HierarchicalSchema& schema, double raw_rows,
-    const std::vector<WeightedHQuery>& workload,
-    const SparseHierarchicalGraphOptions& options) {
-  if (options.max_fat_dim < 0 || options.max_fat_dim > 8) {
-    return Status::InvalidArgument(
-        "max_fat_dim must be in [0, 8] (got " +
-        std::to_string(options.max_fat_dim) + ")");
-  }
-  if (!(options.query_mass > 0.0) || options.query_mass > 1.0) {
-    return Status::InvalidArgument("query_mass must be in (0, 1]");
-  }
-  return BuildHierarchicalGraph(schema, raw_rows, workload,
-                                LatticeOptionsOf(options),
-                                /*fat_indexes_only=*/true, &options);
+  return out;
 }
 
 }  // namespace olapidx

@@ -20,7 +20,8 @@
 //
 // Each lattice has one provider and one build pipeline, whose plan says
 // what the graph keeps (core/pruning_policy.h). TryBuildHierarchicalCubeGraph
-// is its identity plan; TryBuildSparseHierarchicalCubeGraph its pruned plan.
+// runs the identity plan, or the pruned plan when
+// HierarchicalGraphOptions::pruning is set.
 
 #ifndef OLAPIDX_HIERARCHY_HIERARCHICAL_GRAPH_H_
 #define OLAPIDX_HIERARCHY_HIERARCHICAL_GRAPH_H_
@@ -28,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -59,6 +61,21 @@ struct HierarchicalGraphOptions {
   // Cost model charging every edge; null = the paper's linear model (see
   // CubeGraphOptions::cost_model).
   std::shared_ptr<const CostModel> cost_model = nullptr;
+  // Unset: the identity plan, every query, view and canonical index. Set:
+  // the workload-pruned plan, with the same pruning policies as the flat
+  // TryBuildSparseCubeGraph (query mass / top-k, superset-cone view
+  // retention with minimal-view exemption, workload-derived candidate
+  // index families for views with more than max_fat_dim active
+  // dimensions). It builds fat families only, so it requires
+  // fat_indexes_only. Lifts the identity plan's n <= 8 wall; the lattice
+  // must still fit kMaxHierarchicalViews (index-edge column classes are
+  // keyed by lattice subcube ids), but kMaxHierarchicalStructures applies
+  // to the *retained* census, so pruned builds pass where identity ones
+  // overflow. Every kept (query, view, index) costs what it costs under
+  // the identity plan, bit for bit; with nothing pruned — full workload,
+  // query_mass = 1, no caps, every view within max_fat_dim — the two
+  // graphs are identical (pinned by test).
+  std::optional<PruningOptions> pruning = std::nullopt;
 };
 
 // Hierarchical lattices overflow much earlier than flat cubes (the view
@@ -75,18 +92,24 @@ inline constexpr uint64_t kMaxHierarchicalStructures = uint64_t{1} << 22;
 
 struct HierarchicalCubeGraph {
   QueryViewGraph graph;
-  // graph view id -> level assignment (dense: graph view id == HViewId).
+  // graph view id -> level assignment. Under the identity plan graph view
+  // id == HViewId; under a pruned plan view ids are dense in the
+  // *retained* view set (ascending lattice-id order).
   std::vector<LevelVector> view_levels;
   // graph view id -> index position -> dimension order of the index.
   // Populated by the reference builder, and for the candidate families of
-  // a sparse build; the identity plan leaves it empty and decodes orders on
-  // demand. Use IndexOrderOf / IndexPositionOf, which work for all three.
+  // a pruned build (empty per-view vectors for its fat views); the
+  // identity plan leaves it empty and decodes orders on demand. Use
+  // IndexOrderOf / IndexPositionOf, which work for all three.
   std::vector<std::vector<std::vector<int>>> index_orders;
   std::vector<HSliceQuery> queries;
   std::vector<double> view_sizes;  // by graph view id
   // Per-dimension ALL level (= num_levels(d)), for active-dim decoding.
   std::vector<int> all_levels;
   bool fat_indexes_only = true;
+  // What the pruned plan dropped and built; set only by a build with
+  // HierarchicalGraphOptions::pruning.
+  std::optional<SparseBuildStats> sparse_stats;
 
   // The view's non-ALL dimensions, ascending — its index-key dimensions.
   std::vector<int> ActiveDimensionsOf(uint32_t v) const;
@@ -98,32 +121,28 @@ struct HierarchicalCubeGraph {
   int32_t IndexPositionOf(uint32_t v, const std::vector<int>& order) const;
 };
 
-// Fast builder, the identity plan of the hierarchical build pipeline: every
-// query in input order, every lattice view (graph view id = HViewId) and
-// the canonical index family, with none of the pruning passes
-// (superset-odometer answering-view enumeration, one cost division per
-// prefix-equivalence class, query-sharded parallel EdgeRun emission, lazy
-// index names). Returns InvalidArgument instead of aborting for bad
-// external input: raw_rows < 1, penalties < 1, negative costs (NaN
-// included) or frequencies, malformed query roles (a mentioned dimension
-// must sit at a proper level), > 8 dimensions (> 6 for the ablation
-// family), or a lattice exceeding the size ceilings above.
+// Fast builder of the hierarchical build pipeline (superset-odometer
+// answering-view enumeration, one cost division per prefix-equivalence
+// class, query-sharded parallel EdgeRun emission, lazy index names). Its
+// identity plan keeps every query in input order, every lattice view
+// (graph view id = HViewId) and the canonical index family; options.pruning
+// selects the pruned plan instead. Returns InvalidArgument instead of
+// aborting for bad external input: raw_rows < 1, penalties < 1, negative
+// costs (NaN included) or frequencies, malformed query roles (a mentioned
+// dimension must sit at a proper level), > 8 dimensions (> 6 for the
+// ablation family) under the identity plan, pruning knobs out of range or
+// with fat_indexes_only = false, or a lattice exceeding the size ceilings
+// above.
 StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
-    const HierarchicalSchema& schema, double raw_rows,
-    const std::vector<WeightedHQuery>& workload,
-    const HierarchicalGraphOptions& options = {});
-
-// TryBuildHierarchicalCubeGraph that aborts on error (the historical
-// signature; in-tree callers pass well-formed schemas).
-HierarchicalCubeGraph BuildHierarchicalCubeGraph(
     const HierarchicalSchema& schema, double raw_rows,
     const std::vector<WeightedHQuery>& workload,
     const HierarchicalGraphOptions& options = {});
 
 // The original serial builder — every view tested per query, every key
 // order costed individually, every index name materialized eagerly —
-// retained as the differential oracle for the fast path (tests) and as the
-// baseline for bench_hierarchy. Produces a bit-identical graph.
+// retained as the differential oracle for the fast path's identity plan
+// (tests) and as the baseline for bench_hierarchy. Produces a
+// bit-identical graph. options.pruning must be unset.
 HierarchicalCubeGraph BuildHierarchicalCubeGraphReference(
     const HierarchicalSchema& schema, double raw_rows,
     const std::vector<WeightedHQuery>& workload,
@@ -141,58 +160,6 @@ std::vector<WeightedHQuery> UniformHWorkload(
 std::vector<WeightedHQuery> SampledZipfHWorkload(
     const HierarchicalSchema& schema, size_t num_queries, double skew,
     uint64_t seed);
-
-// The workload-pruned hierarchical construction path, the pruned plan of
-// the same pipeline: the same pruning policies as the flat sparse builder
-// (core/pruning_policy.h — query mass / top-k, superset-cone view
-// retention with minimal-view exemption, workload-derived candidate index
-// families for wide views), composed over the hierarchical lattice and
-// built by the same provider. Lifts the dense builder's n <= 8 wall: views
-// with more than `max_fat_dim` active dimensions carry one fat key per
-// distinct selection class of the retained answerable queries instead of
-// the full m! family, preserving every retained query's best cost exactly.
-//
-// The lattice itself must still fit the kMaxHierarchicalViews ceiling
-// (index-edge column classes are keyed by lattice subcube ids), but the
-// structure ceiling applies to the *retained* census, not the full
-// lattice's — pruned builds pass where dense ones overflow.
-//
-// Every kept (query, view, index) costs what it costs in
-// TryBuildHierarchicalCubeGraph's graph, bit for bit. When nothing is
-// pruned — full workload, query_mass = 1, no caps, every view within
-// max_fat_dim — the two graphs are identical (pinned by the equivalence
-// test). Only the paper's fat-index family is supported (no
-// pruning-ablation mode).
-struct SparseHierarchicalGraphOptions {
-  // See SparseCubeGraphOptions for the pruning knobs' semantics.
-  size_t top_queries = 0;
-  double query_mass = 1.0;
-  size_t max_views = 1u << 16;
-  // Views with more *active* dimensions than this get the candidate
-  // family. Must be in [0, 8] (the fat-enumeration limit).
-  int max_fat_dim = 6;
-  // See HierarchicalGraphOptions for the rest.
-  double default_query_cost = 0.0;
-  double raw_scan_penalty = 1.0;
-  double maintenance_per_row = 0.0;
-  size_t num_threads = 0;
-  std::shared_ptr<const CostModel> cost_model = nullptr;
-};
-
-struct SparseHierarchicalCubeGraph {
-  // Reuses the dense result type so the hierarchical advisor, checkpoints,
-  // and rendering work unchanged; graph view ids are dense in the
-  // *retained* view set (ascending lattice-id order), and index_orders
-  // holds the candidate families of wide views (empty per-view vectors for
-  // fat views, which decode on demand).
-  HierarchicalCubeGraph hgraph;
-  SparseBuildStats stats;
-};
-
-StatusOr<SparseHierarchicalCubeGraph> TryBuildSparseHierarchicalCubeGraph(
-    const HierarchicalSchema& schema, double raw_rows,
-    const std::vector<WeightedHQuery>& workload,
-    const SparseHierarchicalGraphOptions& options = {});
 
 }  // namespace olapidx
 

@@ -16,7 +16,9 @@ class AdvisorTest : public ::testing::Test {
       : cube_(UniformSyntheticCube(/*n=*/3, /*cardinality=*/100,
                                    /*sparsity=*/0.01)),
         lattice_(cube_.schema),
-        advisor_(cube_.schema, cube_.sizes, AllSliceQueries(lattice_)) {}
+        advisor_(Advisor::Create(cube_.schema, cube_.sizes,
+                                 AllSliceQueries(lattice_))
+                     .value()) {}
 
   SyntheticCube cube_;
   CubeLattice lattice_;
@@ -147,7 +149,9 @@ TEST(AdvisorCreateTest, SurfacesDimensionLimitAsStatus) {
   EXPECT_EQ(advisor.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(AdvisorCreateTest, BuildsAndRecommendsLikeTheConstructor) {
+// Create builds the graph TryBuildCubeGraph builds, and Recommend selects
+// on it what the algorithm selects on that graph directly.
+TEST(AdvisorCreateTest, BuildsAndRecommendsLikeItsGraph) {
   SyntheticCube cube = UniformSyntheticCube(3, 100, 0.01);
   CubeLattice lattice(cube.schema);
   Workload workload = AllSliceQueries(lattice);
@@ -158,14 +162,20 @@ TEST(AdvisorCreateTest, BuildsAndRecommendsLikeTheConstructor) {
   config.algorithm = Algorithm::kInnerLevel;
   config.space_budget = cube.sizes.TotalViewSpace() * 0.5;
   Recommendation via_create = created->Recommend(config);
-  Advisor direct(cube.schema, cube.sizes, workload);
-  Recommendation via_ctor = direct.Recommend(config);
+  StatusOr<CubeGraph> direct =
+      TryBuildCubeGraph(cube.schema, cube.sizes, workload);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(created->graph_fingerprint(), direct->graph.Fingerprint());
+  SelectionResult via_graph =
+      InnerLevelGreedy(direct->graph, config.space_budget);
   ASSERT_TRUE(via_create.status.ok());
-  EXPECT_EQ(via_create.space_used, via_ctor.space_used);
-  EXPECT_EQ(via_create.average_query_cost, via_ctor.average_query_cost);
-  ASSERT_EQ(via_create.structures.size(), via_ctor.structures.size());
+  ASSERT_TRUE(via_graph.status.ok());
+  EXPECT_EQ(via_create.space_used, via_graph.space_used);
+  EXPECT_EQ(via_create.average_query_cost, via_graph.AverageQueryCost());
+  ASSERT_EQ(via_create.structures.size(), via_graph.picks.size());
   for (size_t i = 0; i < via_create.structures.size(); ++i) {
-    EXPECT_EQ(via_create.structures[i].name, via_ctor.structures[i].name);
+    EXPECT_EQ(via_create.structures[i].name,
+              direct->graph.StructureName(via_graph.picks[i]));
   }
 }
 

@@ -31,13 +31,15 @@ TEST(BenefitCurveTest, KneeDetectionOnTpcd) {
   CubeLattice lattice(schema);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  Advisor advisor(schema, TpcdPaperSizes(), AllSliceQueries(lattice), opts);
+  StatusOr<Advisor> advisor = Advisor::Create(
+      schema, TpcdPaperSizes(), AllSliceQueries(lattice), opts);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kOneGreedy;
   config.space_budget = 81e6;  // effectively unbounded
-  Recommendation rec = advisor.Recommend(config);
+  Recommendation rec = advisor->Recommend(config);
   std::vector<BenefitCurvePoint> curve =
-      ComputeBenefitCurve(advisor.cube_graph().graph, rec.raw);
+      ComputeBenefitCurve(advisor->cube_graph().graph, rec.raw);
   // Example 2.1's law of diminishing returns: 95% of the total benefit is
   // reached within ~30M rows even though the full selection is larger.
   double knee = SpaceForBenefitFraction(curve, 0.95);

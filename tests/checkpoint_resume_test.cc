@@ -35,8 +35,10 @@ class FlatCheckpointResumeTest
     CubeLattice lattice(cube_.schema);
     CubeGraphOptions opts;
     opts.raw_scan_penalty = 2.0;
-    advisor_ = std::make_unique<Advisor>(cube_.schema, cube_.sizes,
-                                         AllSliceQueries(lattice), opts);
+    advisor_ = std::make_unique<Advisor>(
+        Advisor::Create(cube_.schema, cube_.sizes, AllSliceQueries(lattice),
+                        opts)
+            .value());
   }
 
   AdvisorConfig Config() const {

@@ -17,7 +17,7 @@ class CubeGraphTest : public ::testing::Test {
         sizes_(TpcdPaperSizes()),
         lattice_(schema_),
         workload_(AllSliceQueries(lattice_)),
-        cube_(BuildCubeGraph(schema_, sizes_, workload_)) {}
+        cube_(TryBuildCubeGraph(schema_, sizes_, workload_).value()) {}
 
   CubeSchema schema_;
   ViewSizes sizes_;
@@ -83,25 +83,28 @@ TEST_F(CubeGraphTest, IndexEdgesOnlyWhenCheaperThanScan) {
 TEST_F(CubeGraphTest, AllIndexesAblationGrowsStructureCount) {
   CubeGraphOptions opts;
   opts.fat_indexes_only = false;
-  CubeGraph all = BuildCubeGraph(schema_, sizes_, workload_, opts);
-  EXPECT_GT(all.graph.num_structures(), cube_.graph.num_structures());
+  StatusOr<CubeGraph> all = TryBuildCubeGraph(schema_, sizes_, workload_, opts);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_GT(all->graph.num_structures(), cube_.graph.num_structures());
   // 8 views + Σ all ordered-subset indexes: 3·1 + 3·4 + 1·15 = 30 indexes.
-  EXPECT_EQ(all.graph.num_structures(), 8u + 3u + 12u + 15u);
+  EXPECT_EQ(all->graph.num_structures(), 8u + 3u + 12u + 15u);
 }
 
 TEST_F(CubeGraphTest, CustomDefaultCost) {
   CubeGraphOptions opts;
   opts.default_query_cost = 123.0;
-  CubeGraph cg = BuildCubeGraph(schema_, sizes_, workload_, opts);
-  EXPECT_EQ(cg.graph.query_default_cost(0), 123.0);
+  StatusOr<CubeGraph> cg = TryBuildCubeGraph(schema_, sizes_, workload_, opts);
+  ASSERT_TRUE(cg.ok()) << cg.status().ToString();
+  EXPECT_EQ(cg->graph.query_default_cost(0), 123.0);
 }
 
 TEST_F(CubeGraphTest, FrequenciesPropagate) {
   Workload w;
   w.Add(SliceQuery(AttributeSet::Of({0}), AttributeSet()), 5.0);
-  CubeGraph cg = BuildCubeGraph(schema_, sizes_, w);
-  ASSERT_EQ(cg.graph.num_queries(), 1u);
-  EXPECT_EQ(cg.graph.query_frequency(0), 5.0);
+  StatusOr<CubeGraph> cg = TryBuildCubeGraph(schema_, sizes_, w);
+  ASSERT_TRUE(cg.ok()) << cg.status().ToString();
+  ASSERT_EQ(cg->graph.num_queries(), 1u);
+  EXPECT_EQ(cg->graph.query_frequency(0), 5.0);
 }
 
 TEST(CubeGraphLimitsTest, NineDimensionsWithFatIndexesRejected) {

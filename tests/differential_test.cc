@@ -210,8 +210,9 @@ TEST_P(DifferentialTest, GreedyTauDominatedByOptimalOnSmallCubes) {
   CubeLattice lattice(cube.schema);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes,
-                                AllSliceQueries(lattice), opts);
+  StatusOr<CubeGraph> cg = TryBuildCubeGraph(cube.schema, cube.sizes,
+                                             AllSliceQueries(lattice), opts);
+  ASSERT_TRUE(cg.ok()) << cg.status().ToString();
   double total = cube.sizes.TotalViewSpace() +
                  cube.sizes.TotalFatIndexSpace();
   // The greedy loop runs while SpaceUsed() < budget, so its final pick may
@@ -228,17 +229,17 @@ TEST_P(DifferentialTest, GreedyTauDominatedByOptimalOnSmallCubes) {
     double budget = frac * total;
     for (int r = 1; r <= 2; ++r) {
       SelectionResult greedy =
-          RGreedy(cg.graph, budget, RGreedyOptions{.r = r});
+          RGreedy(cg->graph, budget, RGreedyOptions{.r = r});
       SelectionResult opt =
-          BranchAndBoundOptimal(cg.graph, baseline_space(greedy));
+          BranchAndBoundOptimal(cg->graph, baseline_space(greedy));
       ASSERT_TRUE(opt.proven_optimal) << "frac " << frac;
       EXPECT_LE(opt.final_cost,
                 greedy.final_cost + 1e-9 * (1.0 + greedy.final_cost))
           << "r " << r << " frac " << frac << " seed " << seed;
     }
-    SelectionResult inner = InnerLevelGreedy(cg.graph, budget);
+    SelectionResult inner = InnerLevelGreedy(cg->graph, budget);
     SelectionResult opt =
-        BranchAndBoundOptimal(cg.graph, baseline_space(inner));
+        BranchAndBoundOptimal(cg->graph, baseline_space(inner));
     ASSERT_TRUE(opt.proven_optimal) << "frac " << frac;
     EXPECT_LE(opt.final_cost,
               inner.final_cost + 1e-9 * (1.0 + inner.final_cost))
@@ -258,8 +259,9 @@ TEST_P(DifferentialTest, GreedyTauDominatedByOptimalUnderCalibratedModel) {
   opts.raw_scan_penalty = 2.0;
   opts.cost_model = std::make_shared<CalibratedCostModel>(
       CalibrationCoefficients{5.0, 120.0, 800.0});
-  CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes,
-                                AllSliceQueries(lattice), opts);
+  StatusOr<CubeGraph> cg = TryBuildCubeGraph(cube.schema, cube.sizes,
+                                             AllSliceQueries(lattice), opts);
+  ASSERT_TRUE(cg.ok()) << cg.status().ToString();
   double total = cube.sizes.TotalViewSpace() +
                  cube.sizes.TotalFatIndexSpace();
   auto baseline_space = [](const SelectionResult& run) {
@@ -269,17 +271,17 @@ TEST_P(DifferentialTest, GreedyTauDominatedByOptimalUnderCalibratedModel) {
     double budget = frac * total;
     for (int r = 1; r <= 2; ++r) {
       SelectionResult greedy =
-          RGreedy(cg.graph, budget, RGreedyOptions{.r = r});
+          RGreedy(cg->graph, budget, RGreedyOptions{.r = r});
       SelectionResult opt =
-          BranchAndBoundOptimal(cg.graph, baseline_space(greedy));
+          BranchAndBoundOptimal(cg->graph, baseline_space(greedy));
       ASSERT_TRUE(opt.proven_optimal) << "frac " << frac;
       EXPECT_LE(opt.final_cost,
                 greedy.final_cost + 1e-9 * (1.0 + greedy.final_cost))
           << "r " << r << " frac " << frac << " seed " << seed;
     }
-    SelectionResult inner = InnerLevelGreedy(cg.graph, budget);
+    SelectionResult inner = InnerLevelGreedy(cg->graph, budget);
     SelectionResult opt =
-        BranchAndBoundOptimal(cg.graph, baseline_space(inner));
+        BranchAndBoundOptimal(cg->graph, baseline_space(inner));
     ASSERT_TRUE(opt.proven_optimal) << "frac " << frac;
     EXPECT_LE(opt.final_cost,
               inner.final_cost + 1e-9 * (1.0 + inner.final_cost))

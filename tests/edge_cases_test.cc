@@ -72,11 +72,12 @@ TEST(EdgeCaseTest, SingleDimensionCube) {
   EXPECT_EQ(w.size(), 3u);  // 3^1
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes, w, opts);
+  StatusOr<CubeGraph> cg = TryBuildCubeGraph(cube.schema, cube.sizes, w, opts);
+  ASSERT_TRUE(cg.ok()) << cg.status().ToString();
   // Structures: apex + base view + 1 fat index.
-  EXPECT_EQ(cg.graph.num_structures(), 3u);
-  SelectionResult r = InnerLevelGreedy(cg.graph, 1e9);
-  SelectionResult opt = BranchAndBoundOptimal(cg.graph, r.space_used);
+  EXPECT_EQ(cg->graph.num_structures(), 3u);
+  SelectionResult r = InnerLevelGreedy(cg->graph, 1e9);
+  SelectionResult opt = BranchAndBoundOptimal(cg->graph, r.space_used);
   ASSERT_TRUE(opt.proven_optimal);
   EXPECT_NEAR(r.Benefit(), opt.Benefit(), 1e-9);
 }
@@ -165,11 +166,12 @@ TEST(EdgeCaseTest, AdvisorWithSingleQueryWorkload) {
   w.Add(SliceQuery(AttributeSet::Of({0}), AttributeSet::Of({1})), 1.0);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  Advisor advisor(cube.schema, cube.sizes, w, opts);
+  StatusOr<Advisor> advisor = Advisor::Create(cube.schema, cube.sizes, w, opts);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kInnerLevel;
   config.space_budget = cube.sizes.TotalViewSpace();
-  Recommendation rec = advisor.Recommend(config);
+  Recommendation rec = advisor->Recommend(config);
   ASSERT_EQ(rec.plans.size(), 1u);
   EXPECT_FALSE(rec.plans[0].use_raw);
   // The single query should be answered at (near) its cheapest possible

@@ -43,15 +43,17 @@ TEST(SchemaTest, DomainSizes) {
 TEST(AdvisorOptionsTest, OptimalOptionsPlumbThrough) {
   SyntheticCube cube = UniformSyntheticCube(2, 10, 0.3);
   CubeLattice lattice(cube.schema);
-  Advisor advisor(cube.schema, cube.sizes, AllSliceQueries(lattice));
+  StatusOr<Advisor> advisor = Advisor::Create(
+      cube.schema, cube.sizes, AllSliceQueries(lattice));
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kOptimal;
   config.space_budget = cube.sizes.TotalViewSpace();
   config.optimal.node_limit = 2;  // starve the solver
-  Recommendation rec = advisor.Recommend(config);
+  Recommendation rec = advisor->Recommend(config);
   EXPECT_FALSE(rec.raw.proven_optimal);
   config.optimal.node_limit = 50'000'000;
-  rec = advisor.Recommend(config);
+  rec = advisor->Recommend(config);
   EXPECT_TRUE(rec.raw.proven_optimal);
 }
 
@@ -60,21 +62,23 @@ TEST(AdvisorOptionsTest, LazyFlagPlumbsThrough) {
   CubeLattice lattice(cube.schema);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  Advisor advisor(cube.schema, cube.sizes, AllSliceQueries(lattice), opts);
+  StatusOr<Advisor> advisor = Advisor::Create(
+      cube.schema, cube.sizes, AllSliceQueries(lattice), opts);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kRGreedy;
   config.r_greedy.r = 1;
   config.space_budget = 0.2 * cube.sizes.TotalViewSpace();
-  Recommendation eager = advisor.Recommend(config);
+  Recommendation eager = advisor->Recommend(config);
   config.r_greedy.lazy_one_greedy = true;
-  Recommendation lazy = advisor.Recommend(config);
+  Recommendation lazy = advisor->Recommend(config);
   EXPECT_NEAR(lazy.average_query_cost, eager.average_query_cost,
               1e-9 * (1.0 + eager.average_query_cost));
   // The work comparison is against the full-rescan (unmemoized) eager
   // run; the memoized default can evaluate fewer candidates than lazy.
   config.r_greedy.lazy_one_greedy = false;
   config.r_greedy.memoize = false;
-  Recommendation rescan = advisor.Recommend(config);
+  Recommendation rescan = advisor->Recommend(config);
   EXPECT_LE(lazy.raw.candidates_evaluated,
             rescan.raw.candidates_evaluated);
 }

@@ -24,8 +24,10 @@ class GreedyPropertyTest : public ::testing::TestWithParam<uint64_t> {
     CubeLattice lattice(cube.schema);
     CubeGraphOptions opts;
     opts.raw_scan_penalty = 2.0;
-    cube_ = std::make_unique<CubeGraph>(BuildCubeGraph(
-        cube.schema, cube.sizes, AllSliceQueries(lattice), opts));
+    cube_ = std::make_unique<CubeGraph>(
+        TryBuildCubeGraph(cube.schema, cube.sizes, AllSliceQueries(lattice),
+                          opts)
+            .value());
     total_space_ = cube.sizes.TotalViewSpace() +
                    cube.sizes.TotalFatIndexSpace();
   }
@@ -102,14 +104,16 @@ TEST_P(GreedyPropertyTest, FatPruningLosesNothing) {
   fat_opts.raw_scan_penalty = 2.0;
   CubeGraphOptions all_opts = fat_opts;
   all_opts.fat_indexes_only = false;
-  CubeGraph fat = BuildCubeGraph(cube.schema, cube.sizes,
-                                 AllSliceQueries(lattice), fat_opts);
-  CubeGraph all = BuildCubeGraph(cube.schema, cube.sizes,
-                                 AllSliceQueries(lattice), all_opts);
+  StatusOr<CubeGraph> fat = TryBuildCubeGraph(
+      cube.schema, cube.sizes, AllSliceQueries(lattice), fat_opts);
+  ASSERT_TRUE(fat.ok()) << fat.status().ToString();
+  StatusOr<CubeGraph> all = TryBuildCubeGraph(
+      cube.schema, cube.sizes, AllSliceQueries(lattice), all_opts);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
   double budget = 0.2 * total_space_;
-  EXPECT_NEAR(InnerLevelGreedy(fat.graph, budget).Benefit(),
-              InnerLevelGreedy(all.graph, budget).Benefit(),
-              1e-6 * (1.0 + InnerLevelGreedy(fat.graph, budget).Benefit()));
+  EXPECT_NEAR(InnerLevelGreedy(fat->graph, budget).Benefit(),
+              InnerLevelGreedy(all->graph, budget).Benefit(),
+              1e-6 * (1.0 + InnerLevelGreedy(fat->graph, budget).Benefit()));
 }
 
 TEST_P(GreedyPropertyTest, LazyOneGreedyEquivalentToEager) {

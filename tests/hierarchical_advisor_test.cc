@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -306,6 +309,184 @@ TEST(HierarchicalAdvisorRuntimeTest,
           << fraction;
     }
   }
+}
+
+
+// The hierarchical graph's fingerprint, pinned so that a change to either
+// build plan shows. Each value is the same at 1, 2 and 8 threads.
+TEST(HierarchicalFingerprintPinTest, StoreDayPlans) {
+  HierarchicalSchema schema = Schema();
+  for (size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    HierarchicalGraphOptions identity;
+    identity.raw_scan_penalty = 2.0;
+    identity.num_threads = threads;
+    StatusOr<HierarchicalCubeGraph> dense = TryBuildHierarchicalCubeGraph(
+        schema, 1'000, UniformHWorkload(schema), identity);
+    ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+    EXPECT_EQ(dense->graph.Fingerprint(), 0x11fc0193fb42acaaULL);
+    EXPECT_FALSE(dense->sparse_stats.has_value());
+
+    HierarchicalGraphOptions unpruned = identity;
+    unpruned.pruning.emplace();
+    StatusOr<HierarchicalCubeGraph> same = TryBuildHierarchicalCubeGraph(
+        schema, 1'000, UniformHWorkload(schema), unpruned);
+    ASSERT_TRUE(same.ok()) << same.status().ToString();
+    EXPECT_EQ(same->graph.Fingerprint(), 0x11fc0193fb42acaaULL);
+
+    HierarchicalGraphOptions half = unpruned;
+    half.pruning->query_mass = 0.5;
+    StatusOr<HierarchicalCubeGraph> pruned = TryBuildHierarchicalCubeGraph(
+        schema, 1'000, UniformHWorkload(schema), half);
+    ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+    EXPECT_EQ(pruned->graph.Fingerprint(), 0xc846d51ee0309fb0ULL);
+    ASSERT_TRUE(pruned->sparse_stats.has_value());
+    EXPECT_EQ(pruned->sparse_stats->workload_queries, 25u);
+    EXPECT_EQ(pruned->sparse_stats->retained_queries, 13u);
+    EXPECT_EQ(pruned->sparse_stats->retained_views, 9u);
+  }
+}
+
+// advisor_cli's dim-8 hierarchy (a..h: 100/10) under a Zipf sample and
+// the default pruning, the CI smoke's graph.
+TEST(HierarchicalFingerprintPinTest, DimEightZipfPrunedPlan) {
+  std::vector<HierarchicalDimension> dims;
+  for (char c = 'a'; c <= 'h'; ++c) {
+    const std::string name(1, c);
+    dims.push_back(
+        HierarchicalDimension{name, {{name, 100}, {name + "_l1", 10}}});
+  }
+  HierarchicalSchema schema(std::move(dims));
+  const std::vector<WeightedHQuery> workload =
+      SampledZipfHWorkload(schema, 200, 1.0, 42);
+  for (size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    HierarchicalGraphOptions options;
+    options.num_threads = threads;
+    options.pruning.emplace();
+    StatusOr<HierarchicalCubeGraph> built =
+        TryBuildHierarchicalCubeGraph(schema, 1e8, workload, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    EXPECT_EQ(built->graph.Fingerprint(), 0x7bbf5bee05e9a9c0ULL);
+    ASSERT_TRUE(built->sparse_stats.has_value());
+    EXPECT_EQ(built->sparse_stats->retained_views, 2'896u);
+    EXPECT_EQ(built->sparse_stats->candidate_views, 1'229u);
+  }
+}
+
+HierarchicalGraphOptions PrunedOptions(double query_mass) {
+  HierarchicalGraphOptions options;
+  options.raw_scan_penalty = 2.0;
+  options.pruning.emplace().query_mass = query_mass;
+  return options;
+}
+
+// With nothing pruned, the pruned plan's advisor has the identity plan's
+// graph and recommends the same picks.
+TEST(HierarchicalPrunedAdvisorTest, UnprunedMatchesIdentityPlan) {
+  HierarchicalSchema schema = Schema();
+  HierarchicalGraphOptions identity;
+  identity.raw_scan_penalty = 2.0;
+  StatusOr<HierarchicalAdvisor> dense = HierarchicalAdvisor::Create(
+      schema, 1'000, UniformHWorkload(schema), identity);
+  StatusOr<HierarchicalAdvisor> pruned = HierarchicalAdvisor::Create(
+      schema, 1'000, UniformHWorkload(schema), PrunedOptions(1.0));
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  EXPECT_EQ(dense->sparse_stats(), nullptr);
+  ASSERT_NE(pruned->sparse_stats(), nullptr);
+  EXPECT_EQ(pruned->sparse_stats()->retained_queries, 25u);
+  EXPECT_EQ(pruned->graph_fingerprint(), dense->graph_fingerprint());
+  EXPECT_EQ(pruned->graph_fingerprint(), 0x11fc0193fb42acaaULL);
+  for (Algorithm algo : {Algorithm::kOneGreedy, Algorithm::kRGreedy,
+                         Algorithm::kInnerLevel}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    AdvisorConfig config;
+    config.algorithm = algo;
+    config.space_budget = 2'500;
+    HRecommendation a = dense->TryRecommend(config);
+    HRecommendation b = pruned->TryRecommend(config);
+    ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+    ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+    ASSERT_EQ(b.structures.size(), a.structures.size());
+    for (size_t i = 0; i < a.structures.size(); ++i) {
+      EXPECT_EQ(b.structures[i].name, a.structures[i].name);
+      EXPECT_EQ(b.structures[i].view, a.structures[i].view);
+      EXPECT_EQ(b.structures[i].index_order, a.structures[i].index_order);
+    }
+    EXPECT_EQ(b.raw.pick_benefits, a.raw.pick_benefits);
+    EXPECT_EQ(b.average_query_cost, a.average_query_cost);
+  }
+}
+
+// A pruned advisor reports what it dropped, and a checkpoint taken on one
+// resumes bit-exactly on a second advisor built from the same inputs.
+TEST(HierarchicalPrunedAdvisorTest, CheckpointResumesOnASecondPrunedAdvisor) {
+  HierarchicalSchema schema = Schema();
+  StatusOr<HierarchicalAdvisor> first = HierarchicalAdvisor::Create(
+      schema, 1'000, UniformHWorkload(schema), PrunedOptions(0.5));
+  StatusOr<HierarchicalAdvisor> second = HierarchicalAdvisor::Create(
+      schema, 1'000, UniformHWorkload(schema), PrunedOptions(0.5));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const SparseBuildStats* stats = first->sparse_stats();
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->workload_queries, 25u);
+  EXPECT_EQ(stats->retained_queries, 13u);
+  EXPECT_GT(stats->dropped_mass, 0.0);
+  EXPECT_EQ(first->graph_fingerprint(), 0xc846d51ee0309fb0ULL);
+  EXPECT_EQ(second->graph_fingerprint(), first->graph_fingerprint());
+
+  AdvisorConfig config;
+  config.algorithm = Algorithm::kInnerLevel;
+  config.space_budget = 2'500;
+  HRecommendation full = first->TryRecommend(config);
+  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+  ASSERT_GE(full.structures.size(), 2u);
+  AdvisorConfig limited = config;
+  limited.control.max_steps = 1;
+  HRecommendation partial = first->TryRecommend(limited);
+  ASSERT_EQ(partial.status.code(), StatusCode::kResourceExhausted);
+  HSelectionCheckpoint checkpoint = partial.ToCheckpoint(config);
+  EXPECT_EQ(checkpoint.graph_fingerprint, first->graph_fingerprint());
+
+  HRecommendation resumed = second->TryRecommend(config, &checkpoint);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  ASSERT_EQ(resumed.structures.size(), full.structures.size());
+  for (size_t i = 0; i < full.structures.size(); ++i) {
+    EXPECT_EQ(resumed.structures[i].name, full.structures[i].name);
+    EXPECT_EQ(resumed.structures[i].index_order,
+              full.structures[i].index_order);
+  }
+  EXPECT_EQ(resumed.raw.pick_benefits, full.raw.pick_benefits);
+  EXPECT_EQ(resumed.raw.final_cost, full.raw.final_cost);
+}
+
+TEST(HierarchicalPrunedAdvisorTest, RejectsBadPruningOptions) {
+  HierarchicalSchema schema = Schema();
+  const std::vector<WeightedHQuery> workload = UniformHWorkload(schema);
+  auto code_of = [&](const HierarchicalGraphOptions& options) {
+    return HierarchicalAdvisor::Create(schema, 1'000, workload, options)
+        .status()
+        .code();
+  };
+  HierarchicalGraphOptions ablation = PrunedOptions(1.0);
+  ablation.fat_indexes_only = false;
+  EXPECT_EQ(code_of(ablation), StatusCode::kInvalidArgument);
+  HierarchicalGraphOptions wide = PrunedOptions(1.0);
+  wide.pruning->max_fat_dim = 9;
+  EXPECT_EQ(code_of(wide), StatusCode::kInvalidArgument);
+  HierarchicalGraphOptions negative = PrunedOptions(1.0);
+  negative.pruning->max_fat_dim = -1;
+  EXPECT_EQ(code_of(negative), StatusCode::kInvalidArgument);
+  for (double mass : {0.0, std::numeric_limits<double>::quiet_NaN(), 1.5}) {
+    EXPECT_EQ(code_of(PrunedOptions(mass)), StatusCode::kInvalidArgument)
+        << mass;
+  }
+  // The identity plan still builds the ablation family.
+  HierarchicalGraphOptions identity_ablation;
+  identity_ablation.fat_indexes_only = false;
+  EXPECT_EQ(code_of(identity_ablation), StatusCode::kOk);
 }
 
 }  // namespace

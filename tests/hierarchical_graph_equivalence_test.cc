@@ -390,17 +390,18 @@ TEST(HierarchicalGraphErrorTest, RejectsBadScalarOptions) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  // NaN fails every range check, on both entry points.
+  // NaN fails every range check, under both plans.
   HierarchicalGraphOptions nan_penalty;
   nan_penalty.raw_scan_penalty = std::nan("");
   EXPECT_EQ(TryBuildHierarchicalCubeGraph(schema, 100.0, w, nan_penalty)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  SparseHierarchicalGraphOptions sparse_nan_penalty;
+  HierarchicalGraphOptions sparse_nan_penalty;
   sparse_nan_penalty.raw_scan_penalty = std::nan("");
-  EXPECT_EQ(TryBuildSparseHierarchicalCubeGraph(schema, 100.0, w,
-                                                sparse_nan_penalty)
+  sparse_nan_penalty.pruning.emplace();
+  EXPECT_EQ(TryBuildHierarchicalCubeGraph(schema, 100.0, w,
+                                          sparse_nan_penalty)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

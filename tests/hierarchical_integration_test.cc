@@ -31,24 +31,25 @@ TEST(HierarchicalPipelineTest, SelectMaterializeExecute) {
   // Selection over analytical sizes for the generated row count.
   HierarchicalGraphOptions options;
   options.raw_scan_penalty = 2.0;
-  HierarchicalCubeGraph cube = BuildHierarchicalCubeGraph(
+  StatusOr<HierarchicalCubeGraph> cube = TryBuildHierarchicalCubeGraph(
       schema, static_cast<double>(fact.num_rows()),
       UniformHWorkload(schema), options);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
   double total = 0.0;
-  for (uint32_t v = 0; v < cube.graph.num_views(); ++v) {
-    total += cube.graph.view_space(v) *
-             (1.0 + static_cast<double>(cube.graph.num_indexes(v)));
+  for (uint32_t v = 0; v < cube->graph.num_views(); ++v) {
+    total += cube->graph.view_space(v) *
+             (1.0 + static_cast<double>(cube->graph.num_indexes(v)));
   }
-  SelectionResult selection = InnerLevelGreedy(cube.graph, 0.2 * total);
+  SelectionResult selection = InnerLevelGreedy(cube->graph, 0.2 * total);
   ASSERT_FALSE(selection.picks.empty());
 
   // Materialize the picks.
   HierarchicalCatalog catalog(&fact, &maps);
   for (const StructureRef& s : selection.picks) {
-    const LevelVector& levels = cube.view_levels[s.view];
+    const LevelVector& levels = cube->view_levels[s.view];
     catalog.MaterializeView(levels);
     if (!s.is_view()) {
-      catalog.BuildIndex(levels, cube.IndexOrderOf(s.view, s.index));
+      catalog.BuildIndex(levels, cube->IndexOrderOf(s.view, s.index));
     }
   }
 

@@ -33,13 +33,15 @@ TEST(HierarchyMaintenanceTest, ZeroRateEqualsDefault) {
   plain.raw_scan_penalty = 2.0;
   HierarchicalGraphOptions zero = plain;
   zero.maintenance_per_row = 0.0;
-  HierarchicalCubeGraph a = BuildHierarchicalCubeGraph(
+  StatusOr<HierarchicalCubeGraph> a = TryBuildHierarchicalCubeGraph(
       schema, 50'000, UniformHWorkload(schema), plain);
-  HierarchicalCubeGraph b = BuildHierarchicalCubeGraph(
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  StatusOr<HierarchicalCubeGraph> b = TryBuildHierarchicalCubeGraph(
       schema, 50'000, UniformHWorkload(schema), zero);
-  double budget = 0.05 * TotalSpace(a.graph);
-  EXPECT_NEAR(InnerLevelGreedy(a.graph, budget).Benefit(),
-              InnerLevelGreedy(b.graph, budget).Benefit(), 1e-9);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  double budget = 0.05 * TotalSpace(a->graph);
+  EXPECT_NEAR(InnerLevelGreedy(a->graph, budget).Benefit(),
+              InnerLevelGreedy(b->graph, budget).Benefit(), 1e-9);
 }
 
 TEST(HierarchyMaintenanceTest, PressureShrinksAverageStructure) {
@@ -50,10 +52,11 @@ TEST(HierarchyMaintenanceTest, PressureShrinksAverageStructure) {
     HierarchicalGraphOptions options;
     options.raw_scan_penalty = 2.0;
     options.maintenance_per_row = rate;
-    HierarchicalCubeGraph cube = BuildHierarchicalCubeGraph(
+    StatusOr<HierarchicalCubeGraph> cube = TryBuildHierarchicalCubeGraph(
         schema, 50'000, UniformHWorkload(schema), options);
-    double budget = 0.05 * TotalSpace(cube.graph);
-    SelectionResult r = InnerLevelGreedy(cube.graph, budget);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    double budget = 0.05 * TotalSpace(cube->graph);
+    SelectionResult r = InnerLevelGreedy(cube->graph, budget);
     ASSERT_FALSE(r.picks.empty()) << "rate " << rate;
     double avg =
         r.space_used / static_cast<double>(r.picks.size());

@@ -139,9 +139,10 @@ class HierarchicalGraphTest : public ::testing::Test {
  protected:
   HierarchicalGraphTest()
       : schema_(RetailSchema()),
-        graph_(BuildHierarchicalCubeGraph(
-            schema_, /*raw_rows=*/50'000, UniformHWorkload(schema_),
-            HierarchicalGraphOptions{.raw_scan_penalty = 2.0})) {}
+        graph_(TryBuildHierarchicalCubeGraph(
+                   schema_, /*raw_rows=*/50'000, UniformHWorkload(schema_),
+                   HierarchicalGraphOptions{.raw_scan_penalty = 2.0})
+                   .value()) {}
 
   HierarchicalSchema schema_;
   HierarchicalCubeGraph graph_;
@@ -161,30 +162,31 @@ TEST_F(HierarchicalGraphTest, FlatSchemaReducesToPaperModel) {
   HierarchicalSchema flat(
       {HierarchicalDimension{"p", {{"p", 100}}},
        HierarchicalDimension{"s", {{"s", 10}}}});
-  HierarchicalCubeGraph g = BuildHierarchicalCubeGraph(
+  StatusOr<HierarchicalCubeGraph> g = TryBuildHierarchicalCubeGraph(
       flat, 5'000, UniformHWorkload(flat));
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
   // Locate the base view (levels {0,0}).
   HierarchicalLattice lattice(&flat);
   HViewId base = lattice.BaseView();
-  double base_size = g.view_sizes[base];
+  double base_size = g->view_sizes[base];
   // |E| for a selection on s is the subcube (ALL, s)'s size.
   HViewId s_view = lattice.IdOf(LevelVector({1, 0}));
-  double expected = base_size / g.view_sizes[s_view];
+  double expected = base_size / g->view_sizes[s_view];
   // Find the query g{p}s{s} and the index (s, p).
   bool checked = false;
-  for (uint32_t q = 0; q < g.graph.num_queries(); ++q) {
-    if (g.graph.query_name(q) != "g{p.p}s{s.s}") continue;
-    const auto& queries = g.graph.ViewQueries(static_cast<uint32_t>(base));
+  for (uint32_t q = 0; q < g->graph.num_queries(); ++q) {
+    if (g->graph.query_name(q) != "g{p.p}s{s.s}") continue;
+    const auto& queries = g->graph.ViewQueries(static_cast<uint32_t>(base));
     for (size_t pos = 0; pos < queries.size(); ++pos) {
       if (queries[pos] != q) continue;
       const auto nk = static_cast<size_t>(
-          g.graph.num_indexes(static_cast<uint32_t>(base)));
+          g->graph.num_indexes(static_cast<uint32_t>(base)));
       for (size_t k = 0; k < nk; ++k) {
-        if (g.IndexOrderOf(static_cast<uint32_t>(base),
-                           static_cast<int32_t>(k)) ==
+        if (g->IndexOrderOf(static_cast<uint32_t>(base),
+                            static_cast<int32_t>(k)) ==
             std::vector<int>{1, 0}) {
-          EXPECT_NEAR(g.graph.IndexCostAt(static_cast<uint32_t>(base),
-                                          static_cast<int32_t>(k), pos),
+          EXPECT_NEAR(g->graph.IndexCostAt(static_cast<uint32_t>(base),
+                                           static_cast<int32_t>(k), pos),
                       expected, 1e-9);
           checked = true;
         }
@@ -256,12 +258,13 @@ TEST_F(HierarchicalGraphTest, GuaranteeHoldsAgainstOptimalOnTinyInstance) {
   HierarchicalSchema tiny(
       {HierarchicalDimension{"a", {{"a0", 40}, {"a1", 5}}},
        HierarchicalDimension{"b", {{"b0", 12}}}});
-  HierarchicalCubeGraph g = BuildHierarchicalCubeGraph(
+  StatusOr<HierarchicalCubeGraph> g = TryBuildHierarchicalCubeGraph(
       tiny, 300, UniformHWorkload(tiny),
       HierarchicalGraphOptions{.raw_scan_penalty = 2.0});
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
   double budget = 150.0;
-  SelectionResult two = RGreedy(g.graph, budget, {.r = 2});
-  SelectionResult opt = BranchAndBoundOptimal(g.graph, two.space_used);
+  SelectionResult two = RGreedy(g->graph, budget, {.r = 2});
+  SelectionResult opt = BranchAndBoundOptimal(g->graph, two.space_used);
   ASSERT_TRUE(opt.proven_optimal);
   EXPECT_GE(two.Benefit(), RGreedyGuarantee(2) * opt.Benefit() - 1e-9);
   EXPECT_LE(two.Benefit(), opt.Benefit() + 1e-9);

@@ -48,14 +48,15 @@ TEST_F(PipelineTest, AdvisorRecommendationExecutesCorrectlyAndFast) {
   Workload workload = AllSliceQueries(lattice);
   CubeGraphOptions gopts;
   gopts.raw_scan_penalty = 2.0;
-  Advisor advisor(schema, sizes_, workload, gopts);
+  StatusOr<Advisor> advisor = Advisor::Create(schema, sizes_, workload, gopts);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
 
   AdvisorConfig config;
   config.algorithm = Algorithm::kInnerLevel;
   config.space_budget =
       kBudgetFraction *
       (sizes_.TotalViewSpace() + sizes_.TotalFatIndexSpace());
-  Recommendation rec = advisor.Recommend(config);
+  Recommendation rec = advisor->Recommend(config);
   ASSERT_FALSE(rec.structures.empty());
 
   // Materialize the recommendation.

@@ -72,10 +72,12 @@ TEST(MaintenanceTest, MaintenanceShrinksSelections) {
   CubeGraphOptions updating = base;
   updating.maintenance_per_row = 5.0;  // heavy update traffic
 
-  CubeGraph g0 = BuildCubeGraph(schema, sizes, workload, base);
-  CubeGraph g1 = BuildCubeGraph(schema, sizes, workload, updating);
-  SelectionResult r0 = InnerLevelGreedy(g0.graph, kTpcdExampleBudget);
-  SelectionResult r1 = InnerLevelGreedy(g1.graph, kTpcdExampleBudget);
+  StatusOr<CubeGraph> g0 = TryBuildCubeGraph(schema, sizes, workload, base);
+  ASSERT_TRUE(g0.ok()) << g0.status().ToString();
+  StatusOr<CubeGraph> g1 = TryBuildCubeGraph(schema, sizes, workload, updating);
+  ASSERT_TRUE(g1.ok()) << g1.status().ToString();
+  SelectionResult r0 = InnerLevelGreedy(g0->graph, kTpcdExampleBudget);
+  SelectionResult r1 = InnerLevelGreedy(g1->graph, kTpcdExampleBudget);
   // Under update pressure the advisor materializes less.
   EXPECT_LT(r1.space_used, r0.space_used);
   EXPECT_GT(r1.total_maintenance, 0.0);

@@ -70,14 +70,18 @@ TEST_P(MetamorphicTest, FrequencyDuplicationInvariance) {
 
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  CubeGraph dup = BuildCubeGraph(cube.schema, cube.sizes, duplicated, opts);
-  CubeGraph dbl = BuildCubeGraph(cube.schema, cube.sizes, doubled, opts);
+  StatusOr<CubeGraph> dup = TryBuildCubeGraph(
+      cube.schema, cube.sizes, duplicated, opts);
+  ASSERT_TRUE(dup.ok()) << dup.status().ToString();
+  StatusOr<CubeGraph> dbl = TryBuildCubeGraph(
+      cube.schema, cube.sizes, doubled, opts);
+  ASSERT_TRUE(dbl.ok()) << dbl.status().ToString();
   double budget = 0.2 * (cube.sizes.TotalViewSpace() +
                          cube.sizes.TotalFatIndexSpace());
 
   for (int algo = 0; algo < 3; ++algo) {
-    SelectionResult a = RunAlgo(algo, dup.graph, budget);
-    SelectionResult b = RunAlgo(algo, dbl.graph, budget);
+    SelectionResult a = RunAlgo(algo, dup->graph, budget);
+    SelectionResult b = RunAlgo(algo, dbl->graph, budget);
     ASSERT_TRUE(a.status.ok());
     ASSERT_TRUE(b.status.ok());
     EXPECT_FALSE(a.picks.empty()) << "algo " << algo;
@@ -232,16 +236,19 @@ TEST_P(MetamorphicTest, WorkloadPermutationInvariance) {
 
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  CubeGraph fwd = BuildCubeGraph(schema, sizes, forward, opts);
-  CubeGraph rev = BuildCubeGraph(schema, sizes, reversed, opts);
-  CubeGraph shuf = BuildCubeGraph(schema, sizes, shuffled, opts);
+  StatusOr<CubeGraph> fwd = TryBuildCubeGraph(schema, sizes, forward, opts);
+  ASSERT_TRUE(fwd.ok()) << fwd.status().ToString();
+  StatusOr<CubeGraph> rev = TryBuildCubeGraph(schema, sizes, reversed, opts);
+  ASSERT_TRUE(rev.ok()) << rev.status().ToString();
+  StatusOr<CubeGraph> shuf = TryBuildCubeGraph(schema, sizes, shuffled, opts);
+  ASSERT_TRUE(shuf.ok()) << shuf.status().ToString();
   double budget = 0.25 * (sizes.TotalViewSpace() +
                           sizes.TotalFatIndexSpace());
 
   for (int algo = 0; algo < 3; ++algo) {
-    SelectionResult a = RunAlgo(algo, fwd.graph, budget);
-    SelectionResult b = RunAlgo(algo, rev.graph, budget);
-    SelectionResult c = RunAlgo(algo, shuf.graph, budget);
+    SelectionResult a = RunAlgo(algo, fwd->graph, budget);
+    SelectionResult b = RunAlgo(algo, rev->graph, budget);
+    SelectionResult c = RunAlgo(algo, shuf->graph, budget);
     ASSERT_TRUE(a.status.ok());
     EXPECT_FALSE(a.picks.empty()) << "algo " << algo;
     ExpectSamePicks(a, b, "reversed, algo " + std::to_string(algo));
@@ -299,13 +306,15 @@ TEST_P(MetamorphicTest, CalibratedModelPermutationInvariance) {
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
   opts.cost_model = DyadicModel();
-  CubeGraph fwd = BuildCubeGraph(schema, sizes, forward, opts);
-  CubeGraph shuf = BuildCubeGraph(schema, sizes, shuffled, opts);
+  StatusOr<CubeGraph> fwd = TryBuildCubeGraph(schema, sizes, forward, opts);
+  ASSERT_TRUE(fwd.ok()) << fwd.status().ToString();
+  StatusOr<CubeGraph> shuf = TryBuildCubeGraph(schema, sizes, shuffled, opts);
+  ASSERT_TRUE(shuf.ok()) << shuf.status().ToString();
   double budget = 0.25 * (sizes.TotalViewSpace() +
                           sizes.TotalFatIndexSpace());
   for (int algo = 0; algo < 3; ++algo) {
-    SelectionResult a = RunAlgo(algo, fwd.graph, budget);
-    SelectionResult c = RunAlgo(algo, shuf.graph, budget);
+    SelectionResult a = RunAlgo(algo, fwd->graph, budget);
+    SelectionResult c = RunAlgo(algo, shuf->graph, budget);
     ASSERT_TRUE(a.status.ok());
     EXPECT_FALSE(a.picks.empty()) << "algo " << algo;
     ExpectSamePicks(a, c, "calibrated shuffled, algo " +
@@ -336,15 +345,17 @@ TEST_P(MetamorphicTest, CalibratedCoefficientScalingInvariance) {
   unit_opts.cost_model = DyadicModel();
   CubeGraphOptions scaled_opts = unit_opts;
   scaled_opts.cost_model = DyadicModel(kScale);
-  CubeGraph unit = BuildCubeGraph(cube.schema, cube.sizes, workload,
-                                  unit_opts);
-  CubeGraph scaled = BuildCubeGraph(cube.schema, cube.sizes, workload,
-                                    scaled_opts);
+  StatusOr<CubeGraph> unit = TryBuildCubeGraph(
+      cube.schema, cube.sizes, workload, unit_opts);
+  ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+  StatusOr<CubeGraph> scaled = TryBuildCubeGraph(
+      cube.schema, cube.sizes, workload, scaled_opts);
+  ASSERT_TRUE(scaled.ok()) << scaled.status().ToString();
   double budget = 0.25 * (cube.sizes.TotalViewSpace() +
                           cube.sizes.TotalFatIndexSpace());
   for (int algo = 0; algo < 3; ++algo) {
-    SelectionResult a = RunAlgo(algo, unit.graph, budget);
-    SelectionResult b = RunAlgo(algo, scaled.graph, budget);
+    SelectionResult a = RunAlgo(algo, unit->graph, budget);
+    SelectionResult b = RunAlgo(algo, scaled->graph, budget);
     ASSERT_TRUE(a.status.ok());
     ASSERT_TRUE(b.status.ok());
     EXPECT_FALSE(a.picks.empty()) << "algo " << algo;

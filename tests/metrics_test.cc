@@ -158,13 +158,14 @@ TEST(TracerTest, RecordsSpansOnlyWhenEnabled) {
 TEST(TracerTest, SelectionStagesEmitSpans) {
   SyntheticCube cube = RandomSyntheticCube(3, 5, 500, 0.05, 11);
   CubeLattice lattice(cube.schema);
-  CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes,
-                                AllSliceQueries(lattice));
+  StatusOr<CubeGraph> cg = TryBuildCubeGraph(cube.schema, cube.sizes,
+                                             AllSliceQueries(lattice));
+  ASSERT_TRUE(cg.ok()) << cg.status().ToString();
   double budget = 0.2 * cube.sizes.TotalViewSpace();
   Tracer& tracer = Tracer::Global();
   tracer.Clear();
   Tracer::SetEnabled(true);
-  SelectionResult inner = InnerLevelGreedy(cg.graph, budget);
+  SelectionResult inner = InnerLevelGreedy(cg->graph, budget);
   Tracer::SetEnabled(false);
   ASSERT_TRUE(inner.status.ok());
   uint64_t run_spans = 0;
@@ -394,8 +395,9 @@ class SelectionMetricsTest : public ::testing::Test {
     CubeGraphOptions opts;
     opts.raw_scan_penalty = 2.0;
     cube_ = std::make_unique<CubeGraph>(
-        BuildCubeGraph(cube_data_.schema, cube_data_.sizes, workload_,
-                       opts));
+        TryBuildCubeGraph(cube_data_.schema, cube_data_.sizes, workload_,
+                          opts)
+            .value());
     budget_ = 0.2 * (cube_data_.sizes.TotalViewSpace() +
                      cube_data_.sizes.TotalFatIndexSpace());
   }
@@ -457,14 +459,14 @@ TEST(SelectionWorkCountersTest, CostCellsAndRechecksArePinned) {
   SyntheticCube cube = UniformSyntheticCube(5, 100, 0.05);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  CubeGraph cg = BuildCubeGraph(cube.schema, cube.sizes,
-                                AllSliceQueries(CubeLattice(cube.schema)),
-                                opts);
+  StatusOr<CubeGraph> cg = TryBuildCubeGraph(
+      cube.schema, cube.sizes, AllSliceQueries(CubeLattice(cube.schema)), opts);
+  ASSERT_TRUE(cg.ok()) << cg.status().ToString();
   const double budget = 0.25 * (cube.sizes.TotalViewSpace() +
                                 cube.sizes.TotalFatIndexSpace());
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     SelectionResult res = InnerLevelGreedy(
-        cg.graph, budget, InnerGreedyOptions{.num_threads = threads});
+        cg->graph, budget, InnerGreedyOptions{.num_threads = threads});
     ASSERT_TRUE(res.status.ok());
     EXPECT_EQ(res.stats.cost_cells, 928769u) << "threads " << threads;
     EXPECT_EQ(res.stats.exact_rechecks, 3258u) << "threads " << threads;
@@ -576,14 +578,16 @@ TEST_F(SelectionMetricsTest, CountersIdenticalAcrossThreadCounts) {
 // other accumulation) would make the second run's delta roughly double
 // the first.
 TEST_F(SelectionMetricsTest, RepeatedAdvisorRunsYieldEqualDeltas) {
-  Advisor advisor(cube_data_.schema, cube_data_.sizes, workload_);
+  StatusOr<Advisor> advisor = Advisor::Create(
+      cube_data_.schema, cube_data_.sizes, workload_);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kRGreedy;
   config.r_greedy.r = 2;
   config.space_budget = budget_;
 
-  Recommendation first = advisor.Recommend(config);
-  Recommendation second = advisor.Recommend(config);
+  Recommendation first = advisor->Recommend(config);
+  Recommendation second = advisor->Recommend(config);
   ASSERT_TRUE(first.status.ok());
   ASSERT_TRUE(second.status.ok());
   ASSERT_EQ(first.structures.size(), second.structures.size());

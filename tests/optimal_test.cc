@@ -1,5 +1,7 @@
 #include "core/optimal.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -56,6 +58,24 @@ TEST(OptimalTest, NodeLimitReportsIncomplete) {
   EXPECT_FALSE(r.proven_optimal);
   // The greedy seed still provides a valid (sub)selection.
   EXPECT_GE(r.Benefit(), 0.0);
+}
+
+// A negative or non-finite budget and an unfinalized graph are rejected,
+// never aborted on.
+TEST(OptimalTest, RejectsBadBudgetOrUnfinalizedGraph) {
+  QueryViewGraph g = Figure2Instance();
+  for (double budget : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()}) {
+    SelectionResult r = BranchAndBoundOptimal(g, budget);
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << budget;
+    EXPECT_FALSE(r.completed);
+    EXPECT_FALSE(r.proven_optimal);
+    EXPECT_TRUE(r.picks.empty());
+  }
+  QueryViewGraph open;
+  open.AddView("v", 1.0);
+  EXPECT_EQ(BranchAndBoundOptimal(open, 10.0).status.code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // Random-instance property sweep: on every instance, optimal dominates all

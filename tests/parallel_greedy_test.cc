@@ -29,8 +29,9 @@ CubeSetup MakeCube(int n, uint64_t seed = 0) {
   CubeLattice lattice(cube.schema);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  CubeSetup setup{BuildCubeGraph(cube.schema, cube.sizes,
-                                 AllSliceQueries(lattice), opts),
+  CubeSetup setup{TryBuildCubeGraph(cube.schema, cube.sizes,
+                                    AllSliceQueries(lattice), opts)
+                      .value(),
                   0.0};
   setup.budget = 0.25 * (cube.sizes.TotalViewSpace() +
                          cube.sizes.TotalFatIndexSpace());

@@ -34,8 +34,9 @@ CubeGraph Dim4Graph() {
   CubeLattice lattice(cube.schema);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  return BuildCubeGraph(cube.schema, cube.sizes, AllSliceQueries(lattice),
-                        opts);
+  return TryBuildCubeGraph(cube.schema, cube.sizes, AllSliceQueries(lattice),
+                           opts)
+      .value();
 }
 
 TEST(ResilienceTest, ExpiredDeadlineReturnsEmptyAnytimeResult) {
@@ -162,8 +163,10 @@ class AdvisorResumeTest : public ::testing::Test {
     CubeLattice lattice(cube_.schema);
     CubeGraphOptions opts;
     opts.raw_scan_penalty = 2.0;
-    advisor_ = std::make_unique<Advisor>(cube_.schema, cube_.sizes,
-                                         AllSliceQueries(lattice), opts);
+    advisor_ = std::make_unique<Advisor>(
+        Advisor::Create(cube_.schema, cube_.sizes, AllSliceQueries(lattice),
+                        opts)
+            .value());
   }
 
   AdvisorConfig Config(Algorithm algorithm) const {

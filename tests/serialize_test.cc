@@ -19,12 +19,13 @@ TEST_F(SerializeTest, DesignRoundTrip) {
   CubeLattice lattice(schema_);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  Advisor advisor(schema_, TpcdPaperSizes(), AllSliceQueries(lattice),
-                  opts);
+  StatusOr<Advisor> advisor = Advisor::Create(
+      schema_, TpcdPaperSizes(), AllSliceQueries(lattice), opts);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kOneGreedy;
   config.space_budget = kTpcdExampleBudget;
-  Recommendation rec = advisor.Recommend(config);
+  Recommendation rec = advisor->Recommend(config);
   ASSERT_FALSE(rec.structures.empty());
 
   std::string text = SerializeDesign(rec.structures, schema_);
@@ -245,27 +246,30 @@ TEST_F(SerializeTest, AdvisorRejectsCheckpointFromDifferentGraph) {
   CubeLattice lattice(schema_);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  Advisor advisor(schema_, TpcdPaperSizes(), AllSliceQueries(lattice),
-                  opts);
+  StatusOr<Advisor> advisor = Advisor::Create(
+      schema_, TpcdPaperSizes(), AllSliceQueries(lattice), opts);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   AdvisorConfig config;
   config.algorithm = Algorithm::kOneGreedy;
   config.space_budget = kTpcdExampleBudget;
   config.control.max_steps = 1;
-  Recommendation partial = advisor.Recommend(config);
+  Recommendation partial = advisor->Recommend(config);
   ASSERT_FALSE(partial.completed);
   SelectionCheckpoint checkpoint = partial.ToCheckpoint(config);
-  ASSERT_EQ(checkpoint.graph_fingerprint, advisor.graph_fingerprint());
+  ASSERT_EQ(checkpoint.graph_fingerprint, advisor->graph_fingerprint());
   ASSERT_NE(checkpoint.graph_fingerprint, 0u);
 
   // Same schema, different sizes -> different graph -> rejected resume.
   ViewSizes other_sizes = TpcdPaperSizes();
   other_sizes.Set(AttributeSet::Of({0}), 999);
-  Advisor other(schema_, other_sizes, AllSliceQueries(lattice), opts);
-  ASSERT_NE(other.graph_fingerprint(), advisor.graph_fingerprint());
+  StatusOr<Advisor> other = Advisor::Create(
+      schema_, other_sizes, AllSliceQueries(lattice), opts);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  ASSERT_NE(other->graph_fingerprint(), advisor->graph_fingerprint());
   AdvisorConfig resume_config = config;
   resume_config.control = RunControl{};
   resume_config.resume = &checkpoint;
-  Recommendation rejected = other.Recommend(resume_config);
+  Recommendation rejected = other->Recommend(resume_config);
   EXPECT_EQ(rejected.status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(rejected.status.message().find("different query-view graph"),
             std::string::npos)
@@ -273,7 +277,7 @@ TEST_F(SerializeTest, AdvisorRejectsCheckpointFromDifferentGraph) {
 
   // Clearing the fingerprint opts into the cross-graph warm start.
   checkpoint.graph_fingerprint = 0;
-  Recommendation accepted = other.Recommend(resume_config);
+  Recommendation accepted = other->Recommend(resume_config);
   EXPECT_TRUE(accepted.status.ok() || accepted.status.IsInterruption())
       << accepted.status.ToString();
 }
@@ -293,10 +297,11 @@ TEST_F(SerializeTest, CheckpointFromEarlierCostTableLayoutRejected) {
   CubeLattice lattice(schema_);
   CubeGraphOptions opts;
   opts.raw_scan_penalty = 2.0;
-  Advisor advisor(schema_, TpcdPaperSizes(), AllSliceQueries(lattice),
-                  opts);
+  StatusOr<Advisor> advisor = Advisor::Create(
+      schema_, TpcdPaperSizes(), AllSliceQueries(lattice), opts);
+  ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
   // Golden: a change to the cost-table layout must update this on purpose.
-  EXPECT_EQ(advisor.graph_fingerprint(), 0x3decc85cf2de0139ull);
+  EXPECT_EQ(advisor->graph_fingerprint(), 0x3decc85cf2de0139ull);
 
   StatusOr<SelectionCheckpoint> earlier =
       ParseCheckpoint(kEarlierLayoutCheckpoint, schema_);
@@ -305,7 +310,7 @@ TEST_F(SerializeTest, CheckpointFromEarlierCostTableLayoutRejected) {
   config.algorithm = Algorithm::kOneGreedy;
   config.space_budget = kTpcdExampleBudget;
   config.resume = &*earlier;
-  Recommendation rejected = advisor.Recommend(config);
+  Recommendation rejected = advisor->Recommend(config);
   EXPECT_EQ(rejected.status.code(), StatusCode::kFailedPrecondition)
       << rejected.status.ToString();
 }

@@ -3,9 +3,9 @@
 // finish, so a build must produce a graph *bit-identical* to the
 // single-threaded build — same accessor values and same fingerprint — for
 // every thread count and index family. Also the unpruned
-// sparse-hierarchical contract: with nothing pruned,
-// TryBuildSparseHierarchicalCubeGraph must reproduce
-// TryBuildHierarchicalCubeGraph exactly on random multi-level schemas.
+// pruned-hierarchical contract: with nothing pruned,
+// TryBuildHierarchicalCubeGraph's pruned plan must reproduce its identity
+// plan exactly on random multi-level schemas.
 
 #include <cstdint>
 #include <string>
@@ -120,24 +120,24 @@ TEST(StreamingEquivalenceTest, HierarchicalSparseIdenticalAcrossThreadCounts) {
   std::vector<WeightedHQuery> workload =
       SampledZipfHWorkload(schema, 120, 1.1, 5);
 
-  SparseHierarchicalGraphOptions serial;
+  HierarchicalGraphOptions serial;
   serial.raw_scan_penalty = 2.0;
   serial.num_threads = 1;
-  StatusOr<SparseHierarchicalCubeGraph> baseline =
-      TryBuildSparseHierarchicalCubeGraph(schema, 1e6, workload, serial);
+  serial.pruning.emplace();
+  StatusOr<HierarchicalCubeGraph> baseline =
+      TryBuildHierarchicalCubeGraph(schema, 1e6, workload, serial);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   for (size_t threads : {size_t{2}, size_t{8}}) {
-    SparseHierarchicalGraphOptions options = serial;
+    HierarchicalGraphOptions options = serial;
     options.num_threads = threads;
-    StatusOr<SparseHierarchicalCubeGraph> run =
-        TryBuildSparseHierarchicalCubeGraph(schema, 1e6, workload, options);
+    StatusOr<HierarchicalCubeGraph> run =
+        TryBuildHierarchicalCubeGraph(schema, 1e6, workload, options);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     const std::string label = "threads=" + std::to_string(threads);
-    ASSERT_EQ(run->hgraph.view_levels, baseline->hgraph.view_levels);
-    ExpectIdenticalQvg(run->hgraph.graph, baseline->hgraph.graph, label);
-    EXPECT_EQ(run->hgraph.graph.Fingerprint(),
-              baseline->hgraph.graph.Fingerprint())
+    ASSERT_EQ(run->view_levels, baseline->view_levels);
+    ExpectIdenticalQvg(run->graph, baseline->graph, label);
+    EXPECT_EQ(run->graph.Fingerprint(), baseline->graph.Fingerprint())
         << label;
   }
 }
@@ -175,24 +175,25 @@ TEST(StreamingEquivalenceTest, SparseHierarchicalUnprunedMatchesDense) {
     ASSERT_TRUE(dense.ok()) << dense.status().ToString();
 
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      SparseHierarchicalGraphOptions options;
+      HierarchicalGraphOptions options;
       options.raw_scan_penalty = 1.5;
-      options.max_fat_dim = 8;  // every view fat: same family as dense
       options.num_threads = threads;
-      StatusOr<SparseHierarchicalCubeGraph> sparse =
-          TryBuildSparseHierarchicalCubeGraph(schema, 5e5, workload,
-                                              options);
+      // Every view fat: same family as dense.
+      options.pruning.emplace().max_fat_dim = 8;
+      StatusOr<HierarchicalCubeGraph> sparse =
+          TryBuildHierarchicalCubeGraph(schema, 5e5, workload, options);
       ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+      ASSERT_TRUE(sparse->sparse_stats.has_value());
       const std::string label = "seed=" + std::to_string(seed) +
                                 " threads=" + std::to_string(threads);
       SCOPED_TRACE(label);
-      EXPECT_EQ(sparse->stats.retained_queries, workload.size());
-      EXPECT_EQ(sparse->stats.retained_views,
+      EXPECT_EQ(sparse->sparse_stats->retained_queries, workload.size());
+      EXPECT_EQ(sparse->sparse_stats->retained_views,
                 static_cast<size_t>(dense->graph.num_views()));
-      EXPECT_FALSE(sparse->stats.view_cap_hit);
-      ASSERT_EQ(sparse->hgraph.view_levels, dense->view_levels);
-      ASSERT_EQ(sparse->hgraph.view_sizes, dense->view_sizes);
-      ExpectIdenticalQvg(sparse->hgraph.graph, dense->graph, label);
+      EXPECT_FALSE(sparse->sparse_stats->view_cap_hit);
+      ASSERT_EQ(sparse->view_levels, dense->view_levels);
+      ASSERT_EQ(sparse->view_sizes, dense->view_sizes);
+      ExpectIdenticalQvg(sparse->graph, dense->graph, label);
     }
   }
 }

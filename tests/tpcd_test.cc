@@ -43,8 +43,9 @@ class TpcdSelectionTest : public ::testing::Test {
       : schema_(TpcdSchema()),
         sizes_(TpcdPaperSizes()),
         lattice_(schema_),
-        advisor_(schema_, sizes_, AllSliceQueries(lattice_),
-                 PaperOptions()) {}
+        advisor_(Advisor::Create(schema_, sizes_, AllSliceQueries(lattice_),
+                                 PaperOptions())
+                     .value()) {}
 
   Recommendation Run(Algorithm algo) {
     AdvisorConfig config;
@@ -98,11 +99,13 @@ TEST_F(TpcdSelectionTest, FinalCostsPenaltyInvariant) {
   for (double penalty : {1.5, 3.0}) {
     CubeGraphOptions opts;
     opts.raw_scan_penalty = penalty;
-    Advisor advisor(schema_, sizes_, AllSliceQueries(lattice_), opts);
+    StatusOr<Advisor> advisor = Advisor::Create(
+        schema_, sizes_, AllSliceQueries(lattice_), opts);
+    ASSERT_TRUE(advisor.ok()) << advisor.status().ToString();
     AdvisorConfig config;
     config.algorithm = Algorithm::kOneGreedy;
     config.space_budget = kTpcdExampleBudget;
-    Recommendation rec = advisor.Recommend(config);
+    Recommendation rec = advisor->Recommend(config);
     for (const QueryPlan& plan : rec.plans) {
       EXPECT_FALSE(plan.use_raw);
     }

@@ -1,5 +1,7 @@
 #include "core/two_step.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/r_greedy.h"
@@ -117,6 +119,40 @@ TEST(TwoStepTest, StrictFitNeverOvershoots) {
                                        .strict_fit = true});
     EXPECT_LE(r.space_used, 6.0 + 1e-9);
   }
+}
+
+// A negative or non-finite budget is an InvalidArgument for both
+// baselines, not an abort or (NaN) a run with no budget at all; so is a
+// two-step index fraction outside [0, 1].
+TEST(TwoStepTest, RejectsBadBudgetOrIndexFraction) {
+  QueryViewGraph g = Figure2Instance();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double budget : {-1.0, nan, inf}) {
+    SelectionResult views = HruViewGreedy(g, budget);
+    EXPECT_EQ(views.status.code(), StatusCode::kInvalidArgument) << budget;
+    EXPECT_FALSE(views.completed);
+    EXPECT_TRUE(views.picks.empty());
+    SelectionResult two = TwoStep(g, budget, TwoStepOptions{});
+    EXPECT_EQ(two.status.code(), StatusCode::kInvalidArgument) << budget;
+    EXPECT_TRUE(two.picks.empty());
+  }
+  for (double fraction : {2.0, -0.5, nan}) {
+    SelectionResult r =
+        TwoStep(g, kFigure2Budget, TwoStepOptions{.index_fraction = fraction});
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << fraction;
+    EXPECT_FALSE(r.completed);
+    EXPECT_TRUE(r.picks.empty());
+  }
+}
+
+TEST(TwoStepTest, RejectsAnUnfinalizedGraph) {
+  QueryViewGraph g;
+  g.AddView("v", 1.0);
+  EXPECT_EQ(HruViewGreedy(g, 10.0).status.code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(TwoStep(g, 10.0, TwoStepOptions{}).status.code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

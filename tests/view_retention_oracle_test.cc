@@ -166,20 +166,20 @@ TEST(ViewRetentionOracleTest,
     StatusOr<HierarchicalCubeGraph> dense =
         TryBuildHierarchicalCubeGraph(schema, 2e5, workload, dense_options);
     ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-    SparseHierarchicalGraphOptions sparse_options;
+    HierarchicalGraphOptions sparse_options;
     sparse_options.raw_scan_penalty = 1.5;
-    sparse_options.max_fat_dim = 8;  // every view fat
-    StatusOr<SparseHierarchicalCubeGraph> sparse =
-        TryBuildSparseHierarchicalCubeGraph(schema, 2e5, workload,
-                                            sparse_options);
+    sparse_options.pruning.emplace().max_fat_dim = 8;  // every view fat
+    StatusOr<HierarchicalCubeGraph> sparse =
+        TryBuildHierarchicalCubeGraph(schema, 2e5, workload, sparse_options);
     ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
-    EXPECT_EQ(sparse->stats.retained_queries, workload.size());
-    EXPECT_FALSE(sparse->stats.view_cap_hit);
-    EXPECT_EQ(sparse->stats.candidate_views, 0u);
+    ASSERT_TRUE(sparse->sparse_stats.has_value());
+    EXPECT_EQ(sparse->sparse_stats->retained_queries, workload.size());
+    EXPECT_FALSE(sparse->sparse_stats->view_cap_hit);
+    EXPECT_EQ(sparse->sparse_stats->candidate_views, 0u);
 
     // Dense hierarchical view ids are lattice ids.
     const HierarchicalLattice lattice(&schema);
-    const HierarchicalCubeGraph& s = sparse->hgraph;
+    const HierarchicalCubeGraph& s = *sparse;
     std::vector<uint32_t> dense_id_of;
     for (uint32_t v = 0; v < s.graph.num_views(); ++v) {
       const auto d = static_cast<uint32_t>(lattice.IdOf(s.view_levels[v]));
