@@ -60,7 +60,7 @@ inline AlgoOutcome Finish(const QueryViewGraph& g, SelectionResult r,
       exact = true;
     }
   }
-  if (!exact) reference = UpperBoundBenefit(g, r.space_used);
+  if (!exact) reference = ValueOrExit(UpperBoundBenefit(g, r.space_used));
   out.ratio = reference > 0.0 ? out.benefit / reference : 1.0;
   out.ratio_exact = exact;
   return out;

@@ -66,7 +66,8 @@ void Run(bench::BenchJsonReporter* rep) {
     double budget = 0.03 * TotalSpace(cube.graph);
 
     auto ratio_value = [&](const SelectionResult& r) {
-      double ub = UpperBoundBenefit(cube.graph, r.space_used);
+      double ub =
+          bench::ValueOrExit(UpperBoundBenefit(cube.graph, r.space_used));
       return r.Benefit() / ub;
     };
     auto ratio = [&](const SelectionResult& r) {

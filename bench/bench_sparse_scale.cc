@@ -2,10 +2,10 @@
 // expands a full cost column per (view, query) and enumerates all m! fat
 // indexes per view: at dimension 8 the cost table alone is ~2 GB, and
 // 12–20 dimensions are out of reach entirely. This bench drives the
-// workload-pruned sparse path (core/sparse_cube_graph.h, streaming edge
-// sink on by default) with a sampled Zipf workload across dims
-// 10/12/16/20 — build wall time, peak build memory (graph_build.peak_bytes
-// model: edge-run sink + finalize scratch + cost table), pruning telemetry
+// workload-pruned sparse path (core/sparse_cube_graph.h, view-major table
+// fill) with a sampled Zipf workload across dims 10/12/16/20 — build wall
+// time, peak build memory (graph_build.peak_bytes model: query lists +
+// cost tables + fill scratch), pruning telemetry
 // (including views dropped by the --max-views cap), the cone positions the
 // candidate-class gather enumerates (family_cone_visits), and a beam-limited
 // inner-level greedy selection with its a-posteriori guarantee — and

@@ -46,10 +46,10 @@ struct CubeGraphOptions {
   // query's chosen plan beats raw. Must be >= 1.
   double raw_scan_penalty = 1.0;
 
-  // Threads for the edge-enumeration phase of the fast builder. 0 uses the
-  // shared pool (OLAPIDX_THREADS / hardware concurrency); any value > 0
-  // builds with a dedicated pool of that size. The resulting graph is
-  // identical for every thread count.
+  // Threads for the table fill of the fast builder. 0 uses the shared pool
+  // (OLAPIDX_THREADS / hardware concurrency); any value > 0 builds with a
+  // dedicated pool of that size. The resulting graph is identical for
+  // every thread count.
   size_t num_threads = 0;
 
   // Cost model charging every edge. Null means the paper's linear model

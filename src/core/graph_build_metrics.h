@@ -1,8 +1,8 @@
 // Instrumentation for query-view graph construction
 // (core/lattice_graph_builder.h), in the style of core/selection_metrics.h:
-// the fast builder accumulates plain per-shard counters in its hot loops
+// the fast builder accumulates plain per-chunk counters in its hot loops
 // and folds them into the process-wide registry once per build, so the
-// enumeration path gains no atomics.
+// fill gains no atomics.
 // Everything is a no-op under OLAPIDX_METRICS=OFF. A pruned build's
 // graph_build.sparse.* totals are recorded by core/pruning_policy.cc.
 
@@ -15,7 +15,7 @@
 
 namespace olapidx::graph_build_metrics {
 
-// One build's exact totals, reduced from the per-shard counters in chunk
+// One build's exact totals, reduced from the per-chunk counters in chunk
 // order before this is called.
 struct BuildStats {
   uint64_t views = 0;
@@ -23,19 +23,22 @@ struct BuildStats {
   uint64_t queries = 0;
   // Answerable (query, view) pairs — the k = 0 view edges.
   uint64_t view_pairs = 0;
-  // Prefix-equivalence classes evaluated (cost-model calls).
+  // Prefix-equivalence classes evaluated (cost-model calls). Each column
+  // class is costed once per view, by its lowest query, so queries that
+  // share a class share its calls.
   uint64_t prefix_classes = 0;
-  // Index edges materialized (cost < scan) and permutations skipped in
-  // bulk because their class cost did not beat a scan.
+  // Index edges of every (query, view) pair (cost < scan), and the
+  // permutations skipped in bulk because their class cost did not beat a
+  // scan.
   uint64_t index_edges = 0;
   uint64_t perms_skipped = 0;
+  // From the build's start through the fill, and Finalize() alone.
   uint64_t enumerate_micros = 0;
   uint64_t finalize_micros = 0;
   uint64_t total_micros = 0;
-  // Modeled peak allocation (not RSS), the larger of two phases: while
-  // edges stream in, the edge sink's state plus the shards' spill windows;
-  // while Finalize() converts that state into the cost tables, the sink
-  // state and the tables alone.
+  // Modeled peak allocation (not RSS), an upper bound on what the fill
+  // holds at once: the gathered query lists, every finished table, and
+  // each chunk's scratch at its high-water.
   uint64_t peak_bytes = 0;
 };
 

@@ -231,9 +231,38 @@ SelectionResult BranchAndBoundOptimal(const QueryViewGraph& graph,
   return solver.Run();
 }
 
-double UpperBoundBenefit(const QueryViewGraph& graph, double space_budget) {
-  OLAPIDX_CHECK(graph.finalized());
-  OLAPIDX_CHECK(space_budget >= 0.0);
+namespace {
+
+double PerfectBenefitOf(const QueryViewGraph& graph) {
+  std::vector<double> best(graph.num_queries());
+  for (uint32_t q = 0; q < graph.num_queries(); ++q) {
+    best[q] = graph.query_default_cost(q);
+  }
+  for (uint32_t v = 0; v < graph.num_views(); ++v) {
+    const std::span<const uint32_t> queries = graph.ViewQueries(v);
+    for (size_t pos = 0; pos < queries.size(); ++pos) {
+      double c = graph.ViewCostAt(v, pos);
+      for (int32_t k = 0; k < graph.num_indexes(v); ++k) {
+        c = std::min(c, graph.IndexCostAt(v, k, pos));
+      }
+      best[queries[pos]] = std::min(best[queries[pos]], c);
+    }
+  }
+  double benefit = 0.0;
+  for (uint32_t q = 0; q < graph.num_queries(); ++q) {
+    benefit +=
+        graph.query_frequency(q) * (graph.query_default_cost(q) - best[q]);
+  }
+  return benefit;
+}
+
+}  // namespace
+
+StatusOr<double> UpperBoundBenefit(const QueryViewGraph& graph,
+                                   double space_budget) {
+  if (Status s = ValidateSelectionInput(graph, space_budget); !s.ok()) {
+    return s;
+  }
   SelectionState empty(&graph);
   // Per-structure optimistic benefits (indexes assume their view present),
   // filled fractionally by density.
@@ -270,31 +299,12 @@ double UpperBoundBenefit(const QueryViewGraph& graph, double space_budget) {
   }
   // With many overlapping indexes the knapsack relaxation double-counts
   // the same query reductions; the perfect benefit caps that.
-  return std::min(bound, PerfectBenefit(graph));
+  return std::min(bound, PerfectBenefitOf(graph));
 }
 
-double PerfectBenefit(const QueryViewGraph& graph) {
-  OLAPIDX_CHECK(graph.finalized());
-  std::vector<double> best(graph.num_queries());
-  for (uint32_t q = 0; q < graph.num_queries(); ++q) {
-    best[q] = graph.query_default_cost(q);
-  }
-  for (uint32_t v = 0; v < graph.num_views(); ++v) {
-    const std::span<const uint32_t> queries = graph.ViewQueries(v);
-    for (size_t pos = 0; pos < queries.size(); ++pos) {
-      double c = graph.ViewCostAt(v, pos);
-      for (int32_t k = 0; k < graph.num_indexes(v); ++k) {
-        c = std::min(c, graph.IndexCostAt(v, k, pos));
-      }
-      best[queries[pos]] = std::min(best[queries[pos]], c);
-    }
-  }
-  double benefit = 0.0;
-  for (uint32_t q = 0; q < graph.num_queries(); ++q) {
-    benefit +=
-        graph.query_frequency(q) * (graph.query_default_cost(q) - best[q]);
-  }
-  return benefit;
+StatusOr<double> PerfectBenefit(const QueryViewGraph& graph) {
+  if (Status s = ValidateSelectionInput(graph, 0.0); !s.ok()) return s;
+  return PerfectBenefitOf(graph);
 }
 
 }  // namespace olapidx

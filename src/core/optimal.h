@@ -40,12 +40,15 @@ SelectionResult BranchAndBoundOptimal(const QueryViewGraph& graph,
 // benefit — every query answered at its cheapest edge regardless of space.
 // Cheap even on instances far too large for the exact solver;
 // benefit(heuristic) / UpperBoundBenefit is a certified lower bound on the
-// heuristic's true optimality ratio.
-double UpperBoundBenefit(const QueryViewGraph& graph, double space_budget);
+// heuristic's true optimality ratio. A graph that is not finalized or a
+// negative or non-finite budget is rejected (ValidateSelectionInput).
+StatusOr<double> UpperBoundBenefit(const QueryViewGraph& graph,
+                                   double space_budget);
 
 // The perfect benefit alone: Σ f_i (T_i − cheapest cost of any structure
-// for query i). No selection can beat this at any budget.
-double PerfectBenefit(const QueryViewGraph& graph);
+// for query i). No selection can beat this at any budget. A graph that is
+// not finalized is rejected.
+StatusOr<double> PerfectBenefit(const QueryViewGraph& graph);
 
 }  // namespace olapidx
 

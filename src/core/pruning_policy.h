@@ -21,11 +21,11 @@
 //     view_cap_hit). The base view and each retained query's minimal
 //     answering view are exempt from the cap, so every retained query
 //     always keeps at least one answering view.
-//   * Candidate index families (CandidateFamily) drop index permutations
-//     of wide views that no retained query's selection can use as a
-//     longest prefix; each retained query keeps a key realizing its best
-//     possible prefix, so per-query best costs are preserved exactly
-//     (pinned by test).
+//   * Candidate index families (AppendCandidateFamily) drop index
+//     permutations of wide views that no retained query's selection can
+//     use as a longest prefix; each retained query keeps a key realizing
+//     its best possible prefix, so per-query best costs are preserved
+//     exactly (pinned by test).
 //
 // Everything here is deterministic and arithmetic-free: the policies pick
 // *which* queries/views/keys exist; all costs still flow through the one
@@ -40,7 +40,6 @@
 #include <numeric>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -110,10 +109,11 @@ struct SparseBuildStats {
   size_t fat_views = 0;
   size_t candidate_views = 0;
   uint64_t candidate_indexes = 0;
-  // The lattice positions the flat build's candidate-class gather
-  // enumerates: each retained query with a selection walks its cone of
-  // retained views once, by the cheaper of its superset walk and the
-  // retained-view scan. A work counter, exact at any thread count.
+  // The lattice positions the flat build's gather enumerates for the
+  // retained queries with a selection, whose classes make the candidate
+  // families (0 when no view is wide): each walks its cone of retained
+  // views once, by the cheaper of its superset walk and the retained-view
+  // scan. A work counter, exact at any thread count.
   uint64_t family_cone_visits = 0;
   // The generic builder's totals for this build (edge counts, timings,
   // peak_bytes).
@@ -253,19 +253,19 @@ IndexKey CandidateKey(uint32_t prefix, uint32_t view_mask);
 // there; duplicates allowed, and 0 — an empty selection — makes no key):
 // make_key(p) for each distinct non-zero class p. Keys of different
 // classes can coincide, so the family is sorted and deduplicated:
-// deterministic in the workload. Sorts `classes` in place.
-template <typename MakeKey>
-auto CandidateFamily(std::span<uint32_t> classes, MakeKey&& make_key) {
+// deterministic in the workload. Appends the family to `out`; sorts
+// `classes` in place.
+template <typename Key, typename MakeKey>
+void AppendCandidateFamily(std::span<uint32_t> classes, MakeKey&& make_key,
+                           std::vector<Key>& out) {
   std::sort(classes.begin(), classes.end());
   const auto last = std::unique(classes.begin(), classes.end());
-  std::vector<std::invoke_result_t<MakeKey&, uint32_t>> family;
-  family.reserve(static_cast<size_t>(last - classes.begin()));
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
   for (auto it = classes.begin(); it != last; ++it) {
-    if (*it != 0) family.push_back(make_key(*it));
+    if (*it != 0) out.push_back(make_key(*it));
   }
-  std::sort(family.begin(), family.end());
-  family.erase(std::unique(family.begin(), family.end()), family.end());
-  return family;
+  std::sort(out.begin() + first, out.end());
+  out.erase(std::unique(out.begin() + first, out.end()), out.end());
 }
 
 // Publishes a finished pruned build's totals as the graph_build.sparse.*

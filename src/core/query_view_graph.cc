@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <numeric>
 #include <utility>
 
@@ -12,69 +11,23 @@ namespace olapidx {
 
 namespace {
 
-// Finalize converts the sink state block by block: a run of consecutive
-// views whose tables reach about this many bytes shares one allocation per
-// table array. The cut is by bytes, not by a view count, so a block holds
-// few wide views or many narrow ones, and the sink state and the finished
-// tables coexist for at most one block.
-constexpr uint64_t kTableBlockBytes = uint64_t{1} << 18;
-
-// Bytes of the finished tables of `positions` positions and `protos`
-// prototype cells.
-uint64_t TableBytes(uint64_t positions, uint64_t protos) {
+// Bytes of the tables of `positions` positions and `cells` prototype
+// cells.
+uint64_t TableBytes(uint64_t positions, uint64_t cells) {
   return positions * (sizeof(double) + 2 * sizeof(uint32_t)) +
-         protos * sizeof(double);
+         cells * sizeof(double);
 }
 
 }  // namespace
 
-// The edge sink: per-view accumulation state that ConsumeEdgeRuns()
-// scatters run buffers into. Everything here is order-independent —
-// duplicate labels min-merge and each class prototype belongs to its lowest
-// query id — so the finalized tables are the same for any flush order.
-struct QueryViewGraph::StreamView {
-  // One per (query, view) pair: the future ViewQueries / view-cost /
-  // column arrays, appended in arrival order and sorted in Finalize().
-  struct Entry {
-    uint32_t query;
-    int32_t slot;  // class slot, -1 = no index edges
-    double cost;   // view-edge (scan) cost, min-merged
-  };
-  // One per distinct column class seen at this view, plus one per
-  // (query, view) pair of unshared (col_class 0) runs.
-  struct Slot {
-    uint32_t col_class;  // 0 = unshared
-    uint32_t owner;      // lowest query seen in the class
-  };
-  std::vector<Entry> entries;
-  std::vector<Slot> slots;
-  std::vector<double> slot_protos;  // [slot * num_indexes + k], min-merged
-};
-
-// Sizes are charged as logical bytes: the array elements above, plus
-// sizeof(StreamView) per view for the vector bookkeeping.
-struct QueryViewGraph::StreamState {
-  std::mutex mu;
-  std::vector<StreamView> views;
-  uint64_t state_bytes = 0;  // logical bytes of the accumulation state
-  uint64_t peak_bytes = 0;   // high-water incl. in-flight batches
-};
-
-QueryViewGraph::QueryViewGraph() : stream_(std::make_unique<StreamState>()) {}
-QueryViewGraph::QueryViewGraph(QueryViewGraph&&) noexcept = default;
-QueryViewGraph& QueryViewGraph::operator=(QueryViewGraph&&) noexcept =
-    default;
-QueryViewGraph::~QueryViewGraph() = default;
-
-uint32_t QueryViewGraph::AddView(std::string_view name, double space) {
+uint32_t QueryViewGraph::AddViewNamedAt(size_t name_begin, double space) {
   OLAPIDX_CHECK(!finalized_);
   OLAPIDX_CHECK(space > 0.0);
-  OLAPIDX_CHECK(view_names_.size() + name.size() <= UINT32_MAX);
+  OLAPIDX_CHECK(view_names_.size() <= UINT32_MAX);
   ViewData vd;
   vd.space = space;
-  vd.name_begin = static_cast<uint32_t>(view_names_.size());
-  vd.name_size = static_cast<uint32_t>(name.size());
-  view_names_.append(name);
+  vd.name_begin = static_cast<uint32_t>(name_begin);
+  vd.name_size = static_cast<uint32_t>(view_names_.size() - name_begin);
   views_.push_back(vd);
   ++num_structures_;
   return static_cast<uint32_t>(views_.size() - 1);
@@ -138,21 +91,33 @@ void QueryViewGraph::AddIndexesNamed(uint32_t view, int32_t count,
 
 void QueryViewGraph::AddIndexes(uint32_t view, std::span<const IndexKey> keys,
                                 double space_each, double maintenance_each) {
+  const size_t key_begin = keys_.size();
+  keys_.insert(keys_.end(), keys.begin(), keys.end());
+  AddIndexRange(view, key_begin, keys.size(), space_each, maintenance_each);
+}
+
+void QueryViewGraph::AdoptIndexKeys(std::vector<IndexKey> keys) {
+  OLAPIDX_CHECK(keys_.empty());
+  keys_ = std::move(keys);
+}
+
+void QueryViewGraph::AddIndexRange(uint32_t view, size_t key_begin,
+                                   size_t count, double space_each,
+                                   double maintenance_each) {
   OLAPIDX_CHECK(!finalized_);
   OLAPIDX_CHECK(view < num_views());
   OLAPIDX_CHECK(space_each > 0.0);
   OLAPIDX_CHECK(maintenance_each >= 0.0);
-  OLAPIDX_CHECK(keys.size() <= INT32_MAX &&
-                keys_.size() + keys.size() <= UINT32_MAX);
+  OLAPIDX_CHECK(count <= INT32_MAX && key_begin + count <= keys_.size() &&
+                keys_.size() <= UINT32_MAX);
   ViewData& vd = views_[view];
   OLAPIDX_CHECK(vd.family == IndexFamily::kNone);
   vd.family = IndexFamily::kKeys;
-  vd.key_begin = static_cast<uint32_t>(keys_.size());
-  vd.num_indexes = static_cast<int32_t>(keys.size());
+  vd.key_begin = static_cast<uint32_t>(key_begin);
+  vd.num_indexes = static_cast<int32_t>(count);
   vd.index_space = space_each;
   vd.index_maintenance = maintenance_each;
-  keys_.insert(keys_.end(), keys.begin(), keys.end());
-  num_structures_ += static_cast<uint32_t>(keys.size());
+  num_structures_ += static_cast<uint32_t>(count);
 }
 
 uint32_t QueryViewGraph::AddQuery(std::string name, double default_cost,
@@ -215,239 +180,218 @@ void QueryViewGraph::ValidateRun(const EdgeRun& run) const {
   if (run.index_begin != StructureRef::kNoIndex) {
     OLAPIDX_CHECK(run.index_begin >= 0 && run.index_begin < run.index_end &&
                   run.index_end <= num_indexes(run.view));
-    // Class ids are small dense integers: the cube builders use
-    // (selection ∩ view) + 1, which reaches 2^n at the kMaxDimensions = 20
-    // ceiling the sparse path supports.
-    OLAPIDX_CHECK(run.col_class <= (1u << 20));
   }
 }
 
-void QueryViewGraph::ConsumeEdgeRuns(std::vector<EdgeRun>& runs) {
-  using Entry = StreamView::Entry;
-  using Slot = StreamView::Slot;
+void QueryViewGraph::AddEdgeRuns(std::span<const EdgeRun> runs) {
   OLAPIDX_CHECK(!finalized_);
   for (const EdgeRun& run : runs) ValidateRun(run);
-  StreamState& st = *stream_;
-  std::lock_guard<std::mutex> lock(st.mu);
-  if (st.views.size() < views_.size()) {
-    st.state_bytes += (views_.size() - st.views.size()) * sizeof(StreamView);
-    st.views.resize(views_.size());
-  }
-  st.peak_bytes =
-      std::max(st.peak_bytes,
-               st.state_bytes + runs.size() * sizeof(EdgeRun));
-  for (const EdgeRun& r : runs) {
-    StreamView& sv = st.views[r.view];
-    // Within one batch a view's entries arrive in ascending query order,
-    // so "same query as the last entry" is exactly "another run of the
-    // current (query, view)".
-    Entry* last = sv.entries.empty() || sv.entries.back().query != r.query
-                      ? nullptr
-                      : &sv.entries.back();
-    if (r.index_begin == StructureRef::kNoIndex) {
-      if (last != nullptr) {
-        last->cost = std::min(last->cost, r.cost);
-      } else {
-        sv.entries.push_back(Entry{r.query, -1, r.cost});
-        st.state_bytes += sizeof(Entry);
-      }
-      continue;
+  pending_.insert(pending_.end(), runs.begin(), runs.end());
+}
+
+QueryViewGraph::TableBlockCut QueryViewGraph::StartTables(
+    std::span<const uint32_t> position_begin) {
+  OLAPIDX_CHECK(!finalized_ && blocks_.empty() &&
+                position_begin.size() == views_.size() + 1);
+  const uint32_t nv = num_views();
+  TableBlockCut cut;
+  cut.first.push_back(0);
+  uint64_t estimate = 0;
+  for (uint32_t v = 0; v < nv; ++v) {
+    const uint64_t positions = position_begin[v + 1] - position_begin[v];
+    estimate += TableBytes(
+        positions, positions * static_cast<uint64_t>(views_[v].num_indexes));
+    if (estimate >= kTableBlockBytes || v + 1 == nv) {
+      cut.first.push_back(v + 1);
+      cut.bytes.push_back(estimate);
+      estimate = 0;
     }
-    const auto ni = static_cast<size_t>(views_[r.view].num_indexes);
+  }
+  blocks_.resize(cut.bytes.size());
+  return cut;
+}
+
+void QueryViewGraph::WriteTableBlock(size_t block, uint32_t first,
+                                     TableScratch& scratch) {
+  constexpr uint32_t kNoSlot = TableScratch::kNoSlot;
+  const size_t nviews = scratch.positions.size();
+  OLAPIDX_CHECK(block < blocks_.size() && first + nviews <= views_.size());
+  OLAPIDX_CHECK(scratch.num_slots.size() == nviews &&
+                scratch.view_cost.size() == scratch.queries.size() &&
+                scratch.slot.size() == scratch.queries.size());
+  // Each view's column count: one column per slot, and the all-+inf one
+  // when some position has no index edge.
+  size_t cells = 0;
+  for (size_t i = 0, pos = 0; i < nviews; ++i) {
+    ViewData& vd = views_[first + i];
+    const uint32_t* slot = scratch.slot.data() + pos;
+    vd.num_positions = scratch.positions[i];
+    pos += vd.num_positions;
+    const bool needs_inf =
+        std::find(slot, slot + vd.num_positions, kNoSlot) !=
+        slot + vd.num_positions;
+    vd.num_cols = scratch.num_slots[i] + (needs_inf ? 1 : 0);
+    cells += static_cast<size_t>(vd.num_indexes) * vd.num_cols;
+  }
+
+  TableBlock& tb = blocks_[block];
+  const size_t positions = scratch.queries.size();
+  if (positions > 0) {
+    tb.queries = std::make_unique_for_overwrite<uint32_t[]>(positions);
+    tb.view_cost = std::make_unique_for_overwrite<double[]>(positions);
+    tb.col_of_pos = std::make_unique_for_overwrite<uint32_t[]>(positions);
+    std::copy_n(scratch.queries.data(), positions, tb.queries.get());
+    std::copy_n(scratch.view_cost.data(), positions, tb.view_cost.get());
+  }
+  if (cells > 0) tb.col_protos = std::make_unique_for_overwrite<double[]>(cells);
+
+  uint32_t* col_of_pos = tb.col_of_pos.get();
+  double* col_protos = tb.col_protos.get();
+  const double* slot_protos = scratch.protos.data();
+  for (size_t i = 0, pos = 0; i < nviews; ++i) {
+    ViewData& vd = views_[first + i];
+    const uint32_t nslots = scratch.num_slots[i];
+    const auto ni = static_cast<size_t>(vd.num_indexes);
+    vd.queries = tb.queries.get() + pos;
+    vd.view_cost = tb.view_cost.get() + pos;
+    vd.col_of_pos = col_of_pos;
+    for (uint32_t j = 0; j < vd.num_positions; ++j, ++pos) {
+      const uint32_t s = scratch.slot[pos];
+      *col_of_pos++ = s == kNoSlot ? nslots : s;
+    }
+    // Slot-major prototypes → the k-major table, written row by row: row
+    // k gathers element k of every slot, at most #slots cache lines.
+    vd.col_protos = col_protos;
+    const bool needs_inf = vd.num_cols > nslots;
+    for (size_t k = 0; k < ni; ++k) {
+      for (size_t c = 0; c < nslots; ++c) {
+        *col_protos++ = slot_protos[c * ni + k];
+      }
+      if (needs_inf) *col_protos++ = kInfiniteCost;
+    }
+    slot_protos += nslots * ni;
+  }
+  if (scratch.CapacityBytes() > 2 * kTableBlockBytes) {
+    scratch = TableScratch{};
+  } else {
+    scratch.Clear();
+  }
+}
+
+void QueryViewGraph::WritePendingTables() {
+  constexpr uint32_t kNoSlot = TableScratch::kNoSlot;
+  // Hand-built edges come in any order; sorted by (view, query), each
+  // view's positions come out ascending, and the first query to reach a
+  // column class is its lowest, the owner whose runs make the prototype.
+  std::sort(pending_.begin(), pending_.end(),
+            [](const EdgeRun& a, const EdgeRun& b) {
+              return a.view != b.view ? a.view < b.view : a.query < b.query;
+            });
+  // Each view's positions are its distinct queries.
+  const uint32_t nv = num_views();
+  std::vector<uint32_t> position_begin(size_t{nv} + 1, 0);
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const EdgeRun& r = pending_[i];
+    if (i == 0 || r.view != pending_[i - 1].view ||
+        r.query != pending_[i - 1].query) {
+      ++position_begin[r.view + 1];
+    }
+  }
+  std::partial_sum(position_begin.begin(), position_begin.end(),
+                   position_begin.begin());
+  const TableBlockCut cut = StartTables(position_begin);
+
+  struct ClassSlot {
+    uint32_t col_class;
     uint32_t slot;
-    if (last != nullptr && last->slot >= 0) {
-      // A later run of this (query, view): one query has one class per
-      // view, so its slot — and its owner — are already settled.
-      slot = static_cast<uint32_t>(last->slot);
-      OLAPIDX_DCHECK(sv.slots[slot].col_class == r.col_class);
-    } else {
-      // Distinct classes per view are few; a linear probe beats a per-view
-      // hash map here. Unshared runs always open a slot of their own.
-      const uint32_t nslots = static_cast<uint32_t>(sv.slots.size());
-      slot = nslots;
-      if (r.col_class != 0) {
-        for (uint32_t s = 0; s < nslots; ++s) {
-          if (sv.slots[s].col_class == r.col_class) {
-            slot = s;
-            break;
+  };
+  std::vector<ClassSlot> classes;  // the current view's shared classes
+  TableScratch scratch;
+  size_t block = 0;  // the open one
+  const EdgeRun* run = pending_.data();
+  const EdgeRun* const end = run + pending_.size();
+  for (uint32_t v = 0; v < nv; ++v) {
+    const auto ni = static_cast<size_t>(views_[v].num_indexes);
+    uint32_t nslots = 0;
+    classes.clear();
+    while (run != end && run->view == v) {
+      const uint32_t q = run->query;
+      double view_cost = kInfiniteCost;
+      uint32_t slot = kNoSlot;
+      uint32_t col_class = 0;  // of the pair's first index run
+      bool owner = false;
+      for (; run != end && run->view == v && run->query == q; ++run) {
+        if (run->index_begin == StructureRef::kNoIndex) {
+          view_cost = std::min(view_cost, run->cost);
+          continue;
+        }
+        if (slot == kNoSlot) {
+          col_class = run->col_class;
+          // Distinct classes per view are few; a linear probe beats a
+          // hash map here. Unshared runs always open a slot of their own.
+          auto it = classes.end();
+          if (col_class != 0) {
+            it = std::find_if(
+                classes.begin(), classes.end(),
+                [&](const ClassSlot& c) { return c.col_class == col_class; });
+          }
+          if (it != classes.end()) {
+            slot = it->slot;
+          } else {
+            slot = nslots++;
+            owner = true;
+            if (col_class != 0) classes.push_back({col_class, slot});
+            scratch.protos.resize(scratch.protos.size() + ni, kInfiniteCost);
+          }
+        }
+        // One (query, view)'s index runs share one column class.
+        OLAPIDX_DCHECK(run->col_class == col_class);
+        if (owner) {
+          double* row = scratch.protos.data() + scratch.protos.size() - ni;
+          for (int32_t k = run->index_begin; k < run->index_end; ++k) {
+            double& c = row[static_cast<size_t>(k)];
+            c = std::min(c, run->cost);
           }
         }
       }
-      if (slot == nslots) {
-        sv.slots.push_back(Slot{r.col_class, r.query});
-        sv.slot_protos.resize(sv.slot_protos.size() + ni, kInfiniteCost);
-        st.state_bytes += sizeof(Slot) + ni * sizeof(double);
-      } else if (r.query < sv.slots[slot].owner) {
-        // A lower query id claims the class: its runs, not the old
-        // owner's, define the prototype, whatever the arrival order.
-        sv.slots[slot].owner = r.query;
-        std::fill_n(sv.slot_protos.begin() +
-                        static_cast<std::ptrdiff_t>(slot * ni),
-                    ni, kInfiniteCost);
-      }
-      if (last != nullptr) {
-        last->slot = static_cast<int32_t>(slot);
-      } else {
-        sv.entries.push_back(
-            Entry{r.query, static_cast<int32_t>(slot), kInfiniteCost});
-        st.state_bytes += sizeof(Entry);
-      }
+      scratch.queries.push_back(q);
+      scratch.view_cost.push_back(view_cost);
+      scratch.slot.push_back(slot);
     }
-    if (r.query == sv.slots[slot].owner) {
-      double* row = sv.slot_protos.data() + static_cast<size_t>(slot) * ni;
-      for (int32_t k = r.index_begin; k < r.index_end; ++k) {
-        double& c = row[static_cast<size_t>(k)];
-        c = std::min(c, r.cost);
-      }
+    scratch.positions.push_back(position_begin[v + 1] - position_begin[v]);
+    scratch.num_slots.push_back(nslots);
+    if (v + 1 == cut.first[block + 1]) {
+      WriteTableBlock(block, cut.first[block], scratch);
+      ++block;
     }
   }
-  st.peak_bytes = std::max(st.peak_bytes, st.state_bytes);
-  runs.clear();
+  pending_ = {};
 }
 
 void QueryViewGraph::Finalize() {
-  using Entry = StreamView::Entry;
   OLAPIDX_CHECK(!finalized_);
-  // Hand-built edges may come in any order; the sink wants each (query,
-  // view)'s runs adjacent, which ordering by query guarantees. The
-  // reference builders already emit in query order.
-  auto by_query = [](const EdgeRun& a, const EdgeRun& b) {
-    return a.query < b.query;
-  };
-  if (!std::is_sorted(pending_.begin(), pending_.end(), by_query)) {
-    std::sort(pending_.begin(), pending_.end(), by_query);
+  if (!pending_.empty()) {
+    OLAPIDX_CHECK(blocks_.empty());  // edges come one way only
+    WritePendingTables();
   }
-  ConsumeEdgeRuns(pending_);
-  pending_ = {};
-
-  StreamState& st = *stream_;
-  ingest_peak_bytes_ = st.peak_bytes;
-  uint64_t running = st.state_bytes;  // sink state + finished tables
-  uint64_t peak = running;
-  std::vector<uint32_t> slot_of_col;  // slots sorted by owner
-  std::vector<uint32_t> col_of_slot;
-  const uint32_t nv = num_views();
-  for (uint32_t first = 0; first < nv;) {
-    // 1. Sort each view's entries by query and merge, in place, the
-    // duplicates a query split across batches leaves behind; the merged
-    // entries are the view's positions. Views join the block until its
-    // tables reach kTableBlockBytes.
-    size_t positions = 0;
-    size_t protos = 0;
-    size_t max_slots = 0;
-    uint32_t end = first;
-    while (end < nv && TableBytes(positions, protos) < kTableBlockBytes) {
-      StreamView& sv = st.views[end];
-      ViewData& vd = views_[end++];
-      if (sv.entries.empty()) continue;  // every slot hangs off an entry
-      std::sort(
-          sv.entries.begin(), sv.entries.end(),
-          [](const Entry& a, const Entry& b) { return a.query < b.query; });
-      size_t merged = 0;
-      for (const Entry& e : sv.entries) {
-        if (merged > 0 && sv.entries[merged - 1].query == e.query) {
-          Entry& into = sv.entries[merged - 1];
-          into.cost = std::min(into.cost, e.cost);
-          if (e.slot >= 0) into.slot = e.slot;
-          continue;
-        }
-        sv.entries[merged++] = e;
-      }
-      // The tail past `merged` stays allocated (and charged) until the
-      // view's sink state is freed below.
-      const bool needs_inf =
-          std::any_of(sv.entries.begin(),
-                      sv.entries.begin() + static_cast<std::ptrdiff_t>(merged),
-                      [](const Entry& e) { return e.slot < 0; });
-      vd.num_positions = static_cast<uint32_t>(merged);
-      vd.num_cols =
-          static_cast<uint32_t>(sv.slots.size()) + (needs_inf ? 1 : 0);
-      positions += merged;
-      protos += static_cast<size_t>(vd.num_indexes) * vd.num_cols;
-      max_slots = std::max(max_slots, sv.slots.size());
-    }
-
-    // 2–3. The block's four arrays, each at its exact size.
-    TableBlock& block = blocks_.emplace_back();
-    if (positions > 0) {
-      block.queries = std::make_unique_for_overwrite<uint32_t[]>(positions);
-      block.view_cost = std::make_unique_for_overwrite<double[]>(positions);
-      block.col_of_pos = std::make_unique_for_overwrite<uint32_t[]>(positions);
-    }
-    if (protos > 0) {
-      block.col_protos = std::make_unique_for_overwrite<double[]>(protos);
-    }
-    running += TableBytes(positions, protos);
-    peak = std::max(peak, running + 2 * max_slots * sizeof(uint32_t));
-
-    // 4. Fill the arrays view by view, freeing each view's sink state as
-    // soon as it is converted.
-    uint32_t* queries = block.queries.get();
-    double* view_cost = block.view_cost.get();
-    uint32_t* col_of_pos = block.col_of_pos.get();
-    double* col_protos = block.col_protos.get();
-    for (uint32_t v = first; v < end; ++v) {
-      StreamView& sv = st.views[v];
-      ViewData& vd = views_[v];
-      if (sv.entries.empty()) continue;
-      const size_t nslots = sv.slots.size();
-      const auto ni = static_cast<size_t>(vd.num_indexes);
-      // Number the columns by ascending class owner, so the layout — and
-      // the fingerprint — does not depend on the flush order. The all-+inf
-      // column, if needed, comes last.
-      slot_of_col.resize(nslots);
-      std::iota(slot_of_col.begin(), slot_of_col.end(), 0u);
-      std::sort(slot_of_col.begin(), slot_of_col.end(),
-                [&](uint32_t a, uint32_t b) {
-                  return sv.slots[a].owner < sv.slots[b].owner;
-                });
-      col_of_slot.resize(nslots);
-      for (size_t c = 0; c < nslots; ++c) {
-        col_of_slot[slot_of_col[c]] = static_cast<uint32_t>(c);
-      }
-      const auto inf_col = static_cast<uint32_t>(nslots);
-      vd.queries = queries;
-      vd.view_cost = view_cost;
-      vd.col_of_pos = col_of_pos;
-      for (uint32_t i = 0; i < vd.num_positions; ++i) {
-        const Entry& e = sv.entries[i];
-        *queries++ = e.query;
-        *view_cost++ = e.cost;
-        *col_of_pos++ =
-            e.slot < 0 ? inf_col : col_of_slot[static_cast<size_t>(e.slot)];
-      }
-      // Slot prototypes → the k-major table, written row by row: row k
-      // gathers element k of every slot, at most #classes cache lines.
-      vd.col_protos = col_protos;
-      const bool needs_inf = vd.num_cols > nslots;
-      for (size_t k = 0; k < ni; ++k) {
-        for (size_t c = 0; c < nslots; ++c) {
-          *col_protos++ =
-              sv.slot_protos[static_cast<size_t>(slot_of_col[c]) * ni + k];
-        }
-        if (needs_inf) *col_protos++ = kInfiniteCost;
-      }
-      running -= sv.entries.size() * sizeof(Entry) +
-                 nslots * sizeof(StreamView::Slot) +
-                 sv.slot_protos.size() * sizeof(double);
-      sv = StreamView{};
-    }
-    first = end;
-  }
-  finalize_peak_bytes_ = peak;
-  stream_.reset();
   finalized_ = true;
   BuildQueryViews();
 }
 
 void QueryViewGraph::BuildQueryViews() {
-  // Invert the view→queries adjacency. Views are visited in ascending
-  // order, so each query's view list comes out sorted.
-  query_views_.assign(queries_.size(), {});
+  // Invert the view→queries adjacency, each list reserved at its exact
+  // size. Views are visited in ascending order, so each query's view list
+  // comes out sorted.
+  std::vector<uint32_t> count(queries_.size(), 0);
   for (uint32_t v = 0; v < num_views(); ++v) {
-    for (uint32_t q : ViewQueries(v)) {
-      query_views_[q].push_back(v);
-    }
+    for (uint32_t q : ViewQueries(v)) ++count[q];
+  }
+  query_views_.resize(queries_.size());
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    query_views_[q].reserve(count[q]);
+  }
+  for (uint32_t v = 0; v < num_views(); ++v) {
+    for (uint32_t q : ViewQueries(v)) query_views_[q].push_back(v);
   }
 }
 

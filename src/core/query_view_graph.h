@@ -47,22 +47,57 @@ struct StructureRef {
 
 // A group of edges (q, v, k, cost) sharing one cost for a contiguous range
 // of index positions k ∈ [index_begin, index_end). index_begin == kNoIndex
-// denotes the single k = kNoIndex view edge. The fast graph builder emits
-// one run per prefix-equivalence class instead of one edge per index
-// permutation, so intermediate edge storage is O(#classes), not O(#edges).
+// denotes the single k = kNoIndex view edge. Hand-built graphs may add
+// their edges as runs (QueryViewGraph::AddEdgeRuns); the per-edge calls
+// make runs too.
 struct EdgeRun {
   uint32_t query = 0;
   uint32_t view = 0;
   int32_t index_begin = StructureRef::kNoIndex;
   int32_t index_end = StructureRef::kNoIndex;  // exclusive; ignored for views
   double cost = 0.0;
-  // Column-equivalence class id, a small dense integer. Within one view,
-  // index runs carrying the same non-zero col_class promise the *same*
-  // index-cost column (the cube builder uses selection-mask ∩ view + 1:
-  // query cost depends only on that intersection), so the graph stores one
-  // prototype column per class instead of one column per query. 0 means
-  // "no sharing" — the run only contributes to its own query.
+  // Column-equivalence class id. Within one view, index runs carrying the
+  // same non-zero col_class promise the *same* index-cost column, so the
+  // graph stores one prototype column per class instead of one column per
+  // query. 0 means "no sharing" — the run only contributes to its own
+  // query.
   uint32_t col_class = 0;
+};
+
+// One block of consecutive views' tables as a builder computes them, before
+// the graph lays them out (QueryViewGraph::WriteTableBlock). Per view, in
+// view order: its positions' query ids (ascending), view costs and column
+// slots, and its slots' index-cost columns, slot-major ([slot * ni + k]).
+// Slots are numbered in order of first appearance, which is ascending
+// owner order, the owner being the lowest query of the slot's class; a
+// position with no index edge has kNoSlot and reads the view's all-+inf
+// column. The vectors keep their capacity across Clear(), so one scratch
+// serves every block a thread writes.
+struct TableScratch {
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  std::vector<uint32_t> queries;
+  std::vector<double> view_cost;     // parallel to `queries`
+  std::vector<uint32_t> slot;        // parallel to `queries`
+  std::vector<double> protos;        // every view's slots, back to back
+  std::vector<uint32_t> positions;   // per view: its count of positions
+  std::vector<uint32_t> num_slots;   // per view
+
+  void Clear() {
+    queries.clear();
+    view_cost.clear();
+    slot.clear();
+    protos.clear();
+    positions.clear();
+    num_slots.clear();
+  }
+  // Bytes the scratch holds, at its capacity.
+  uint64_t CapacityBytes() const {
+    return (queries.capacity() + slot.capacity() + positions.capacity() +
+            num_slots.capacity()) *
+               sizeof(uint32_t) +
+           (view_cost.capacity() + protos.capacity()) * sizeof(double);
+  }
 };
 
 class QueryViewGraph {
@@ -70,16 +105,21 @@ class QueryViewGraph {
   static constexpr double kInfiniteCost =
       std::numeric_limits<double>::infinity();
 
-  // Out of line: the edge sink state is an incomplete type here.
-  QueryViewGraph();
-  QueryViewGraph(QueryViewGraph&&) noexcept;
-  QueryViewGraph& operator=(QueryViewGraph&&) noexcept;
-  ~QueryViewGraph();
-
   // ---- Construction (call Finalize() when done) ----
 
   // Returns the new view's id.
-  uint32_t AddView(std::string_view name, double space);
+  uint32_t AddView(std::string_view name, double space) {
+    return AddViewRendered(space,
+                           [name](std::string& out) { out.append(name); });
+  }
+  // AddView whose name append_name(std::string& out) appends straight to
+  // the graph's name buffer, so no string is built per view.
+  template <typename AppendName>
+  uint32_t AddViewRendered(double space, AppendName&& append_name) {
+    const size_t name_begin = view_names_.size();
+    append_name(view_names_);
+    return AddViewNamedAt(name_begin, space);
+  }
   // Returns the new index's position within `view`'s index list.
   int32_t AddIndex(uint32_t view, std::string name, double space);
   // Returns the new query's id.
@@ -96,11 +136,18 @@ class QueryViewGraph {
   // model, so the graph keeps one of each per view (SetIndexMaintenance
   // expands them into per-index values). The graph copies the keys and is
   // their one owner: index_key() reads them back. A view registers its
-  // indexes once, by AddIndexes, AddIndexesNamed or AddIndex calls (eager
-  // names), never by two of them.
+  // indexes once, by AddIndexes, AddIndexRange, AddIndexesNamed or AddIndex
+  // calls (eager names), never by two of them.
   void SetNameDictionary(std::vector<std::string> attr_names);
   void AddIndexes(uint32_t view, std::span<const IndexKey> keys,
                   double space_each, double maintenance_each = 0.0);
+  // The bulk form, for a builder that writes every view's keys into one
+  // array first: AdoptIndexKeys takes that array as the graph's key store
+  // (before any AddIndexes), and each view then registers its range
+  // [key_begin, key_begin + count) of it, so no key is copied.
+  void AdoptIndexKeys(std::vector<IndexKey> keys);
+  void AddIndexRange(uint32_t view, size_t key_begin, size_t count,
+                     double space_each, double maintenance_each = 0.0);
 
   // Callback-named variant for lattices whose index handles are not
   // IndexKeys (the hierarchical lattice keys indexes by dimension *order*,
@@ -113,38 +160,43 @@ class QueryViewGraph {
   void AddIndexesNamed(uint32_t view, int32_t count, double space_each,
                        double maintenance_each = 0.0);
 
+  // ---- Edges, two ways ----
+  //
+  // Hand-built graphs (examples, tests, the per-edge reference builders)
+  // add edges one by one or as runs, in any order and after every
+  // AddView / AddIndex* / AddQuery; Finalize() merges them: duplicate
+  // labels min-merge, and each column class's prototype is its lowest
+  // query's runs.
+  //
   // Cost of answering `query` from `view` with no index (k = 0 edge).
   void AddViewEdge(uint32_t query, uint32_t view, double cost);
   // Cost of answering `query` from `view` with its `index`-th index.
   void AddIndexEdge(uint32_t query, uint32_t view, int32_t index,
                     double cost);
-
-  // ---- The edge sink ----
+  // A batch of runs. A query's runs for one view carry one col_class.
+  void AddEdgeRuns(std::span<const EdgeRun> runs);
   //
-  // Every edge reaches the graph through ConsumeEdgeRuns(), which drains a
-  // buffer of runs straight into per-view accumulation state — the future
-  // query lists, view-cost columns, and per-class prototype columns — so
-  // peak memory during construction is the finished tables plus the
-  // in-flight buffers, not every EdgeRun at once. The builders call it
-  // from their enumeration shards; the per-edge calls above append to a
-  // pending buffer that Finalize() sorts by query and feeds through the
-  // same sink, so hand-built edges may arrive in any order. The
-  // accumulation is order-independent (duplicate labels min-merge; each
-  // class's prototype is owned by its lowest query id and rebuilt if a
-  // lower owner arrives), so every flush interleaving finalizes into the
-  // same graph.
+  // The lattice builders (core/lattice_graph_builder.h) instead write every
+  // view's tables once, block by block. StartTables cuts the views into
+  // blocks, given each view's count of positions (view v has
+  // position_begin[v + 1] - position_begin[v]; position_begin has
+  // num_views() + 1 entries), and WriteTableBlock lays out the tables of
+  // the views [first, first + scratch.positions.size()) as block `block`,
+  // each array allocated at its exact size, so the graph holds no heap
+  // block per view. It then empties the scratch for the next block.
+  // Distinct blocks may be written concurrently. A graph takes its edges
+  // one way only.
   //
-  // Contract: call after every AddView / AddIndexes* / AddQuery and before
-  // Finalize(). Within one call, each view's runs appear in ascending query
-  // order, and a query's runs for one view all arrive in a single call
-  // (the builders flush only at query boundaries). Thread-safe; drains and
-  // clears `runs`, keeping its capacity for reuse.
-  void ConsumeEdgeRuns(std::vector<EdgeRun>& runs);
-  // High-water marks (bytes) of the sink, valid after Finalize(): while
-  // taking in edges (accumulated state plus the batch being consumed), and
-  // while Finalize() converts that state into the final tables.
-  uint64_t IngestPeakBytes() const { return ingest_peak_bytes_; }
-  uint64_t FinalizePeakBytes() const { return finalize_peak_bytes_; }
+  // The cut, both ways: a view's tables are estimated at one column per
+  // position, never below their true size, and a block ends after the view
+  // that brings its estimate to a fixed byte size, so a block holds few
+  // wide views or many narrow ones.
+  struct TableBlockCut {
+    std::vector<uint32_t> first;  // block b is views [first[b], first[b + 1])
+    std::vector<uint64_t> bytes;  // per block: its tables' estimate
+  };
+  TableBlockCut StartTables(std::span<const uint32_t> position_begin);
+  void WriteTableBlock(size_t block, uint32_t first, TableScratch& scratch);
 
   // Optional maintenance (refresh) cost charged once when the structure is
   // selected; the algorithms maximize benefit *net* of maintenance. The
@@ -161,11 +213,9 @@ class QueryViewGraph {
                                .maintenance[static_cast<size_t>(s.index)];
   }
 
-  // Drains the pending per-edge buffer through the sink and converts the
-  // sink state into the per-view cost tables. Consecutive views share
-  // blocks of table arrays, cut at about 256 KiB, so the finished graph
-  // holds no heap block per view. Must be called exactly once, before any
-  // algorithm runs.
+  // Lays out the pending hand-built edges (if any) as tables, cut into
+  // blocks like the builders', and builds the query → views inverse. Must
+  // be called exactly once, before any algorithm runs.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -313,7 +363,7 @@ class QueryViewGraph {
     // of details_ that holds per-index values.
     double index_space = 0.0;
     double index_maintenance = 0.0;
-    // Populated by Finalize(), pointing into a TableBlock:
+    // Populated by WriteTableBlock(), pointing into a TableBlock:
     const uint32_t* queries = nullptr;  // queries with any edge to the view
     const double* view_cost = nullptr;  // parallel to `queries`
     // One prototype column per distinct column class, stored k-major as
@@ -331,8 +381,8 @@ class QueryViewGraph {
     int32_t detail = -1;  // details_ entry, or -1: uniform values
     IndexFamily family = IndexFamily::kNone;
   };
-  // The finalized tables of a run of consecutive views, each array
-  // allocated at its exact size (see Finalize()).
+  // The tables of a run of consecutive views, each array allocated at its
+  // exact size (see WriteTableBlock()).
   struct TableBlock {
     std::unique_ptr<uint32_t[]> queries;
     std::unique_ptr<double[]> view_cost;
@@ -344,28 +394,30 @@ class QueryViewGraph {
     double default_cost = 0.0;
     double frequency = 1.0;
   };
-  struct StreamView;
-  struct StreamState;
+  // The cut's byte size. A scratch grown past twice it is released after
+  // its block, so it does not sit beside the tables of every later block.
+  static constexpr uint64_t kTableBlockBytes = uint64_t{1} << 18;
 
+  uint32_t AddViewNamedAt(size_t name_begin, double space);
   void ValidateRun(const EdgeRun& run) const;
   // The view's per-index values, created from its uniform ones on first
   // use.
   IndexDetail& Detail(uint32_t view);
+  // Finalize()'s hand-built path: the pending runs, merged view by view
+  // into blocks.
+  void WritePendingTables();
   void BuildQueryViews();
 
   std::vector<ViewData> views_;
   std::string view_names_;            // every view's name, back to back
   std::vector<IndexKey> keys_;        // every kKeys view's family
   std::vector<IndexDetail> details_;  // see ViewData::detail
-  std::vector<TableBlock> blocks_;    // built by Finalize()
+  std::vector<TableBlock> blocks_;    // see WriteTableBlock()
   std::vector<QueryData> queries_;
   std::vector<std::string> attr_names_;             // for lazy index names
   std::function<std::string(uint32_t, int32_t)> index_namer_;
   std::vector<std::vector<uint32_t>> query_views_;  // built by Finalize()
-  std::vector<EdgeRun> pending_;                    // AddViewEdge/AddIndexEdge
-  std::unique_ptr<StreamState> stream_;             // freed by Finalize()
-  uint64_t ingest_peak_bytes_ = 0;
-  uint64_t finalize_peak_bytes_ = 0;
+  std::vector<EdgeRun> pending_;  // hand-built edges, freed by Finalize()
   uint32_t num_structures_ = 0;
   bool finalized_ = false;
 };

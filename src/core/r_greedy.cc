@@ -73,6 +73,14 @@ void EvaluateView(const SelectionState& state, uint32_t v,
                   const RGreedyOptions& options, GreedySlot* slot,
                   std::vector<int32_t>* useful, GreedyWork* work) {
   const QueryViewGraph& graph = state.graph();
+  // One evaluation reads a cost cell per position for the view (when the
+  // candidate adds it) and for each of its indexes.
+  const uint64_t positions = graph.ViewQueries(v).size();
+  auto benefit_of = [&](const Candidate& c) {
+    ++work->evals;
+    work->cells += positions * ((c.add_view ? 1 : 0) + c.indexes.size());
+    return state.CandidateBenefit(c);
+  };
   auto consider = [&](const Candidate& c, double benefit) {
     if (benefit <= 0.0) return;
     const double space = state.CandidateSpace(c);
@@ -87,8 +95,7 @@ void EvaluateView(const SelectionState& state, uint32_t v,
   if (!state.ViewSelected(v)) {
     // (a) The view plus at most r-1 of its indexes.
     Candidate view_only{v, /*add_view=*/true, {}};
-    double view_benefit = state.CandidateBenefit(view_only);
-    ++work->evals;
+    double view_benefit = benefit_of(view_only);
     consider(view_only, view_benefit);
 
     // Indexes worth pairing with the view: those that improve at least
@@ -99,8 +106,7 @@ void EvaluateView(const SelectionState& state, uint32_t v,
     if (options.r >= 2) {
       for (int32_t k = 0; k < graph.num_indexes(v); ++k) {
         Candidate with_index{v, /*add_view=*/true, {k}};
-        double b = state.CandidateBenefit(with_index);
-        ++work->evals;
+        double b = benefit_of(with_index);
         consider(with_index, b);
         if (b > view_benefit) useful->push_back(k);
       }
@@ -110,9 +116,7 @@ void EvaluateView(const SelectionState& state, uint32_t v,
           *useful, options.r - 1, options.max_subsets_per_view,
           [&](const std::vector<int32_t>& subset) {
             Candidate c{v, /*add_view=*/true, subset};
-            double b = state.CandidateBenefit(c);
-            ++work->evals;
-            consider(c, b);
+            consider(c, benefit_of(c));
           });
       if (emitted == options.max_subsets_per_view) {
         uint64_t total = TotalSubsetCount(useful->size(), options.r - 1);
@@ -127,9 +131,7 @@ void EvaluateView(const SelectionState& state, uint32_t v,
     for (int32_t k = 0; k < graph.num_indexes(v); ++k) {
       if (state.IndexSelected(v, k)) continue;
       Candidate c{v, /*add_view=*/false, {k}};
-      double b = state.CandidateBenefit(c);
-      ++work->evals;
-      consider(c, b);
+      consider(c, benefit_of(c));
     }
   }
   slot->bound = slot->valid ? slot->ratio()

@@ -1,7 +1,7 @@
 #include "core/sparse_cube_graph.h"
 
+#include <algorithm>
 #include <bit>
-#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -41,17 +41,23 @@ uint64_t ForEachRetainedSuperset(AttributeSet need, AttributeSet full,
   return view_ids.size();
 }
 
+// Every view's index family, back to back in view order, for the graph to
+// adopt whole: view v's keys are keys[begin[v], begin[v + 1]).
+struct IndexFamilies {
+  std::vector<IndexKey> keys;
+  std::vector<uint32_t> begin;
+};
+
 // The flat-cube LatticeProvider, for every build plan. Under the identity
 // plan (plan == nullptr) graph view ids are the attribute masks; under a
 // pruned plan they are dense in the retained mask set (ascending mask
 // order) and answering views resolve through its mask → id inverse. A view
 // with at most max_fat_dim attributes carries the canonical family (fat,
 // or every ordered subset for the ablation), a wider one its
-// workload-derived candidate keys, which the pruned plan gathers in
-// `families` before the build and AddStructures hands to the graph, the
-// keys' one owner; edge enumeration reads them back from the graph.
-// Index costs are the paper's c(Q,V,J) = |C| / |E|, E the maximal
-// selection-only key prefix: every cost divides two entries of
+// workload-derived candidate keys; BuildIndexFamilies writes both into the
+// one key array the graph adopts, and the fill reads wide views' keys back
+// from the graph. Index costs are the paper's c(Q,V,J) = |C| / |E|, E the
+// maximal selection-only key prefix: every cost divides two entries of
 // size_by_mask, which is why a pruned graph's costs equal the identity
 // graph's bit for bit.
 struct FlatPlanProvider {
@@ -59,14 +65,13 @@ struct FlatPlanProvider {
   const CubeLattice* lattice;
   const Workload* workload;  // the input workload
   const PrunedPlan* plan;    // null: the identity plan
-  const std::vector<double>* size_by_mask;  // 2^n view sizes
+  std::span<const double> size_by_mask;  // 2^n view sizes, read in place
   bool fat_indexes_only;
   int max_fat_dim;
   uint32_t base_id;
   CubeGraph* out;
-  // The pruned plan's wide-view families (null: the identity plan). Each
-  // is moved out, and freed, as its view registers.
-  std::vector<std::vector<IndexKey>>* families;
+  // Moved into the graph by InitGraph.
+  IndexFamilies* families;
 
   struct Ctx {
     const SliceQuery* query = nullptr;
@@ -91,28 +96,24 @@ struct FlatPlanProvider {
                : static_cast<uint32_t>(plan->views.view_ids.size());
   }
   uint32_t BaseView() const { return base_id; }
-  double ViewSizeOf(uint32_t v) const { return (*size_by_mask)[MaskOf(v)]; }
+  double ViewSizeOf(uint32_t v) const { return size_by_mask[MaskOf(v)]; }
 
   void InitGraph(QueryViewGraph& g) const {
     g.SetNameDictionary(schema->names());
+    g.AdoptIndexKeys(std::move(families->keys));
   }
 
   void AddStructures(QueryViewGraph& g, uint32_t v, double size,
                      double maintenance) const {
-    const uint32_t mask = MaskOf(v);
-    AttributeSet attrs = AttributeSet::FromMask(mask);
-    uint32_t gv = g.AddView(attrs.ToString(schema->names()), size);
+    const AttributeSet attrs = AttributeSet::FromMask(MaskOf(v));
+    const uint32_t gv = g.AddViewRendered(size, [&](std::string& name) {
+      attrs.AppendTo(schema->names(), name);
+    });
     OLAPIDX_CHECK(gv == v);
     out->view_attrs.push_back(attrs);
     if (maintenance > 0.0) g.SetViewMaintenance(gv, maintenance);
-    std::vector<IndexKey> keys;
-    if (IsCanonical(mask)) {
-      keys = fat_indexes_only ? lattice->FatIndexes(mask)
-                              : lattice->AllIndexes(mask);
-    } else {
-      keys = std::move((*families)[v]);
-    }
-    g.AddIndexes(gv, keys, size, maintenance);
+    const std::vector<uint32_t>& begin = families->begin;
+    g.AddIndexRange(gv, begin[v], begin[v + 1] - begin[v], size, maintenance);
   }
 
   size_t num_queries() const {
@@ -126,7 +127,7 @@ struct FlatPlanProvider {
     out->queries.push_back(wq.query);
   }
 
-  Ctx MakeQueryContext() const {
+  Ctx MakeContext() const {
     Ctx ctx;
     ctx.full = AttributeSet::Full(schema->num_dimensions());
     return ctx;
@@ -138,16 +139,21 @@ struct FlatPlanProvider {
   }
 
   template <typename Visit>
-  void ForEachAnsweringView(Ctx& ctx, Visit&& visit) const {
+  uint64_t ForEachAnsweringView(Ctx& ctx, Visit&& visit) const {
     const AttributeSet need = ctx.query->AllAttributes();
     if (plan == nullptr) {
+      uint64_t walked = 0;
       for (AttributeSet cset : need.SupersetsWithin(ctx.full)) {
         visit(cset.mask());
+        ++walked;
       }
-      return;
+      return walked;
     }
-    ForEachRetainedSuperset(need, ctx.full, plan->views, visit);
+    return ForEachRetainedSuperset(need, ctx.full, plan->views, visit);
   }
+
+  // Every cost below reads the view's mask and the query's selection only.
+  void BeginView(Ctx&, uint32_t) const {}
 
   uint32_t IndexColumnClass(const Ctx& ctx, uint32_t v) const {
     const uint32_t mask = MaskOf(v);
@@ -155,16 +161,14 @@ struct FlatPlanProvider {
     if (!IsCanonical(mask) && out->graph.num_indexes(v) == 0) return 0;
     // A query's index costs from view C depend only on B ∩ C (every prefix
     // E is a subset of C), so queries agreeing on that intersection share
-    // one cost column; tag runs with it so the graph stores each distinct
-    // column once per view.
+    // one cost column.
     return (ctx.sel & mask) + 1;
   }
 
   template <typename Emit>
-  void ForEachIndexCostClass(const Ctx& ctx, uint32_t v,
-                             const double* /*view_size*/, Emit&& emit) const {
+  void ForEachIndexCostClass(const Ctx& ctx, uint32_t v, Emit&& emit) const {
     const uint32_t mask = MaskOf(v);
-    const double* sz = size_by_mask->data();
+    const double* sz = size_by_mask.data();
     if (IsCanonical(mask)) {
       // |E| rows; the builder applies the model.
       WalkKeyFamily(mask, std::popcount(mask), ctx.sel, fat_indexes_only,
@@ -183,69 +187,65 @@ struct FlatPlanProvider {
   }
 };
 
-// The candidate families of the pruned plan's views wider than
-// max_fat_dim, one slot per retained view (fat views' slots stay empty:
-// the provider enumerates their keys itself). A query answerable at view
-// V has selection ∩ V = B, its whole selection, so each retained query
-// with a selection adds B to every wide view of its cone: one cone walk
-// per query gathers every view's classes, and the views × queries pairs
-// are never enumerated.
-// Also counts the fat and candidate views.
-std::vector<std::vector<IndexKey>> BuildCandidateFamilies(
-    const PrunedPlan& plan, const Workload& workload, AttributeSet full,
-    int max_fat_dim, SparseBuildStats& stats) {
-  const std::vector<uint64_t>& view_ids = plan.views.view_ids;
-  const auto nv = static_cast<uint32_t>(view_ids.size());
-  std::vector<std::vector<IndexKey>> index_keys(nv);
-  auto is_wide = [&](uint32_t v) {
-    return std::popcount(view_ids[v]) > max_fat_dim;
-  };
+// Every view's family, in one key array: a canonical view's fat (or, for
+// the ablation, every ordered) key family, and a candidate view's one key
+// per distinct selection class of the queries it answers. A query
+// answerable at view V has selection ∩ V = B, its whole selection, so a
+// wide view's classes are its gathered queries' selections, and no views ×
+// queries pair is enumerated. Counts the fat and candidate views and the
+// candidate keys.
+IndexFamilies BuildIndexFamilies(const FlatPlanProvider& provider,
+                                 const ViewQueryLists& lists,
+                                 SparseBuildStats& stats) {
+  const uint32_t nv = provider.num_views();
+  IndexFamilies families;
+  families.begin.reserve(size_t{nv} + 1);
+  // Reserved at a bound, since a wide view has at most one key per query
+  // it answers, so the array the graph adopts holds next to no slack.
+  size_t bound = 0;
   for (uint32_t v = 0; v < nv; ++v) {
-    if (is_wide(v)) {
-      ++stats.candidate_views;
-    } else {
+    const uint32_t mask = provider.MaskOf(v);
+    const int m = std::popcount(mask);
+    bound += !provider.IsCanonical(mask) ? lists.of(v).size()
+             : provider.fat_indexes_only ? CubeLattice::NumFatIndexes(m)
+                                         : CubeLattice::NumAllIndexes(m);
+  }
+  families.keys.reserve(bound);
+  std::vector<uint32_t> classes;  // one wide view's, reused
+  for (uint32_t v = 0; v < nv; ++v) {
+    families.begin.push_back(static_cast<uint32_t>(families.keys.size()));
+    const uint32_t mask = provider.MaskOf(v);
+    if (provider.IsCanonical(mask)) {
       ++stats.fat_views;
+      if (provider.fat_indexes_only) {
+        provider.lattice->AppendFatIndexes(mask, families.keys);
+      } else {
+        provider.lattice->AppendAllIndexes(mask, families.keys);
+      }
+      continue;
     }
+    ++stats.candidate_views;
+    classes.clear();
+    for (uint32_t q : lists.of(v)) {
+      classes.push_back(provider.QueryAt(q).query.selection().mask());
+    }
+    AppendCandidateFamily(
+        std::span(classes),
+        [mask](uint32_t prefix) { return CandidateKey(prefix, mask); },
+        families.keys);
+    stats.candidate_indexes += families.keys.size() - families.begin.back();
   }
-  if (stats.candidate_views == 0) return index_keys;
-  struct ViewClass {
-    uint32_t view;
-    uint32_t cls;
-  };
-  std::vector<ViewClass> found;
-  for (uint32_t qi : plan.queries) {
-    const SliceQuery& query = workload[qi].query;
-    const uint32_t sel = query.selection().mask();
-    if (sel == 0) continue;  // no class to add anywhere
-    stats.family_cone_visits += ForEachRetainedSuperset(
-        query.AllAttributes(), full, plan.views, [&](uint32_t v) {
-          if (is_wide(v)) found.push_back(ViewClass{v, sel});
-        });
-  }
-  // Counting sort by view: classes[begin[v], begin[v + 1]) are v's.
-  std::vector<uint32_t> begin(nv + 1, 0);
-  for (const ViewClass& f : found) ++begin[f.view + 1];
-  std::partial_sum(begin.begin(), begin.end(), begin.begin());
-  std::vector<uint32_t> classes(found.size());
-  std::vector<uint32_t> next(begin.begin(), begin.end() - 1);
-  for (const ViewClass& f : found) classes[next[f.view]++] = f.cls;
-  for (uint32_t v = 0; v < nv; ++v) {
-    if (begin[v] == begin[v + 1]) continue;
-    const auto mask = static_cast<uint32_t>(view_ids[v]);
-    index_keys[v] = CandidateFamily(
-        std::span(classes).subspan(begin[v], begin[v + 1] - begin[v]),
-        [mask](uint32_t prefix) { return CandidateKey(prefix, mask); });
-    stats.candidate_indexes += index_keys[v].size();
-  }
-  return index_keys;
+  OLAPIDX_CHECK(families.keys.size() <= UINT32_MAX);
+  families.begin.push_back(static_cast<uint32_t>(families.keys.size()));
+  return families;
 }
 
 // The flat build pipeline behind TryBuildCubeGraph and
 // TryBuildSparseCubeGraph, which check their own limits first. A null
 // `pruning` is the identity plan: every query in input order, every view
 // with graph id = mask, and the canonical family of `fat_indexes_only` on
-// every view; it leaves the result's stats unset. Otherwise the pruned plan
-// of `pruning` (fat families only).
+// every view; it records no graph_build.sparse.* metrics. Otherwise the
+// pruned plan of `pruning` (fat families only).
 StatusOr<SparseCubeGraph> BuildFlatGraph(
     const CubeSchema& schema, const ViewSizes& sizes,
     const Workload& workload, const LatticeGraphOptions& build,
@@ -256,12 +256,6 @@ StatusOr<SparseCubeGraph> BuildFlatGraph(
   const int n = schema.num_dimensions();
   const AttributeSet full = AttributeSet::Full(n);
   const CubeLattice lattice(schema);
-  // Sizes hoisted per mask: view and prefix sizes are the same doubles
-  // whichever views the plan keeps.
-  std::vector<double> size_by_mask(size_t{1} << n);
-  for (uint32_t mask = 0; mask < size_by_mask.size(); ++mask) {
-    size_by_mask[mask] = sizes.SizeOf(AttributeSet::FromMask(mask));
-  }
 
   SparseCubeGraph result;
   SparseBuildStats& stats = result.stats;
@@ -269,14 +263,13 @@ StatusOr<SparseCubeGraph> BuildFlatGraph(
                             &lattice,
                             &workload,
                             /*plan=*/nullptr,
-                            &size_by_mask,
+                            sizes.by_mask(),
                             fat_indexes_only,
                             /*max_fat_dim=*/n,
                             /*base_id=*/full.mask(),
                             &result.cube,
                             /*families=*/nullptr};
   PrunedPlan plan;
-  std::vector<std::vector<IndexKey>> families;
   if (pruning != nullptr) {
     std::vector<double> frequency;
     frequency.reserve(workload.size());
@@ -294,17 +287,29 @@ StatusOr<SparseCubeGraph> BuildFlatGraph(
           }
         },
         stats);
-    families = BuildCandidateFamilies(plan, workload, full,
-                                      pruning->max_fat_dim, stats);
     provider.plan = &plan;
-    provider.families = &families;
     provider.max_fat_dim = pruning->max_fat_dim;
     provider.base_id =
         static_cast<uint32_t>(plan.views.id_of[full.mask()]);
   }
 
+  // The cone positions the gather walks for the queries with a selection,
+  // whose classes make the candidate families.
+  uint64_t selection_cone_visits = 0;
+  const ViewQueryLists lists =
+      GatherViewQueries(provider, [&](size_t qi, uint64_t positions) {
+        if (!provider.QueryAt(qi).query.selection().empty()) {
+          selection_cone_visits += positions;
+        }
+      });
+  IndexFamilies families = BuildIndexFamilies(provider, lists, stats);
+  if (stats.candidate_views > 0) {
+    stats.family_cone_visits = selection_cone_visits;
+  }
+  provider.families = &families;
   result.cube.view_attrs.reserve(provider.num_views());
-  BuildLatticeGraph(provider, build, result.cube.graph, &stats.build);
+  result.cube.queries.reserve(provider.num_queries());
+  BuildLatticeGraph(provider, lists, build, result.cube.graph, &stats.build);
   if (pruning != nullptr) RecordSparseBuild(stats);
   return result;
 }

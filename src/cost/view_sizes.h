@@ -5,6 +5,7 @@
 #ifndef OLAPIDX_COST_VIEW_SIZES_H_
 #define OLAPIDX_COST_VIEW_SIZES_H_
 
+#include <span>
 #include <vector>
 
 #include "lattice/cube_lattice.h"
@@ -30,6 +31,9 @@ class ViewSizes {
     return sizes_[v];
   }
   double SizeOf(AttributeSet attrs) const { return (*this)[attrs.mask()]; }
+  // Every view's size, indexed by attribute mask: read in place, never
+  // copied.
+  std::span<const double> by_mask() const { return sizes_; }
 
   void Set(AttributeSet attrs, double rows) {
     OLAPIDX_CHECK(attrs.mask() < num_views());

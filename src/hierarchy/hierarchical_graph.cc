@@ -4,6 +4,7 @@
 #include <bit>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -449,12 +450,17 @@ struct HierarchicalPlanProvider {
   uint32_t base_id = 0;     // graph id of the lattice base view
 
   struct Ctx {
+    // The query's, set by BeginQuery:
     std::vector<int> required;    // per dim: coarsest answering level
-    std::vector<int> lv;          // current view's level digits
     std::vector<int64_t> delta;   // select dims: (sel_level − ALL)·stride
     std::vector<char> is_select;  // per dim
-    std::vector<int64_t> local_delta;  // per active local bit, select only
     uint64_t cone_size = 1;       // Π (required_d + 1)
+    // The view's, set by BeginView: its level digits.
+    std::vector<int> lv;
+    // Scratch: the cone walk's odometer digits, and per active local bit
+    // of the view its delta (select dimensions only).
+    std::vector<int> digits;
+    std::vector<int64_t> local_delta;
   };
 
   uint64_t LatticeIdOf(uint32_t v) const {
@@ -505,12 +511,13 @@ struct HierarchicalPlanProvider {
     out->queries.push_back(wq.query);
   }
 
-  Ctx MakeQueryContext() const {
+  Ctx MakeContext() const {
     Ctx ctx;
     ctx.required.resize(static_cast<size_t>(n));
-    ctx.lv.resize(static_cast<size_t>(n));
     ctx.delta.resize(static_cast<size_t>(n));
     ctx.is_select.resize(static_cast<size_t>(n));
+    ctx.lv.resize(static_cast<size_t>(n));
+    ctx.digits.resize(static_cast<size_t>(n));
     ctx.local_delta.reserve(static_cast<size_t>(n));
     return ctx;
   }
@@ -534,17 +541,16 @@ struct HierarchicalPlanProvider {
   }
 
   template <typename Visit>
-  void ForEachAnsweringView(Ctx& ctx, Visit&& visit) const {
+  uint64_t ForEachAnsweringView(Ctx& ctx, Visit&& visit) const {
     // The views that can answer the query are exactly those at least as
     // fine as its required levels: the product of [0, required_d] per
     // dimension, walked as a mixed-radix odometer (dimension 0 fastest =
-    // ascending view ids). Both branches emit ascending graph ids and
-    // leave ctx.lv holding the visited view's level digits, so
-    // IndexColumnClass / ForEachIndexCostClass read them without
-    // re-decoding the id. The identity plan always takes the odometer; a
-    // pruned plan scans its retained views instead when that is cheaper.
+    // ascending view ids). Both branches emit ascending graph ids. The
+    // identity plan always takes the odometer; a pruned plan scans its
+    // retained views instead when that is cheaper.
     if (plan == nullptr || ctx.cone_size <= plan->views.view_ids.size()) {
-      std::fill(ctx.lv.begin(), ctx.lv.end(), 0);
+      std::vector<int>& digits = ctx.digits;
+      std::fill(digits.begin(), digits.end(), 0);
       uint64_t v = 0;  // the finest view has lattice id 0
       for (;;) {
         if (plan == nullptr) {
@@ -555,18 +561,18 @@ struct HierarchicalPlanProvider {
           visit(static_cast<uint32_t>(dense));
         }
         int d = 0;
-        while (d < n && ctx.lv[static_cast<size_t>(d)] ==
+        while (d < n && digits[static_cast<size_t>(d)] ==
                             ctx.required[static_cast<size_t>(d)]) {
-          v -= static_cast<uint64_t>(ctx.lv[static_cast<size_t>(d)]) *
+          v -= static_cast<uint64_t>(digits[static_cast<size_t>(d)]) *
                lattice->stride(d);
-          ctx.lv[static_cast<size_t>(d)] = 0;
+          digits[static_cast<size_t>(d)] = 0;
           ++d;
         }
         if (d == n) break;
-        ++ctx.lv[static_cast<size_t>(d)];
+        ++digits[static_cast<size_t>(d)];
         v += lattice->stride(d);
       }
-      return;
+      return ctx.cone_size;
     }
     for (uint32_t dense = 0; dense < plan->views.view_ids.size(); ++dense) {
       const int* lv =
@@ -578,9 +584,17 @@ struct HierarchicalPlanProvider {
           break;
         }
       }
-      if (!answers) continue;
-      std::copy(lv, lv + n, ctx.lv.begin());
-      visit(dense);
+      if (answers) visit(dense);
+    }
+    return plan->views.view_ids.size();
+  }
+
+  // IndexColumnClass and ForEachIndexCostClass read the view's level
+  // digits from ctx.lv.
+  void BeginView(Ctx& ctx, uint32_t v) const {
+    const LevelVector& levels = out->view_levels[v];
+    for (int d = 0; d < n; ++d) {
+      ctx.lv[static_cast<size_t>(d)] = levels.level(d);
     }
   }
 
@@ -608,9 +622,7 @@ struct HierarchicalPlanProvider {
   }
 
   template <typename Emit>
-  void ForEachIndexCostClass(Ctx& ctx, uint32_t v,
-                             const double* /*view_size*/,
-                             Emit&& emit) const {
+  void ForEachIndexCostClass(Ctx& ctx, uint32_t v, Emit&& emit) const {
     const double* sz = sizes->data();
     // Map the view's active dimensions to local bits 0..m-1 (ascending
     // dimension order — the rank order of FatIndexOrders/AllIndexOrders).
@@ -775,6 +787,7 @@ StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
   PrunedPlan plan;
   std::vector<std::vector<std::vector<int>>> orders;
   std::vector<int> levels_flat;
+  ViewQueryLists lists;
   if (!pruning) {
     out.view_sizes = std::move(sizes);
     provider.sizes = &out.view_sizes;
@@ -830,11 +843,6 @@ StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
     const std::vector<uint64_t>& view_ids = plan.views.view_ids;
     const size_t nv = view_ids.size();
 
-    // Candidate index families and the retained structure census. Wide
-    // views get one key per distinct selection class of the retained
-    // answerable queries (CandidateKey over dimension ids: selected
-    // dimensions leading, remaining active dimensions trailing), found by
-    // testing every retained query at each wide view.
     levels_flat.resize(nv * static_cast<size_t>(n));
     std::vector<uint32_t> active_mask(nv, 0);
     for (size_t v = 0; v < nv; ++v) {
@@ -846,6 +854,19 @@ StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
         if (level != schema.all_level(d)) active_mask[v] |= 1u << d;
       }
     }
+    provider.plan = &plan;
+    provider.max_fat_dim = pruning->max_fat_dim;
+    provider.orders = &orders;
+    provider.levels_flat = &levels_flat;
+    provider.base_id =
+        static_cast<uint32_t>(plan.views.id_of[lattice.BaseView()]);
+    lists = GatherViewQueries(provider, [](size_t, uint64_t) {});
+
+    // Candidate index families and the retained structure census. Wide
+    // views get one key per distinct selection class of the retained
+    // queries they answer (CandidateKey over dimension ids: selected
+    // dimensions leading, remaining active dimensions trailing), read off
+    // their gathered query lists.
     orders.resize(nv);
     uint64_t total_structures = 0;
     std::vector<uint32_t> classes;
@@ -857,18 +878,16 @@ StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
                                     m, /*fat_indexes_only=*/true));
       } else {
         ++stats.candidate_views;
-        const int* lvf = levels_flat.data() + v * static_cast<size_t>(n);
         classes.clear();
-        for (uint32_t qi : plan.queries) {
-          const int* req =
-              required_flat.data() + size_t{qi} * static_cast<size_t>(n);
-          int d = 0;
-          while (d < n && lvf[d] <= req[d]) ++d;
-          if (d == n) classes.push_back(sel_mask[qi] & active_mask[v]);
+        for (uint32_t q : lists.of(static_cast<uint32_t>(v))) {
+          classes.push_back(sel_mask[plan.queries[q]] & active_mask[v]);
         }
-        orders[v] = CandidateFamily(classes, [&](uint32_t prefix) {
-          return CandidateKey(prefix, active_mask[v]).ToVector();
-        });
+        AppendCandidateFamily(
+            std::span(classes),
+            [&](uint32_t prefix) {
+              return CandidateKey(prefix, active_mask[v]).ToVector();
+            },
+            orders[v]);
         stats.candidate_indexes += orders[v].size();
         total_structures += 1 + orders[v].size();
       }
@@ -883,16 +902,12 @@ StatusOr<HierarchicalCubeGraph> TryBuildHierarchicalCubeGraph(
 
     out.view_sizes.reserve(nv);
     for (uint64_t id : view_ids) out.view_sizes.push_back(sizes[id]);
-    provider.plan = &plan;
-    provider.max_fat_dim = pruning->max_fat_dim;
-    provider.orders = &orders;
-    provider.levels_flat = &levels_flat;
-    provider.base_id =
-        static_cast<uint32_t>(plan.views.id_of[lattice.BaseView()]);
   }
 
+  if (!pruning) lists = GatherViewQueries(provider, [](size_t, uint64_t) {});
   out.view_levels.reserve(provider.num_views());
-  BuildLatticeGraph(provider, build, out.graph, &stats.build);
+  out.queries.reserve(provider.num_queries());
+  BuildLatticeGraph(provider, lists, build, out.graph, &stats.build);
   if (pruning) {
     out.index_orders = std::move(orders);
     RecordSparseBuild(stats);

@@ -55,8 +55,8 @@ struct HierarchicalGraphOptions {
   // ordered subset of the active dimensions becomes an index (the pruning
   // ablation, as in the flat builder).
   bool fat_indexes_only = true;
-  // Threads for the edge-enumeration phase of the fast builder (0 = shared
-  // pool). The resulting graph is identical for every thread count.
+  // Threads for the table fill of the fast builder (0 = shared pool). The
+  // resulting graph is identical for every thread count.
   size_t num_threads = 0;
   // Cost model charging every edge; null = the paper's linear model (see
   // CubeGraphOptions::cost_model).
@@ -82,9 +82,9 @@ struct HierarchicalGraphOptions {
 // count is Π_d (levels_d + 1), not 2^n), so the fast builder enforces
 // explicit size ceilings — the hierarchy counterpart of the flat n > 8
 // fat-index guard:
-//  * kMaxHierarchicalViews: every index-edge column class is keyed by a
-//    view id, and the graph accepts class ids only up to 2^20 (see
-//    EdgeRun::col_class).
+//  * kMaxHierarchicalViews: every index-edge column class is a lattice
+//    subcube id plus one, and a pruned plan's id inverse spans the whole
+//    lattice, so the lattice is held to 2^20 ids.
 //  * kMaxHierarchicalStructures: ceiling on views + indexes, bounding the
 //    graph's memory before construction starts.
 inline constexpr uint64_t kMaxHierarchicalViews = (uint64_t{1} << 20) - 1;
@@ -123,7 +123,7 @@ struct HierarchicalCubeGraph {
 
 // Fast builder of the hierarchical build pipeline (superset-odometer
 // answering-view enumeration, one cost division per prefix-equivalence
-// class, query-sharded parallel EdgeRun emission, lazy index names). Its
+// class, view-major parallel table fill, lazy index names). Its
 // identity plan keeps every query in input order, every lattice view
 // (graph view id = HViewId) and the canonical index family; options.pruning
 // selects the pruned plan instead. Returns InvalidArgument instead of

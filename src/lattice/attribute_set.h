@@ -94,6 +94,8 @@ class AttributeSet {
   // (e.g. "ps"); "none" for the empty set. Falls back to full names joined
   // by ',' when any name is longer than one character.
   std::string ToString(const std::vector<std::string>& names) const;
+  // ToString's rendering, appended to `out`.
+  void AppendTo(const std::vector<std::string>& names, std::string& out) const;
 
   friend constexpr bool operator==(AttributeSet a, AttributeSet b) {
     return a.mask_ == b.mask_;

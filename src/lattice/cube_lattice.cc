@@ -1,6 +1,9 @@
 #include "lattice/cube_lattice.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <span>
 
 namespace olapidx {
 
@@ -54,28 +57,41 @@ std::vector<ViewId> CubeLattice::ImmediateParents(ViewId v) const {
 }
 
 std::vector<IndexKey> CubeLattice::FatIndexes(ViewId v) const {
-  AttributeSet attrs = AttrsOf(v);
-  OLAPIDX_CHECK(attrs.size() <= 8);
-  std::vector<int> perm = attrs.ToVector();
   std::vector<IndexKey> out;
-  if (perm.empty()) return out;
-  out.reserve(static_cast<size_t>(NumFatIndexes(attrs.size())));
-  std::sort(perm.begin(), perm.end());
-  do {
-    out.emplace_back(perm);
-  } while (std::next_permutation(perm.begin(), perm.end()));
+  out.reserve(NumFatIndexes(AttrsOf(v).size()));
+  AppendFatIndexes(v, out);
   return out;
 }
 
+void CubeLattice::AppendFatIndexes(ViewId v, std::vector<IndexKey>& out) const {
+  const AttributeSet attrs = AttrsOf(v);
+  OLAPIDX_CHECK(attrs.size() <= 8);
+  // Ascending, the first permutation in lexicographic order.
+  std::array<int, 8> perm{};
+  int m = 0;
+  for (uint32_t rest = attrs.mask(); rest != 0; rest &= rest - 1) {
+    perm[static_cast<size_t>(m++)] = std::countr_zero(rest);
+  }
+  if (m == 0) return;
+  const std::span<const int> key(perm.data(), static_cast<size_t>(m));
+  do {
+    out.emplace_back(key);
+  } while (std::next_permutation(perm.begin(), perm.begin() + m));
+}
+
 std::vector<IndexKey> CubeLattice::AllIndexes(ViewId v) const {
+  std::vector<IndexKey> out;
+  AppendAllIndexes(v, out);
+  return out;
+}
+
+void CubeLattice::AppendAllIndexes(ViewId v, std::vector<IndexKey>& out) const {
   AttributeSet attrs = AttrsOf(v);
   OLAPIDX_CHECK(attrs.size() <= 6);
   std::vector<int> elems = attrs.ToVector();
-  std::vector<IndexKey> out;
   for (int r = 1; r <= static_cast<int>(elems.size()); ++r) {
     AppendArrangements(elems, r, out);
   }
-  return out;
 }
 
 uint64_t CubeLattice::NumFatIndexes(int m) {

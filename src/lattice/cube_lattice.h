@@ -57,6 +57,9 @@ class CubeLattice {
   // All indexes of `v`: one per non-empty ordered subset of attrs(v).
   // Used only by the fat-index-pruning ablation; requires |attrs(v)| <= 6.
   std::vector<IndexKey> AllIndexes(ViewId v) const;
+  // The same families, appended to `out`.
+  void AppendFatIndexes(ViewId v, std::vector<IndexKey>& out) const;
+  void AppendAllIndexes(ViewId v, std::vector<IndexKey>& out) const;
 
   // Number of fat indexes of a view with m attributes (m!).
   static uint64_t NumFatIndexes(int m);

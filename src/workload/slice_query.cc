@@ -4,8 +4,14 @@ namespace olapidx {
 
 std::string SliceQuery::ToString(
     const std::vector<std::string>& names) const {
-  std::string out = "g{" + group_by_.ToString(names) + "}";
-  if (!selection_.empty()) out += "s{" + selection_.ToString(names) + "}";
+  std::string out = "g{";
+  group_by_.AppendTo(names, out);
+  out += '}';
+  if (!selection_.empty()) {
+    out += "s{";
+    selection_.AppendTo(names, out);
+    out += '}';
+  }
   return out;
 }
 

@@ -15,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "core/cube_graph.h"
 #include "core/sparse_cube_graph.h"
+#include "cost/analytical_model.h"
 #include "data/synthetic.h"
 #include "workload/workload.h"
 
@@ -182,6 +185,68 @@ TEST(CandidateFamilyOracleTest, PinnedDimTwelveFingerprint) {
         << "threads " << threads;
     EXPECT_EQ(sparse->stats.candidate_indexes, 5445u);
     ExpectOracleFamilies(*sparse, lattice, options.max_fat_dim);
+  }
+}
+
+// The two graphs of the benchmark's advise workload at seed 1, rebuilt
+// from its inputs and pinned bit for bit at 1, 2 and 4 threads, so a drift
+// in the graph build shows here. The schema cycles the cardinalities
+// {100, 200, 50, 80, 120, 60, 90} over its dimensions, sizes are analytical
+// at 20e6 raw rows, and each query's frequency is reweighted by
+// 0.9 + 0.2 · NextDouble() of Pcg32(1, stream).
+CubeSchema AdviseSchema(int n) {
+  constexpr uint64_t kCardinalities[] = {100, 200, 50, 80, 120, 60, 90};
+  std::vector<Dimension> dims;
+  for (int i = 0; i < n; ++i) {
+    dims.push_back(Dimension{"d" + std::to_string(i), kCardinalities[i % 7]});
+  }
+  return CubeSchema(std::move(dims));
+}
+
+Workload Reweighted(const Workload& workload, uint64_t stream) {
+  Pcg32 rng(1, stream);
+  Workload out;
+  for (const WeightedQuery& wq : workload.queries()) {
+    out.Add(wq.query, wq.frequency * (0.9 + 0.2 * rng.NextDouble()));
+  }
+  return out;
+}
+
+TEST(CandidateFamilyOracleTest, PinnedAdviseDenseFingerprint) {
+  const CubeSchema schema = AdviseSchema(7);
+  const ViewSizes sizes = AnalyticalViewSizes(schema, 20e6);
+  const Workload workload =
+      Reweighted(AllSliceQueries(CubeLattice(schema)), /*stream=*/1);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    CubeGraphOptions options;
+    options.raw_scan_penalty = 2.0;
+    options.num_threads = threads;
+    StatusOr<CubeGraph> dense =
+        TryBuildCubeGraph(schema, sizes, workload, options);
+    ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+    EXPECT_EQ(dense->graph.num_structures(), 13827u) << "threads " << threads;
+    EXPECT_EQ(dense->graph.Fingerprint(), 0x62656dc40e2ac49eULL)
+        << "threads " << threads;
+  }
+}
+
+TEST(CandidateFamilyOracleTest, PinnedAdviseSparseFingerprint) {
+  const CubeSchema schema = AdviseSchema(20);
+  const ViewSizes sizes = AnalyticalViewSizes(schema, 20e6);
+  const Workload workload = Reweighted(
+      SampledZipfSliceQueries(CubeLattice(schema), 1.1, 600, 42),
+      /*stream=*/2);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    SparseCubeGraphOptions options;
+    options.raw_scan_penalty = 2.0;
+    options.num_threads = threads;
+    StatusOr<SparseCubeGraph> sparse =
+        TryBuildSparseCubeGraph(schema, sizes, workload, options);
+    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+    EXPECT_EQ(sparse->cube.graph.num_structures(), 237130u)
+        << "threads " << threads;
+    EXPECT_EQ(sparse->cube.graph.Fingerprint(), 0x44f4a754f9f08edcULL)
+        << "threads " << threads;
   }
 }
 

@@ -8,7 +8,7 @@
 // must not move.
 //
 // Graphs: random cubes (paper and calibrated cost models), a hierarchical
-// cube, and hand-built graphs fed through ConsumeEdgeRuns with shared
+// cube, and hand-built graphs fed through AddEdgeRuns with shared
 // column classes, each stressing one corner of the error bound: mixed view
 // costs within a column, maintenance, zero frequencies, a +inf default
 // cost, duplicated index columns (exact ties) and costs 1 ulp apart.
@@ -298,7 +298,7 @@ QueryViewGraph HandBuiltGraph(uint64_t seed, const HandKnobs& knobs) {
     if (knobs.ulp_costs) frequency = 1.0;
     g.AddQuery("q" + std::to_string(q), default_cost, frequency);
   }
-  // Runs in ascending query order, all in one call: the sink's contract.
+  // Runs in ascending query order, all in one call.
   std::vector<EdgeRun> runs;
   for (uint32_t q = 0; q < kQueries; ++q) {
     for (uint32_t v = 0; v < kViews; ++v) {
@@ -316,7 +316,7 @@ QueryViewGraph HandBuiltGraph(uint64_t seed, const HandKnobs& knobs) {
       }
     }
   }
-  g.ConsumeEdgeRuns(runs);
+  g.AddEdgeRuns(runs);
   g.Finalize();
   return g;
 }
@@ -378,7 +378,8 @@ TEST(GraphStorageTest, MultiBlockTablesEqualEdgeByEdgeCopy) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const QueryViewGraph& g = built->cube.graph;
   const QueryViewGraph copy = CopyEdgeByEdge(g);
-  // Blocks are cut at 256 KiB of tables, after the view that reaches it.
+  // Blocks are cut after the view whose tables, estimated at one column
+  // per position and so never below their true size, reach 256 KiB.
   // Beyond twice that plus the largest view's tables, there are at least
   // three blocks.
   auto view_bytes = [](const QueryViewGraph& graph, uint32_t v) {

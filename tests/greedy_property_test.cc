@@ -169,8 +169,9 @@ TEST_P(GreedyPropertyTest, ExhaustiveBudgetSelectsEverythingUseful) {
   // (all queries at their cheapest possible plan).
   SelectionResult r = RGreedy(cube_->graph, 10.0 * total_space_,
                               RGreedyOptions{.r = 2});
-  double perfect = PerfectBenefit(cube_->graph);
-  EXPECT_NEAR(r.Benefit(), perfect, 1e-6 * (1.0 + perfect));
+  StatusOr<double> perfect = PerfectBenefit(cube_->graph);
+  ASSERT_TRUE(perfect.ok()) << perfect.status().ToString();
+  EXPECT_NEAR(r.Benefit(), *perfect, 1e-6 * (1.0 + *perfect));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedyPropertyTest,

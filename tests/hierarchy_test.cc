@@ -210,8 +210,9 @@ TEST_F(HierarchicalGraphTest, AlgorithmsRunAndObeyOrdering) {
   EXPECT_GE(two.Benefit(), one.Benefit() * 0.5);
   EXPECT_GT(inner.Benefit(), 0.0);
   // Certified ratio against the upper bound.
-  double ub = UpperBoundBenefit(graph_.graph, inner.space_used);
-  EXPECT_GE(inner.Benefit() / ub, 0.45);
+  StatusOr<double> ub = UpperBoundBenefit(graph_.graph, inner.space_used);
+  ASSERT_TRUE(ub.ok()) << ub.status().ToString();
+  EXPECT_GE(inner.Benefit() / *ub, 0.45);
 }
 
 TEST_F(HierarchicalGraphTest, MidLevelViewsGetSelected) {

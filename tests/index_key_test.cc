@@ -177,8 +177,8 @@ TEST(IndexKeyTest, ComparisonsMatchVectorOrderOnMixedLengths) {
     }
   }
   EXPECT_GT(prefix_pairs, 100u);  // the derived keys make prefixes common
-  // Sorting and deduplicating (as CandidateFamily does) gives the same
-  // sequence either way.
+  // Sorting and deduplicating (as AppendCandidateFamily does) gives the
+  // same sequence either way.
   std::vector<std::vector<int>> sorted_vecs = vecs;
   std::sort(sorted_vecs.begin(), sorted_vecs.end());
   sorted_vecs.erase(std::unique(sorted_vecs.begin(), sorted_vecs.end()),

@@ -484,6 +484,7 @@ TEST(SelectionWorkCountersTest, CostCellsAndRechecksArePinned) {
 // 1 for one chunk and at least 1 for several, published as
 // selection.chunk_imbalance_permille.
 TEST_F(SelectionMetricsTest, ChunkImbalanceIsPublished) {
+  uint64_t r_greedy_cells = 0;  // at one thread
   for (size_t threads : {size_t{1}, size_t{4}}) {
     for (bool inner : {true, false}) {
       SCOPED_TRACE(std::string(inner ? "inner-level" : "r-greedy") +
@@ -499,6 +500,13 @@ TEST_F(SelectionMetricsTest, ChunkImbalanceIsPublished) {
       uint64_t cells = 0;
       for (uint64_t c : res.stats.chunk_cells) cells += c;
       EXPECT_EQ(cells, res.stats.cost_cells);
+      if (!inner) {
+        // r-greedy counts the cells its evaluations read, a total that
+        // does not depend on the thread count.
+        EXPECT_GT(res.stats.cost_cells, 0u);
+        if (threads == 1) r_greedy_cells = res.stats.cost_cells;
+        EXPECT_EQ(res.stats.cost_cells, r_greedy_cells);
+      }
       const double imbalance = res.stats.ChunkImbalance();
       if (threads == 1) {
         EXPECT_EQ(imbalance, 1.0);

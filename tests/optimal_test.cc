@@ -78,6 +78,28 @@ TEST(OptimalTest, RejectsBadBudgetOrUnfinalizedGraph) {
             StatusCode::kFailedPrecondition);
 }
 
+// The bounds reject the same inputs with a Status, never an abort.
+TEST(OptimalTest, BoundsRejectBadBudgetOrUnfinalizedGraph) {
+  QueryViewGraph g = Figure2Instance();
+  for (double budget : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    StatusOr<double> bound = UpperBoundBenefit(g, budget);
+    ASSERT_FALSE(bound.ok()) << budget;
+    EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument) << budget;
+  }
+  StatusOr<double> bound = UpperBoundBenefit(g, 7.0);
+  StatusOr<double> perfect = PerfectBenefit(g);
+  ASSERT_TRUE(bound.ok() && perfect.ok());
+  EXPECT_GE(*bound, BranchAndBoundOptimal(g, 7.0).Benefit());
+  EXPECT_LE(*bound, *perfect);
+
+  QueryViewGraph open;
+  open.AddView("v", 1.0);
+  EXPECT_EQ(UpperBoundBenefit(open, 10.0).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(PerfectBenefit(open).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 // Random-instance property sweep: on every instance, optimal dominates all
 // heuristics, and each heuristic respects its guarantee when compared at
 // the space it actually used (Theorems 5.1 / 5.2).

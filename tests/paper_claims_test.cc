@@ -138,9 +138,12 @@ TEST_P(BoundCertificationTest, UpperBoundDominatesOptimal) {
   for (double budget : {1.0, 2.0, 4.0, 8.0}) {
     SelectionResult opt = BranchAndBoundOptimal(g, budget);
     ASSERT_TRUE(opt.proven_optimal);
-    EXPECT_GE(UpperBoundBenefit(g, budget), opt.Benefit() - 1e-9)
+    StatusOr<double> upper = UpperBoundBenefit(g, budget);
+    StatusOr<double> perfect = PerfectBenefit(g);
+    ASSERT_TRUE(upper.ok() && perfect.ok());
+    EXPECT_GE(*upper, opt.Benefit() - 1e-9)
         << "seed " << GetParam() << " S=" << budget;
-    EXPECT_GE(PerfectBenefit(g), opt.Benefit() - 1e-9);
+    EXPECT_GE(*perfect, opt.Benefit() - 1e-9);
   }
 }
 

@@ -1,13 +1,11 @@
 #include "core/query_view_graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
 #include <span>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -150,8 +148,7 @@ TEST(QueryViewGraphTest, IndexEdgeRunExpandsToEveryIndexInRange) {
       EdgeRun{q, v, StructureRef::kNoIndex, StructureRef::kNoIndex, 4.0},
       EdgeRun{q, v, 1, 3, 2.0},  // indexes 1 and 2, not 0 or 3
   };
-  g.ConsumeEdgeRuns(runs);
-  EXPECT_TRUE(runs.empty());
+  g.AddEdgeRuns(runs);
   g.Finalize();
   ASSERT_EQ(g.ViewQueries(v).size(), 1u);
   EXPECT_EQ(g.ViewCostAt(v, 0), 4.0);
@@ -190,8 +187,8 @@ TEST(QueryViewGraphTest, FinalizeMergesDuplicateAndOutOfOrderEdges) {
 }
 
 TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
-  // The same edges delivered as two ConsumeEdgeRuns shard batches (as the
-  // parallel builder does) and as direct calls must finalize identically.
+  // The same edges delivered as two AddEdgeRuns batches, out of query
+  // order, and as direct calls must finalize identically.
   auto build_direct = [] {
     QueryViewGraph g;
     g.SetNameDictionary({"a", "b"});
@@ -226,8 +223,8 @@ TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
         EdgeRun{0, v1, StructureRef::kNoIndex, StructureRef::kNoIndex, 2.0},
         EdgeRun{0, v1, 0, 2, 0.5},
     };
-    g.ConsumeEdgeRuns(second);  // shards may flush in any order
-    g.ConsumeEdgeRuns(first);
+    g.AddEdgeRuns(second);  // batches may come in any order
+    g.AddEdgeRuns(first);
     g.Finalize();
     return g;
   };
@@ -324,17 +321,17 @@ TEST(QueryViewGraphDeathTest, BadRunRangeRejected) {
   g.AddIndexes(v, std::vector<IndexKey>{IndexKey({0})}, 1.0);
   uint32_t q = g.AddQuery("Q", 1.0);
   std::vector<EdgeRun> runs = {EdgeRun{q, v, 0, 2, 1.0}};
-  EXPECT_DEATH(g.ConsumeEdgeRuns(runs), "CHECK");
+  EXPECT_DEATH(g.AddEdgeRuns(runs), "CHECK");
 }
 
-// ---- An independent oracle for the edge sink ----
+// ---- An independent oracle for the hand-built edge path ----
 //
 // A random graph's edges, ingested per edge (AddViewEdge / AddIndexEdge in
-// shuffled order) and as ConsumeEdgeRuns batches split at query boundaries
-// (shuffled, from 1, 2 and 8 threads), must finalize to exactly the
-// per-(query, view, index) minimum costs a std::map computes from the same
-// runs. Batched runs carry column classes drawn from per-(view, class)
-// prototype columns, so every col_class promise holds.
+// shuffled order) and as AddEdgeRuns batches split at query boundaries
+// (in a shuffled order), must finalize to exactly the per-(query, view,
+// index) minimum costs a std::map computes from the same runs. Batched
+// runs carry column classes drawn from per-(view, class) prototype
+// columns, so every col_class promise holds.
 
 struct RandomEdges {
   std::vector<int32_t> num_indexes;  // per view
@@ -475,8 +472,7 @@ QueryViewGraph IngestPerEdge(const RandomEdges& edges, Pcg32& rng) {
   return g;
 }
 
-QueryViewGraph IngestBatches(const RandomEdges& edges, size_t threads,
-                             Pcg32& rng) {
+QueryViewGraph IngestBatches(const RandomEdges& edges, Pcg32& rng) {
   QueryViewGraph g;
   AddStructures(edges, g);
   // Batches of consecutive queries, consumed in a shuffled order.
@@ -491,16 +487,7 @@ QueryViewGraph IngestBatches(const RandomEdges& edges, size_t threads,
     }
   }
   Shuffle(batches, rng);
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> workers;
-  for (size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&] {
-      for (size_t i = next++; i < batches.size(); i = next++) {
-        g.ConsumeEdgeRuns(batches[i]);
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
+  for (const std::vector<EdgeRun>& batch : batches) g.AddEdgeRuns(batch);
   g.Finalize();
   return g;
 }
@@ -548,12 +535,12 @@ TEST(EdgeSinkOracleTest, RandomRunsMatchMinCostMap) {
     Pcg32 rng(seed * 7919);
     const std::string at = "seed=" + std::to_string(seed);
     ExpectMatchesOracle(IngestPerEdge(edges, rng), edges, at + " per-edge");
-    // Every flush order lays the tables out alike, so the fingerprints
+    // Every batch order lays the tables out alike, so the fingerprints
     // agree too.
     uint64_t fingerprint = 0;
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      QueryViewGraph g = IngestBatches(edges, threads, rng);
-      const std::string label = at + " threads=" + std::to_string(threads);
+    for (int order = 0; order < 3; ++order) {
+      QueryViewGraph g = IngestBatches(edges, rng);
+      const std::string label = at + " batch order " + std::to_string(order);
       ExpectMatchesOracle(g, edges, label);
       if (fingerprint == 0) fingerprint = g.Fingerprint();
       EXPECT_EQ(g.Fingerprint(), fingerprint) << label;

@@ -1,8 +1,8 @@
-// Differential tests for the streaming edge-run sink: the enumeration
-// shards spill their windows into the sink in whatever order the threads
-// finish, so a build must produce a graph *bit-identical* to the
-// single-threaded build — same accessor values and same fingerprint — for
-// every thread count and index family. Also the unpruned
+// Differential tests for the view-major table fill: the pool's chunks
+// claim table blocks in whatever order the threads get to them, so a
+// build must produce a graph *bit-identical* to the single-threaded build
+// — same accessor values and same fingerprint — for every thread count
+// and index family. Also the unpruned
 // pruned-hierarchical contract: with nothing pruned,
 // TryBuildHierarchicalCubeGraph's pruned plan must reproduce its identity
 // plan exactly on random multi-level schemas.
@@ -65,7 +65,7 @@ void ExpectIdenticalQvg(const QueryViewGraph& a, const QueryViewGraph& b,
 TEST(StreamingEquivalenceTest, FlatSparseIdenticalAcrossThreadCounts) {
   // 12 dimensions with the default max_fat_dim = 6: narrow views carry
   // fat index families, wide views carry workload-derived candidate
-  // families, so both ForEachIndexCostClass branches stream.
+  // families, so both ForEachIndexCostClass branches run.
   SyntheticCube cube = UniformSyntheticCube(12, 100, 0.05);
   CubeLattice lattice(cube.schema);
   Workload workload = SampledZipfSliceQueries(lattice, 1.1, 150, 7);
