@@ -1,11 +1,13 @@
 // Experiment E16 — throughput-grade serving (supports ROADMAP item 3):
 // replay a sampled Zipf slice-query stream against a materialized sparse
 // recommendation on a dim-8 cube, comparing {serial, batched} × {row,
-// compressed-columnar} execution. Reports QPS, p50/p99 latency, and
-// bytes scanned per configuration, the batched-over-serial speedup, and
-// the columnar compression ratios (dim-8 catalog and the paper's TPC-D
-// views). Batched results are self-checked bit-identical to serial
-// execution over the same storage before any timing runs.
+// compressed-columnar} execution: the row configurations run over a
+// catalog without column stores, the columnar ones over the same design
+// compressed. Reports QPS, p50/p99 latency, and bytes scanned per
+// configuration, the batched-over-serial speedup, and the columnar
+// compression ratios (dim-8 catalog and the paper's TPC-D views). Batched
+// results are self-checked bit-identical to serial execution over the
+// same catalog before any timing runs.
 
 #include <algorithm>
 #include <chrono>
@@ -127,12 +129,13 @@ double Percentile(std::vector<double>& samples, double p) {
   return samples[idx];
 }
 
+// `storage` labels the catalog: "row" without column stores, "columnar"
+// with them.
 RunResult RunSerial(const Catalog& catalog, const std::vector<Request>& stream,
-                    bool columnar) {
+                    const char* storage) {
   Executor exec(&catalog);
-  exec.set_use_column_store(columnar);
   RunResult out;
-  out.label = std::string("serial/") + (columnar ? "columnar" : "row");
+  out.label = std::string("serial/") + storage;
   std::vector<double> latencies_ms;
   latencies_ms.reserve(stream.size());
   ExecutionStats stats;
@@ -156,11 +159,10 @@ RunResult RunSerial(const Catalog& catalog, const std::vector<Request>& stream,
 
 RunResult RunBatched(const Catalog& catalog,
                      const std::vector<Request>& stream, size_t batch_size,
-                     size_t threads, bool columnar) {
+                     size_t threads, const char* storage) {
   BatchExecutor exec(&catalog, threads);
-  exec.set_use_column_store(columnar);
   RunResult out;
-  out.label = std::string("batched/") + (columnar ? "columnar" : "row");
+  out.label = std::string("batched/") + storage;
   // A query's latency is its batch's wall time: batching trades a little
   // latency for throughput, and the percentiles should show that price.
   std::vector<double> latencies_ms;
@@ -196,11 +198,12 @@ bool BitEq(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-// Batched results over a given storage must equal serial results over the
-// same storage bitwise; across storages (different scan order) keys and
-// counts are exact and float aggregates agree to rounding.
-void SelfCheck(const Catalog& catalog, const std::vector<Request>& stream,
-               size_t batch_size, size_t threads) {
+// Batched results over a given catalog must equal serial results over the
+// same catalog bitwise; across the uncompressed and compressed catalogs
+// keys and counts are exact and float aggregates agree to rounding.
+void SelfCheck(const Catalog& row_catalog, const Catalog& columnar_catalog,
+               const std::vector<Request>& stream, size_t batch_size,
+               size_t threads) {
   size_t n = std::min(stream.size(), batch_size);
   std::vector<SliceQuery> queries;
   std::vector<std::vector<uint32_t>> values;
@@ -208,11 +211,9 @@ void SelfCheck(const Catalog& catalog, const std::vector<Request>& stream,
     queries.push_back(stream[i].query);
     values.push_back(stream[i].values);
   }
-  for (bool columnar : {false, true}) {
-    Executor serial(&catalog);
-    serial.set_use_column_store(columnar);
-    BatchExecutor batched(&catalog, threads);
-    batched.set_use_column_store(columnar);
+  for (const Catalog* catalog : {&row_catalog, &columnar_catalog}) {
+    Executor serial(catalog);
+    BatchExecutor batched(catalog, threads);
     std::vector<GroupedResult> batch_results =
         batched.ExecuteBatch(queries, values);
     for (size_t i = 0; i < n; ++i) {
@@ -224,9 +225,8 @@ void SelfCheck(const Catalog& catalog, const std::vector<Request>& stream,
     }
   }
   // Cross-storage: row vs columnar serial.
-  Executor row_exec(&catalog);
-  row_exec.set_use_column_store(false);
-  Executor col_exec(&catalog);
+  Executor row_exec(&row_catalog);
+  Executor col_exec(&columnar_catalog);
   for (size_t i = 0; i < n; ++i) {
     GroupedResult row = row_exec.Execute(queries[i], values[i]);
     GroupedResult col = col_exec.Execute(queries[i], values[i]);
@@ -292,14 +292,16 @@ void Run(bench::BenchJsonReporter* rep, size_t rows, size_t num_queries,
   config.space_budget = budget_factor * static_cast<double>(rows);
   Recommendation rec = advisor->Recommend(config);
   OLAPIDX_CHECK(rec.status.ok());
+  // The design twice: row storage only, and compressed.
+  Catalog row_catalog(&fact);
   Catalog catalog(&fact);
   std::vector<PhysicalDesignItem> items;
   for (const RecommendedStructure& s : rec.structures) {
     items.push_back(PhysicalDesignItem{s.view, s.index});
   }
-  StatusOr<PhysicalDesignStats> applied =
-      MaterializePhysicalDesign(catalog, items);
-  OLAPIDX_CHECK(applied.ok());
+  for (Catalog* c : {&row_catalog, &catalog}) {
+    OLAPIDX_CHECK(MaterializePhysicalDesign(*c, items).ok());
+  }
   size_t compressed_views = catalog.CompressAllViews();
 
   std::printf(
@@ -311,15 +313,15 @@ void Run(bench::BenchJsonReporter* rep, size_t rows, size_t num_queries,
 
   std::vector<Request> stream =
       SampleStream(workload, fact, stream_len, kSeed + 1);
-  SelfCheck(catalog, stream, batch_size, threads);
+  SelfCheck(row_catalog, catalog, stream, batch_size, threads);
 
   std::vector<RunResult> results;
-  results.push_back(RunSerial(catalog, stream, /*columnar=*/false));
-  results.push_back(RunSerial(catalog, stream, /*columnar=*/true));
+  results.push_back(RunSerial(row_catalog, stream, "row"));
+  results.push_back(RunSerial(catalog, stream, "columnar"));
   results.push_back(
-      RunBatched(catalog, stream, batch_size, threads, /*columnar=*/false));
+      RunBatched(row_catalog, stream, batch_size, threads, "row"));
   results.push_back(
-      RunBatched(catalog, stream, batch_size, threads, /*columnar=*/true));
+      RunBatched(catalog, stream, batch_size, threads, "columnar"));
 
   TablePrinter t({"config", "QPS", "p50 ms", "p99 ms", "Mrows scanned",
                   "MiB scanned"});

@@ -15,23 +15,10 @@ namespace olapidx {
 
 namespace {
 
-// One hoisted selection predicate against a raw row-store column.
-struct SelPred {
-  const uint32_t* col;
-  uint32_t value;
-};
-
-// One hoisted predicate against a decoded columnar row (dims by attr id).
-struct DimPred {
-  int attr;
-  uint32_t value;
-};
-
 // Queries whose plans share one physical scan or probe.
 struct Group {
   PlannedAccess plan;
-  std::vector<uint32_t> prefix_values;  // probe groups only
-  std::vector<size_t> members;          // query indices, batch order
+  std::vector<size_t> members;  // query indices, batch order
 };
 
 // Cap on how many queries share one physical scan. Beyond this the
@@ -47,15 +34,6 @@ struct Task {
   size_t group = 0;
   size_t member_begin = 0;
   size_t member_end = 0;
-};
-
-// Physical work one task performed; slots are written by exactly one
-// thread and reduced after the fan-out, keeping BatchStats deterministic.
-struct TaskPhysical {
-  uint64_t rows_decoded = 0;
-  uint64_t bytes_scanned = 0;
-  bool columnar = false;
-  uint64_t sorted_members = 0;  // members aggregated on the sort path
 };
 
 void AppendBytes(std::string* key, const void* data, size_t n) {
@@ -86,15 +64,6 @@ std::string GroupKey(const PlannedAccess& plan,
   return key;
 }
 
-// Per-member execution state within one group.
-struct Member {
-  size_t query = 0;
-  GroupAccumulator acc;
-  std::vector<SelPred> preds;     // row-store scans/probes
-  std::vector<DimPred> dim_preds; // columnar scans
-  std::vector<const uint32_t*> gcols;  // row-store group-by columns
-};
-
 }  // namespace
 
 BatchExecutor::BatchExecutor(const Catalog* catalog, size_t num_threads)
@@ -108,7 +77,6 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
     std::vector<ExecutionStats>* stats, BatchStats* batch_stats) const {
   OLAPIDX_TRACE_SPAN("executor.batch");
   OLAPIDX_CHECK(queries.size() == selection_values.size());
-  const CubeSchema& schema = catalog_->schema();
   const size_t num_queries = queries.size();
 
   std::vector<GroupedResult> results(num_queries);
@@ -147,33 +115,17 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
   local_batch.unique_queries = primaries.size();
 
   // ---- Plan every unique request and group by shared physical access. ----
-  std::vector<PlannedAccess> plans(num_queries);
   std::vector<Group> groups;
   std::unordered_map<std::string, size_t> group_of;
   for (size_t i : primaries) {
     const SliceQuery& query = queries[i];
-    const std::vector<int> sel_attrs = query.selection().ToVector();
-    OLAPIDX_CHECK(selection_values[i].size() == sel_attrs.size());
-    plans[i] = PlanAccess(*catalog_, query);
-    std::vector<uint32_t> prefix_values;
-    if (plans[i].index != nullptr) {
-      // Selection value per attribute id, only needed to order the prefix.
-      std::vector<uint32_t> sel_value(
-          static_cast<size_t>(schema.num_dimensions()), 0);
-      for (size_t k = 0; k < sel_attrs.size(); ++k) {
-        sel_value[static_cast<size_t>(sel_attrs[k])] =
-            selection_values[i][k];
-      }
-      for (int a : plans[i].index->key().attrs()) {
-        if (!plans[i].index_prefix.Contains(a)) break;
-        prefix_values.push_back(sel_value[static_cast<size_t>(a)]);
-      }
-    }
-    std::string key = GroupKey(plans[i], prefix_values);
-    auto [it, inserted] = group_of.emplace(key, groups.size());
-    if (inserted) {
-      groups.push_back(Group{plans[i], std::move(prefix_values), {}});
-    }
+    OLAPIDX_CHECK(selection_values[i].size() ==
+                  static_cast<size_t>(query.selection().size()));
+    const PlannedAccess plan = PlanAccess(*catalog_, query);
+    auto [it, inserted] = group_of.emplace(
+        GroupKey(plan, ProbePrefixValues(plan, query, selection_values[i])),
+        groups.size());
+    if (inserted) groups.push_back(Group{plan, {}});
     groups[it->second].members.push_back(i);
   }
 
@@ -191,157 +143,24 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
     }
   }
 
-  std::vector<TaskPhysical> physical(tasks.size());
+  std::vector<PhysicalScan> physical(tasks.size());
   auto run_task = [&](size_t task_index) {
     const Task& task = tasks[task_index];
     const Group& group = groups[task.group];
-    TaskPhysical& phys = physical[task_index];
-
-    // Hoist each member's predicates and group-by columns once.
-    std::vector<Member> members;
+    std::vector<ScanMember> members;
     members.reserve(task.member_end - task.member_begin);
-    const ColumnStore* store =
-        !group.plan.use_raw && group.plan.index == nullptr &&
-                use_column_store_
-            ? catalog_->column_store(group.plan.view)
-            : nullptr;
-    const bool columnar = store != nullptr;
-    const MaterializedView* view =
-        group.plan.use_raw ? nullptr : &catalog_->view(group.plan.view);
     for (size_t mi = task.member_begin; mi < task.member_end; ++mi) {
       const size_t i = group.members[mi];
-      const SliceQuery& query = queries[i];
-      const std::vector<int> sel_attrs = query.selection().ToVector();
-      // The shared scan has one row order and one row bound; each member's
-      // path and ordered group-by prefix follow from its own query.
-      Member m{i, AccumulatorFor(*catalog_, group.plan, store, query), {}, {},
-               {}};
-      if (m.acc.sorts()) ++phys.sorted_members;
-      if (columnar) {
-        for (size_t k = 0; k < sel_attrs.size(); ++k) {
-          m.dim_preds.push_back({sel_attrs[k], selection_values[i][k]});
-        }
-      } else if (group.plan.use_raw) {
-        const FactTable& fact = catalog_->fact();
-        for (size_t k = 0; k < sel_attrs.size(); ++k) {
-          m.preds.push_back(
-              {fact.column_data(sel_attrs[k]), selection_values[i][k]});
-        }
-        for (int a : query.group_by().ToVector()) {
-          m.gcols.push_back(fact.column_data(a));
-        }
-      } else {
-        for (size_t k = 0; k < sel_attrs.size(); ++k) {
-          // Probe members skip predicates the descent already satisfied.
-          if (group.plan.index != nullptr &&
-              group.plan.index_prefix.Contains(sel_attrs[k])) {
-            continue;
-          }
-          m.preds.push_back(
-              {view->column_data(sel_attrs[k]), selection_values[i][k]});
-        }
-        for (int a : query.group_by().ToVector()) {
-          m.gcols.push_back(view->column_data(a));
-        }
-      }
-      members.push_back(std::move(m));
+      members.push_back({&queries[i], &selection_values[i], &results[i]});
     }
-
-    uint64_t rows = 0;
-    if (group.plan.use_raw) {
-      const FactTable& fact = catalog_->fact();
-      const double* measures = fact.measure_data();
-      const size_t n = fact.num_rows();
-      for (size_t r = 0; r < n; ++r) {
-        for (Member& m : members) {
-          bool match = true;
-          for (const SelPred& p : m.preds) {
-            if (p.col[r] != p.value) {
-              match = false;
-              break;
-            }
-          }
-          if (!match) continue;
-          m.acc.AddRow(m.gcols.data(), r,
-                       AggregateState::OfMeasure(measures[r]));
-        }
-      }
-      rows = n;
-      phys.bytes_scanned =
-          rows * (static_cast<uint64_t>(schema.num_dimensions()) * 4 + 8);
-    } else if (columnar) {
-      // No predicates, every attribute: each member filters the full scan.
-      store->Scan([&](size_t r, const uint32_t* dims,
-                      const AggregateState& state) {
-        for (Member& m : members) {
-          bool match = true;
-          for (const DimPred& p : m.dim_preds) {
-            if (dims[p.attr] != p.value) {
-              match = false;
-              break;
-            }
-          }
-          if (!match) continue;
-          m.acc.AddDims(r, dims, state);
-        }
-      });
-      rows = store->num_rows();
-      phys.bytes_scanned = store->CompressedBytes();
-      phys.columnar = true;
-    } else if (group.plan.index == nullptr) {
-      const AggregateState* states = view->aggregate_data();
-      const size_t n = view->num_rows();
-      for (size_t r = 0; r < n; ++r) {
-        for (Member& m : members) {
-          bool match = true;
-          for (const SelPred& p : m.preds) {
-            if (p.col[r] != p.value) {
-              match = false;
-              break;
-            }
-          }
-          if (!match) continue;
-          m.acc.AddRow(m.gcols.data(), r, states[r]);
-        }
-      }
-      rows = n;
-      phys.bytes_scanned =
-          rows * (static_cast<uint64_t>(view->attrs().ToVector().size()) * 4 +
-                  sizeof(AggregateState));
-    } else {
-      const AggregateState* states = view->aggregate_data();
-      rows = group.plan.index->ScanPrefix(
-          group.prefix_values, [&](uint32_t r) {
-            for (Member& m : members) {
-              bool match = true;
-              for (const SelPred& p : m.preds) {
-                if (p.col[r] != p.value) {
-                  match = false;
-                  break;
-                }
-              }
-              if (!match) continue;
-              m.acc.AddRow(m.gcols.data(), r, states[r]);
-            }
-          });
-      phys.bytes_scanned =
-          rows * (static_cast<uint64_t>(view->attrs().ToVector().size()) * 4 +
-                  sizeof(AggregateState));
-    }
-    phys.rows_decoded = rows;
-
-    // Every member writes only its own slots.
-    for (Member& m : members) {
-      results[m.query] = m.acc.Finish();
-      ExecutionStats& s = (*stats)[m.query];
-      s.rows_processed = rows;
-      s.used_raw = group.plan.use_raw;
-      s.view = group.plan.use_raw ? AttributeSet() : group.plan.view;
-      s.index = group.plan.index != nullptr ? group.plan.index->key()
-                                            : IndexKey();
-      s.used_columnar = phys.columnar;
-      s.bytes_scanned = phys.bytes_scanned;
-      s.estimated_cost = plans[m.query].estimated_cost;
+    // The batch's parallelism is across tasks, so a task runs on its own
+    // thread, without a pool. Every member writes only its own slots.
+    physical[task_index] =
+        ScanForMembers(*catalog_, group.plan, members, /*pool=*/nullptr);
+    const ExecutionStats member_stats =
+        StatsOf(group.plan, physical[task_index]);
+    for (size_t mi = task.member_begin; mi < task.member_end; ++mi) {
+      (*stats)[group.members[mi]] = member_stats;
     }
   };
 
@@ -393,8 +212,8 @@ std::vector<GroupedResult> BatchExecutor::ExecuteBatch(
     } else {
       ++local_batch.scan_groups;
     }
-    if (physical[t].columnar) ++local_batch.columnar_scans;
-    local_batch.rows_decoded += physical[t].rows_decoded;
+    if (physical[t].used_columnar) ++local_batch.columnar_scans;
+    local_batch.rows_decoded += physical[t].rows;
     local_batch.bytes_scanned += physical[t].bytes_scanned;
   }
   // What a serial executor would have scanned, duplicates included.
@@ -442,8 +261,8 @@ Status BatchExecutor::TryExecuteBatch(
         " selection-value vector(s)");
   }
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (Status s = CheckSelectionValues(catalog_->schema(), queries[i],
-                                        selection_values[i]);
+    if (Status s = CheckQueryInput(catalog_->schema(), queries[i],
+                                   selection_values[i]);
         !s.ok()) {
       return s.WithContext("batch query " + std::to_string(i));
     }

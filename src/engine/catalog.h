@@ -56,8 +56,9 @@ class Catalog {
   //
   // A view can additionally carry a ColumnStore — a second, compressed
   // representation of the same rows. The row store stays authoritative
-  // (roll-ups, deltas, and index row ids all reference it); executors
-  // that scan the whole view read the store instead when attached.
+  // (roll-ups, deltas, and index row ids all reference it); the executors
+  // read the store, when attached, for a view scan of one query with a
+  // selection, where it skips rows.
 
   // Builds (or rebuilds) the columnar store for a materialized view.
   // Fails with FailedPrecondition when the view is not materialized.

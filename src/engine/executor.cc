@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <optional>
+#include <span>
 #include <string>
 
 #include "common/fault_injection.h"
@@ -24,22 +24,6 @@ double EstimateDistinct(const CubeSchema& schema, AttributeSet attrs,
                         double rows) {
   if (attrs.empty()) return 1.0;
   return ExpectedDistinct(schema.DomainSize(attrs), rows);
-}
-
-// The full scan of `table`, the fact table or a view's row store, whose
-// rows' states `states` reads.
-template <typename Table>
-RowScan FullScan(const Table& table, RowStates states,
-                 const std::vector<int>& sel_attrs,
-                 const std::vector<uint32_t>& selection_values,
-                 const std::vector<int>& group_attrs) {
-  RowScan scan{table.num_rows(), {}, {}, states};
-  for (size_t i = 0; i < sel_attrs.size(); ++i) {
-    scan.predicates.push_back(
-        {table.column_data(sel_attrs[i]), selection_values[i]});
-  }
-  for (int a : group_attrs) scan.group_columns.push_back(table.column_data(a));
-  return scan;
 }
 
 // Calls fn(path) for every access path the planner considers for `query`,
@@ -92,127 +76,180 @@ Executor::Executor(const Catalog* catalog) : catalog_(catalog) {
   OLAPIDX_CHECK(catalog != nullptr);
 }
 
-GroupedResult Executor::Execute(
-    const SliceQuery& query, const std::vector<uint32_t>& selection_values,
-    ExecutionStats* stats) const {
-  OLAPIDX_TRACE_SPAN("executor.execute");
-  const CubeSchema& schema = catalog_->schema();
-  std::vector<int> sel_attrs = query.selection().ToVector();
-  OLAPIDX_CHECK(selection_values.size() == sel_attrs.size());
-  // Selection value per attribute id.
-  std::vector<uint32_t> sel_value(
-      static_cast<size_t>(schema.num_dimensions()), 0);
-  for (size_t i = 0; i < sel_attrs.size(); ++i) {
-    sel_value[static_cast<size_t>(sel_attrs[i])] = selection_values[i];
+std::vector<uint32_t> ProbePrefixValues(
+    const PlannedAccess& plan, const SliceQuery& query,
+    const std::vector<uint32_t>& selection_values) {
+  std::vector<uint32_t> values;
+  if (plan.index == nullptr) return values;
+  const std::vector<int> sel_attrs = query.selection().ToVector();
+  for (int a : plan.index->key().attrs()) {
+    if (!plan.index_prefix.Contains(a)) break;
+    const size_t at = static_cast<size_t>(
+        std::lower_bound(sel_attrs.begin(), sel_attrs.end(), a) -
+        sel_attrs.begin());
+    values.push_back(selection_values[at]);
   }
-  const std::vector<int> group_attrs = query.group_by().ToVector();
+  return values;
+}
 
-  PlannedAccess plan = PlanAccess(*catalog_, query);
+namespace {
 
-  // ---- Execute the chosen path. ----
-  //
-  // Selection predicates and group-by columns are resolved to raw column
-  // pointers once per query, not once per row — the scan loops below
-  // touch no per-row indirection beyond the columns themselves. A view
-  // scan reads the view's column store only to apply a selection: the
-  // store skips rows only for predicates, and without one it decodes
-  // every row and rebuilds every state, where the row store reads them.
+// One member's share of a row-storage scan or probe: its predicates (a
+// probe's residual ones) and group-by columns resolved to the plan's
+// table's raw columns, and its accumulator.
+struct RowMember {
+  RowScan scan;
+  GroupAccumulator acc;
+  GroupedResult* result;
+};
+
+}  // namespace
+
+PhysicalScan ScanForMembers(const Catalog& catalog, const PlannedAccess& plan,
+                            std::span<const ScanMember> members,
+                            ThreadPool& (*pool)()) {
+  OLAPIDX_CHECK(!members.empty());
+  for (const ScanMember& m : members) {
+    OLAPIDX_CHECK(m.selection_values->size() ==
+                  static_cast<size_t>(m.query->selection().size()));
+  }
+  const SliceQuery& first = *members.front().query;
+  const std::vector<uint32_t>& first_values =
+      *members.front().selection_values;
+  PhysicalScan out;
+  // The store pays only where it skips rows: for one member's selection.
   const ColumnStore* store =
-      !plan.use_raw && plan.index == nullptr && use_column_store_ &&
-              !query.selection().empty()
-          ? catalog_->column_store(plan.view)
+      !plan.use_raw && plan.index == nullptr && members.size() == 1 &&
+              !first.selection().empty()
+          ? catalog.column_store(plan.view)
           : nullptr;
-  GroupAccumulator acc = AccumulatorFor(*catalog_, plan, store, query);
-  std::optional<GroupedResult> pooled;
-  uint64_t rows_processed = 0;
-  uint64_t bytes_scanned = 0;
-  bool used_columnar = false;
-
-  if (plan.index == nullptr && store == nullptr) {
-    // A full scan of row storage: the fact table or the view's row store.
-    const FactTable& fact = catalog_->fact();
-    const MaterializedView* view =
-        plan.use_raw ? nullptr : &catalog_->view(plan.view);
-    const RowScan scan =
-        plan.use_raw ? FullScan(fact, RowStates(fact.measure_data()),
-                                sel_attrs, selection_values, group_attrs)
-                     : FullScan(*view, RowStates(view->aggregate_data()),
-                                sel_attrs, selection_values, group_attrs);
-    const uint64_t row_bytes =
-        plan.use_raw
-            ? static_cast<uint64_t>(schema.num_dimensions()) * 4 + 8
-            : static_cast<uint64_t>(plan.view.ToVector().size()) * 4 +
-                  sizeof(AggregateState);
-    // Only a query that may fan out touches, and so starts, the pool.
-    if (acc.sorts() && scan.rows >= kPooledSortMinRows &&
-        ThreadPool::Shared().num_threads() > 1) {
-      pooled = SortGroupsOnPool(schema, query.group_by(), scan,
-                                ThreadPool::Shared());
-    } else {
-      scan.states.Visit([&](auto state_of) {
-        for (size_t r = 0; r < scan.rows; ++r) {
-          if (scan.Matches(r)) {
-            acc.AddRow(scan.group_columns.data(), r, state_of(r));
-          }
-        }
-      });
-    }
-    rows_processed = scan.rows;
-    bytes_scanned = rows_processed * row_bytes;
-  } else if (plan.index == nullptr) {
-    used_columnar = true;
+  if (store != nullptr) {
+    GroupAccumulator acc = AccumulatorFor(catalog, plan, store, first);
+    const std::vector<int> sel_attrs = first.selection().ToVector();
     std::vector<ColumnStore::Predicate> preds;
     preds.reserve(sel_attrs.size());
     for (size_t i = 0; i < sel_attrs.size(); ++i) {
-      preds.push_back({sel_attrs[i], selection_values[i]});
+      preds.push_back({sel_attrs[i], first_values[i]});
     }
-    // Only matching rows are visited, but the scan's cost is still the
-    // view's row count: the paper's measure.
-    store->Scan(preds, query.group_by(),
+    store->Scan(preds, first.group_by(),
                 [&](size_t r, const uint32_t* dims,
                     const AggregateState& state) {
                   acc.AddDims(r, dims, state);
                 });
-    rows_processed = store->num_rows();
-    bytes_scanned = store->CompressedBytes();
-  } else {
-    const MaterializedView& view = catalog_->view(plan.view);
-    // Prefix values in index-key order for the matched prefix; rows the
-    // probe returns already satisfy the prefix attributes, so only the
-    // residual selection is re-checked.
-    std::vector<uint32_t> prefix_values;
-    std::vector<RowScan::Predicate> preds;
-    for (int a : plan.index->key().attrs()) {
-      if (!plan.index_prefix.Contains(a)) break;
-      prefix_values.push_back(sel_value[static_cast<size_t>(a)]);
-    }
-    for (size_t i = 0; i < sel_attrs.size(); ++i) {
-      if (plan.index_prefix.Contains(sel_attrs[i])) continue;
-      preds.push_back({view.column_data(sel_attrs[i]), selection_values[i]});
-    }
-    std::vector<const uint32_t*> gcols;
-    gcols.reserve(group_attrs.size());
-    for (int a : group_attrs) gcols.push_back(view.column_data(a));
-    const AggregateState* states = view.aggregate_data();
-    rows_processed += plan.index->ScanPrefix(
-        prefix_values, [&](uint32_t r) {
-          for (const RowScan::Predicate& p : preds) {
-            if (p.column[r] != p.value) return;
-          }
-          acc.AddRow(gcols.data(), r, states[r]);
-        });
-    bytes_scanned =
-        rows_processed *
-        (static_cast<uint64_t>(view.attrs().ToVector().size()) * 4 +
-         sizeof(AggregateState));
+    out.sorted_members = acc.sorts() ? 1 : 0;
+    *members.front().result = acc.Finish();
+    out.rows = store->num_rows();
+    out.bytes_scanned = store->CompressedBytes();
+    out.used_columnar = true;
+    return out;
   }
 
-  // One registry update per query (not per row): the row counts were
-  // accumulated locally above, and which counter they land in classifies
-  // the chosen access path (raw scan vs. view scan vs. index probe).
+  // Row storage: the fact table or the view's row store.
+  const FactTable& fact = catalog.fact();
+  const MaterializedView* view =
+      plan.use_raw ? nullptr : &catalog.view(plan.view);
+  const auto column = [&](int a) {
+    return view == nullptr ? fact.column_data(a) : view->column_data(a);
+  };
+  const RowStates states = view == nullptr
+                               ? RowStates(fact.measure_data())
+                               : RowStates(view->aggregate_data());
+  const size_t table_rows =
+      view == nullptr ? fact.num_rows() : view->num_rows();
+  std::vector<RowMember> hoisted;
+  hoisted.reserve(members.size());
+  for (const ScanMember& m : members) {
+    RowMember row_member{RowScan{table_rows, {}, {}, states},
+                         AccumulatorFor(catalog, plan, nullptr, *m.query),
+                         m.result};
+    const std::vector<int> sel_attrs = m.query->selection().ToVector();
+    for (size_t i = 0; i < sel_attrs.size(); ++i) {
+      // A probe's descent already satisfied its prefix attributes.
+      if (plan.index_prefix.Contains(sel_attrs[i])) continue;
+      row_member.scan.predicates.push_back(
+          {column(sel_attrs[i]), (*m.selection_values)[i]});
+    }
+    for (int a : m.query->group_by().ToVector()) {
+      row_member.scan.group_columns.push_back(column(a));
+    }
+    if (row_member.acc.sorts()) ++out.sorted_members;
+    hoisted.push_back(std::move(row_member));
+  }
+
+  out.rows = table_rows;
+  if (hoisted.size() == 1 && plan.index == nullptr &&
+      hoisted.front().acc.sorts() && table_rows >= kPooledSortMinRows &&
+      pool != nullptr && pool().num_threads() > 1) {
+    *hoisted.front().result = SortGroupsOnPool(
+        catalog.schema(), first.group_by(), hoisted.front().scan, pool());
+  } else {
+    states.Visit([&](auto state_of) {
+      const auto add = [&](RowMember& m, size_t r) {
+        if (m.scan.Matches(r)) {
+          m.acc.AddRow(m.scan.group_columns.data(), r, state_of(r));
+        }
+      };
+      const auto visit_rows = [&](const auto& feed) {
+        if (plan.index != nullptr) {
+          // The members of a probe share its prefix values.
+          out.rows = plan.index->ScanPrefix(
+              ProbePrefixValues(plan, first, first_values), feed);
+        } else {
+          for (size_t r = 0; r < table_rows; ++r) feed(r);
+        }
+      };
+      // A lone member gets a loop of its own: behind a loop over members,
+      // serve-cold's median request time (mostly index probes) read
+      // 21-34% higher in three perfbench pairs (EXPERIMENTS.md E16e).
+      if (hoisted.size() == 1) {
+        RowMember& only = hoisted.front();
+        visit_rows([&](size_t r) { add(only, r); });
+      } else {
+        visit_rows([&](size_t r) {
+          for (RowMember& m : hoisted) add(m, r);
+        });
+      }
+    });
+    for (RowMember& m : hoisted) *m.result = m.acc.Finish();
+  }
+  const uint64_t row_bytes =
+      view == nullptr
+          ? static_cast<uint64_t>(catalog.schema().num_dimensions()) * 4 +
+                sizeof(double)
+          : static_cast<uint64_t>(plan.view.size()) * 4 +
+                sizeof(AggregateState);
+  out.bytes_scanned = out.rows * row_bytes;
+  return out;
+}
+
+ExecutionStats StatsOf(const PlannedAccess& plan, const PhysicalScan& scan) {
+  ExecutionStats stats;
+  stats.rows_processed = scan.rows;
+  stats.used_raw = plan.use_raw;
+  stats.view = plan.use_raw ? AttributeSet() : plan.view;
+  stats.index = plan.index != nullptr ? plan.index->key() : IndexKey();
+  stats.used_columnar = scan.used_columnar;
+  stats.bytes_scanned = scan.bytes_scanned;
+  stats.estimated_cost = plan.estimated_cost;
+  return stats;
+}
+
+GroupedResult Executor::Execute(
+    const SliceQuery& query, const std::vector<uint32_t>& selection_values,
+    ExecutionStats* stats) const {
+  OLAPIDX_TRACE_SPAN("executor.execute");
+  const PlannedAccess plan = PlanAccess(*catalog_, query);
+  GroupedResult result;
+  const ScanMember member{&query, &selection_values, &result};
+  const PhysicalScan scan =
+      ScanForMembers(*catalog_, plan, {&member, 1}, &ThreadPool::Shared);
+
+  // One registry update per query (not per row): which counter the rows
+  // land in classifies the chosen access path (raw scan vs. view scan vs.
+  // index probe).
   OLAPIDX_METRIC_COUNTER(queries, "executor.queries");
   queries.Add(1);
-  if (acc.sorts()) {
+  if (scan.sorted_members > 0) {
     OLAPIDX_METRIC_COUNTER(sorted, "executor.aggregations_sorted");
     sorted.Add(1);
   } else {
@@ -223,13 +260,13 @@ GroupedResult Executor::Execute(
     OLAPIDX_METRIC_COUNTER(raw_plans, "executor.plans_raw");
     OLAPIDX_METRIC_COUNTER(raw_rows, "executor.rows_raw_scanned");
     raw_plans.Add(1);
-    raw_rows.Add(rows_processed);
+    raw_rows.Add(scan.rows);
   } else if (plan.index == nullptr) {
     OLAPIDX_METRIC_COUNTER(view_plans, "executor.plans_view_scan");
     OLAPIDX_METRIC_COUNTER(view_rows, "executor.rows_view_scanned");
     view_plans.Add(1);
-    view_rows.Add(rows_processed);
-    if (used_columnar) {
+    view_rows.Add(scan.rows);
+    if (scan.used_columnar) {
       OLAPIDX_METRIC_COUNTER(columnar_plans, "executor.plans_columnar_scan");
       columnar_plans.Add(1);
     }
@@ -237,26 +274,27 @@ GroupedResult Executor::Execute(
     OLAPIDX_METRIC_COUNTER(index_plans, "executor.plans_index");
     OLAPIDX_METRIC_COUNTER(index_rows, "executor.rows_index_probed");
     index_plans.Add(1);
-    index_rows.Add(rows_processed);
+    index_rows.Add(scan.rows);
   }
 
   ExecutionStats local_stats;
   if (stats == nullptr) stats = &local_stats;
-  stats->rows_processed = rows_processed;
-  stats->used_raw = plan.use_raw;
-  stats->view = plan.use_raw ? AttributeSet() : plan.view;
-  stats->index = plan.index != nullptr ? plan.index->key() : IndexKey();
-  stats->used_columnar = used_columnar;
-  stats->bytes_scanned = bytes_scanned;
-  stats->estimated_cost = plan.estimated_cost;
+  *stats = StatsOf(plan, scan);
   // Both entry points notify here, so the observed-workload sketch sees
   // traffic regardless of which variant drove the engine.
   if (observer_) observer_(query, *stats);
-  return pooled ? std::move(*pooled) : acc.Finish();
+  return result;
 }
 
-Status CheckSelectionValues(const CubeSchema& schema, const SliceQuery& query,
-                            const std::vector<uint32_t>& selection_values) {
+Status CheckQueryInput(const CubeSchema& schema, const SliceQuery& query,
+                       const std::vector<uint32_t>& selection_values) {
+  for (int a : query.group_by().ToVector()) {
+    if (a >= schema.num_dimensions()) {
+      return Status::InvalidArgument(
+          "query groups by attribute " + std::to_string(a) + " of a " +
+          std::to_string(schema.num_dimensions()) + "-dimension schema");
+    }
+  }
   const std::vector<int> attrs = query.selection().ToVector();
   if (selection_values.size() != attrs.size()) {
     return Status::InvalidArgument(
@@ -288,8 +326,7 @@ Status Executor::TryExecute(const SliceQuery& query,
                             ExecutionStats* stats) const {
   OLAPIDX_CHECK(out != nullptr);
   OLAPIDX_FAULT_POINT("executor.execute");
-  if (Status s = CheckSelectionValues(catalog_->schema(), query,
-                                      selection_values);
+  if (Status s = CheckQueryInput(catalog_->schema(), query, selection_values);
       !s.ok()) {
     return s;
   }

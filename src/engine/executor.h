@@ -26,7 +26,8 @@ struct ExecutionStats {
   AttributeSet view;  // meaningful when !used_raw
   IndexKey index;     // empty = plain scan
   // The scan read the view's compressed columnar store rather than its
-  // row store (only possible for plain view scans with a selection).
+  // row store: a plain view scan of one query with a selection, over a
+  // catalog that holds the view's store.
   bool used_columnar = false;
   // Storage bytes the scan read: row-store row width × rows processed,
   // or the store's compressed payload for a columnar scan.
@@ -122,14 +123,16 @@ struct GroupedResult {
   }
 };
 
-// The one check of caller-supplied selection constants, shared by
-// Executor::TryExecute and BatchExecutor::TryExecuteBatch: one value per
+// The one check of a caller-supplied query and its selection constants,
+// shared by Executor::TryExecute and BatchExecutor::TryExecuteBatch: every
+// group-by and selected attribute inside the schema, and one value per
 // selected attribute, in ascending attribute order, each below its
-// dimension's cardinality. A value outside the dimension would reach the
-// key codec, which aborts on it or silently encodes a member that does not
-// exist.
-Status CheckSelectionValues(const CubeSchema& schema, const SliceQuery& query,
-                            const std::vector<uint32_t>& selection_values);
+// dimension's cardinality. An attribute outside the schema would abort in
+// the schema's domain arithmetic, and a value outside its dimension would
+// reach the key codec, which aborts on it or silently encodes a member
+// that does not exist.
+Status CheckQueryInput(const CubeSchema& schema, const SliceQuery& query,
+                       const std::vector<uint32_t>& selection_values);
 
 class Executor {
  public:
@@ -138,12 +141,18 @@ class Executor {
 
   // Answers γ_A σ_B with the given selection constants. `selection_values`
   // is parallel to query.selection().ToVector() (ascending attribute ids).
+  // Runs the planned access path as a one-query ScanForMembers
+  // (group_accumulator.h): a plain view scan with a selection reads the
+  // view's column store when the catalog holds one, every other path row
+  // storage, and a sort-path group-by over a full row-storage scan of at
+  // least kPooledSortMinRows rows runs on ThreadPool::Shared()
+  // (SortGroupsOnPool), with the serial path's result and stats.
   GroupedResult Execute(const SliceQuery& query,
                         const std::vector<uint32_t>& selection_values,
                         ExecutionStats* stats = nullptr) const;
 
-  // Status-returning variant for service boundaries: rejects selection
-  // values that fail CheckSelectionValues (instead of aborting) and crosses
+  // Status-returning variant for service boundaries: rejects input that
+  // fails CheckQueryInput (instead of aborting) and crosses
   // the "executor.execute" fault point. On success stores the result in
   // *out.
   Status TryExecute(const SliceQuery& query,
@@ -163,17 +172,6 @@ class Executor {
   void SetQueryObserver(QueryObserver observer) {
     observer_ = std::move(observer);
   }
-
-  // When on (the default), a plain view scan with a selection reads the
-  // view's compressed columnar store whenever the catalog has one
-  // attached; off forces the row store everywhere. A scan without a
-  // selection, an index probe and a raw scan always use row storage (the
-  // store skips rows only for predicates; index row ids reference the
-  // view's row order). A sort-path group-by over a full row-storage scan
-  // of at least kPooledSortMinRows rows runs on ThreadPool::Shared()
-  // (SortGroupsOnPool), with the serial path's result and stats.
-  void set_use_column_store(bool use) { use_column_store_ = use; }
-  bool use_column_store() const { return use_column_store_; }
 
   // Reference implementation that always scans the raw fact table; used by
   // tests to validate Execute's answers.
@@ -201,7 +199,6 @@ class Executor {
  private:
   const Catalog* catalog_;
   QueryObserver observer_;
-  bool use_column_store_ = true;
 };
 
 }  // namespace olapidx

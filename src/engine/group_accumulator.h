@@ -1,9 +1,8 @@
 // GroupAccumulator: aggregates the rows a scan feeds it by group key and
 // emits a GroupedResult sorted by encoded group key, its keys decoded
-// row-major into one flat array. Shared by the serial Executor and the
-// BatchExecutor so both produce byte-identical results — every group is
-// AggregateState{} merged with its rows' states in visit order, so two
-// scans of the same storage in the same order agree bitwise.
+// row-major into one flat array. Every group is AggregateState{} merged
+// with its rows' states in visit order, so two scans of the same rows in
+// the same order agree bitwise.
 //
 // It has two paths, and AccumulatorFor() picks one per query with
 // SortsGroups() (group_table.h), from the group-by's key domain and a
@@ -35,6 +34,13 @@
 // key range per chunk, and FoldKeyRanges sorts and folds the ranges side
 // by side. Each key's pairs keep their row order, so the result is the
 // serial sort path's, bit for bit, for any pool size.
+//
+// ScanForMembers is the one physical scan both executors run: it hoists
+// each member query's predicates and group-by columns, builds its
+// accumulator, runs the plan's scan or probe once and finishes every
+// member. Executor::Execute calls it with one member, and each
+// BatchExecutor task with the members it serves, so a one-query batch and
+// Execute agree field for field.
 
 #ifndef OLAPIDX_ENGINE_GROUP_ACCUMULATOR_H_
 #define OLAPIDX_ENGINE_GROUP_ACCUMULATOR_H_
@@ -372,13 +378,13 @@ struct RowScan {
   }
 };
 
-// Executor::Execute runs a sort-path group-by over a full row-storage scan
-// of at least this many rows on the shared pool when it has two or more
-// threads. Below it, waking the pool for four jobs and the extra scatter
-// pass cost about what the second thread saves: over wide group-bys of
-// serve-cold's schema, two threads took 0.98-1.00x the serial sort path's
-// median time at 8,192 rows, 0.84-0.94x at 16,384 and 0.63-0.71x from
-// 49,152 (two pinned cores, medians of 61).
+// ScanForMembers runs one member's sort-path group-by over a full
+// row-storage scan of at least this many rows on its pool when that pool
+// has two or more threads. Below it, waking the pool for four jobs and
+// the extra scatter pass cost about what the second thread saves: over
+// wide group-bys of serve-cold's schema, two threads took 0.98-1.00x the
+// serial sort path's median time at 8,192 rows, 0.84-0.94x at 16,384 and
+// 0.63-0.71x from 49,152 (two pinned cores, medians of 61).
 inline constexpr size_t kPooledSortMinRows = 16384;
 
 // Pairs are routed to key ranges by the top kKeyRangeBits bits of the
@@ -477,6 +483,60 @@ inline GroupedResult SortGroupsOnPool(const CubeSchema& schema,
   return FoldKeyRanges(codec, scan.states, grouped.get(), scanned.get(),
                        bounds, fan_out ? &pool : nullptr);
 }
+
+// ---------------------------------------------------------------------------
+// The scan kernel of both executors.
+// ---------------------------------------------------------------------------
+
+// The selection values of a probe plan's matched prefix, in index-key
+// order: the values its descent seeks. Empty for a scan.
+std::vector<uint32_t> ProbePrefixValues(
+    const PlannedAccess& plan, const SliceQuery& query,
+    const std::vector<uint32_t>& selection_values);
+
+// One query a physical scan serves: its selection values, parallel to
+// query->selection().ToVector(), and where its result goes.
+struct ScanMember {
+  const SliceQuery* query;
+  const std::vector<uint32_t>* selection_values;
+  GroupedResult* result;
+};
+
+// What one physical scan did, which every member it served reports.
+struct PhysicalScan {
+  // The table's rows for a full scan, in either store (the paper's cost,
+  // however many rows the column store skipped); the entries an index
+  // probe returned.
+  uint64_t rows = 0;
+  uint64_t bytes_scanned = 0;  // storage bytes read
+  bool used_columnar = false;
+  uint64_t sorted_members = 0;  // members aggregated on the sort path
+};
+
+// Runs `plan` once for `members`, queries that all plan to it, and writes
+// each member's result. Each member's predicates and group-by columns are
+// hoisted once, and its accumulator comes from AccumulatorFor. Three
+// cases:
+//  - A plain view scan of one member with a selection reads the view's
+//    column store when the catalog holds one, pushing the selection and
+//    group-by into ColumnStore::Scan: the store skips rows for
+//    predicates, and nowhere else does it save work.
+//  - Any other scan reads row storage, the fact table or the view's row
+//    store, every member checking its own predicates on every row.
+//  - An index probe descends once (ScanPrefix), every member checking its
+//    residual predicates on the rows it returns.
+// One member taking the sort path over a full row-storage scan of at
+// least kPooledSortMinRows rows runs SortGroupsOnPool on pool() instead
+// when `pool` is non-null and that pool has two or more threads; `pool`
+// is called only then, so a scan that cannot fan out never starts it.
+// Every member sees the rows in the scan's one order, so its result is
+// the same bits however many members share the scan.
+PhysicalScan ScanForMembers(const Catalog& catalog, const PlannedAccess& plan,
+                            std::span<const ScanMember> members,
+                            ThreadPool& (*pool)());
+
+// What a query answered by `plan` through `scan` reports.
+ExecutionStats StatsOf(const PlannedAccess& plan, const PhysicalScan& scan);
 
 }  // namespace olapidx
 

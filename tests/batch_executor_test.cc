@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "data/fact_generator.h"
+#include "engine/group_accumulator.h"
 #include "engine/group_table.h"
 
 namespace olapidx {
@@ -26,6 +30,54 @@ void ExpectBitIdentical(const GroupedResult& a, const GroupedResult& b) {
     EXPECT_TRUE(BitEq(a.aggregates[i].min, b.aggregates[i].min));
     EXPECT_TRUE(BitEq(a.aggregates[i].max, b.aggregates[i].max));
   }
+}
+
+// Which queries of a batch read a column store, and how many scans did,
+// when every view of the catalog carries one: a plain view scan of a
+// query with a selection whose task serves it alone. The batch coalesces
+// identical requests, groups the unique ones by plan and cuts each group
+// into tasks of at most 16 members, in batch order.
+struct ColumnarExpectation {
+  std::vector<bool> per_query;
+  uint64_t scans = 0;
+};
+
+ColumnarExpectation ExpectedColumnar(
+    const std::vector<SliceQuery>& queries,
+    const std::vector<std::vector<uint32_t>>& values,
+    const std::vector<ExecutionStats>& stats) {
+  constexpr size_t kTaskMembers = 16;
+  std::map<std::tuple<uint64_t, uint64_t, std::vector<uint32_t>>, size_t>
+      first_seen;
+  std::vector<size_t> primary_of(queries.size());
+  std::map<uint64_t, std::vector<size_t>> view_scans;  // view -> primaries
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto [it, inserted] = first_seen.emplace(
+        std::make_tuple(queries[i].group_by().mask(),
+                        queries[i].selection().mask(), values[i]),
+        i);
+    primary_of[i] = it->second;
+    if (inserted && !stats[i].used_raw && stats[i].index.empty()) {
+      view_scans[stats[i].view.mask()].push_back(i);
+    }
+  }
+  ColumnarExpectation out;
+  std::vector<bool> reads_store(queries.size(), false);
+  for (const auto& [view, members] : view_scans) {
+    for (size_t k = 0; k < members.size(); ++k) {
+      const size_t begin = k / kTaskMembers * kTaskMembers;
+      const size_t task = std::min(members.size(), begin + kTaskMembers) -
+                          begin;
+      if (task == 1 && !queries[members[k]].selection().empty()) {
+        reads_store[members[k]] = true;
+        ++out.scans;
+      }
+    }
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    out.per_query.push_back(reads_store[primary_of[i]]);
+  }
+  return out;
 }
 
 CubeSchema TestSchema() {
@@ -131,36 +183,41 @@ TEST_F(BatchExecutorTest, CompressedBatchMatchesSerialRowStore) {
     }
     fact.Append(dims, 1.0 + rng.NextBounded(50));
   }
-  Catalog catalog(&fact);
-  catalog.MaterializeView(AttributeSet::Of({0, 1, 2}));
-  catalog.MaterializeView(AttributeSet::Of({1, 3}));
-  catalog.CompressAllViews();
+  Catalog compressed(&fact);
+  Catalog rows(&fact);
+  for (Catalog* catalog : {&compressed, &rows}) {
+    catalog->MaterializeView(AttributeSet::Of({0, 1, 2}));
+    catalog->MaterializeView(AttributeSet::Of({1, 3}));
+  }
+  compressed.CompressAllViews();
 
-  Executor serial(&catalog);
-  serial.set_use_column_store(false);  // serial row-store reference
-  BatchExecutor compressed_batch(&catalog, 4);
+  Executor serial(&rows);  // serial row-store reference
+  BatchExecutor compressed_batch(&compressed, 4);
   std::vector<ExecutionStats> stats;
   std::vector<GroupedResult> results =
       compressed_batch.ExecuteBatch(queries_, values_, &stats);
-  bool any_columnar = false;
+  const ColumnarExpectation columnar =
+      ExpectedColumnar(queries_, values_, stats);
   for (size_t i = 0; i < queries_.size(); ++i) {
     GroupedResult expected = serial.Execute(queries_[i], values_[i]);
     ExpectBitIdentical(results[i], expected);
-    any_columnar = any_columnar || stats[i].used_columnar;
+    EXPECT_EQ(stats[i].used_columnar, columnar.per_query[i]) << i;
   }
-  EXPECT_TRUE(any_columnar);
 }
 
 TEST_F(BatchExecutorTest, ColumnarBatchMatchesSerialRowStoreBitForBit) {
-  // Fractional measures: the store keeps the view's row order, so a
-  // shared columnar scan folds every group in the row store's order. The
-  // batch covers every group-by and selection of a 4-dim view, each
-  // twice (coalesced), several members per shared scan, each member with
-  // its own ordered group-by prefix.
+  // Fractional measures: the store keeps the view's row order, so a scan
+  // of either store folds every group in the row store's order. The batch
+  // covers every group-by and selection of a 4-dim view, each twice
+  // (coalesced), several members per shared scan, each member with its
+  // own ordered group-by prefix.
   const AttributeSet view = AttributeSet::Of({0, 1, 2, 3});
   Catalog catalog(&fact_);
-  catalog.MaterializeView(view);
-  catalog.MaterializeView(AttributeSet::Of({0, 1, 2}));
+  Catalog rows(&fact_);
+  for (Catalog* c : {&catalog, &rows}) {
+    c->MaterializeView(view);
+    c->MaterializeView(AttributeSet::Of({0, 1, 2}));
+  }
   catalog.CompressAllViews();
   std::vector<SliceQuery> queries;
   std::vector<std::vector<uint32_t>> values;
@@ -178,8 +235,7 @@ TEST_F(BatchExecutorTest, ColumnarBatchMatchesSerialRowStoreBitForBit) {
     }
   }
 
-  Executor serial(&catalog);
-  serial.set_use_column_store(false);
+  Executor serial(&rows);
   BatchExecutor batch(&catalog, 2);
   std::vector<ExecutionStats> stats;
   BatchStats bstats;
@@ -187,14 +243,16 @@ TEST_F(BatchExecutorTest, ColumnarBatchMatchesSerialRowStoreBitForBit) {
       batch.ExecuteBatch(queries, values, &stats, &bstats);
   ASSERT_EQ(results.size(), queries.size());
   EXPECT_LT(bstats.unique_queries, bstats.queries);
-  EXPECT_GT(bstats.columnar_scans, 0u);
-  size_t columnar = 0;
+  // Shared scans read the row store; only a query alone in its view-scan
+  // task with a selection reads the column store.
+  const ColumnarExpectation columnar =
+      ExpectedColumnar(queries, values, stats);
+  EXPECT_EQ(bstats.columnar_scans, columnar.scans);
   for (size_t i = 0; i < queries.size(); ++i) {
     SCOPED_TRACE(queries[i].ToString(TestSchema().names()));
     ExpectBitIdentical(results[i], serial.Execute(queries[i], values[i]));
-    if (stats[i].used_columnar) ++columnar;
+    EXPECT_EQ(stats[i].used_columnar, columnar.per_query[i]);
   }
-  EXPECT_GT(columnar, queries.size() / 2);
 }
 
 TEST_F(BatchExecutorTest, IdenticalRequestsCoalesce) {
@@ -264,6 +322,16 @@ TEST_F(BatchExecutorTest, TryExecuteBatchValidatesUpFront) {
   EXPECT_NE(s.message().find("query 7"), std::string::npos) << s.message();
   EXPECT_NE(s.message().find("out of range"), std::string::npos)
       << s.message();
+
+  // And a group-by attribute outside the 4-dimension schema, on which the
+  // accumulator's domain arithmetic would abort.
+  std::vector<SliceQuery> outside = queries_;
+  outside[3] = SliceQuery(AttributeSet::Of({5}), queries_[3].selection());
+  s = batch.TryExecuteBatch(outside, values_, &out);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("query 3"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("groups by attribute 5"), std::string::npos)
+      << s.message();
 }
 
 TEST_F(BatchExecutorTest, ObserverSeesEveryQueryInBatchOrder) {
@@ -300,9 +368,10 @@ TEST_F(BatchExecutorTest, SerialExecuteNotifiesObserverToo) {
 
 TEST(BatchExecutorSortPathTest, WideGroupBysMatchSerialAtAnyThreadCount) {
   // A ~7,700-row base view: its no-selection group-bys of four or five
-  // attributes take the sort path, narrower and selective ones the hash
-  // path, in the same shared scans. Fractional measures, over the row
-  // store and over the column store.
+  // attributes take the sort path, the three-attribute ones the hash
+  // path, in the same shared scan; the selective query sorts too.
+  // Fractional measures, over a catalog without column stores and one
+  // with them.
   const CubeSchema schema({Dimension{"a", 16}, Dimension{"b", 12},
                            Dimension{"c", 10}, Dimension{"d", 8},
                            Dimension{"e", 6}});
@@ -314,10 +383,12 @@ TEST(BatchExecutorSortPathTest, WideGroupBysMatchSerialAtAnyThreadCount) {
                 static_cast<double>(rng.NextBounded(100000)) / 7.0);
   }
   const AttributeSet base = schema.AllAttributes();
-  Catalog catalog(&fact);
-  catalog.MaterializeView(base);
-  catalog.CompressAllViews();
-  const double rows = static_cast<double>(catalog.view(base).num_rows());
+  Catalog plain(&fact);
+  Catalog compressed(&fact);
+  plain.MaterializeView(base);
+  compressed.MaterializeView(base);
+  compressed.CompressAllViews();
+  const double rows = static_cast<double>(plain.view(base).num_rows());
   std::vector<SliceQuery> queries;
   std::vector<std::vector<uint32_t>> values;
   size_t sorted = 0;
@@ -334,24 +405,126 @@ TEST(BatchExecutorSortPathTest, WideGroupBysMatchSerialAtAnyThreadCount) {
   ASSERT_GT(sorted, 0u);
   ASSERT_LT(sorted, queries.size());
 
-  for (bool columnar : {false, true}) {
-    SCOPED_TRACE(columnar ? "column store" : "row store");
-    Executor serial(&catalog);
-    serial.set_use_column_store(columnar);
+  for (const Catalog* catalog : {&plain, &compressed}) {
+    SCOPED_TRACE(catalog == &compressed ? "column store" : "row store");
+    Executor serial(catalog);
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       SCOPED_TRACE(::testing::Message() << threads << " threads");
-      BatchExecutor batch(&catalog, threads);
-      batch.set_use_column_store(columnar);
+      BatchExecutor batch(catalog, threads);
+      std::vector<ExecutionStats> stats;
+      BatchStats bstats;
       const std::vector<GroupedResult> results =
-          batch.ExecuteBatch(queries, values);
+          batch.ExecuteBatch(queries, values, &stats, &bstats);
       ASSERT_EQ(results.size(), queries.size());
+      // The 17th unique query, the one with a selection, is alone in the
+      // view scan's second task: over the column stores it reads one.
+      const ColumnarExpectation columnar =
+          ExpectedColumnar(queries, values, stats);
+      EXPECT_EQ(columnar.scans, 1u);
+      EXPECT_EQ(bstats.columnar_scans,
+                catalog == &compressed ? columnar.scans : 0u);
       for (size_t i = 0; i < queries.size(); ++i) {
         SCOPED_TRACE(queries[i].ToString(schema.names()));
         ExpectBitIdentical(results[i],
                            serial.Execute(queries[i], values[i]));
+        EXPECT_EQ(stats[i].used_columnar,
+                  catalog == &compressed && columnar.per_query[i]);
       }
     }
   }
+}
+
+// A one-query batch runs the one-member scan Executor::Execute runs: the
+// same result bits and every ExecutionStats field equal, for every plan
+// kind, over a catalog without column stores and one with them.
+TEST(OneQueryBatchOracleTest, OneQueryBatchIsExecuteFieldForField) {
+  const CubeSchema schema({Dimension{"a", 16}, Dimension{"b", 12},
+                           Dimension{"c", 10}, Dimension{"d", 8},
+                           Dimension{"e", 6}});
+  const FactTable uniform = GenerateUniformFacts(schema, 8000, /*seed=*/73);
+  FactTable fact(schema);
+  Pcg32 rng(79);
+  for (size_t r = 0; r < uniform.num_rows(); ++r) {
+    fact.Append(uniform.RowDims(r),
+                static_cast<double>(rng.NextBounded(100000)) / 7.0);
+  }
+  const AttributeSet abcd = AttributeSet::Of({0, 1, 2, 3});
+  Catalog plain(&fact);
+  Catalog compressed(&fact);
+  for (Catalog* catalog : {&plain, &compressed}) {
+    catalog->MaterializeView(abcd);
+    catalog->MaterializeView(AttributeSet::Of({0, 1}));
+    ASSERT_TRUE(catalog->BuildIndex(abcd, IndexKey({2, 0})).ok());
+  }
+  ASSERT_EQ(compressed.CompressAllViews(), 2u);
+  ASSERT_GE(plain.view(abcd).num_rows(), 4096u);
+  // No view holds e, so queries on it scan the fact table.
+  const std::vector<SliceQuery> queries = {
+      SliceQuery(AttributeSet::Of({4}), AttributeSet::Of({0})),
+      SliceQuery(AttributeSet::Of({0, 1, 2, 4}), AttributeSet()),
+      SliceQuery(AttributeSet::Of({1}), AttributeSet::Of({0})),
+      SliceQuery(AttributeSet::Of({0}), AttributeSet()),
+      SliceQuery(AttributeSet::Of({0, 1}), AttributeSet::Of({2})),
+      SliceQuery(abcd, AttributeSet()),
+      SliceQuery(AttributeSet::Of({0, 1, 2}), AttributeSet::Of({3})),
+  };
+  struct Seen {
+    bool raw = false, raw_sorted = false, probe = false;
+    bool scan_with_selection = false, scan_without_selection = false;
+    bool scan_sorted = false, columnar = false;
+  } seen;
+  for (const Catalog* catalog : {&plain, &compressed}) {
+    SCOPED_TRACE(catalog == &compressed ? "column stores" : "row stores");
+    const Executor serial(catalog);
+    const BatchExecutor batch(catalog, 1);
+    for (const SliceQuery& query : queries) {
+      SCOPED_TRACE(query.ToString(schema.names()));
+      const size_t row = rng.NextBounded(static_cast<uint32_t>(8000));
+      std::vector<uint32_t> values;
+      for (int a : query.selection().ToVector()) {
+        values.push_back(fact.dim(row, a));
+      }
+      ExecutionStats expected;
+      const GroupedResult want = serial.Execute(query, values, &expected);
+      std::vector<ExecutionStats> stats;
+      const std::vector<GroupedResult> got =
+          batch.ExecuteBatch({query}, {values}, &stats);
+      ASSERT_EQ(got.size(), 1u);
+      ExpectBitIdentical(got[0], want);
+      const ExecutionStats& s = stats[0];
+      EXPECT_EQ(s.rows_processed, expected.rows_processed);
+      EXPECT_EQ(s.used_raw, expected.used_raw);
+      EXPECT_EQ(s.view, expected.view);
+      EXPECT_EQ(s.index, expected.index);
+      EXPECT_EQ(s.used_columnar, expected.used_columnar);
+      EXPECT_EQ(s.bytes_scanned, expected.bytes_scanned);
+      EXPECT_EQ(s.estimated_cost, expected.estimated_cost);
+
+      const PlannedAccess plan = PlanAccess(*catalog, query);
+      const bool sorts =
+          AccumulatorFor(*catalog, plan, nullptr, query).sorts();
+      const bool scan = !plan.use_raw && plan.index == nullptr;
+      seen.raw = seen.raw || plan.use_raw;
+      seen.raw_sorted = seen.raw_sorted || (plan.use_raw && sorts);
+      seen.probe = seen.probe || plan.index != nullptr;
+      seen.scan_with_selection = seen.scan_with_selection ||
+                                 (scan && !query.selection().empty());
+      seen.scan_without_selection = seen.scan_without_selection ||
+                                    (scan && query.selection().empty());
+      seen.scan_sorted = seen.scan_sorted || (scan && sorts);
+      seen.columnar = seen.columnar || s.used_columnar;
+      // The store serves a view scan with a selection, and nothing else.
+      EXPECT_EQ(s.used_columnar, catalog == &compressed && scan &&
+                                     !query.selection().empty());
+    }
+  }
+  EXPECT_TRUE(seen.raw);
+  EXPECT_TRUE(seen.raw_sorted);
+  EXPECT_TRUE(seen.probe);
+  EXPECT_TRUE(seen.scan_with_selection);
+  EXPECT_TRUE(seen.scan_without_selection);
+  EXPECT_TRUE(seen.scan_sorted);
+  EXPECT_TRUE(seen.columnar);
 }
 
 }  // namespace

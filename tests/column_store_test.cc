@@ -500,25 +500,6 @@ TEST(ColumnStoreTest, ExecutorColumnarScanBitIdenticalToRowScan) {
   }
 }
 
-TEST(ColumnStoreTest, ExecutorToggleForcesRowStore) {
-  FactTable fact = IntegerMeasureFacts(TestSchema(), 800, /*seed=*/29);
-  Catalog catalog(&fact);
-  catalog.MaterializeView(AttributeSet::Of({0, 1}));
-  ASSERT_TRUE(catalog.CompressView(AttributeSet::Of({0, 1})).ok());
-  Executor exec(&catalog);
-  SliceQuery q(AttributeSet::Of({0}), AttributeSet::Of({1}));
-  ExecutionStats on_stats, off_stats;
-  GroupedResult on = exec.Execute(q, {2}, &on_stats);
-  exec.set_use_column_store(false);
-  GroupedResult off = exec.Execute(q, {2}, &off_stats);
-  EXPECT_TRUE(on_stats.used_columnar);
-  EXPECT_FALSE(off_stats.used_columnar);
-  ASSERT_EQ(on.keys, off.keys);
-  for (size_t i = 0; i < on.sums.size(); ++i) {
-    EXPECT_TRUE(BitEq(on.sums[i], off.sums[i]));
-  }
-}
-
 TEST(ColumnStoreTest, CatalogRefreshRebuildsStore) {
   CubeSchema schema = TestSchema();
   FactTable fact = IntegerMeasureFacts(schema, 500, /*seed=*/31);

@@ -253,6 +253,13 @@ TEST_F(ExecutorTest, TryExecuteRejectsOutOfRangeSelectionValue) {
   ASSERT_FALSE(stats.index.empty());
   EXPECT_EQ(executor_.TryExecute(b_by_a, {8}, &out).code(),
             StatusCode::kInvalidArgument);
+  // A group-by attribute outside the 3-dimension schema is rejected too,
+  // before the accumulator's domain arithmetic would abort on it.
+  const SliceQuery outside(AttributeSet::Of({5}), AttributeSet::Of({0}));
+  const Status s = executor_.TryExecute(outside, {7}, &out);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("groups by attribute 5"), std::string::npos)
+      << s.message();
 }
 
 TEST_F(ExecutorTest, OutOfRangeValueRejectedOnScanAndIndexPlans) {
